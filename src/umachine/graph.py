@@ -35,7 +35,7 @@ class MorphismError(GraphError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class SourcePos:
     file: str
     line: int
@@ -44,7 +44,7 @@ class SourcePos:
         return f"{self.file}:{self.line}"
 
 
-@dataclass
+@dataclass(slots=True)
 class Constant:
     name: str
     type: Term | None = None
@@ -57,13 +57,13 @@ class Constant:
             raise ValueError("a constant needs a nonempty name")
 
 
-@dataclass
+@dataclass(slots=True)
 class Include:
     target: ModuleRef
     pos: SourcePos | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Theory:
     name: ModuleRef
     meta: ModuleRef | None = None
@@ -89,7 +89,7 @@ class Theory:
         self.declarations.append(c)
 
 
-@dataclass
+@dataclass(slots=True)
 class Assignment:
     name: str
     target: Term
@@ -98,13 +98,13 @@ class Assignment:
     pos: SourcePos | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ViewInclude:
     target: ModuleRef
     pos: SourcePos | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class View:
     name: ModuleRef
     domain: ModuleRef
@@ -219,6 +219,8 @@ class TheoryGraph:
     def __init__(self):
         self.modules: dict[ModuleRef, object] = {}
         self.aliases: dict[str, ModuleRef] = {}
+        # Bare module name -> refs carrying it, in registration order.
+        self._by_name: dict[str, tuple[ModuleRef, ...]] = {}
         self.add(_openmath_theory())
         self.add(_computation_theory())
 
@@ -227,7 +229,9 @@ class TheoryGraph:
     def add(self, module):
         if module.name in self.modules:
             raise DuplicateModuleError(f"module {module.name} already loaded")
-        self.modules[module.name] = module
+        ref = module.name
+        self.modules[ref] = module
+        self._by_name[ref.module] = self._by_name.get(ref.module, ()) + (ref,)
         return module
 
     def add_alias(self, name: str, target: ModuleRef):
@@ -250,7 +254,7 @@ class TheoryGraph:
                 return mref
         if ref in self.aliases:
             return self.aliases[ref]
-        hits = [m for m in self.modules if m.module == ref]
+        hits = self._by_name.get(ref, ())
         if len(hits) == 1:
             return hits[0]
         if not hits:

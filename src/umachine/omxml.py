@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 import xml.etree.ElementTree as ET
 
 from .terms import (App, Bind, Const, FloatLit, Foreign, GlobalName, IntLit,
@@ -21,6 +22,18 @@ class XmlDecodeError(ValueError):
 
 
 _OMI_RE = re.compile(r"^-?[0-9]+$")
+
+# One Const per OMS ``(cdbase, cd, name)`` as written, shared by every decoded
+# term.  Weak values: the symbols of dropped payloads leave the table.
+_SYMBOLS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _symbol(base: str, cd: str, name: str) -> Const:
+    key = (base, cd, name)
+    c = _SYMBOLS.get(key)
+    if c is None:
+        c = _SYMBOLS[key] = Const(GlobalName(base, cd, name))
+    return c
 
 
 def _float_to_dec(v: float) -> str:
@@ -122,7 +135,7 @@ def from_element(el: ET.Element, cdbase: str | None = None) -> Term:
             raise XmlDecodeError("OMS needs cd and name attributes")
         if base is None:
             raise XmlDecodeError(f"OMS {cd}?{name} has no cdbase in scope")
-        return Const(GlobalName(base, cd, name))
+        return _symbol(base, cd, name)
     if tag == "OMV":
         name = el.get("name")
         if not name:

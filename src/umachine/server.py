@@ -1,16 +1,29 @@
 """HTTP simplification service.
 
+The server speaks HTTP/1.1 and keeps connections alive: a client may send
+any number of requests over one connection, each answered in turn.  A
+connection that sends nothing for ``IDLE_TIMEOUT_S`` seconds is closed.
+
 Endpoints:
   POST /simplify?scope=<theory-ref>&fuel=<n>  — body is a term, either
       ``text/plain`` in notation syntax (scope required) or
       ``application/openmath+xml``; the response mirrors the request format
       and carries ``X-Simplify-Steps`` and ``X-Simplify-Exhausted`` headers.
-      400 parse error, 404 unknown scope, 422 fuel exhausted (partial result
-      in the body), 200 success.
+      200 success, 400 parse error or bad fuel, 404 unknown scope, 422 fuel
+      exhausted (partial result in the body).
   POST /theories  — ingest an OMDoc document; theories become available as
-      scopes; no rules are gained.  400 subset violation, 409 name collision.
+      scopes; no rules are gained.  201 ingested, 400 subset violation,
+      409 name collision.
   GET /theories   — loaded module URIs, one per line.
   GET /health     — "ok".
+
+GET and POST on any path: 404 unknown path, 400 malformed or negative
+``Content-Length``, 411 body without ``Content-Length`` (chunked), 413 body
+over ``MAX_BODY_BYTES``, 500 internal error.  The standard library's request
+parser answers 400, 414, 431 and 505 for malformed requests and 501 for
+other methods.  After 411, 413, a bad ``Content-Length``, 500 and the
+parser's replies the server closes the connection; after any other reply it
+keeps the connection open.
 """
 
 from __future__ import annotations
@@ -32,6 +45,8 @@ OMXML = "application/openmath+xml"
 
 DEFAULT_FUEL = 10000
 MAX_FUEL = 10 ** 7
+MAX_BODY_BYTES = 1 << 20
+IDLE_TIMEOUT_S = 30
 
 
 @dataclass
@@ -119,53 +134,77 @@ class Service:
 
 class _Handler(BaseHTTPRequestHandler):
     service: Service  # set on the subclass by make_server
+    protocol_version = "HTTP/1.1"
+    timeout = IDLE_TIMEOUT_S
 
     def log_message(self, *args):  # tests stay quiet
         pass
 
-    def _send(self, r: Response):
+    def _send(self, r: Response, close: bool = False):
         body = r.body.encode("utf-8")
-        self.send_response(r.status)
-        self.send_header("Content-Type", r.content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for k, v in r.headers.items():
-            self.send_header(k, v)
-        self.end_headers()
-        self.wfile.write(body)
+        head = [f"{self.protocol_version} {r.status} {self.responses[r.status][0]}",
+                f"Date: {self.date_time_string()}",
+                f"Content-Type: {r.content_type}",
+                f"Content-Length: {len(body)}"]
+        head += [f"{k}: {v}" for k, v in r.headers.items()]
+        if close:
+            head.append("Connection: close")
+            self.close_connection = True
+        # One write: a body sent as a second small segment is held back by
+        # Nagle's algorithm until the client's delayed ACK, up to 40 ms.
+        self.wfile.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n"
+                         + body)
 
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", "0") or "0")
-        return self.rfile.read(length)
+    def _read_body(self) -> bytes | Response:
+        """The request body, or the error reply after which the connection
+        closes, because the body's end on the wire is unknown."""
+        if "Transfer-Encoding" in self.headers:
+            return Response(411, "send the body with a Content-Length\n")
+        lengths = {v.strip() for v in self.headers.get_all("Content-Length", ["0"])}
+        length = lengths.pop() if len(lengths) == 1 else ""
+        if not (length.isascii() and length.isdigit()):
+            return Response(400, "bad Content-Length\n")
+        if int(length) > MAX_BODY_BYTES:
+            return Response(413, f"body over {MAX_BODY_BYTES} bytes\n")
+        return self.rfile.read(int(length))
+
+    def _answer(self, route):
+        # The body is read whatever the path, so that none of it is left on
+        # a kept-alive connection to be parsed as the next request.
+        body = self._read_body()
+        if isinstance(body, Response):
+            self._send(body, close=True)
+            return
+        try:
+            r = route(urlsplit(self.path), body)
+        except Exception as e:  # keep the connection answered
+            self._send(Response(500, f"internal error: {e}\n"), close=True)
+            return
+        self._send(r)
+
+    def _get(self, url, body: bytes) -> Response:
+        if url.path == "/health":
+            return self.service.health()
+        if url.path == "/theories":
+            return self.service.theories()
+        return Response(404, "not found\n")
+
+    def _post(self, url, body: bytes) -> Response:
+        if url.path == "/simplify":
+            query = parse_qs(url.query)
+            return self.service.simplify_request(
+                body, self.headers.get("Content-Type", TEXT),
+                (query.get("scope") or [None])[0],
+                (query.get("fuel") or [None])[0])
+        if url.path == "/theories":
+            return self.service.ingest(body)
+        return Response(404, "not found\n")
 
     def do_GET(self):
-        try:
-            path = urlsplit(self.path).path
-            if path == "/health":
-                self._send(self.service.health())
-            elif path == "/theories":
-                self._send(self.service.theories())
-            else:
-                self._send(Response(404, "not found\n"))
-        except Exception as e:  # keep the connection answered
-            self._send(Response(500, f"internal error: {e}\n"))
+        self._answer(self._get)
 
     def do_POST(self):
-        try:
-            url = urlsplit(self.path)
-            query = parse_qs(url.query)
-            if url.path == "/simplify":
-                r = self.service.simplify_request(
-                    self._read_body(),
-                    self.headers.get("Content-Type", TEXT),
-                    (query.get("scope") or [None])[0],
-                    (query.get("fuel") or [None])[0])
-                self._send(r)
-            elif url.path == "/theories":
-                self._send(self.service.ingest(self._read_body()))
-            else:
-                self._send(Response(404, "not found\n"))
-        except Exception as e:
-            self._send(Response(500, f"internal error: {e}\n"))
+        self._answer(self._post)
 
 
 def make_server(service: Service, port: int = 8080,

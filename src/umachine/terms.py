@@ -24,7 +24,7 @@ def normalize_uri(uri: str) -> str:
                        parts.query, parts.fragment))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModuleRef:
     """A module (theory or view) qualified by its document base."""
 
@@ -41,7 +41,7 @@ class ModuleRef:
         return f"{self.base}?{self.module}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GlobalName:
     """A constant qualified by document base and module: ``base?module?name``."""
 
@@ -65,15 +65,24 @@ class GlobalName:
         return f"{self.base}?{self.module}?{self.name}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     """Base of the term variants; carries the ``simplified`` marker."""
 
     simplified: bool = field(default=False, compare=False, repr=False, kw_only=True)
 
 
-@dataclass(frozen=True)
-class Const(Term):
+class _WeakReferable:
+    """A ``__weakref__`` slot for a slotted dataclass; the dataclass option
+    ``weakref_slot`` needs Python 3.11."""
+
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(frozen=True, slots=True)
+class Const(Term, _WeakReferable):
+    """A symbol; weakly referable so decoders can share one per name."""
+
     head: GlobalName = None  # type: ignore[assignment]
 
     def __post_init__(self):
@@ -81,27 +90,27 @@ class Const(Term):
             raise TypeError("Const expects a GlobalName")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntLit(Term):
     value: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FloatLit(Term):
     value: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrLit(Term):
     value: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Term):
     head: Term = None  # type: ignore[assignment]
     args: tuple = ()
@@ -112,7 +121,7 @@ class App(Term):
             raise ValueError("an application needs at least one argument")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bind(Term):
     binder: Term = None  # type: ignore[assignment]
     context: tuple = ()
@@ -124,7 +133,7 @@ class Bind(Term):
             raise ValueError("bound variable names must be pairwise distinct")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Foreign(Term):
     """An escaped non-term payload, preserved verbatim and never executed."""
 

@@ -3,9 +3,10 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import umachine.stdlib as stdlib
-from umachine.graph import DuplicateModuleError, TheoryGraph, LISTS_DOC_BASE
+from umachine.graph import (DuplicateModuleError, LISTS_DOC_BASE, TheoryGraph,
+                            UnresolvedModuleError)
 from umachine.omdoc import OmdocError, export_omdoc, ingest_omdoc
-from umachine.terms import Foreign
+from umachine.terms import Foreign, ModuleRef
 
 
 def lists_doc_text() -> str:
@@ -65,6 +66,38 @@ def test_double_ingest_collides():
     ingest_omdoc(g, lists_doc_text())
     with pytest.raises(DuplicateModuleError):
         ingest_omdoc(g, lists_doc_text())
+
+
+def _plus_doc(base: str, name: str) -> str:
+    return (f'<omdoc base="{base}"><theory name="{name}">'
+            '<constant name="k"><definition>'
+            '<OMOBJ cdbase="http://www.openmath.org/cd"><OMA>'
+            '<OMS cd="arith1" name="plus"/><OMI>1</OMI><OMI>2</OMI>'
+            "</OMA></OMOBJ></definition></constant></theory></omdoc>")
+
+
+def test_ingested_definitions_share_symbols():
+    g = TheoryGraph()
+    a, = ingest_omdoc(g, _plus_doc("um:/a", "ta"))
+    b, = ingest_omdoc(g, _plus_doc("um:/b", "tb"))
+    pa, pb = a.constant("k").definiens.head, b.constant("k").definiens.head
+    assert pa is pb and str(pa.head) == "http://www.openmath.org/cd?arith1?plus"
+
+
+def test_bare_names_of_ingested_theories():
+    g = TheoryGraph()
+    for i in range(50):
+        ingest_omdoc(g, _plus_doc(f"um:/d{i}", f"t{i}"))
+    assert g.resolve("t17") == ModuleRef("um:/d17", "t17")
+    ingest_omdoc(g, _plus_doc("um:/z", "t3"))
+    ingest_omdoc(g, _plus_doc("um:/a", "t3"))
+    with pytest.raises(UnresolvedModuleError) as e:
+        g.resolve("t3")
+    assert str(e.value) == \
+        "ambiguous module 't3': um:/d3?t3, um:/z?t3, um:/a?t3"
+    assert g.resolve("t3", default_base="um:/a") == ModuleRef("um:/a", "t3")
+    with pytest.raises(UnresolvedModuleError, match="unknown module 't50'"):
+        g.resolve("t50")
 
 
 # -- export round trip ---------------------------------------------------------

@@ -1,11 +1,14 @@
+import gc
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, strategies as st
 
+from umachine import omxml
 from umachine.omxml import XmlDecodeError, decode_xml, encode_xml
 from umachine.terms import (App, Bind, Const, FloatLit, Foreign, GlobalName,
-                            IntLit, StrLit, Var, app)
+                            IntLit, StrLit, Var, app, mark)
 
 UOM = "http://cds.omdoc.org/unsorted/uom.omdoc"
 NIL = Const(GlobalName(UOM, "lists", "nil"))
@@ -75,6 +78,31 @@ def test_namespaced_elements_are_accepted():
     xml = ('<OMOBJ xmlns="http://www.openmath.org/OpenMath">'
            "<OMI> 7 </OMI></OMOBJ>")
     assert decode_xml(xml) == IntLit(7)
+
+
+def test_decoded_symbols_are_shared():
+    cd = "http://www.openmath.org/cd"
+    doc = (f'<OMOBJ cdbase="{cd}"><OMA><OMS cd="arith1" name="plus"/>'
+           "<OMI>1</OMI><OMI>2</OMI></OMA></OMOBJ>")
+    a, b = decode_xml(doc), decode_xml(doc)
+    assert a.head is b.head
+    assert a.head.head.base is b.head.head.base
+    marked = mark(a.head)
+    assert marked.simplified and marked == a.head
+    assert not a.head.simplified and not b.head.simplified
+
+
+def test_symbol_table_drops_symbols_of_dropped_terms():
+    gc.collect()
+    size = len(omxml._SYMBOLS)
+    rng = random.Random(3)
+    for _ in range(200):
+        name = f"s{rng.getrandbits(64):x}"
+        t = decode_xml(f'<OMS cdbase="um:/fresh" cd="cd{name}" name="{name}"/>')
+        assert t.head.name == name
+    del t
+    gc.collect()
+    assert len(omxml._SYMBOLS) <= size
 
 
 # -- generated round trip ----------------------------------------------------

@@ -1,11 +1,15 @@
+import http.client
+import socket
 import threading
+import time
 
 import pytest
 import requests
 
 from umachine.codegen import build_graph, load
 from umachine.omxml import decode_xml, encode_xml
-from umachine.server import OMXML, Service, make_server
+from umachine.server import (IDLE_TIMEOUT_S, MAX_BODY_BYTES, OMXML, Service,
+                             make_server)
 from umachine.stdlib import rules
 from umachine.terms import Const, IntLit, app
 
@@ -20,6 +24,7 @@ def server_url():
     thread.start()
     yield f"http://127.0.0.1:{httpd.server_address[1]}", service
     httpd.shutdown()
+    httpd.server_close()
 
 
 def clist(*vs):
@@ -193,3 +198,112 @@ def test_concurrent_simplifications(server_url):
     for t in threads:
         t.join()
     assert results == {i: (200, str(2 * i)) for i in range(12)}
+
+
+# -- HTTP/1.1 connections ------------------------------------------------------
+
+
+class CountingConnection(http.client.HTTPConnection):
+    connects = 0
+
+    def connect(self):
+        self.connects += 1
+        super().connect()
+
+
+def _connection(url) -> CountingConnection:
+    host, port = url.removeprefix("http://").split(":")
+    return CountingConnection(host, int(port), timeout=10)
+
+
+def _exchange(url, raw: bytes) -> tuple[int, bytes]:
+    """Send raw request bytes; the status and everything the server sent
+    until it closed the connection."""
+    host, port = url.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as s:
+        s.sendall(raw)
+        data = b""
+        while chunk := s.recv(65536):
+            data += chunk
+    return int(data.split(b" ", 2)[1]), data
+
+
+def test_requests_share_one_connection(server_url):
+    url, _ = server_url
+    conn = _connection(url)
+    try:
+        for i in range(3):
+            conn.request("POST", "/simplify?scope=arith1", body=f"{i}+1",
+                         headers={"Content-Type": "text/plain"})
+            r = conn.getresponse()
+            assert (r.status, r.read()) == (200, str(i + 1).encode())
+        conn.request("GET", "/health")
+        assert conn.getresponse().read() == b"ok"
+    finally:
+        conn.close()
+    assert conn.connects == 1
+
+
+def test_unknown_post_path_consumes_its_body(server_url):
+    url, _ = server_url
+    conn = _connection(url)
+    try:
+        conn.request("POST", "/nosuch", body="GET /health HTTP/1.1\r\n\r\n")
+        r = conn.getresponse()
+        assert (r.status, r.read()) == (404, b"not found\n")
+        conn.request("POST", "/simplify?scope=arith1", body="2*3",
+                     headers={"Content-Type": "text/plain"})
+        r = conn.getresponse()
+        assert (r.status, r.read()) == (200, b"6")
+    finally:
+        conn.close()
+    assert conn.connects == 1
+
+
+@pytest.mark.parametrize("length", ["abc", "-1", "1_0", "+5", "5, 6"])
+def test_bad_content_length_is_400_and_closes(server_url, length):
+    url, _ = server_url
+    status, reply = _exchange(url, (
+        "POST /simplify?scope=arith1 HTTP/1.1\r\nHost: x\r\n"
+        f"Content-Length: {length}\r\n\r\n").encode())
+    assert status == 400 and b"Connection: close" in reply
+
+
+def test_conflicting_content_lengths_are_400(server_url):
+    url, _ = server_url
+    status, _ = _exchange(url, b"POST /simplify?scope=arith1 HTTP/1.1\r\n"
+                               b"Content-Length: 3\r\nContent-Length: 4\r\n"
+                               b"\r\n")
+    assert status == 400
+
+
+def test_oversized_body_is_413_and_closes(server_url):
+    url, _ = server_url
+    status, reply = _exchange(url, (
+        "POST /simplify?scope=arith1 HTTP/1.1\r\nHost: x\r\n"
+        f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n").encode())
+    assert status == 413 and b"Connection: close" in reply
+
+
+def test_chunked_body_is_411_and_closes(server_url):
+    url, _ = server_url
+    status, reply = _exchange(url, b"POST /simplify?scope=arith1 HTTP/1.1\r\n"
+                                   b"Transfer-Encoding: chunked\r\n\r\n"
+                                   b"3\r\n1+2\r\n0\r\n\r\n")
+    assert status == 411 and b"Connection: close" in reply
+
+
+def test_idle_connection_is_closed(loaded):
+    httpd = make_server(Service(loaded.graph, loaded.base), port=0)
+    assert httpd.RequestHandlerClass.timeout == IDLE_TIMEOUT_S
+    httpd.RequestHandlerClass.timeout = 0.2  # this server's handler only
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with socket.create_connection(httpd.server_address, timeout=10) as s:
+            start = time.perf_counter()
+            assert s.recv(1) == b""
+            assert time.perf_counter() - start < 5
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
