@@ -242,6 +242,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Rules, structural equality and the codecs recurse along the term, and
+    # the default limit would cap terms far below the fuel.  Raised once,
+    # before any command or server thread runs; never lowered.
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 30000))
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)

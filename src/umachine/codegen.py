@@ -37,10 +37,6 @@ class Project:
     modules: list[ModuleRef] = field(default_factory=list)
 
     @property
-    def source_dir(self) -> Path:
-        return self.root / "source"
-
-    @property
     def generated_dir(self) -> Path:
         return self.root / "generated"
 

@@ -3,25 +3,22 @@
 A rule is a native partial function keyed by (constant, arity).  Rules may
 decline (return ``None``) or raise; both are absorbed, and the redex is left
 in place and marked simplified, so a failing rule can never cause a livelock.
-Simplification is innermost-leftmost (head, then arguments, then the head
-rule), consumes one unit of fuel per successful application, and marks every
-fully simplified subterm so later calls skip it without re-traversal.
+Resource errors (``RecursionError``, ``MemoryError``) are not declines: they
+propagate to the caller.  Simplification is innermost-leftmost (head, then
+arguments, then the head rule), consumes one unit of fuel per successful
+application, and marks every fully simplified subterm so later calls skip it
+without re-traversal.  It is a loop over an explicit stack and never touches
+the interpreter's recursion limit; rules and the helpers they call (structural
+equality, substitution) still recurse along the term.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
 from .sts import BINDER, Arity, Binder, Fixed, Flexible
 from .terms import App, Bind, Const, GlobalName, Term, mark
-
-# Simplification recurses along the term structure and along rewrite chains
-# (a list-recursive rule nests one level per element), so the interpreter's
-# conservative default recursion limit caps workloads far below what the
-# fuel budget allows.  Scoped to each simplify() call.
-_RECURSION_LIMIT = 30000
 
 
 class DuplicateRuleError(Exception):
@@ -146,13 +143,16 @@ def _select_rule(base: RuleBase, t: Term):
 
 def rewrite_step(base: RuleBase, t: Term) -> Term | None:
     """One head-rule application at the root; ``None`` when no rule applies,
-    the rule declines or fails, or the result equals the input."""
+    the rule declines or fails, or the result equals the input.  A rule's
+    ``RecursionError`` or ``MemoryError`` propagates."""
     hit = _select_rule(base, t)
     if hit is None:
         return None
     rule, args = hit
     try:
         result = rule.fn(*args)
+    except (RecursionError, MemoryError):
+        raise
     except Exception:
         return None
     if result is None or result == t:
@@ -160,58 +160,54 @@ def rewrite_step(base: RuleBase, t: Term) -> Term | None:
     return result
 
 
-class _Simplifier:
-    def __init__(self, base: RuleBase, fuel: int):
-        self.base = base
-        self.fuel = fuel
-        self.steps = 0
-        self.exhausted = False
-
-    def simp(self, t: Term) -> Term:
-        if t.simplified or self.exhausted:
-            return t
-        if isinstance(t, App):
-            head = self.simp(t.head)
-            args = tuple(self.simp(a) for a in t.args)
-            if head is not t.head or any(a is not b for a, b in zip(args, t.args)):
-                t = App(head, args)
-            return self._head_rules(t)
-        if isinstance(t, Bind):
-            binder = self.simp(t.binder)
-            scope = self.simp(t.scope)
-            if binder is not t.binder or scope is not t.scope:
-                t = Bind(binder, t.context, scope)
-            return self._head_rules(t)
-        if isinstance(t, Const):
-            return self._head_rules(t)
-        return mark(t)
-
-    def _head_rules(self, t: Term) -> Term:
-        if self.exhausted:
-            return t
-        result = rewrite_step(self.base, t)
-        if result is None:
-            return mark(t)
-        if self.fuel == 0:
-            # A rule would fire but the budget is spent: report exhaustion
-            # and leave the partial result unmarked.
-            self.exhausted = True
-            return t
-        self.fuel -= 1
-        self.steps += 1
-        return self.simp(result)
-
-
 def simplify(base: RuleBase, t: Term,
              budget: SimplifyBudget = SimplifyBudget()) -> SimplifyResult:
     """Exhaustively rewrite ``t``; see the module docstring for the strategy."""
-    s = _Simplifier(base, budget.fuel)
-    old_limit = sys.getrecursionlimit()
-    if old_limit < _RECURSION_LIMIT:
-        sys.setrecursionlimit(_RECURSION_LIMIT)
-    try:
-        out = s.simp(t)
-    finally:
-        if old_limit < _RECURSION_LIMIT:
-            sys.setrecursionlimit(old_limit)
-    return SimplifyResult(out, s.exhausted, s.steps)
+    fuel = budget.fuel
+    steps = 0
+    exhausted = False
+    # One frame per App or Bind under way: the node, its children (head then
+    # arguments, or binder then scope) and the children simplified so far.
+    # A rewrite takes the place of its redex, so the stack is as deep as the
+    # term, not as long as the rewrite chain.
+    stack: list[tuple[Term, tuple, list]] = []
+    due = False  # t's children are simplified and its head rule is due
+    while True:
+        if t.simplified or exhausted:
+            pass
+        elif not due and isinstance(t, App):
+            stack.append((t, (t.head, *t.args), []))
+            t = t.head
+            continue
+        elif not due and isinstance(t, Bind):
+            stack.append((t, (t.binder, t.scope), []))
+            t = t.binder
+            continue
+        elif due or isinstance(t, Const):
+            result = rewrite_step(base, t)
+            if result is None:
+                t = mark(t)
+            elif fuel == 0:
+                # A rule would fire but the budget is spent: report
+                # exhaustion and leave the partial result unmarked.
+                exhausted = True
+            else:
+                fuel -= 1
+                steps += 1
+                t, due = result, False
+                continue
+        else:
+            t = mark(t)
+        # t is done: hand it to its parent.
+        if not stack:
+            return SimplifyResult(t, exhausted, steps)
+        node, kids, done = stack[-1]
+        done.append(t)
+        if len(done) < len(kids):
+            t, due = kids[len(done)], False
+            continue
+        stack.pop()
+        if any(a is not b for a, b in zip(done, kids)):
+            node = App(done[0], tuple(done[1:])) if isinstance(node, App) \
+                else Bind(done[0], node.context, done[1])
+        t, due = node, True

@@ -19,11 +19,13 @@ Endpoints:
 
 GET and POST on any path: 404 unknown path, 400 malformed or negative
 ``Content-Length``, 411 body without ``Content-Length`` (chunked), 413 body
-over ``MAX_BODY_BYTES``, 500 internal error.  The standard library's request
-parser answers 400, 414, 431 and 505 for malformed requests and 501 for
-other methods.  After 411, 413, a bad ``Content-Length``, 500 and the
-parser's replies the server closes the connection; after any other reply it
-keeps the connection open.
+over ``MAX_BODY_BYTES``, 413 term nested too deeply (a ``RecursionError``
+while decoding, parsing, simplifying or rendering it), 500 internal error.
+The standard library's request parser answers 400, 414, 431 and 505 for
+malformed requests and 501 for other methods.  After 411, the 413 for an
+oversized body, a bad ``Content-Length``, 500 and the parser's replies the
+server closes the connection; after any other reply it keeps the connection
+open.
 """
 
 from __future__ import annotations
@@ -126,7 +128,9 @@ class Service:
         return Response(201, names)
 
     def theories(self) -> Response:
-        return Response(200, "".join(f"{ref}\n" for ref in self.graph.modules))
+        # A snapshot, since a concurrent ingest may add modules.
+        refs = tuple(self.graph.modules)
+        return Response(200, "".join(f"{ref}\n" for ref in refs))
 
     def health(self) -> Response:
         return Response(200, "ok")
@@ -177,6 +181,8 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             r = route(urlsplit(self.path), body)
+        except RecursionError:  # the body is read: the connection stays usable
+            r = Response(413, "term nested too deeply\n")
         except Exception as e:  # keep the connection answered
             self._send(Response(500, f"internal error: {e}\n"), close=True)
             return

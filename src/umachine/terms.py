@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping
+from typing import Mapping
 from urllib.parse import urlsplit, urlunsplit
 
 
@@ -167,18 +167,6 @@ def strip_marks(t: Term) -> Term:
     return replace(t, simplified=False) if t.simplified else t
 
 
-def iter_subterms(t: Term) -> Iterator[Term]:
-    """Yield ``t`` and all its subterms, outermost first."""
-    yield t
-    if isinstance(t, App):
-        yield from iter_subterms(t.head)
-        for a in t.args:
-            yield from iter_subterms(a)
-    elif isinstance(t, Bind):
-        yield from iter_subterms(t.binder)
-        yield from iter_subterms(t.scope)
-
-
 def free_vars(t: Term) -> frozenset:
     """The variables of ``t`` occurring outside any binder that binds them."""
 
@@ -257,10 +245,6 @@ def substitute(t: Term, bindings: Mapping[str, Term]) -> Term:
         return t
 
     return go(t, dict(bindings))
-
-
-_TAG_ORDER = {Const: 0, Var: 1, IntLit: 2, FloatLit: 3, StrLit: 4,
-              App: 5, Bind: 6, Foreign: 7}
 
 
 def term_key(t: Term):

@@ -1,11 +1,17 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import umachine
 from naive_engine import naive_simplify
 from termgen import engine_term
 from umachine.machine import (DuplicateRuleError, Rule, RuleBase,
                               SimplifyBudget, rewrite_step, simplify)
+from umachine.stdlib import rules
 from umachine.sts import BINDER, Fixed, Flexible
 from umachine.terms import (Bind, Const, GlobalName, IntLit, Var, app,
                             strip_marks)
@@ -232,3 +238,96 @@ def test_fuel_monotonicity(loaded):
                 assert r.steps == fuel
             else:
                 assert r.term == full.term
+
+
+# -- the engine does not recurse -------------------------------------------------
+
+def test_simplify_leaves_the_recursion_limit_alone():
+    h = GlobalName("um:/t", "m", "probe")
+    seen = []
+    base = RuleBase([Rule(h, Fixed(1), lambda a: seen.append(
+        sys.getrecursionlimit()))])
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(5000)
+    try:
+        simplify(base, app(Const(h), IntLit(1)))
+    finally:
+        sys.setrecursionlimit(before)
+    assert seen == [5000]
+
+
+def test_long_rewrite_chain_at_the_default_limit(loaded):
+    # The append chain nests one cons cell per step; the term is 10 000
+    # levels deep, ten times the interpreter's default recursion limit.
+    t = rules.NIL
+    for i in range(10000):
+        t = app(Const(rules.CONS), IntLit(i), t)
+    t = app(Const(rules.APPEND), t, rules.NIL)
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        result = simplify(loaded.base, t, SimplifyBudget(20000))
+    except RecursionError:
+        result = None  # reported below, without its 10 000-frame traceback
+    finally:
+        sys.setrecursionlimit(before)
+    assert result is not None, "simplify recursed along the rewrite chain"
+    assert not result.exhausted and result.steps == 10001
+
+
+@pytest.mark.parametrize("error", [RecursionError, MemoryError])
+def test_resource_errors_are_not_declines(error):
+    h = GlobalName("um:/t", "m", "deep")
+
+    def give_out(a):
+        raise error("out of resources")
+
+    base = RuleBase([Rule(h, Fixed(1), give_out)])
+    with pytest.raises(error):
+        simplify(base, app(Const(PLUS), IntLit(1), app(Const(h), IntLit(2))))
+    with pytest.raises(error):
+        rewrite_step(base, app(Const(h), IntLit(2)))
+
+
+CONCURRENT_SCRIPT = """
+import sys, threading
+from umachine.codegen import build_graph, load
+from umachine.machine import SimplifyBudget, simplify
+from umachine.stdlib import rules as r
+from umachine.terms import Const, GlobalName, IntLit, app
+
+graph, _, _ = build_graph()
+base, _ = load(graph)
+deep = r.NIL
+for i in range(1500):
+    deep = app(Const(r.CONS), IntLit(i), deep)
+deep = app(Const(r.APPEND), deep, r.NIL)
+shallow = app(Const(GlobalName("http://www.openmath.org/cd", "arith1",
+                               "plus")), IntLit(1), IntLit(2))
+steps = []
+
+def run(term, times):
+    for _ in range(times):
+        steps.append(simplify(base, term, SimplifyBudget(10000)).steps)
+
+sys.setswitchinterval(1e-5)
+threads = [threading.Thread(target=run, args=(deep, 2)) for _ in range(8)]
+threads += [threading.Thread(target=run, args=(shallow, 100))
+            for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+print(sorted(set(steps)), len(steps))
+"""
+
+
+def test_deep_and_shallow_simplifications_run_concurrently():
+    # In a subprocess: an engine that changes the process-wide recursion
+    # limit per call lets threads race on it and can abort the interpreter.
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(umachine.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", CONCURRENT_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == f"[1, 1501] {8 * 2 + 8 * 100}"

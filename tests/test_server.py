@@ -1,5 +1,6 @@
 import http.client
 import socket
+import sys
 import threading
 import time
 
@@ -7,11 +8,13 @@ import pytest
 import requests
 
 from umachine.codegen import build_graph, load
+from umachine.machine import Rule, RuleBase
 from umachine.omxml import decode_xml, encode_xml
 from umachine.server import (IDLE_TIMEOUT_S, MAX_BODY_BYTES, OMXML, Service,
                              make_server)
 from umachine.stdlib import rules
-from umachine.terms import Const, IntLit, app
+from umachine.sts import Fixed
+from umachine.terms import Const, GlobalName, IntLit, app
 
 
 @pytest.fixture(scope="module")
@@ -307,3 +310,62 @@ def test_idle_connection_is_closed(loaded):
     finally:
         httpd.shutdown()
         httpd.server_close()
+
+
+def test_theories_listing_beside_ingests():
+    graph, _, _ = build_graph()
+    service = Service(graph, RuleBase())
+    docs = [f'<omdoc base="um:/race/d{i}"><theory name="t{i}"/></omdoc>'
+            .encode() for i in range(3000)]
+    statuses, failures = [], []
+
+    def ingest_all():
+        statuses.extend(service.ingest(doc).status for doc in docs)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        writer = threading.Thread(target=ingest_all)
+        writer.start()
+        while writer.is_alive():
+            try:
+                service.theories()
+            except RuntimeError as e:
+                failures.append(e)
+        writer.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not writer.is_alive() and statuses == [201] * len(docs)
+    assert failures == []
+    assert "um:/race/d2999?t2999" in service.theories().body
+
+
+def test_term_nested_too_deeply_is_413_and_keeps_the_connection(loaded):
+    # A rule that runs out of stack stands for any recursion along the term;
+    # the reply must not depend on the interpreter's limit.
+    deep = GlobalName("um:/t", "m", "deep")
+
+    def give_out(a):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    base = RuleBase([Rule(deep, Fixed(1), give_out), *loaded.base.rules()])
+    httpd = make_server(Service(loaded.graph, base), port=0)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    conn = _connection(f"http://127.0.0.1:{httpd.server_address[1]}")
+    try:
+        conn.request("POST", "/simplify",
+                     body=encode_xml(app(Const(deep), IntLit(1))),
+                     headers={"Content-Type": OMXML})
+        r = conn.getresponse()
+        assert (r.status, r.read()) == (413, b"term nested too deeply\n")
+        assert r.getheader("Connection") is None
+        conn.request("POST", "/simplify?scope=arith1", body="1+2",
+                     headers={"Content-Type": "text/plain"})
+        r = conn.getresponse()
+        assert (r.status, r.read()) == (200, b"3")
+    finally:
+        conn.close()
+        httpd.shutdown()
+        httpd.server_close()
+    assert conn.connects == 1
