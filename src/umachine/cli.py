@@ -1,11 +1,17 @@
 """Command-line frontend.
 
-Subcommands: ``check`` (parse + lint + view totality), ``test`` (load and run
-the FMP report), ``simplify``, ``repl``, ``serve``, and the build processes
-``extract``, ``integrate``, ``load``.  Exit codes: 0 success, 1 diagnostics
-or test failures, 2 hard errors.  The standard library is loaded into every
-session unless ``--no-stdlib`` is given.  ``UM_PORT`` and ``UM_FUEL``
-override the defaults.
+Subcommands: ``check`` (parse + lint + view totality), ``test`` (``load``
+without a report file), ``simplify``, ``repl``, ``serve``, and the build
+processes ``extract``, ``integrate``, ``load``.  The standard library is
+loaded into every session unless ``--no-stdlib`` is given.  ``UM_PORT`` and
+``UM_FUEL`` override the defaults.
+
+Exit codes: 0 success, 1 diagnostics, test failures or a typed error, 2 hard
+errors.  ``simplify`` and ``repl`` answer through ``server.Service`` as
+``POST /simplify`` does (fuel at most ``MAX_FUEL``): 200 exits 0; 422 exits 1
+with the partial result on stdout and a warning on stderr; any other 4xx
+exits 1 with the reply on stderr, which the REPL prints as ``error: ...``
+before it reads on; an internal error (HTTP 500) exits 2.
 """
 
 from __future__ import annotations
@@ -17,25 +23,16 @@ from pathlib import Path
 
 from . import codegen, stdlib
 from .graph import Theory, TheoryGraph, View
-from .machine import SimplifyBudget, simplify
-from .notation import SyntaxErrorAt, parse_term, render_term
-from .omxml import XmlDecodeError, decode_xml, encode_xml
-from .server import Service, serve
+from .machine import SimplifyBudget
+from .server import DEFAULT_FUEL, OMXML, TEXT, Response, Service, serve
 from .sts import lint_theory
 
 
-def _env_fuel() -> int:
+def _env_int(name: str, default: int) -> int:
     try:
-        return int(os.environ.get("UM_FUEL", "10000"))
+        return int(os.environ.get(name, default))
     except ValueError:
-        return 10000
-
-
-def _env_port() -> int:
-    try:
-        return int(os.environ.get("UM_PORT", "8080"))
-    except ValueError:
-        return 8080
+        return default
 
 
 def _build(args) -> tuple[TheoryGraph, dict]:
@@ -77,13 +74,6 @@ def cmd_check(args) -> int:
     return 0
 
 
-def cmd_test(args) -> int:
-    graph, _ = _build(args)
-    base, report = codegen.load(graph, SimplifyBudget(args.fuel))
-    print(report)
-    return 0 if report.tests.passed == report.tests.total else 1
-
-
 def cmd_load(args) -> int:
     graph, _ = _build(args)
     base, report = codegen.load(graph, SimplifyBudget(args.fuel))
@@ -94,47 +84,41 @@ def cmd_load(args) -> int:
     return 0 if report.tests.passed == report.tests.total else 1
 
 
-def cmd_extract(args) -> int:
+def cmd_build_process(args) -> int:
+    """``extract`` or ``integrate``: print each file the process wrote."""
     graph, projects = _build(args)
-    for path in codegen.extract(graph, _project_for(args, projects)):
+    for path in args.process(graph, _project_for(args, projects)):
         print(path)
     return 0
 
 
-def cmd_integrate(args) -> int:
-    graph, projects = _build(args)
-    for path in codegen.integrate(graph, _project_for(args, projects)):
-        print(path)
-    return 0
+def _service(args) -> Service:
+    graph, _ = _build(args)
+    base, _report = codegen.load(graph, SimplifyBudget(args.fuel))
+    return Service(graph, base, default_fuel=args.fuel)
 
 
-def _simplify_once(graph, base, expr: str, scope_ref: str, xml: bool,
-                   fuel: int) -> tuple[int, str]:
-    budget = SimplifyBudget(fuel)
-    if xml:
-        term = decode_xml(expr)
-        result = simplify(base, term, budget)
-        return (1 if result.exhausted else 0), encode_xml(result.term)
-    scope = graph.scope_for(graph.resolve(scope_ref))
-    term = parse_term(expr, scope)
-    result = simplify(base, term, budget)
-    return (1 if result.exhausted else 0), render_term(result.term, scope)
+def _simplify(service: Service, expr: str, scope: str, xml: bool,
+              fuel: int) -> Response:
+    return service.simplify_request(expr.encode("utf-8"),
+                                    OMXML if xml else TEXT, scope, str(fuel))
 
 
 def cmd_simplify(args) -> int:
-    graph, _ = _build(args)
-    base, _report = codegen.load(graph, SimplifyBudget(args.fuel))
-    code, text = _simplify_once(graph, base, args.expr, args.scope, args.xml,
-                                args.fuel)
-    print(text)
-    if code:
+    r = _simplify(_service(args), args.expr, args.scope, args.xml, args.fuel)
+    if r.status == 200:
+        print(r.body)
+        return 0
+    if r.status == 422:
+        print(r.body)
         print("warning: fuel exhausted, partial result", file=sys.stderr)
-    return code
+    else:
+        print(f"error: {r.body.rstrip()}", file=sys.stderr)
+    return 1
 
 
 def cmd_repl(args) -> int:
-    graph, _ = _build(args)
-    base, _report = codegen.load(graph, SimplifyBudget(args.fuel))
+    service = _service(args)
     scope_ref = args.scope
     fuel = args.fuel
     print(f"scope: {scope_ref}  fuel: {fuel}  (:scope <ref>, :fuel <n>, :quit)")
@@ -151,7 +135,7 @@ def cmd_repl(args) -> int:
             parts = line.split(None, 1)
             if len(parts) == 2:
                 try:
-                    graph.resolve(parts[1])
+                    service.graph.resolve(parts[1])
                     scope_ref = parts[1]
                 except Exception as e:
                     print(f"error: {e}")
@@ -167,17 +151,16 @@ def cmd_repl(args) -> int:
             print(f"fuel: {fuel}")
             continue
         try:
-            _, text = _simplify_once(graph, base, line, scope_ref, False, fuel)
-            print(text)
+            r = _simplify(service, line, scope_ref, False, fuel)
         except Exception as e:
             print(f"error: {e}")
+            continue
+        print(r.body if r.status in (200, 422) else f"error: {r.body.rstrip()}")
     return 0
 
 
 def cmd_serve(args) -> int:
-    graph, _ = _build(args)
-    base, _report = codegen.load(graph, SimplifyBudget(args.fuel))
-    service = Service(graph, base, default_fuel=args.fuel)
+    service = _service(args)
     print(f"serving on port {args.port}")
     serve(service, port=args.port)
     return 0
@@ -194,7 +177,8 @@ def make_parser() -> argparse.ArgumentParser:
                            help="project root (default: the stdlib project)")
         p.add_argument("--no-stdlib", action="store_true",
                        help="do not preload the standard library")
-        p.add_argument("--fuel", type=int, default=_env_fuel(),
+        p.add_argument("--fuel", type=int,
+                       default=_env_int("UM_FUEL", DEFAULT_FUEL),
                        help="maximum rule applications per simplification")
 
     p = sub.add_parser("check", help="parse, lint, and check view totality")
@@ -203,7 +187,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", help="load rules and run the FMP test cases")
     common(p)
-    p.set_defaults(fn=cmd_test)
+    p.set_defaults(fn=cmd_load, report=None)
 
     p = sub.add_parser("load", help="load rules, run tests, print the report")
     common(p)
@@ -212,12 +196,12 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="write realization stub files")
     common(p)
-    p.set_defaults(fn=cmd_extract)
+    p.set_defaults(fn=cmd_build_process, process=codegen.extract)
 
     p = sub.add_parser("integrate",
                        help="merge stub-region edits back into sources")
     common(p)
-    p.set_defaults(fn=cmd_integrate)
+    p.set_defaults(fn=cmd_build_process, process=codegen.integrate)
 
     p = sub.add_parser("simplify", help="simplify one expression")
     common(p)
@@ -235,7 +219,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="run the HTTP service")
     common(p)
-    p.add_argument("--port", type=int, default=_env_port())
+    p.add_argument("--port", type=int, default=_env_int("UM_PORT", 8080))
     p.set_defaults(fn=cmd_serve)
 
     return parser
@@ -249,9 +233,6 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (SyntaxErrorAt, XmlDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except Exception as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -18,12 +18,13 @@ from . import stdlib
 from .graph import (COMPUTATION, OPENMATH, Assignment, TheoryGraph, View,
                     snippet_body)
 from .machine import RuleBase, SimplifyBudget
+from .notation import escape_str
 from .omdoc import ingest_omdoc
 from .realization import (Bifoundation, TestReport, collect_tests,
                           install_bifoundations, realization_of, rules_of,
                           run_tests)
 from .sts import Binder, Fixed, Flexible
-from .surface import escape_body, parse_modules
+from .surface import parse_modules
 from .terms import Bind, GlobalName, ModuleRef
 
 
@@ -213,7 +214,7 @@ def integrate(graph: TheoryGraph, project: Project) -> list[Path]:
             if content == f.content:
                 continue
             src, start, end = a.snippet_span
-            edits.setdefault(src, []).append((start, end, escape_body(content)))
+            edits.setdefault(src, []).append((start, end, escape_str(content)))
     changed = []
     for src, spans in edits.items():
         text = Path(src).read_text(encoding="utf-8")

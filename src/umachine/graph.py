@@ -213,6 +213,19 @@ def _computation_theory() -> Theory:
 # ---------------------------------------------------------------------------
 
 
+def _map_constants(t: Term, f) -> Term:
+    """``t`` with every constant ``x`` replaced by ``f(x)``."""
+    if isinstance(t, Const):
+        return f(t)
+    if isinstance(t, App):
+        return App(_map_constants(t.head, f),
+                   tuple(_map_constants(a, f) for a in t.args))
+    if isinstance(t, Bind):
+        return Bind(_map_constants(t.binder, f), t.context,
+                    _map_constants(t.scope, f))
+    return t
+
+
 class TheoryGraph:
     """One writer during the load phase, many readers afterwards."""
 
@@ -399,23 +412,16 @@ class TheoryGraph:
         if _depth > 100:
             raise MorphismError("definiens expansion does not terminate")
 
-        def go(t: Term) -> Term:
-            if isinstance(t, Const):
-                hit = self.resolve_assignment(vref, t.head)
-                if hit is not None:
-                    return hit[1].target
-                c = self.lookup(t.head)
-                if c is not None and c.definiens is not None:
-                    return self.apply_morphism(vref, c.definiens, _depth + 1)
-                raise MorphismError(
-                    f"no assignment for {t.head} in view {vref}")
-            if isinstance(t, App):
-                return App(go(t.head), tuple(go(a) for a in t.args))
-            if isinstance(t, Bind):
-                return Bind(go(t.binder), t.context, go(t.scope))
-            return t
+        def assign(x: Const) -> Term:
+            hit = self.resolve_assignment(vref, x.head)
+            if hit is not None:
+                return hit[1].target
+            c = self.lookup(x.head)
+            if c is not None and c.definiens is not None:
+                return self.apply_morphism(vref, c.definiens, _depth + 1)
+            raise MorphismError(f"no assignment for {x.head} in view {vref}")
 
-        return go(t)
+        return _map_constants(t, assign)
 
     def pushout(self, vref: ModuleRef, tref: ModuleRef) -> Theory:
         """The canonical translation of ``tref`` along ``vref``.
@@ -434,26 +440,16 @@ class TheoryGraph:
         new_ref = ModuleRef(tref.base, f"{v.name.module}_{tref.module}")
         fixed = {g: Const(new_ref.name(c.name)) for g, c in flat}
 
+        def assign(x: Const) -> Term:
+            if x.head in fixed:
+                return fixed[x.head]
+            hit = self.resolve_assignment(vref, x.head)
+            if hit is not None:
+                return hit[1].target
+            raise MorphismError(f"no assignment for {x.head} in view {vref}")
+
         def translate(term: Term | None) -> Term | None:
-            if term is None:
-                return None
-
-            def go(x: Term) -> Term:
-                if isinstance(x, Const):
-                    if x.head in fixed:
-                        return fixed[x.head]
-                    hit = self.resolve_assignment(vref, x.head)
-                    if hit is not None:
-                        return hit[1].target
-                    raise MorphismError(
-                        f"no assignment for {x.head} in view {vref}")
-                if isinstance(x, App):
-                    return App(go(x.head), tuple(go(a) for a in x.args))
-                if isinstance(x, Bind):
-                    return Bind(go(x.binder), x.context, go(x.scope))
-                return x
-
-            return go(term)
+            return None if term is None else _map_constants(term, assign)
 
         out = Theory(new_ref, meta=v.codomain)
         for g, c in flat:

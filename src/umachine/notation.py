@@ -265,7 +265,10 @@ _IDENT = re.compile(r"[^\W\d]\w*", re.UNICODE)
 _NUMBER = re.compile(r"\d+(\.\d+)?([eE][+-]?\d+)?")
 
 
-def _lex_string(src: str, i: int) -> tuple[str, int]:
+def lex_string(src: str, i: int, error=SyntaxErrorAt) -> tuple[str, int]:
+    """Read the quoted literal at ``src[i]``, with ``\\"`` and ``\\\\``
+    escapes; returns (content, end_index).  ``error(message, position)``
+    builds the exception for a malformed literal."""
     assert src[i] == '"'
     out = []
     j = i + 1
@@ -273,7 +276,7 @@ def _lex_string(src: str, i: int) -> tuple[str, int]:
         c = src[j]
         if c == "\\":
             if j + 1 >= len(src) or src[j + 1] not in ('"', "\\"):
-                raise SyntaxErrorAt("bad escape in string literal", j)
+                raise error("bad escape in string literal", j)
             out.append(src[j + 1])
             j += 2
         elif c == '"':
@@ -281,7 +284,7 @@ def _lex_string(src: str, i: int) -> tuple[str, int]:
         else:
             out.append(c)
             j += 1
-    raise SyntaxErrorAt("unterminated string literal", i)
+    raise error("unterminated string literal", i)
 
 
 def tokenize(src: str, scope: ParseScope) -> list[_Tok]:
@@ -293,7 +296,7 @@ def tokenize(src: str, scope: ParseScope) -> list[_Tok]:
             i += 1
             continue
         if c == '"':
-            value, j = _lex_string(src, i)
+            value, j = lex_string(src, i)
             toks.append(_Tok("str", src[i:j], i, value))
             i = j
             continue
@@ -603,7 +606,8 @@ def parse_term(src: str, scope: ParseScope) -> Term:
 # Renderer
 
 
-def _escape_str(s: str) -> str:
+def escape_str(s: str) -> str:
+    """The quoted literal that ``lex_string`` reads back as ``s``."""
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
@@ -640,11 +644,11 @@ def _render(t: Term, scope: ParseScope) -> tuple[str, int | None]:
     if isinstance(t, FloatLit):
         return repr(t.value), None
     if isinstance(t, StrLit):
-        return _escape_str(t.value), None
+        return escape_str(t.value), None
     if isinstance(t, Var):
         return t.name, None
     if isinstance(t, Foreign):
-        return f"foreign({_escape_str(t.format)}, {_escape_str(t.content)})", None
+        return f"foreign({escape_str(t.format)}, {escape_str(t.content)})", None
     if isinstance(t, Const):
         n = scope.notation_for(t.head)
         if n is not None and n.is_closed and n.slot_count == 0:

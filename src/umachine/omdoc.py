@@ -11,16 +11,12 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 
 from .graph import OPENMATH, Constant, Include, Theory, TheoryGraph
-from .omxml import XmlDecodeError, from_element, to_element
+from .omxml import XmlDecodeError, from_element, local_tag, to_element
 from .terms import ModuleRef, normalize_uri
 
 
 class OmdocError(ValueError):
     pass
-
-
-def _local(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
 
 
 def _resolve_module(ref: str, base: str) -> ModuleRef:
@@ -39,14 +35,14 @@ def ingest_omdoc(graph: TheoryGraph, xml_text: str) -> list[Theory]:
         root = ET.fromstring(xml_text)
     except ET.ParseError as e:
         raise OmdocError(f"not well-formed XML: {e}") from e
-    if _local(root.tag) != "omdoc":
-        raise OmdocError(f"expected an omdoc root, got {_local(root.tag)}")
+    if local_tag(root.tag) != "omdoc":
+        raise OmdocError(f"expected an omdoc root, got {local_tag(root.tag)}")
     base = normalize_uri(root.get("base", ""))
     if not base:
         raise OmdocError("omdoc root needs a base attribute")
     added: list[Theory] = []
     for el in root:
-        tag = _local(el.tag)
+        tag = local_tag(el.tag)
         if tag != "theory":
             raise OmdocError(f"unsupported element: {tag}")
         name = el.get("name")
@@ -54,7 +50,7 @@ def ingest_omdoc(graph: TheoryGraph, xml_text: str) -> list[Theory]:
             raise OmdocError("theory needs a name attribute")
         theory = Theory(ModuleRef(base, name), meta=OPENMATH)
         for child in el:
-            ctag = _local(child.tag)
+            ctag = local_tag(child.tag)
             if ctag == "include":
                 frm = child.get("from")
                 if not frm:
@@ -67,11 +63,11 @@ def ingest_omdoc(graph: TheoryGraph, xml_text: str) -> list[Theory]:
                     raise OmdocError("constant needs a name attribute")
                 definiens = None
                 for sub in child:
-                    stag = _local(sub.tag)
+                    stag = local_tag(sub.tag)
                     if stag != "definition":
                         raise OmdocError(f"unsupported element: {stag}")
                     objs = list(sub)
-                    if len(objs) != 1 or _local(objs[0].tag) != "OMOBJ":
+                    if len(objs) != 1 or local_tag(objs[0].tag) != "OMOBJ":
                         raise OmdocError("definition needs one OMOBJ child")
                     try:
                         definiens = from_element(objs[0], base)

@@ -116,13 +116,14 @@ def encode_xml(t: Term, wrap: bool = True) -> str:
     return ET.tostring(el, encoding="unicode")
 
 
-def _local(tag: str) -> str:
+def local_tag(tag: str) -> str:
+    """``tag`` without its ``{namespace}`` prefix."""
     return tag.rsplit("}", 1)[-1]
 
 
 def from_element(el: ET.Element, cdbase: str | None = None) -> Term:
     """Decode an OpenMath element into a term."""
-    tag = _local(el.tag)
+    tag = local_tag(el.tag)
     base = el.get("cdbase", cdbase)
     if tag == "OMOBJ":
         children = list(el)
@@ -145,7 +146,11 @@ def from_element(el: ET.Element, cdbase: str | None = None) -> Term:
         text = (el.text or "").strip()
         if not _OMI_RE.match(text):
             raise XmlDecodeError(f"malformed OMI digits: {text!r}")
-        return IntLit(int(text))
+        try:
+            return IntLit(int(text))
+        except ValueError as e:  # over sys.get_int_max_str_digits()
+            raise XmlDecodeError(
+                f"OMI too long: {len(text.lstrip('-'))} digits") from e
     if tag == "OMF":
         dec = el.get("dec")
         if dec is None:
@@ -162,12 +167,12 @@ def from_element(el: ET.Element, cdbase: str | None = None) -> Term:
         return App(children[0], tuple(children[1:]))
     if tag == "OMBIND":
         children = list(el)
-        if len(children) != 3 or _local(children[1].tag) != "OMBVAR":
+        if len(children) != 3 or local_tag(children[1].tag) != "OMBVAR":
             raise XmlDecodeError("OMBIND needs binder, OMBVAR, and scope")
         binder = from_element(children[0], base)
         names = []
         for v in children[1]:
-            if _local(v.tag) != "OMV" or not v.get("name"):
+            if local_tag(v.tag) != "OMV" or not v.get("name"):
                 raise XmlDecodeError("OMBVAR may only contain named OMV elements")
             names.append(v.get("name"))
         scope = from_element(children[2], base)

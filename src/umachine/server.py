@@ -9,8 +9,9 @@ Endpoints:
       ``text/plain`` in notation syntax (scope required) or
       ``application/openmath+xml``; the response mirrors the request format
       and carries ``X-Simplify-Steps`` and ``X-Simplify-Exhausted`` headers.
-      200 success, 400 parse error or bad fuel, 404 unknown scope, 422 fuel
-      exhausted (partial result in the body).
+      200 success, 400 parse error or bad fuel, 404 unknown scope, 413
+      result integer too long to render, 422 fuel exhausted (partial result
+      in the body).
   POST /theories  — ingest an OMDoc document; theories become available as
       scopes; no rules are gained.  201 ingested, 400 subset violation,
       409 name collision.
@@ -26,6 +27,11 @@ malformed requests and 501 for other methods.  After 411, the 413 for an
 oversized body, a bad ``Content-Length``, 500 and the parser's replies the
 server closes the connection; after any other reply it keeps the connection
 open.
+
+An integer literal longer than ``sys.get_int_max_str_digits()`` digits is a
+400 on input; ``power`` and ``factorial`` decline a result that long.
+``Service.simplify_request`` also answers ``um simplify`` and ``um repl``,
+which map its status to an exit code.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from urllib.parse import parse_qs, urlsplit
 from .graph import (DuplicateModuleError, GraphError, TheoryGraph,
                     UnresolvedModuleError)
 from .machine import RuleBase, SimplifyBudget, simplify
-from .notation import SyntaxErrorAt, parse_term, render_term
+from .notation import parse_term, render_term
 from .omdoc import OmdocError, ingest_omdoc
 from .omxml import XmlDecodeError, decode_xml, encode_xml
 
@@ -98,15 +104,16 @@ class Service:
                 return Response(400, "text requests need a scope parameter\n")
             try:
                 term = parse_term(text.strip(), scope)
-            except SyntaxErrorAt as e:
-                return Response(400, f"parse error: {e}\n")
-            except ValueError as e:
+            except ValueError as e:  # SyntaxErrorAt, or a literal too long
                 return Response(400, f"parse error: {e}\n")
         result = simplify(self.base, term, SimplifyBudget(fuel_n))
-        if xml:
-            payload = encode_xml(result.term)
-        else:
-            payload = render_term(result.term, scope)
+        try:
+            if xml:
+                payload = encode_xml(result.term)
+            else:
+                payload = render_term(result.term, scope)
+        except ValueError:  # an integer over sys.get_int_max_str_digits()
+            return Response(413, "result integer too long to render\n")
         headers = {"X-Simplify-Steps": str(result.steps),
                    "X-Simplify-Exhausted": "true" if result.exhausted else "false"}
         status = 422 if result.exhausted else 200

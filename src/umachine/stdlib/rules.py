@@ -9,6 +9,7 @@ arithmetic is realized; float arguments decline.
 from __future__ import annotations
 
 import math
+import sys
 
 from ..graph import OPENMATH_CD_BASE, LISTS_DOC_BASE
 from ..realization import register
@@ -125,9 +126,17 @@ def unary_minus(a):
     return None if x is None else IntLit(-x)
 
 
+def _max_digits() -> float:
+    """``sys.get_int_max_str_digits()``, infinite where that is 0."""
+    return sys.get_int_max_str_digits() or math.inf
+
+
 def power(a, b):
     x, y = _int(a), _int(b)
     if x is None or y is None or y < 0:
+        return None
+    # Decline, before computing it, a result too long to render.
+    if abs(x) > 1 and y >= _max_digits() / math.log10(abs(x)):
         return None
     return IntLit(x ** y)
 
@@ -268,6 +277,11 @@ def remainder(a, b):
 def factorial(a):
     x = _int(a)
     if x is None or x < 0:
+        return None
+    # As in power.  Testing x >= limit first keeps a huge x from lgamma:
+    # n! has more than n digits from n = 25 on, and the limit is >= 640.
+    limit = _max_digits()
+    if x >= limit or math.lgamma(x + 1) / math.log(10) >= limit:
         return None
     return IntLit(math.factorial(x))
 

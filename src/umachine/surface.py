@@ -24,7 +24,7 @@ import re
 
 from .graph import (CMP_LAMBDA, Assignment, Constant, Include, SourcePos,
                     Theory, TheoryGraph, View, ViewInclude)
-from .notation import ParseScope, ScopeEntry, parse_notation, parse_term
+from .notation import lex_string, parse_notation, parse_term
 from .terms import Bind, Const, Foreign, ModuleRef, Term
 
 
@@ -77,30 +77,6 @@ def _open_quote(s: str) -> bool:
     return in_str
 
 
-def _scan_string(s: str, i: int, err) -> tuple[str, int]:
-    """Read a quoted literal at ``s[i]``; returns (content, end_index)."""
-    assert s[i] == '"'
-    out = []
-    j = i + 1
-    while j < len(s):
-        c = s[j]
-        if c == "\\":
-            if j + 1 >= len(s) or s[j + 1] not in ('"', "\\"):
-                raise err("bad escape in escaped body", j)
-            out.append(s[j + 1])
-            j += 2
-        elif c == '"':
-            return "".join(out), j + 1
-        else:
-            out.append(c)
-            j += 1
-    raise err("unterminated escaped body", i)
-
-
-def escape_body(content: str) -> str:
-    return '"' + content.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
 def _split_markers(s: str, err) -> dict:
     """Locate top-level ``:``, ``=`` and ``#`` outside quotes and brackets."""
     marks = {}
@@ -109,7 +85,7 @@ def _split_markers(s: str, err) -> dict:
     while i < len(s):
         c = s[i]
         if c == '"':
-            _, i = _scan_string(s, i, err)
+            _, i = lex_string(s, i, err)
             continue
         if c in "([{":
             depth += 1
@@ -218,27 +194,6 @@ class _ModuleParser:
 
     # -- constants ---------------------------------------------------------
 
-    def _scope_for_theory(self, theory: Theory) -> ParseScope:
-        entries = []
-        seen = set()
-
-        def push(g, c):
-            if g not in seen:
-                seen.add(g)
-                entries.append(ScopeEntry(g, c.notation))
-
-        for c in theory.constants():
-            push(theory.name.name(c.name), c)
-        for inc in theory.includes():
-            for g, c in self.graph.flatten(inc.target):
-                push(g, c)
-        meta = theory.meta
-        while meta is not None:
-            for g, c in self.graph.flatten(meta):
-                push(g, c)
-            meta = self.graph.theory(meta).meta
-        return ParseScope(entries)
-
     def _constant(self, raw: str, start: int, lineno: int):
         line = raw.strip()
         indent = len(raw) - len(raw.lstrip())
@@ -281,14 +236,14 @@ class _ModuleParser:
     def _theory_constant(self, name, body, body_off, lineno,
                          seg_type, seg_def, seg_not):
         theory = self.current
-        scope = self._scope_for_theory(theory)
+        scope = self.graph.scope_for(theory.name)
         ctype = cdef = notation = None
         if seg_type:
             ctype = parse_term(body[seg_type[0]:seg_type[1]].strip(), scope)
         if seg_def:
             text = body[seg_def[0]:seg_def[1]].strip()
             if text.startswith('"'):
-                content, _ = _scan_string(text, 0, lambda m, i: self.error(m, lineno))
+                content, _ = lex_string(text, 0, lambda m, i: self.error(m, lineno))
                 cdef = Foreign("native", content)
             else:
                 cdef = parse_term(text, scope)
@@ -324,7 +279,7 @@ class _ModuleParser:
         elif stripped.startswith('"'):
             quote_local = lead
         if quote_local is not None:
-            content, end_local = _scan_string(
+            content, end_local = lex_string(
                 body, quote_local, lambda m_, i: self.error(m_, lineno))
             target: Term = Foreign("native", content)
             if params:

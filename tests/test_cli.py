@@ -1,6 +1,7 @@
 import pytest
 
 from umachine.cli import main
+from umachine.server import MAX_FUEL
 
 PARTIAL_VIEW = """\
 document http://www.openmath.org/cd
@@ -131,3 +132,46 @@ def test_no_stdlib_flag(tmp_path, capsys):
         "document um:/own\n\ntheory T : OpenMath\n  constant c : Object\n",
         "utf-8")
     assert main(["check", str(root), "--no-stdlib"]) == 0
+
+
+def test_unknown_scope_exits_1(capsys):
+    code = main(["simplify", "-e", "1+2", "--scope", "nosuch"])
+    assert code == 1
+    assert "unknown module" in capsys.readouterr().err
+
+
+def test_fuel_above_max_exits_1(capsys):
+    code = main(["simplify", "-e", "1+2", "--scope", "arith1",
+                 "--fuel", str(MAX_FUEL + 1)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: fuel out of range")
+
+
+def test_repl_reports_typed_errors_and_reads_on(monkeypatch, capsys):
+    lines = iter(["1+", "2^200000", ":fuel 0", "1+1", ":fuel 5", "1+1",
+                  ":quit"])
+    monkeypatch.setattr("builtins.input", lambda _prompt="": next(lines))
+    assert main(["repl", "--scope", "arith1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith("error: parse error")
+    assert out[2] == "2^200000"
+    assert out[4] == "error: fuel out of range: 0"
+    assert out[6] == "2"
+
+
+@pytest.mark.parametrize("expr, code, out, err", [
+    ("2^200000", 0, "2^200000", ""),
+    ("factorial(2000)", 0, "integer1?factorial(2000)", ""),
+    ("2^1000000000000", 0, "2^1000000000000", ""),
+    ("10^4000*10^4000", 1, "", "error: result integer too long to render"),
+])
+def test_big_integers_get_typed_exit_codes(expr, code, out, err, capsys):
+    assert main(["simplify", "-e", expr]) == code
+    captured = capsys.readouterr()
+    assert (captured.out.strip(), captured.err.strip()) == (out, err)
+
+
+def test_xml_integer_too_long_to_decode_exits_1(capsys):
+    code = main(["simplify", "--xml", "-e", f"<OMI>{'7' * 5000}</OMI>"])
+    assert code == 1
+    assert "OMI too long" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import pytest
 from umachine.graph import (COMPUTATION, OPENMATH, Constant,
                             DuplicateModuleError, Include, IncludeCycleError,
                             MorphismError, Theory, TheoryGraph,
+                            UnresolvedModuleError,
                             CMP_FUNCTION, CMP_LIST, CMP_TERM, OM_MAPSTO,
                             OM_OBJECT)
 from umachine.realization import SYNTACTIC, install_bifoundations
@@ -71,6 +72,15 @@ def test_include_cycle_is_detected():
     g.add(b)
     with pytest.raises(IncludeCycleError):
         g.flatten(a.name)
+
+
+def test_resolve_qualified_reference(loaded):
+    g = loaded.graph
+    assert g.resolve(f" {CD}?arith1 ") == ModuleRef(CD, "arith1")
+    with pytest.raises(UnresolvedModuleError):
+        g.resolve(f"{CD}?nosuch")
+    with pytest.raises(UnresolvedModuleError):
+        g.resolve("um:/nosuch?arith1")
 
 
 def test_duplicate_module_rejected():

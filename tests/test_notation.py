@@ -7,8 +7,8 @@ from umachine.notation import (AmbiguityError, Arg, Delim, Notation,
                                NotationError, ParseScope, ScopeEntry, SeqArg,
                                SyntaxErrorAt, VarList, parse_notation,
                                parse_term, render_term)
-from umachine.terms import (Bind, Const, FloatLit, GlobalName, IntLit,
-                            StrLit, Var, app)
+from umachine.terms import (Bind, Const, FloatLit, Foreign, GlobalName,
+                            IntLit, StrLit, Var, app)
 
 CD = "http://www.openmath.org/cd"
 
@@ -189,6 +189,17 @@ def test_render_fallback_is_qualified(scope):
     s = render_term(t, scope)
     assert s == "set1?size({1})"
     assert parse_term(s, scope) == t
+
+
+def test_round_trip_of_the_fallback_forms(scope):
+    # Foreign and a binder without a notation render as foreign(...) and
+    # bind(...), whose quoted literals need the escapes read back.
+    for t in (Foreign("native", 'x "y" \\ z'),
+              Bind(Const(G("set1", "size")), ("x", "y"),
+                   app(Var("x"), StrLit('"'), Foreign("", "")))):
+        s = render_term(t, scope)
+        assert s.startswith(("foreign(", "bind(")), s
+        assert parse_term(s, scope) == t, s
 
 
 def test_precedence_property(scope):

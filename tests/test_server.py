@@ -88,6 +88,17 @@ def test_unknown_scope_is_404(server_url):
     assert r.status_code == 404
 
 
+def test_scope_by_full_uri(server_url):
+    url, _ = server_url
+    cd = "http://www.openmath.org/cd"
+    r = requests.post(f"{url}/simplify?scope={cd}?arith1", data="1+2",
+                      headers={"Content-Type": "text/plain"})
+    assert (r.status_code, r.text) == (200, "3")
+    r = requests.post(f"{url}/simplify?scope={cd}?nosuch", data="1+2",
+                      headers={"Content-Type": "text/plain"})
+    assert r.status_code == 404
+
+
 def test_view_as_scope_is_404(server_url):
     url, _ = server_url
     r = requests.post(f"{url}/simplify?scope=IntegerArith", data="1+2",
@@ -145,6 +156,42 @@ def test_format_neutrality(server_url):
                         headers={"Content-Type": OMXML})
     assert text.text == "7"
     assert decode_xml(xml.text) == IntLit(7)
+
+
+def test_big_integers_get_typed_answers(server_url):
+    url, _ = server_url
+
+    def text(expr):
+        return requests.post(f"{url}/simplify?scope=everything1", data=expr,
+                             headers={"Content-Type": "text/plain"})
+
+    # power and factorial decline a result too long to render, before
+    # computing it.
+    for expr in ("2^200000", "2^1000000000000"):
+        start = time.monotonic()
+        r = text(expr)
+        assert (r.status_code, r.text) == (200, expr)
+        assert time.monotonic() - start < 1
+    r = text("factorial(2000)")
+    assert (r.status_code, r.text) == (200, "integer1?factorial(2000)")
+    # Any other result integer too long to render or encode is a 413.
+    r = text("10^4000*10^4000")
+    assert r.status_code == 413 and "too long" in r.text
+    power = Const(GlobalName("http://www.openmath.org/cd", "arith1", "power"))
+    times = Const(GlobalName("http://www.openmath.org/cd", "arith1", "times"))
+    big = app(power, IntLit(10), IntLit(4000))
+    r = requests.post(f"{url}/simplify", data=encode_xml(app(times, big, big)),
+                      headers={"Content-Type": OMXML})
+    assert r.status_code == 413
+    # An OMI literal too long to decode is a 400, in a term or a theory.
+    omi = f"<OMOBJ><OMI>{'7' * 5000}</OMI></OMOBJ>"
+    r = requests.post(f"{url}/simplify", data=omi,
+                      headers={"Content-Type": OMXML})
+    assert r.status_code == 400 and "OMI too long" in r.text
+    doc = (f'<omdoc base="um:/big"><theory name="big"><constant name="n">'
+           f'<definition>{omi}</definition></constant></theory></omdoc>')
+    r = requests.post(f"{url}/theories", data=doc)
+    assert r.status_code == 400 and "OMI too long" in r.text
 
 
 INGEST_DOC = """<omdoc xmlns="http://omdoc.org/ns" base="um:/uploaded">

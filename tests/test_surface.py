@@ -1,10 +1,12 @@
 import pytest
 
 from umachine.graph import OM_MAPSTO, OM_NARYOBJECT, OM_OBJECT, TheoryGraph
+from umachine.machine import RuleBase
 from umachine.notation import Notation, SeqArg
 from umachine.realization import install_bifoundations
+from umachine.server import TEXT, Service
 from umachine.surface import SurfaceError, parse_modules
-from umachine.terms import Bind, Const, Foreign, app
+from umachine.terms import Bind, Const, Foreign, IntLit, app
 
 
 def fresh_graph():
@@ -115,6 +117,16 @@ def test_syntax_error_reports_position():
     assert "bad.mmt:1" in str(e.value)
 
 
+def test_bad_escape_reports_its_line():
+    g = fresh_graph()
+    src = ('document um:/test\n\ntheory small : OpenMath\n'
+           '  constant c : Object\n\n'
+           'view SmallImpl : small -> Computation\n  constant c = "a\\q"\n')
+    with pytest.raises(SurfaceError) as e:
+        parse_modules(g, src, "s.mmt")
+    assert str(e.value).startswith("s.mmt:7:") and "bad escape" in str(e.value)
+
+
 def test_unresolved_reference():
     g = fresh_graph()
     with pytest.raises(SurfaceError):
@@ -152,3 +164,26 @@ def test_stdlib_sources_parse(loaded):
                  "minmax1", "nums1", "rounding1", "setname1", "units_metric1"):
         g.resolve(name)
     assert g.resolve("relations1") == g.resolve("relation1")
+
+
+def test_redeclared_name_resolves_as_in_a_scoped_request():
+    # T redeclares f after including base: a later definiens and a request
+    # scoped to T both take the first f in declaration order, base's.
+    g = fresh_graph()
+    src = """
+document um:/test
+
+theory base : OpenMath
+  constant f : Object
+
+theory T : OpenMath
+  include base
+  constant f : Object
+  constant c = f(1)
+"""
+    parse_modules(g, src, "t.mmt")
+    t = g.theory(g.resolve("T"))
+    assert t.constant("c").definiens == app(Const(g.resolve("base").name("f")),
+                                            IntLit(1))
+    r = Service(g, RuleBase()).simplify_request(b"f(1)", TEXT, "T", None)
+    assert (r.status, r.body) == (200, "base?f(1)")
