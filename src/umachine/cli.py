@@ -10,8 +10,10 @@ Exit codes: 0 success, 1 diagnostics, test failures or a typed error, 2 hard
 errors.  ``simplify`` and ``repl`` answer through ``server.Service`` as
 ``POST /simplify`` does (fuel at most ``MAX_FUEL``): 200 exits 0; 422 exits 1
 with the partial result on stdout and a warning on stderr; any other 4xx
-exits 1 with the reply on stderr, which the REPL prints as ``error: ...``
-before it reads on; an internal error (HTTP 500) exits 2.
+(among them 413 for a term nested too deeply) exits 1 with the reply on
+stderr, which the REPL prints as ``error: ...`` before it reads on; an
+internal error (HTTP 500) exits 2.  ``simplify``, ``repl`` and ``serve``
+given ``--fuel`` (or ``UM_FUEL``) outside ``1..MAX_FUEL`` exit 1 at once.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from pathlib import Path
 from . import codegen, stdlib
 from .graph import Theory, TheoryGraph, View
 from .machine import SimplifyBudget
-from .server import DEFAULT_FUEL, OMXML, TEXT, Response, Service, serve
+from .server import (DEFAULT_FUEL, OMXML, TEXT, Response, Service,
+                     fuel_out_of_range, serve)
 from .sts import lint_theory
 
 
@@ -92,7 +95,14 @@ def cmd_build_process(args) -> int:
     return 0
 
 
+class _OptionError(Exception):
+    """A bad option value, found before any work is done: exit 1."""
+
+
 def _service(args) -> Service:
+    error = fuel_out_of_range(args.fuel)
+    if error:
+        raise _OptionError(error)
     graph, _ = _build(args)
     base, _report = codegen.load(graph, SimplifyBudget(args.fuel))
     return Service(graph, base, default_fuel=args.fuel)
@@ -233,6 +243,9 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except _OptionError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     except Exception as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

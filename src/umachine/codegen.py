@@ -96,7 +96,7 @@ def realization_views(graph: TheoryGraph, modules=None) -> list[View]:
 # extract
 
 
-def _param_list(view: View, g: GlobalName, assignment: Assignment,
+def _param_list(g: GlobalName, assignment: Assignment,
                 graph: TheoryGraph) -> str:
     from .sts import constant_arity
     arity = constant_arity(graph, g)
@@ -139,7 +139,7 @@ def extract(graph: TheoryGraph, project: Project) -> list[Path]:
             if f is None:
                 continue
             marker = f"{view.name.module}?{c.name}"
-            params = _param_list(view, g, a, graph)
+            params = _param_list(g, a, graph)
             if params is None:
                 lines.append(f"value {g.module}_{c.name}: Term")
             else:

@@ -162,18 +162,12 @@ OM_NARYOBJECT = OPENMATH.name("naryObject")
 OM_BINDER = OPENMATH.name("binder")
 OM_FMP = OPENMATH.name("FMP")
 
-CMP_TYPE = COMPUTATION.name("type")
 CMP_ANY = COMPUTATION.name("Any")
 CMP_FUNCTION = COMPUTATION.name("Function")
 CMP_LAMBDA = COMPUTATION.name("Lambda")
 CMP_LIST = COMPUTATION.name("List")
-CMP_LIST_LIT = COMPUTATION.name("list")
 CMP_TERM = COMPUTATION.name("Term")
 CMP_CONTEXT = COMPUTATION.name("Context")
-CMP_INTEGER = COMPUTATION.name("Integer")
-CMP_DOUBLE = COMPUTATION.name("Double")
-CMP_BOOLEAN = COMPUTATION.name("Boolean")
-CMP_STRING = COMPUTATION.name("String")
 
 
 def _openmath_theory() -> Theory:
@@ -291,9 +285,6 @@ class TheoryGraph:
             raise UnresolvedModuleError(f"{ref} is a theory, not a view")
         return m
 
-    def theories(self):
-        return [m for m in self.modules.values() if isinstance(m, Theory)]
-
     def views(self):
         return [m for m in self.modules.values() if isinstance(m, View)]
 
@@ -302,27 +293,26 @@ class TheoryGraph:
     def flatten(self, ref: ModuleRef) -> list[tuple[GlobalName, Constant]]:
         """Depth-first include expansion; a repeated include is a no-op."""
         out: list[tuple[GlobalName, Constant]] = []
-        seen: set[ModuleRef] = set()
-        stack: list[ModuleRef] = []
-
-        def go(r: ModuleRef):
-            if r in stack:
-                cycle = " -> ".join(str(s) for s in stack + [r])
-                raise IncludeCycleError(f"include cycle: {cycle}")
-            if r in seen:
-                return
-            seen.add(r)
-            stack.append(r)
-            t = self.theory(r)
-            for d in t.declarations:
-                if isinstance(d, Include):
-                    go(d.target)
-                else:
-                    out.append((r.name(d.name), d))
-            stack.pop()
-
-        go(ref)
+        self._flatten(ref, out, set(), [])
         return out
+
+    def _flatten(self, r: ModuleRef, out: list, seen: set, stack: list):
+        # A method, not a closure: a recursive closure is a reference cycle
+        # that would keep ``out`` alive until the cyclic garbage collector
+        # runs, and ``scope_for`` flattens on every scoped request.
+        if r in stack:
+            cycle = " -> ".join(str(s) for s in stack + [r])
+            raise IncludeCycleError(f"include cycle: {cycle}")
+        if r in seen:
+            return
+        seen.add(r)
+        stack.append(r)
+        for d in self.theory(r).declarations:
+            if isinstance(d, Include):
+                self._flatten(d.target, out, seen, stack)
+            else:
+                out.append((r.name(d.name), d))
+        stack.pop()
 
     def meta_chain(self, ref: ModuleRef) -> list[ModuleRef]:
         chain = []
@@ -342,25 +332,17 @@ class TheoryGraph:
 
     # -- scopes ---------------------------------------------------------------
 
-    def scope_entries(self, ref: ModuleRef) -> list[tuple[GlobalName, Constant]]:
-        """Flattened constants of ``ref`` plus its meta-theory chain."""
-        out = list(self.flatten(ref))
-        seen = {g for g, _ in out}
-        for meta in self.meta_chain(ref):
-            for g, c in self.flatten(meta):
-                if g not in seen:
-                    seen.add(g)
-                    out.append((g, c))
-        return out
-
     def scope_for(self, refs) -> ParseScope:
-        """A parse scope over one theory or several (in order)."""
+        """A parse scope over one theory or several (in order): each one's
+        flattened constants, then those of its meta-theory chain."""
         if isinstance(refs, ModuleRef):
             refs = [refs]
         entries = []
         seen = set()
         for r in refs:
-            for g, c in self.scope_entries(r):
+            flat = self.flatten(r) + [x for meta in self.meta_chain(r)
+                                      for x in self.flatten(meta)]
+            for g, c in flat:
                 if g not in seen:
                     seen.add(g)
                     entries.append(ScopeEntry(g, c.notation))

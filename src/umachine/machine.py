@@ -83,10 +83,6 @@ class RuleBase:
     def __len__(self):
         return self._count
 
-    def __contains__(self, key):
-        head, arity = key
-        return self.get(head, arity) is not None
-
 
 @dataclass(frozen=True)
 class SimplifyBudget:

@@ -6,6 +6,13 @@ precedence.  The same notations drive both the operator-precedence parser and
 the renderer, so ``parse_term(render_term(t)) == t`` for terms over in-scope
 constants.
 
+A notation's shape (binder, closed, prefix or infix; its slots; the trigger
+delimiters the parser dispatches on) is computed once, when the ``Notation``
+is built; a notation without a trigger is rejected there.  Every closed,
+prefix and infix notation is parsed by one method from its trigger on;
+binders have their own.  A ``ParseScope`` indexes its delimiters by first
+character, so the tokenizer tries only those that can match.
+
 Grammar facts baked in here:
   * higher precedence binds tighter; equal-precedence infixes associate left;
   * binder notations associate right and extend maximally to the right;
@@ -19,7 +26,7 @@ Grammar facts baked in here:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .terms import (App, Bind, Const, FloatLit, Foreign, GlobalName, IntLit,
                     StrLit, Term, Var)
@@ -66,18 +73,31 @@ class VarList:
 class Notation:
     tokens: tuple
     precedence: int = 0
+    # The shape, computed once from the tokens.  ``triggers`` are the
+    # delimiter texts on which the parser dispatches to the notation;
+    # ``delimiters`` are all the texts the tokenizer must know.
+    is_binder: bool = field(init=False, compare=False, repr=False)
+    is_closed: bool = field(init=False, compare=False, repr=False)
+    is_prefix: bool = field(init=False, compare=False, repr=False)
+    is_infix: bool = field(init=False, compare=False, repr=False)
+    slot_count: int = field(init=False, compare=False, repr=False)
+    seq_slot: SeqArg | None = field(init=False, compare=False, repr=False)
+    varlist: VarList | None = field(init=False, compare=False, repr=False)
+    triggers: tuple = field(init=False, compare=False, repr=False)
+    delimiters: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        if not self.tokens:
+        tokens = tuple(self.tokens)
+        if not tokens:
             raise NotationError("notation needs at least one token")
-        seqs = [t for t in self.tokens if isinstance(t, SeqArg)]
+        seqs = [t for t in tokens if isinstance(t, SeqArg)]
         if len(seqs) > 1:
             raise NotationError("at most one sequence-argument slot is allowed")
-        varlists = [t for t in self.tokens if isinstance(t, VarList)]
+        varlists = [t for t in tokens if isinstance(t, VarList)]
         if len(varlists) > 1:
             raise NotationError("at most one bound-variable slot is allowed")
-        indices = [t.index for t in self.tokens if isinstance(t, (Arg, SeqArg))]
+        indices = [t.index for t in tokens if isinstance(t, (Arg, SeqArg))]
+        slot_count = len(indices)
         if varlists:
             if seqs or len(indices) != 1:
                 raise NotationError("a binder notation takes a variable list "
@@ -87,57 +107,35 @@ class Notation:
             raise NotationError("duplicate argument index")
         if sorted(indices) != list(range(1, len(indices) + 1)):
             raise NotationError("argument indices must be contiguous from 1")
-
-    # -- shape helpers -----------------------------------------------------
-    @property
-    def is_binder(self) -> bool:
-        return any(isinstance(t, VarList) for t in self.tokens)
-
-    @property
-    def is_closed(self) -> bool:
-        return (isinstance(self.tokens[0], Delim)
-                and isinstance(self.tokens[-1], Delim))
-
-    @property
-    def is_prefix(self) -> bool:
-        return (isinstance(self.tokens[0], Delim) and not self.is_closed
-                and not self.is_binder)
-
-    @property
-    def is_infix(self) -> bool:
-        return isinstance(self.tokens[0], (Arg, SeqArg))
-
-    @property
-    def slot_count(self) -> int:
-        return sum(1 for t in self.tokens if isinstance(t, (Arg, SeqArg)))
-
-    @property
-    def seq_slot(self) -> SeqArg | None:
-        for t in self.tokens:
-            if isinstance(t, SeqArg):
-                return t
-        return None
-
-    def trigger_tokens(self) -> list:
-        """Delimiter texts on which the parser dispatches to this notation."""
-        if self.is_binder:
-            after = next(t for t in self.tokens
-                         if isinstance(t, Delim) or isinstance(t, Arg))
+        first = tokens[0]
+        is_closed = isinstance(first, Delim) and isinstance(tokens[-1], Delim)
+        if varlists:
+            after = next(t for t in tokens if isinstance(t, (Delim, Arg)))
             if not isinstance(after, Delim):
                 raise NotationError("binder notation needs a delimiter after "
                                     "the variable list")
-            return [after.text]
-        first = self.tokens[0]
-        if isinstance(first, Delim):
-            return [first.text]
-        triggers = []
-        if isinstance(first, SeqArg):
-            triggers.append(first.separator)
-        if len(self.tokens) > 1 and isinstance(self.tokens[1], Delim):
-            triggers.append(self.tokens[1].text)
-        if not triggers:
-            raise NotationError("infix notation needs a separator or delimiter")
-        return triggers
+            triggers = (after.text,)
+        elif isinstance(first, Delim):
+            triggers = (first.text,)
+        else:
+            triggers = (first.separator,) if isinstance(first, SeqArg) else ()
+            if len(tokens) > 1 and isinstance(tokens[1], Delim):
+                triggers += (tokens[1].text,)
+            if not triggers:
+                raise NotationError("infix notation needs a separator or "
+                                    "delimiter")
+        shape = dict(
+            tokens=tokens, is_binder=bool(varlists), is_closed=is_closed,
+            is_prefix=isinstance(first, Delim) and not is_closed
+            and not varlists,
+            is_infix=isinstance(first, (Arg, SeqArg)), slot_count=slot_count,
+            seq_slot=seqs[0] if seqs else None,
+            varlist=varlists[0] if varlists else None, triggers=triggers,
+            delimiters=frozenset(
+                t.text if isinstance(t, Delim) else t.separator
+                for t in tokens if not isinstance(t, Arg)))
+        for name, value in shape.items():
+            object.__setattr__(self, name, value)
 
 
 _SEQ_TOKEN = re.compile(r"^(\d+)(.+?)(\.\.\.|…)$")
@@ -185,13 +183,13 @@ class ScopeEntry:
 
 
 _STRUCTURAL = ("(", ")", ",", "[", "]", "?")
+_NEGATION = (Delim("-"), Arg(1))
 
 
 class ParseScope:
     """In-scope constants with their notations, indexed for the parser."""
 
     def __init__(self, entries):
-        self.entries = list(entries)
         self.by_local: dict[str, list[GlobalName]] = {}
         self.by_qualified: dict[str, GlobalName] = {}
         self.notations: dict[GlobalName, Notation] = {}
@@ -201,41 +199,35 @@ class ParseScope:
         self.binder_seps: set[str] = set()
         delims: set[str] = set(_STRUCTURAL)
         seen_triggers: dict[tuple[str, str, int], GlobalName] = {}
-        for e in self.entries:
-            self.by_local.setdefault(e.name.name, [])
-            if e.name not in self.by_local[e.name.name]:
-                self.by_local[e.name.name].append(e.name)
+        for e in entries:
+            hits = self.by_local.setdefault(e.name.name, [])
+            if e.name not in hits:
+                hits.append(e.name)
             self.by_qualified.setdefault(e.name.local, e.name)
             n = e.notation
             if n is None:
                 continue
             self.notations.setdefault(e.name, n)
-            for tok in n.tokens:
-                if isinstance(tok, Delim):
-                    delims.add(tok.text)
-                elif isinstance(tok, SeqArg):
-                    delims.add(tok.separator)
-                elif isinstance(tok, VarList):
-                    delims.add(tok.separator)
+            delims |= n.delimiters
             if n.is_binder:
-                table = self.binder_delims
-                self.binder_seps.add(next(t for t in n.tokens
-                                          if isinstance(t, VarList)).separator)
+                kind, table = "nud", self.binder_delims
+                self.binder_seps.add(n.varlist.separator)
             elif n.is_infix:
-                table = self.led
+                kind, table = "led", self.led
             else:
-                table = self.nud
-            for trig in n.trigger_tokens():
-                key = ("led" if table is self.led else "nud", trig, n.precedence)
-                other = seen_triggers.get(key)
-                if other is not None and other != e.name:
+                kind, table = "nud", self.nud
+            for trig in n.triggers:
+                other = seen_triggers.setdefault((kind, trig, n.precedence),
+                                                 e.name)
+                if other != e.name:
                     raise AmbiguityError(
                         f"notations of {other.local} and {e.name.local} both "
                         f"match {trig!r} at precedence {n.precedence}")
-                seen_triggers[key] = e.name
-                if trig not in table:
-                    table[trig] = (e.name, n)
-        self.delimiters = sorted(delims, key=len, reverse=True)
+                table.setdefault(trig, (e.name, n))
+        # First character -> the delimiters starting with it, longest first.
+        self.delimiters: dict[str, list[str]] = {}
+        for d in sorted(filter(None, delims), key=len, reverse=True):
+            self.delimiters.setdefault(d[0], []).append(d)
 
     def resolve(self, name: str) -> GlobalName | None:
         """Resolve a bare identifier to the first in-scope constant of that name."""
@@ -301,7 +293,7 @@ def tokenize(src: str, scope: ParseScope) -> list[_Tok]:
             i = j
             continue
         best_delim = ""
-        for d in scope.delimiters:
+        for d in scope.delimiters.get(c, ()):
             if src.startswith(d, i):
                 best_delim = d
                 break
@@ -363,13 +355,10 @@ class _Parser:
         left = self.nud()
         while True:
             tok = self.peek()
-            if tok.kind != "sym" or tok.text not in self.scope.led:
-                break
-            g, notation = self.scope.led[tok.text]
-            if notation.precedence <= min_prec:
-                break
-            left = self.parse_led(g, notation, left)
-        return left
+            hit = self.scope.led.get(tok.text) if tok.kind == "sym" else None
+            if hit is None or hit[1].precedence <= min_prec:
+                return left
+            left = self.parse_notation(*hit, left)
 
     def nud(self) -> Term:
         tok = self.peek()
@@ -385,42 +374,35 @@ class _Parser:
             self.expect(")")
             return inner
         if tok.kind == "ident":
-            if self.at_binder_head():
-                return self.parse_binder()
+            delim = self.binder_delimiter()
+            if delim is not None:
+                return self.parse_binder(delim)
             return self.parse_name()
         if tok.kind == "sym" and tok.text in self.scope.nud:
-            g, notation = self.scope.nud[tok.text]
-            return self.parse_nud_notation(g, notation)
+            return self.parse_notation(*self.scope.nud[tok.text])
         raise SyntaxErrorAt(f"unexpected {tok.text or 'end of input'!r}", tok.pos)
 
-    def at_binder_head(self) -> bool:
-        """Lookahead: ident (sep ident)* followed by a binder delimiter."""
+    def binder_delimiter(self) -> int | None:
+        """Lookahead from an identifier: the index of the binder delimiter
+        after ``ident (sep ident)*``, or None."""
         if not self.scope.binder_delims:
-            return False
-        j = self.i
-        if self.toks[j].kind != "ident":
-            return False
-        j += 1
+            return None
+        j = self.i + 1
         while (self.toks[j].text in self.scope.binder_seps
                and self.toks[j].kind == "sym"
                and self.toks[j + 1].kind == "ident"):
             j += 2
-        return (self.toks[j].kind == "sym"
-                and self.toks[j].text in self.scope.binder_delims)
+        tok = self.toks[j]
+        if tok.kind == "sym" and tok.text in self.scope.binder_delims:
+            return j
+        return None
 
-    def parse_binder(self) -> Term:
-        names = [self.next().text]
-        while True:
-            tok = self.peek()
-            if tok.kind == "sym" and tok.text in self.scope.binder_seps \
-                    and self.peek(1).kind == "ident":
-                self.next()
-                names.append(self.next().text)
-            else:
-                break
-        tok = self.peek()
+    def parse_binder(self, j: int) -> Term:
+        """A binder notation whose delimiter is at ``toks[j]``."""
+        names = [t.text for t in self.toks[self.i:j:2]]
+        tok = self.toks[j]
+        self.i = j + 1
         g, notation = self.scope.binder_delims[tok.text]
-        self.next()
         if len(set(names)) != len(names):
             raise SyntaxErrorAt("bound variable names must be distinct", tok.pos)
         # Binders associate right and extend maximally to the right.
@@ -455,10 +437,7 @@ class _Parser:
             tok = self.peek()
             raise SyntaxErrorAt("an application needs at least one argument",
                                 tok.pos)
-        args = [self.parse_expr(-1)]
-        while self.peek().text == ",":
-            self.next()
-            args.append(self.parse_expr(-1))
+        args = self.sequence(-1, ",")
         self.expect(")")
         return App(head, tuple(args))
 
@@ -499,102 +478,62 @@ class _Parser:
             raise SyntaxErrorAt("expected a variable name", t.pos)
         return self.next()
 
-    def parse_nud_notation(self, g: GlobalName, notation: Notation) -> Term:
-        """Closed or prefix notation, starting at its leading delimiter."""
-        first = self.peek()
-        self.expect(notation.tokens[0].text)
+    def sequence(self, prec: int, separator: str) -> list[Term]:
+        """One or more operands separated by ``separator``."""
+        items = [self.parse_expr(prec)]
+        while self.peek().text == separator:
+            self.next()
+            items.append(self.parse_expr(prec))
+        return items
+
+    def parse_notation(self, g: GlobalName, notation: Notation,
+                       left: Term | None = None) -> Term:
+        """A closed, prefix or infix notation, from its trigger token on;
+        ``left`` is the operand before an infix notation's trigger."""
+        trigger = self.next()
+        tokens = notation.tokens
         prec = -1 if notation.is_closed else notation.precedence
-        slots: dict[int, object] = {}
-        for k in range(1, len(notation.tokens)):
-            tok = notation.tokens[k]
+        slots: dict[int, list[Term]] = {}
+        k = 1  # tokens[k:] follow the trigger
+        if left is not None:
+            first = tokens[0]
+            slots[first.index] = [left]
+            if isinstance(first, SeqArg) and trigger.text == first.separator:
+                slots[first.index] += self.sequence(prec, first.separator)
+            else:
+                # The trigger is the delimiter after the first slot (for a
+                # sequence: the separator never appeared, a sequence of one).
+                k = 2
+        for j in range(k, len(tokens)):
+            tok = tokens[j]
             if isinstance(tok, Delim):
                 self.expect(tok.text)
             elif isinstance(tok, Arg):
                 before = self.i
                 operand = self.parse_expr(prec)
                 # A bare numeral directly after a prefix "-" is a negative literal.
-                if (notation.tokens[0].text == "-" and len(notation.tokens) == 2
-                        and self.i == before + 1
+                if (self.i == before + 1 and tokens == _NEGATION
                         and self.toks[before].kind in ("int", "float")):
-                    return self._negate_literal(operand)
-                slots[tok.index] = operand
-            elif isinstance(tok, SeqArg):
-                nxt = notation.tokens[k + 1] if k + 1 < len(notation.tokens) else None
-                closer = nxt.text if isinstance(nxt, Delim) else None
-                items = []
-                if not (closer is not None and self.peek().text == closer):
-                    items.append(self.parse_expr(prec))
-                    while self.peek().text == tok.separator:
-                        self.next()
-                        items.append(self.parse_expr(prec))
-                slots[tok.index] = items
-        return self._assemble(g, notation, slots, first)
-
-    @staticmethod
-    def _negate_literal(operand: Term) -> Term:
-        if isinstance(operand, IntLit):
-            return IntLit(-operand.value)
-        return FloatLit(-operand.value)
-
-    def parse_led(self, g: GlobalName, notation: Notation, left: Term) -> Term:
-        trigger = self.next()
-        slots: dict[int, object] = {}
-        first = notation.tokens[0]
-        rest = list(notation.tokens[1:])
-        if isinstance(first, SeqArg):
-            items = [left]
-            if trigger.text == first.separator:
-                items.append(self.parse_expr(notation.precedence))
-                while self.peek().text == first.separator:
-                    self.next()
-                    items.append(self.parse_expr(notation.precedence))
-                if rest and isinstance(rest[0], Delim):
-                    self.expect(rest[0].text)
-                    rest = rest[1:]
-            else:
-                # The separator never appeared: a length-one sequence followed
-                # by the notation's next delimiter (already consumed).
-                assert rest and isinstance(rest[0], Delim) \
-                    and rest[0].text == trigger.text
-                rest = rest[1:]
-            slots[first.index] = items
-        else:
-            slots[first.index] = left
-            assert rest and isinstance(rest[0], Delim) \
-                and rest[0].text == trigger.text
-            rest = rest[1:]
-        for k, tok in enumerate(rest):
-            if isinstance(tok, Delim):
-                self.expect(tok.text)
-            elif isinstance(tok, Arg):
-                slots[tok.index] = self.parse_expr(notation.precedence)
-            elif isinstance(tok, SeqArg):
-                items = [self.parse_expr(notation.precedence)]
-                while self.peek().text == tok.separator:
-                    self.next()
-                    items.append(self.parse_expr(notation.precedence))
-                slots[tok.index] = items
-        return self._assemble(g, notation, slots, trigger)
-
-    def _assemble(self, g: GlobalName, notation: Notation,
-                  slots: dict[int, object], at: _Tok) -> Term:
+                    return type(operand)(-operand.value)
+                slots[tok.index] = [operand]
+            else:  # SeqArg; only a closed or prefix one may be empty
+                closer = tokens[j + 1] if j + 1 < len(tokens) else None
+                if (left is None and isinstance(closer, Delim)
+                        and self.peek().text == closer.text):
+                    slots[tok.index] = []
+                else:
+                    slots[tok.index] = self.sequence(prec, tok.separator)
         if notation.slot_count == 0:
             return Const(g)  # a pure-delimiter atom
-        args: list[Term] = []
-        for idx in sorted(slots):
-            v = slots[idx]
-            if isinstance(v, list):
-                args.extend(v)
-            else:
-                args.append(v)
-        if not args:
-            # An empty element sequence: ``{}`` denotes the empty set.
-            empty = self.scope.resolve("emptyset")
-            if empty is not None:
-                return Const(empty)
+        args = tuple(a for index in sorted(slots) for a in slots[index])
+        if args:
+            return App(Const(g), args)
+        # An empty element sequence: ``{}`` denotes the empty set.
+        empty = self.scope.resolve("emptyset")
+        if empty is None:
             raise SyntaxErrorAt("an application needs at least one argument",
-                                at.pos)
-        return App(Const(g), tuple(args))
+                                trigger.pos)
+        return Const(empty)
 
 
 def parse_term(src: str, scope: ParseScope) -> Term:
@@ -653,16 +592,12 @@ def _render(t: Term, scope: ParseScope) -> tuple[str, int | None]:
         n = scope.notation_for(t.head)
         if n is not None and n.is_closed and n.slot_count == 0:
             return _word_boundary_glue([tok.text for tok in n.tokens]), None
-        return _qualified(t.head, scope), None
+        return f"{t.head.module}?{t.head.name}", None
     if isinstance(t, App):
         return _render_app(t, scope)
     if isinstance(t, Bind):
         return _render_bind(t, scope)
     raise TypeError(f"not a term: {t!r}")
-
-
-def _qualified(g: GlobalName, scope: ParseScope) -> str:
-    return f"{g.module}?{g.name}"
 
 
 def _child(t: Term, scope: ParseScope, parent_prec: int | None,
@@ -742,11 +677,10 @@ def _render_bind(t: Bind, scope: ParseScope) -> tuple[str, int | None]:
         names = ", ".join(t.context)
         scope_text, _ = _render(t.scope, scope)
         return f"bind({binder_text}, [{names}], {scope_text})", None
-    varlist = next(tok for tok in n.tokens if isinstance(tok, VarList))
     parts = []
     for tok in n.tokens:
         if isinstance(tok, VarList):
-            parts.append(varlist.separator.join(t.context))
+            parts.append(tok.separator.join(t.context))
         elif isinstance(tok, Delim):
             parts.append(f" {tok.text} " if _wordlike(tok.text) else tok.text)
         elif isinstance(tok, Arg):

@@ -10,18 +10,17 @@ Endpoints:
       ``application/openmath+xml``; the response mirrors the request format
       and carries ``X-Simplify-Steps`` and ``X-Simplify-Exhausted`` headers.
       200 success, 400 parse error or bad fuel, 404 unknown scope, 413
-      result integer too long to render, 422 fuel exhausted (partial result
-      in the body).
+      result integer too long to render or term nested too deeply, 422 fuel
+      exhausted (partial result in the body).
   POST /theories  — ingest an OMDoc document; theories become available as
       scopes; no rules are gained.  201 ingested, 400 subset violation,
-      409 name collision.
+      409 name collision, 413 nested too deeply.
   GET /theories   — loaded module URIs, one per line.
   GET /health     — "ok".
 
 GET and POST on any path: 404 unknown path, 400 malformed or negative
 ``Content-Length``, 411 body without ``Content-Length`` (chunked), 413 body
-over ``MAX_BODY_BYTES``, 413 term nested too deeply (a ``RecursionError``
-while decoding, parsing, simplifying or rendering it), 500 internal error.
+over ``MAX_BODY_BYTES``, 500 internal error.
 The standard library's request parser answers 400, 414, 431 and 505 for
 malformed requests and 501 for other methods.  After 411, the 413 for an
 oversized body, a bad ``Content-Length``, 500 and the parser's replies the
@@ -30,12 +29,15 @@ open.
 
 An integer literal longer than ``sys.get_int_max_str_digits()`` digits is a
 400 on input; ``power`` and ``factorial`` decline a result that long.
+"Nested too deeply" is a ``RecursionError`` anywhere in handling the body.
 ``Service.simplify_request`` also answers ``um simplify`` and ``um repl``,
-which map its status to an exit code.
+which map its status to an exit code.  A ``Service`` refuses a default fuel
+outside ``1..MAX_FUEL``.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -65,6 +67,23 @@ class Response:
     headers: dict = field(default_factory=dict)
 
 
+def fuel_out_of_range(n: int) -> str | None:
+    """The error for a fuel value outside ``1..MAX_FUEL``, or None."""
+    return None if 0 < n <= MAX_FUEL else f"fuel out of range: {n}"
+
+
+def _too_deep_is_413(method):
+    """A ``RecursionError`` while handling the request (decoding, parsing,
+    simplifying, rendering) answers 413."""
+    @functools.wraps(method)
+    def answer(*args):
+        try:
+            return method(*args)
+        except RecursionError:
+            return Response(413, "term nested too deeply\n")
+    return answer
+
+
 @dataclass
 class Service:
     """Framework-free request handling over a frozen graph and rule base."""
@@ -74,6 +93,12 @@ class Service:
     default_fuel: int = DEFAULT_FUEL
     _ingest_lock: threading.Lock = field(default_factory=threading.Lock)
 
+    def __post_init__(self):
+        error = fuel_out_of_range(self.default_fuel)
+        if error:
+            raise ValueError(error)
+
+    @_too_deep_is_413
     def simplify_request(self, body: bytes, content_type: str,
                          scope_ref: str | None, fuel: str | None) -> Response:
         xml = content_type.split(";")[0].strip().lower() == OMXML
@@ -82,8 +107,9 @@ class Service:
             fuel_n = int(fuel) if fuel else self.default_fuel
         except ValueError:
             return Response(400, f"bad fuel value: {fuel}\n")
-        if fuel_n <= 0 or fuel_n > MAX_FUEL:
-            return Response(400, f"fuel out of range: {fuel_n}\n")
+        error = fuel_out_of_range(fuel_n)
+        if error:
+            return Response(400, f"{error}\n")
         scope = None
         if scope_ref:
             try:
@@ -119,6 +145,7 @@ class Service:
         status = 422 if result.exhausted else 200
         return Response(status, payload, out_type, headers)
 
+    @_too_deep_is_413
     def ingest(self, body: bytes) -> Response:
         try:
             text = body.decode("utf-8")
@@ -188,8 +215,6 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             r = route(urlsplit(self.path), body)
-        except RecursionError:  # the body is read: the connection stays usable
-            r = Response(413, "term nested too deeply\n")
         except Exception as e:  # keep the connection answered
             self._send(Response(500, f"internal error: {e}\n"), close=True)
             return

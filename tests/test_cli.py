@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import umachine
 from umachine.cli import main
 from umachine.server import MAX_FUEL
 
@@ -145,6 +151,36 @@ def test_fuel_above_max_exits_1(capsys):
                  "--fuel", str(MAX_FUEL + 1)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: fuel out of range")
+
+
+def test_term_nested_too_deeply_exits_1():
+    # In a subprocess: where the C stack cannot hold the recursion limit
+    # that main() sets (CPython 3.10), the interpreter crashes instead.
+    script = ("import sys; from umachine.cli import main; sys.exit(main(["
+              "'simplify', '--scope', 'arith1', '-e',"
+              " '(' * 50_000 + '1' + ')' * 50_000]))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(umachine.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (
+        1, "error: term nested too deeply\n")
+
+
+@pytest.mark.parametrize("via_env", [False, True])
+def test_serve_with_fuel_out_of_range_exits_1_without_serving(
+        via_env, monkeypatch, capsys):
+    served = []
+    monkeypatch.setattr("umachine.cli.serve",
+                        lambda *args, **kwargs: served.append(args))
+    argv = ["serve", "--port", "0"]
+    if via_env:
+        monkeypatch.setenv("UM_FUEL", str(MAX_FUEL + 1))
+    else:
+        argv += ["--fuel", str(MAX_FUEL + 1)]
+    assert main(argv) == 1
+    assert served == []
+    assert capsys.readouterr().err == f"error: fuel out of range: {MAX_FUEL + 1}\n"
 
 
 def test_repl_reports_typed_errors_and_reads_on(monkeypatch, capsys):

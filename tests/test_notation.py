@@ -3,6 +3,7 @@ import random
 import pytest
 
 from termgen import surface_term
+from umachine.graph import OM_MAPSTO, OM_OBJECT
 from umachine.notation import (AmbiguityError, Arg, Delim, Notation,
                                NotationError, ParseScope, ScopeEntry, SeqArg,
                                SyntaxErrorAt, VarList, parse_notation,
@@ -55,6 +56,39 @@ def test_binder_notation():
     n = parse_notation("V ↦ 2 prec 10")
     assert n.tokens == (VarList(","), Delim("↦"), Arg(2))
     assert n.is_binder
+
+
+def _shape(n):
+    return (n.is_closed, n.is_prefix, n.is_infix, n.is_binder, n.slot_count,
+            n.seq_slot, n.varlist, n.triggers)
+
+
+@pytest.mark.parametrize("src, shape", [
+    # closed, prefix, infix, binder, slots, sequence slot, var list, triggers
+    ("⌊ 1 ⌋", (True, False, False, False, 1, None, None, ("⌊",))),
+    ("- 1 prec 70", (False, True, False, False, 1, None, None, ("-",))),
+    ("1+...", (False, False, True, False, 1, SeqArg(1, "+"), None, ("+",))),
+    ("1×... → 2",
+     (False, False, True, False, 2, SeqArg(1, "×"), None, ("×", "→"))),
+    ("V ↦ 2", (False, False, False, True, 1, None, VarList(","), ("↦",))),
+])
+def test_shape_is_computed_with_the_notation(src, shape):
+    assert _shape(parse_notation(src)) == shape
+
+
+def test_shape_stays_out_of_equality_and_repr():
+    n = parse_notation("1×... → 2 prec 15")
+    same = Notation((SeqArg(1, "×"), Delim("→"), Arg(2)), 15)
+    assert n == same and hash(n) == hash(same)
+    assert repr(n) == ("Notation(tokens=(SeqArg(index=1, separator='×'), "
+                       "Delim(text='→'), Arg(index=2)), precedence=15)")
+    assert n.delimiters == {"×", "→"}
+
+
+@pytest.mark.parametrize("src", ["1 2", "V 2 ↦"])
+def test_notation_without_a_trigger_is_rejected_when_declared(src):
+    with pytest.raises(NotationError):
+        parse_notation(src)
 
 
 # -- parse_term ----------------------------------------------------------------
@@ -162,6 +196,52 @@ def test_same_delimiter_at_distinct_precedence_is_allowed():
     a = ScopeEntry(G("a", "f"), parse_notation("1 @ 2 prec 30"))
     b = ScopeEntry(G("b", "g"), parse_notation("1 @ 2 prec 40"))
     ParseScope([a, b])  # no complaint
+
+
+def test_the_longest_delimiter_wins():
+    eq, imp, long = G("t", "eq"), G("t", "imp"), G("t", "long")
+    arrows = ParseScope([ScopeEntry(eq, parse_notation("1 = 2 prec 10")),
+                         ScopeEntry(imp, parse_notation("1 => 2 prec 10")),
+                         ScopeEntry(long, parse_notation("1 ==> 2 prec 10"))])
+    assert parse_term("a ==> b", arrows) == app(Const(long), Var("a"), Var("b"))
+    assert parse_term("a=>b", arrows) == app(Const(imp), Var("a"), Var("b"))
+    assert parse_term("a = b", arrows) == app(Const(eq), Var("a"), Var("b"))
+    with pytest.raises(SyntaxErrorAt, match=r"unexpected '==>'") as e:
+        parse_term("a ===> b", arrows)
+    assert e.value.pos == 3
+
+
+@pytest.fixture()
+def everything1(loaded):
+    return loaded.graph.scope_for(loaded.graph.resolve("everything1"))
+
+
+def test_an_identifier_longer_than_a_delimiter_is_a_variable(everything1):
+    assert parse_term("mapx", everything1) == Var("mapx")
+
+
+def test_type_arrows_parse_to_mapsto(everything1):
+    mapsto, obj = Const(OM_MAPSTO), Const(OM_OBJECT)
+    assert parse_term("Object → Object", everything1) == app(mapsto, obj, obj)
+    assert parse_term("Object × Object → Object", everything1) == app(
+        mapsto, obj, obj, obj)
+
+
+@pytest.mark.parametrize("src, message, pos", [
+    ("{1,}", "unexpected '}'", 3),
+    ("[1 2]", "expected ','", 3),
+    ("(1", "expected ')'", 2),
+    ("f()", "an application needs at least one argument", 2),
+    ("x ↦", "unexpected 'end of input'", 3),
+    ("1 map", "unexpected 'end of input'", 5),
+    ("Object ×", "unexpected 'end of input'", 8),
+])
+def test_malformed_input_is_reported_where_it_goes_wrong(
+        everything1, src, message, pos):
+    with pytest.raises(SyntaxErrorAt) as e:
+        parse_term(src, everything1)
+    assert (str(e.value), e.value.pos) == (f"{message} (at position {pos})",
+                                           pos)
 
 
 # -- render_term ----------------------------------------------------------------

@@ -10,8 +10,8 @@ import requests
 from umachine.codegen import build_graph, load
 from umachine.machine import Rule, RuleBase
 from umachine.omxml import decode_xml, encode_xml
-from umachine.server import (IDLE_TIMEOUT_S, MAX_BODY_BYTES, OMXML, Service,
-                             make_server)
+from umachine.server import (IDLE_TIMEOUT_S, MAX_BODY_BYTES, MAX_FUEL, OMXML,
+                             Service, make_server)
 from umachine.stdlib import rules
 from umachine.sts import Fixed
 from umachine.terms import Const, GlobalName, IntLit, app
@@ -416,3 +416,31 @@ def test_term_nested_too_deeply_is_413_and_keeps_the_connection(loaded):
         httpd.shutdown()
         httpd.server_close()
     assert conn.connects == 1
+
+
+def test_service_answers_a_term_nested_too_deeply_with_413(loaded):
+    deep = GlobalName("um:/t", "m", "deep")
+
+    def give_out(a):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    base = RuleBase([Rule(deep, Fixed(1), give_out), *loaded.base.rules()])
+    r = Service(loaded.graph, base).simplify_request(
+        encode_xml(app(Const(deep), IntLit(1))).encode("utf-8"), OMXML,
+        None, None)
+    assert (r.status, r.body) == (413, "term nested too deeply\n")
+
+
+def test_ingest_nested_too_deeply_is_413(loaded, monkeypatch):
+    def give_out(graph, text):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("umachine.server.ingest_omdoc", give_out)
+    r = Service(loaded.graph, loaded.base).ingest(b"<omdoc/>")
+    assert (r.status, r.body) == (413, "term nested too deeply\n")
+
+
+@pytest.mark.parametrize("fuel", [0, MAX_FUEL + 1])
+def test_service_refuses_a_default_fuel_out_of_range(loaded, fuel):
+    with pytest.raises(ValueError, match=f"fuel out of range: {fuel}"):
+        Service(loaded.graph, loaded.base, default_fuel=fuel)
