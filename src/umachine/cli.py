@@ -12,8 +12,11 @@ errors.  ``simplify`` and ``repl`` answer through ``server.Service`` as
 with the partial result on stdout and a warning on stderr; any other 4xx
 (among them 413 for a term nested too deeply) exits 1 with the reply on
 stderr, which the REPL prints as ``error: ...`` before it reads on; an
-internal error (HTTP 500) exits 2.  ``simplify``, ``repl`` and ``serve``
-given ``--fuel`` (or ``UM_FUEL``) outside ``1..MAX_FUEL`` exit 1 at once.
+internal error (HTTP 500) exits 2.  ``simplify``, ``repl``, ``serve``,
+``test`` and ``load`` check ``--fuel`` (or ``UM_FUEL``) against
+``1..MAX_FUEL`` through ``SimplifyBudget`` and exit 1 at once outside it.
+The recursion limit is 30000 on CPython 3.11 and later and 12000 before, so
+there a shallower term is already too deep (413, exit 1).
 """
 
 from __future__ import annotations
@@ -25,10 +28,9 @@ from pathlib import Path
 
 from . import codegen, stdlib
 from .graph import Theory, TheoryGraph, View
-from .machine import SimplifyBudget
-from .server import (DEFAULT_FUEL, OMXML, TEXT, Response, Service,
-                     fuel_out_of_range, serve)
-from .sts import lint_theory
+from .machine import DEFAULT_FUEL, RuleBase, SimplifyBudget
+from .server import OMXML, TEXT, Response, Service, serve
+from .sts import Diagnostic, lint_theory
 
 
 def _env_int(name: str, default: int) -> int:
@@ -63,12 +65,10 @@ def cmd_check(args) -> int:
         if isinstance(module, Theory):
             diagnostics.extend(str(d) for d in lint_theory(graph, ref))
         elif isinstance(module, View):
-            pos = module.pos
-            where = str(pos) if pos else "-:0"
-            for g in graph.check_view(ref):
-                diagnostics.append(
-                    f"error {where} {g.local} missing assignment in view "
-                    f"{ref.module}")
+            diagnostics.extend(
+                str(Diagnostic("error", module.pos, g,
+                               f"missing assignment in view {ref.module}"))
+                for g in graph.check_view(ref))
     for line in diagnostics:
         print(line)
     if diagnostics:
@@ -77,9 +77,23 @@ def cmd_check(args) -> int:
     return 0
 
 
-def cmd_load(args) -> int:
+class _OptionError(Exception):
+    """A bad option value, found before any work is done: exit 1."""
+
+
+def _load(args) -> tuple[TheoryGraph, RuleBase, codegen.LoadReport]:
+    """The graph, its rule base and the load report under ``--fuel``, which
+    is checked before anything is loaded."""
+    try:
+        budget = SimplifyBudget(args.fuel)
+    except ValueError as e:
+        raise _OptionError(e) from None
     graph, _ = _build(args)
-    base, report = codegen.load(graph, SimplifyBudget(args.fuel))
+    return (graph, *codegen.load(graph, budget))
+
+
+def cmd_load(args) -> int:
+    _, _, report = _load(args)
     text = str(report)
     if args.report:
         Path(args.report).write_text(text + "\n", encoding="utf-8")
@@ -95,16 +109,8 @@ def cmd_build_process(args) -> int:
     return 0
 
 
-class _OptionError(Exception):
-    """A bad option value, found before any work is done: exit 1."""
-
-
 def _service(args) -> Service:
-    error = fuel_out_of_range(args.fuel)
-    if error:
-        raise _OptionError(error)
-    graph, _ = _build(args)
-    base, _report = codegen.load(graph, SimplifyBudget(args.fuel))
+    graph, base, _ = _load(args)
     return Service(graph, base, default_fuel=args.fuel)
 
 
@@ -238,8 +244,11 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     # Rules, structural equality and the codecs recurse along the term, and
     # the default limit would cap terms far below the fuel.  Raised once,
-    # before any command or server thread runs; never lowered.
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 30000))
+    # before any command or server thread runs; never lowered.  Before 3.11
+    # every Python call also recurses in C, and an 8 MiB C stack overflows
+    # (SIGSEGV) before 20000 frames; 12000 leaves it a margin.
+    limit = 30000 if sys.version_info >= (3, 11) else 12000
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), limit))
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .notation import Arg, Delim, Notation, ParseScope, ScopeEntry, SeqArg
+from .notation import Arg, Delim, Notation, ParseScope, SeqArg
 from .terms import App, Bind, Const, Foreign, GlobalName, ModuleRef, Term
 
 
@@ -99,12 +99,6 @@ class Assignment:
 
 
 @dataclass(slots=True)
-class ViewInclude:
-    target: ModuleRef
-    pos: SourcePos | None = None
-
-
-@dataclass(slots=True)
 class View:
     name: ModuleRef
     domain: ModuleRef
@@ -112,11 +106,8 @@ class View:
     statements: list = field(default_factory=list)
     pos: SourcePos | None = None
 
-    def assignments(self):
-        return [s for s in self.statements if isinstance(s, Assignment)]
-
     def includes(self):
-        return [s for s in self.statements if isinstance(s, ViewInclude)]
+        return [s for s in self.statements if isinstance(s, Include)]
 
     def assignment(self, name: str) -> Assignment | None:
         for s in self.statements:
@@ -314,16 +305,6 @@ class TheoryGraph:
                 out.append((r.name(d.name), d))
         stack.pop()
 
-    def meta_chain(self, ref: ModuleRef) -> list[ModuleRef]:
-        chain = []
-        meta = self.theory(ref).meta
-        while meta is not None:
-            if meta in chain:
-                break
-            chain.append(meta)
-            meta = self.theory(meta).meta
-        return chain
-
     def lookup(self, g: GlobalName) -> Constant | None:
         m = self.modules.get(g.module_ref)
         if isinstance(m, Theory):
@@ -334,19 +315,26 @@ class TheoryGraph:
 
     def scope_for(self, refs) -> ParseScope:
         """A parse scope over one theory or several (in order): each one's
-        flattened constants, then those of its meta-theory chain."""
+        flattened constants, then those of its meta-theory chain.
+
+        One walk of the include graph: a module already walked in this call
+        is skipped, so each constant appears once, at its first occurrence.
+        A meta-theory cycle ends the chain; an include cycle raises
+        ``IncludeCycleError``.
+        """
         if isinstance(refs, ModuleRef):
             refs = [refs]
-        entries = []
-        seen = set()
+        out: list[tuple[GlobalName, Constant]] = []
+        seen: set[ModuleRef] = set()
         for r in refs:
-            flat = self.flatten(r) + [x for meta in self.meta_chain(r)
-                                      for x in self.flatten(meta)]
-            for g, c in flat:
-                if g not in seen:
-                    seen.add(g)
-                    entries.append(ScopeEntry(g, c.notation))
-        return ParseScope(entries)
+            self._flatten(r, out, seen, [])
+            chain = {r}
+            meta = self.theory(r).meta
+            while meta is not None and meta not in chain:
+                chain.add(meta)
+                self._flatten(meta, out, seen, [])
+                meta = self.theory(meta).meta
+        return ParseScope((g, c.notation) for g, c in out)
 
     # -- views ----------------------------------------------------------------
 

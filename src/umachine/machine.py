@@ -84,15 +84,20 @@ class RuleBase:
         return self._count
 
 
+DEFAULT_FUEL = 10000
+MAX_FUEL = 10 ** 7
+
+
 @dataclass(frozen=True)
 class SimplifyBudget:
-    """Fuel bounds the number of successful rule applications."""
+    """Fuel bounds the number of successful rule applications; it must lie
+    in ``1..MAX_FUEL``."""
 
-    fuel: int = 10000
+    fuel: int = DEFAULT_FUEL
 
     def __post_init__(self):
-        if self.fuel <= 0:
-            raise ValueError("fuel must be positive")
+        if not 0 < self.fuel <= MAX_FUEL:
+            raise ValueError(f"fuel out of range: {self.fuel}")
 
 
 @dataclass

@@ -176,21 +176,20 @@ def parse_notation(src: str) -> Notation:
 # Parse scope
 
 
-@dataclass(frozen=True)
-class ScopeEntry:
-    name: GlobalName
-    notation: Notation | None
-
-
 _STRUCTURAL = ("(", ")", ",", "[", "]", "?")
 _NEGATION = (Delim("-"), Arg(1))
 
 
 class ParseScope:
-    """In-scope constants with their notations, indexed for the parser."""
+    """In-scope constants with their notations, indexed for the parser.
+
+    Built from ``(GlobalName, Notation | None)`` pairs in scope order; in
+    every table the first occurrence of a key wins, so a bare name resolves
+    to the first in-scope constant of that name.
+    """
 
     def __init__(self, entries):
-        self.by_local: dict[str, list[GlobalName]] = {}
+        self.by_local: dict[str, GlobalName] = {}
         self.by_qualified: dict[str, GlobalName] = {}
         self.notations: dict[GlobalName, Notation] = {}
         self.nud: dict[str, tuple[GlobalName, Notation]] = {}
@@ -199,15 +198,12 @@ class ParseScope:
         self.binder_seps: set[str] = set()
         delims: set[str] = set(_STRUCTURAL)
         seen_triggers: dict[tuple[str, str, int], GlobalName] = {}
-        for e in entries:
-            hits = self.by_local.setdefault(e.name.name, [])
-            if e.name not in hits:
-                hits.append(e.name)
-            self.by_qualified.setdefault(e.name.local, e.name)
-            n = e.notation
+        for g, n in entries:
+            self.by_local.setdefault(g.name, g)
+            self.by_qualified.setdefault(g.local, g)
             if n is None:
                 continue
-            self.notations.setdefault(e.name, n)
+            self.notations.setdefault(g, n)
             delims |= n.delimiters
             if n.is_binder:
                 kind, table = "nud", self.binder_delims
@@ -217,28 +213,19 @@ class ParseScope:
             else:
                 kind, table = "nud", self.nud
             for trig in n.triggers:
-                other = seen_triggers.setdefault((kind, trig, n.precedence),
-                                                 e.name)
-                if other != e.name:
+                other = seen_triggers.setdefault((kind, trig, n.precedence), g)
+                if other != g:
                     raise AmbiguityError(
-                        f"notations of {other.local} and {e.name.local} both "
+                        f"notations of {other.local} and {g.local} both "
                         f"match {trig!r} at precedence {n.precedence}")
-                table.setdefault(trig, (e.name, n))
+                table.setdefault(trig, (g, n))
         # First character -> the delimiters starting with it, longest first.
         self.delimiters: dict[str, list[str]] = {}
         for d in sorted(filter(None, delims), key=len, reverse=True):
             self.delimiters.setdefault(d[0], []).append(d)
 
-    def resolve(self, name: str) -> GlobalName | None:
-        """Resolve a bare identifier to the first in-scope constant of that name."""
-        hits = self.by_local.get(name)
-        return hits[0] if hits else None
-
     def resolve_qualified(self, module: str, name: str) -> GlobalName | None:
         return self.by_qualified.get(f"{module}?{name}")
-
-    def notation_for(self, g: GlobalName) -> Notation | None:
-        return self.notations.get(g)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +410,7 @@ class _Parser:
             return self.parse_bind_form(tok)
         if name == "foreign" and self.peek().text == "(":
             return self.parse_foreign_form(tok)
-        g = self.scope.resolve(name)
+        g = self.scope.by_local.get(name)
         if g is not None:
             return self.maybe_call(Const(g))
         return self.maybe_call(Var(name))
@@ -529,7 +516,7 @@ class _Parser:
         if args:
             return App(Const(g), args)
         # An empty element sequence: ``{}`` denotes the empty set.
-        empty = self.scope.resolve("emptyset")
+        empty = self.scope.by_local.get("emptyset")
         if empty is None:
             raise SyntaxErrorAt("an application needs at least one argument",
                                 trigger.pos)
@@ -589,7 +576,7 @@ def _render(t: Term, scope: ParseScope) -> tuple[str, int | None]:
     if isinstance(t, Foreign):
         return f"foreign({escape_str(t.format)}, {escape_str(t.content)})", None
     if isinstance(t, Const):
-        n = scope.notation_for(t.head)
+        n = scope.notations.get(t.head)
         if n is not None and n.is_closed and n.slot_count == 0:
             return _word_boundary_glue([tok.text for tok in n.tokens]), None
         return f"{t.head.module}?{t.head.name}", None
@@ -616,7 +603,7 @@ def _child(t: Term, scope: ParseScope, parent_prec: int | None,
 def _render_app(t: App, scope: ParseScope) -> tuple[str, int | None]:
     head = t.head
     if isinstance(head, Const):
-        n = scope.notation_for(head.head)
+        n = scope.notations.get(head.head)
         if n is not None and not n.is_binder and _notation_fits(n, len(t.args)):
             return _render_with_notation(t, n, scope)
     # Fallback: qualified prefix/call form.
@@ -671,7 +658,7 @@ def _render_with_notation(t: App, n: Notation, scope: ParseScope) \
 def _render_bind(t: Bind, scope: ParseScope) -> tuple[str, int | None]:
     n = None
     if isinstance(t.binder, Const):
-        n = scope.notation_for(t.binder.head)
+        n = scope.notations.get(t.binder.head)
     if n is None or not n.is_binder:
         binder_text, _ = _render(t.binder, scope)
         names = ", ".join(t.context)

@@ -58,7 +58,7 @@ def _dec_to_float(s: str) -> float:
         raise XmlDecodeError(f"bad OMF dec value: {s!r}") from e
 
 
-def to_element(t: Term, enclosing_base: str | None = None) -> ET.Element:
+def to_element(t: Term) -> ET.Element:
     """Encode ``t`` as an OpenMath element (without the OMOBJ wrapper)."""
     if isinstance(t, Const):
         el = ET.Element("OMS")

@@ -45,7 +45,8 @@ from urllib.parse import parse_qs, urlsplit
 
 from .graph import (DuplicateModuleError, GraphError, TheoryGraph,
                     UnresolvedModuleError)
-from .machine import RuleBase, SimplifyBudget, simplify
+from .machine import (DEFAULT_FUEL, MAX_FUEL,  # noqa: F401 (re-exported)
+                      RuleBase, SimplifyBudget, simplify)
 from .notation import parse_term, render_term
 from .omdoc import OmdocError, ingest_omdoc
 from .omxml import XmlDecodeError, decode_xml, encode_xml
@@ -53,8 +54,6 @@ from .omxml import XmlDecodeError, decode_xml, encode_xml
 TEXT = "text/plain; charset=utf-8"
 OMXML = "application/openmath+xml"
 
-DEFAULT_FUEL = 10000
-MAX_FUEL = 10 ** 7
 MAX_BODY_BYTES = 1 << 20
 IDLE_TIMEOUT_S = 30
 
@@ -65,11 +64,6 @@ class Response:
     body: str
     content_type: str = TEXT
     headers: dict = field(default_factory=dict)
-
-
-def fuel_out_of_range(n: int) -> str | None:
-    """The error for a fuel value outside ``1..MAX_FUEL``, or None."""
-    return None if 0 < n <= MAX_FUEL else f"fuel out of range: {n}"
 
 
 def _too_deep_is_413(method):
@@ -94,9 +88,7 @@ class Service:
     _ingest_lock: threading.Lock = field(default_factory=threading.Lock)
 
     def __post_init__(self):
-        error = fuel_out_of_range(self.default_fuel)
-        if error:
-            raise ValueError(error)
+        SimplifyBudget(self.default_fuel)  # ValueError outside 1..MAX_FUEL
 
     @_too_deep_is_413
     def simplify_request(self, body: bytes, content_type: str,
@@ -107,9 +99,10 @@ class Service:
             fuel_n = int(fuel) if fuel else self.default_fuel
         except ValueError:
             return Response(400, f"bad fuel value: {fuel}\n")
-        error = fuel_out_of_range(fuel_n)
-        if error:
-            return Response(400, f"{error}\n")
+        try:
+            budget = SimplifyBudget(fuel_n)
+        except ValueError as e:
+            return Response(400, f"{e}\n")
         scope = None
         if scope_ref:
             try:
@@ -132,7 +125,7 @@ class Service:
                 term = parse_term(text.strip(), scope)
             except ValueError as e:  # SyntaxErrorAt, or a literal too long
                 return Response(400, f"parse error: {e}\n")
-        result = simplify(self.base, term, SimplifyBudget(fuel_n))
+        result = simplify(self.base, term, budget)
         try:
             if xml:
                 payload = encode_xml(result.term)

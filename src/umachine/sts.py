@@ -113,44 +113,47 @@ def lint_theory(graph: TheoryGraph, ref) -> list[Diagnostic]:
     """
     theory = graph.theory(ref)
     out: list[Diagnostic] = []
-
-    def check_term(t: Term, subject: GlobalName, pos):
-        if isinstance(t, App):
-            if isinstance(t.head, Const) and t.head.head != OM_FMP:
-                a = constant_arity(graph, t.head.head)
-                if isinstance(a, Fixed) and a.n != len(t.args):
-                    out.append(Diagnostic(
-                        "error", pos, subject,
-                        f"{t.head.head.local} expects {a.n} argument(s), "
-                        f"got {len(t.args)}"))
-                elif isinstance(a, Flexible) and len(t.args) < a.n:
-                    out.append(Diagnostic(
-                        "error", pos, subject,
-                        f"{t.head.head.local} expects at least {a.n} "
-                        f"argument(s), got {len(t.args)}"))
-                elif isinstance(a, Binder):
-                    out.append(Diagnostic(
-                        "error", pos, subject,
-                        f"{t.head.head.local} is a binder, not an operator"))
-            check_term(t.head, subject, pos)
-            for x in t.args:
-                check_term(x, subject, pos)
-        elif isinstance(t, Bind):
-            if isinstance(t.binder, Const):
-                a = constant_arity(graph, t.binder.head)
-                if a is not None and not isinstance(a, Binder):
-                    out.append(Diagnostic(
-                        "error", pos, subject,
-                        f"{t.binder.head.local} lacks binder arity"))
-            check_term(t.binder, subject, pos)
-            check_term(t.scope, subject, pos)
-
     for c in theory.constants():
         g = theory.name.name(c.name)
         if c.type is not None and not well_formed_type(c.type):
             out.append(Diagnostic("error", c.pos, g, "ill-formed type"))
         if c.type is not None and well_formed_type(c.type):
-            check_term(c.type, g, c.pos)
+            _check_term(graph, c.type, g, c.pos, out)
         if c.definiens is not None:
-            check_term(c.definiens, g, c.pos)
+            _check_term(graph, c.definiens, g, c.pos, out)
     return out
+
+
+def _check_term(graph: TheoryGraph, t: Term, subject: GlobalName, pos,
+                out: list):
+    """Append the arity diagnostics of ``t`` to ``out`` (a module function:
+    a recursive closure would be a reference cycle per ``lint_theory``)."""
+    if isinstance(t, App):
+        if isinstance(t.head, Const) and t.head.head != OM_FMP:
+            a = constant_arity(graph, t.head.head)
+            if isinstance(a, Fixed) and a.n != len(t.args):
+                out.append(Diagnostic(
+                    "error", pos, subject,
+                    f"{t.head.head.local} expects {a.n} argument(s), "
+                    f"got {len(t.args)}"))
+            elif isinstance(a, Flexible) and len(t.args) < a.n:
+                out.append(Diagnostic(
+                    "error", pos, subject,
+                    f"{t.head.head.local} expects at least {a.n} "
+                    f"argument(s), got {len(t.args)}"))
+            elif isinstance(a, Binder):
+                out.append(Diagnostic(
+                    "error", pos, subject,
+                    f"{t.head.head.local} is a binder, not an operator"))
+        _check_term(graph, t.head, subject, pos, out)
+        for x in t.args:
+            _check_term(graph, x, subject, pos, out)
+    elif isinstance(t, Bind):
+        if isinstance(t.binder, Const):
+            a = constant_arity(graph, t.binder.head)
+            if a is not None and not isinstance(a, Binder):
+                out.append(Diagnostic(
+                    "error", pos, subject,
+                    f"{t.binder.head.local} lacks binder arity"))
+        _check_term(graph, t.binder, subject, pos, out)
+        _check_term(graph, t.scope, subject, pos, out)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 
 from .graph import (CMP_LAMBDA, Assignment, Constant, Include, SourcePos,
-                    Theory, TheoryGraph, View, ViewInclude)
+                    Theory, TheoryGraph, View)
 from .notation import lex_string, parse_notation, parse_term
 from .terms import Bind, Const, Foreign, ModuleRef, Term
 
@@ -182,15 +182,13 @@ class _ModuleParser:
     def _include(self, line: str, lineno: int):
         target = line.split(None, 1)[1].strip()
         if isinstance(self.current, Theory):
-            self.current.declarations.append(Include(
-                self.graph.resolve(target, self.base),
-                pos=SourcePos(self.filename, lineno)))
+            body = self.current.declarations
         elif isinstance(self.current, View):
-            self.current.statements.append(ViewInclude(
-                self.graph.resolve(target, self.base),
-                pos=SourcePos(self.filename, lineno)))
+            body = self.current.statements
         else:
             raise self.error("include outside a module", lineno)
+        body.append(Include(self.graph.resolve(target, self.base),
+                            pos=SourcePos(self.filename, lineno)))
 
     # -- constants ---------------------------------------------------------
 

@@ -169,20 +169,24 @@ def strip_marks(t: Term) -> Term:
 
 def free_vars(t: Term) -> frozenset:
     """The variables of ``t`` occurring outside any binder that binds them."""
+    return _free_vars(t, frozenset())
 
-    def go(t: Term, bound: frozenset) -> frozenset:
-        if isinstance(t, Var):
-            return frozenset() if t.name in bound else frozenset((t.name,))
-        if isinstance(t, App):
-            acc = go(t.head, bound)
-            for a in t.args:
-                acc |= go(a, bound)
-            return acc
-        if isinstance(t, Bind):
-            return go(t.binder, bound) | go(t.scope, bound | frozenset(t.context))
-        return frozenset()
 
-    return go(t, frozenset())
+# ``_free_vars`` and ``_substitute`` are module functions, not nested
+# closures: a closure that calls itself is a reference cycle, left for the
+# cyclic garbage collector after every call.
+def _free_vars(t: Term, bound: frozenset) -> frozenset:
+    if isinstance(t, Var):
+        return frozenset() if t.name in bound else frozenset((t.name,))
+    if isinstance(t, App):
+        acc = _free_vars(t.head, bound)
+        for a in t.args:
+            acc |= _free_vars(a, bound)
+        return acc
+    if isinstance(t, Bind):
+        return (_free_vars(t.binder, bound)
+                | _free_vars(t.scope, bound | frozenset(t.context)))
+    return frozenset()
 
 
 def fresh_name(base: str, avoid) -> str:
@@ -201,50 +205,50 @@ def substitute(t: Term, bindings: Mapping[str, Term]) -> Term:
     """
     if not bindings:
         return t
+    return _substitute(t, dict(bindings))
 
-    def go(t: Term, bnd: dict) -> Term:
-        if isinstance(t, Var):
-            return bnd.get(t.name, t)
-        if isinstance(t, App):
-            head = go(t.head, bnd)
-            args = tuple(go(a, bnd) for a in t.args)
-            if head is t.head and all(a is b for a, b in zip(args, t.args)):
-                return t
-            return App(head, args)
-        if isinstance(t, Bind):
-            binder = go(t.binder, bnd)
-            inner = {k: v for k, v in bnd.items() if k not in t.context}
-            ctx, scope = t.context, t.scope
-            if inner:
-                scope_fvs = free_vars(scope)
-                inner = {k: v for k, v in inner.items() if k in scope_fvs}
-            if inner:
-                # Rename bound names that would capture a replacement's free variable.
-                clashing = [x for x in ctx
-                            if any(x in free_vars(v) for v in inner.values())]
-                if clashing:
-                    avoid = set(scope_fvs) | set(ctx)
-                    for v in inner.values():
-                        avoid |= free_vars(v)
-                    renaming = {}
-                    new_ctx = []
-                    for x in ctx:
-                        if x in clashing:
-                            nx = fresh_name(x, avoid)
-                            avoid.add(nx)
-                            renaming[x] = Var(nx)
-                            new_ctx.append(nx)
-                        else:
-                            new_ctx.append(x)
-                    ctx = tuple(new_ctx)
-                    scope = go(scope, renaming)
-                scope = go(scope, inner)
-            if binder is t.binder and ctx == t.context and scope is t.scope:
-                return t
-            return Bind(binder, ctx, scope)
-        return t
 
-    return go(t, dict(bindings))
+def _substitute(t: Term, bnd: dict) -> Term:
+    if isinstance(t, Var):
+        return bnd.get(t.name, t)
+    if isinstance(t, App):
+        head = _substitute(t.head, bnd)
+        args = tuple(_substitute(a, bnd) for a in t.args)
+        if head is t.head and all(a is b for a, b in zip(args, t.args)):
+            return t
+        return App(head, args)
+    if isinstance(t, Bind):
+        binder = _substitute(t.binder, bnd)
+        inner = {k: v for k, v in bnd.items() if k not in t.context}
+        ctx, scope = t.context, t.scope
+        if inner:
+            scope_fvs = free_vars(scope)
+            inner = {k: v for k, v in inner.items() if k in scope_fvs}
+        if inner:
+            # Rename bound names that would capture a replacement's free variable.
+            clashing = [x for x in ctx
+                        if any(x in free_vars(v) for v in inner.values())]
+            if clashing:
+                avoid = set(scope_fvs) | set(ctx)
+                for v in inner.values():
+                    avoid |= free_vars(v)
+                renaming = {}
+                new_ctx = []
+                for x in ctx:
+                    if x in clashing:
+                        nx = fresh_name(x, avoid)
+                        avoid.add(nx)
+                        renaming[x] = Var(nx)
+                        new_ctx.append(nx)
+                    else:
+                        new_ctx.append(x)
+                ctx = tuple(new_ctx)
+                scope = _substitute(scope, renaming)
+            scope = _substitute(scope, inner)
+        if binder is t.binder and ctx == t.context and scope is t.scope:
+            return t
+        return Bind(binder, ctx, scope)
+    return t
 
 
 def term_key(t: Term):

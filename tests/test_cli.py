@@ -65,6 +65,14 @@ def test_check_partial_view_exits_1(partial_project, capsys):
     assert len(missing) == 1 and "arith1?plus" in missing[0]
 
 
+def test_check_prints_a_missing_assignment_as_a_diagnostic(partial_project,
+                                                          capsys):
+    assert main(["check", str(partial_project)]) == 1
+    mmt = partial_project / "source" / "numberarith.mmt"
+    assert capsys.readouterr().out == (
+        f"error {mmt}:3 arith1?plus missing assignment in view NumberArith\n")
+
+
 def test_test_command_reports_passes(capsys):
     code = main(["test"])
     out = capsys.readouterr().out
@@ -151,6 +159,12 @@ def test_fuel_above_max_exits_1(capsys):
                  "--fuel", str(MAX_FUEL + 1)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: fuel out of range")
+
+
+@pytest.mark.parametrize("fuel", [0, MAX_FUEL + 1])
+def test_test_with_fuel_out_of_range_exits_1(fuel, capsys):
+    assert main(["test", "--fuel", str(fuel)]) == 1
+    assert capsys.readouterr().err == f"error: fuel out of range: {fuel}\n"
 
 
 def test_term_nested_too_deeply_exits_1():

@@ -7,6 +7,7 @@ from umachine.graph import (COMPUTATION, OPENMATH, Constant,
                             CMP_FUNCTION, CMP_LIST, CMP_TERM, OM_MAPSTO,
                             OM_OBJECT)
 from umachine.realization import SYNTACTIC, install_bifoundations
+from umachine.notation import parse_term
 from umachine.surface import parse_modules
 from umachine.terms import Const, GlobalName, IntLit, ModuleRef, app
 
@@ -72,6 +73,59 @@ def test_include_cycle_is_detected():
     g.add(b)
     with pytest.raises(IncludeCycleError):
         g.flatten(a.name)
+
+
+# -- scopes ------------------------------------------------------------------
+
+OPENMATH_NAMES = ["OpenMath?mapsto", "OpenMath?Object", "OpenMath?naryObject",
+                  "OpenMath?binder", "OpenMath?FMP"]
+
+
+def _theory(g, name, *decls, meta=OPENMATH):
+    t = Theory(ModuleRef("um:/t", name), meta=meta)
+    for d in decls:
+        if isinstance(d, str):
+            t.add_constant(Constant(d))
+        else:
+            t.declarations.append(d)
+    return g.add(t)
+
+
+def test_scope_lists_an_included_meta_theory_once_at_the_include():
+    g = TheoryGraph()
+    m = _theory(g, "M", "m1", "m2")
+    t = _theory(g, "T", "c1", Include(m.name), "c2", meta=m.name)
+    assert list(g.scope_for(t.name).by_qualified) == [
+        "T?c1", "M?m1", "M?m2", "T?c2", *OPENMATH_NAMES]
+
+
+def test_scope_over_several_theories_lists_a_shared_include_once():
+    g = TheoryGraph()
+    a = _theory(g, "A", "a1", "a2")
+    b = _theory(g, "B", Include(a.name), "b1")
+    assert list(g.scope_for([a.name, b.name]).by_qualified) == [
+        "A?a1", "A?a2", *OPENMATH_NAMES, "B?b1"]
+
+
+def test_bare_name_resolves_to_the_include_before_the_meta_theory():
+    g = TheoryGraph()
+    m = _theory(g, "M", "x")
+    i = _theory(g, "I", "x")
+    t = _theory(g, "T", Include(i.name), meta=m.name)
+    scope = g.scope_for(t.name)
+    assert scope.by_local["x"] == i.name.name("x")
+    assert parse_term("x", scope) == Const(i.name.name("x"))
+
+
+def test_scope_ends_a_meta_cycle_and_raises_on_an_include_cycle():
+    g = TheoryGraph()
+    a = _theory(g, "A", "a", meta=ModuleRef("um:/t", "B"))
+    b = _theory(g, "B", "b", meta=a.name)
+    assert list(g.scope_for(a.name).by_qualified) == ["A?a", "B?b"]
+    c = _theory(g, "C", Include(ModuleRef("um:/t", "D")))
+    _theory(g, "D", Include(c.name))
+    with pytest.raises(IncludeCycleError):
+        g.scope_for([a.name, c.name])
 
 
 def test_resolve_qualified_reference(loaded):
@@ -223,10 +277,10 @@ def test_local_assignments_shadow_included_views():
                  codomain=COMPUTATION)
     inner.add_assignment(Assignment("c", Const(CMP_TERM)))
     g.add(inner)
-    from umachine.graph import ViewInclude
+    from umachine.graph import Include
     outer = View(ModuleRef("um:/t", "Outer"), domain=t.name,
                  codomain=COMPUTATION)
-    outer.statements.append(ViewInclude(inner.name))
+    outer.statements.append(Include(inner.name))
     outer.add_assignment(Assignment("c", Const(CMP_ANY)))
     g.add(outer)
     provider, a = g.resolve_assignment(outer.name, t.name.name("c"))
@@ -234,7 +288,7 @@ def test_local_assignments_shadow_included_views():
     # Without a local assignment the included view provides it.
     bare = View(ModuleRef("um:/t", "Bare"), domain=t.name,
                 codomain=COMPUTATION)
-    bare.statements.append(ViewInclude(inner.name))
+    bare.statements.append(Include(inner.name))
     g.add(bare)
     provider, a = g.resolve_assignment(bare.name, t.name.name("c"))
     assert provider == inner.name and a.target == Const(CMP_TERM)
@@ -243,7 +297,7 @@ def test_local_assignments_shadow_included_views():
 def test_morphism_resolves_meta_constants_through_included_views():
     # A view over a CD delegates meta-theory constants to an included
     # embedding, so types translate through it as well.
-    from umachine.graph import Assignment, View, ViewInclude
+    from umachine.graph import Assignment, View, Include
     from umachine.realization import SYNTACTIC as SYN, install_bifoundations
     g = TheoryGraph()
     install_bifoundations(g)
@@ -251,7 +305,7 @@ def test_morphism_resolves_meta_constants_through_included_views():
     t.add_constant(Constant("c", type=Const(OM_OBJECT)))
     g.add(t)
     v = View(ModuleRef("um:/t", "V"), domain=t.name, codomain=COMPUTATION)
-    v.statements.append(ViewInclude(SYN))
+    v.statements.append(Include(SYN))
     v.add_assignment(Assignment("c", Const(CMP_TERM)))
     g.add(v)
     translated = g.apply_morphism(

@@ -9,7 +9,7 @@ import pytest
 import umachine
 from naive_engine import naive_simplify
 from termgen import engine_term
-from umachine.machine import (DuplicateRuleError, Rule, RuleBase,
+from umachine.machine import (MAX_FUEL, DuplicateRuleError, Rule, RuleBase,
                               SimplifyBudget, rewrite_step, simplify)
 from umachine.stdlib import rules
 from umachine.sts import BINDER, Fixed, Flexible
@@ -137,6 +137,12 @@ def test_fuel_exhaustion_reports_partial_result(loaded):
 def test_budget_must_be_positive():
     with pytest.raises(ValueError):
         SimplifyBudget(0)
+
+
+def test_budget_is_bounded_by_max_fuel():
+    assert SimplifyBudget(MAX_FUEL).fuel == MAX_FUEL
+    with pytest.raises(ValueError, match=f"fuel out of range: {MAX_FUEL + 1}"):
+        SimplifyBudget(MAX_FUEL + 1)
 
 
 def test_rule_failure_is_absorbed(loaded):

@@ -5,7 +5,7 @@ import pytest
 from termgen import surface_term
 from umachine.graph import OM_MAPSTO, OM_OBJECT
 from umachine.notation import (AmbiguityError, Arg, Delim, Notation,
-                               NotationError, ParseScope, ScopeEntry, SeqArg,
+                               NotationError, ParseScope, SeqArg,
                                SyntaxErrorAt, VarList, parse_notation,
                                parse_term, render_term)
 from umachine.terms import (Bind, Const, FloatLit, Foreign, GlobalName,
@@ -186,23 +186,23 @@ def test_sequence_separator_needs_its_notation_completed(scope):
 
 
 def test_ambiguity_is_rejected():
-    a = ScopeEntry(G("a", "f"), parse_notation("1 @ 2 prec 30"))
-    b = ScopeEntry(G("b", "g"), parse_notation("1 @ 2 prec 30"))
+    a = (G("a", "f"), parse_notation("1 @ 2 prec 30"))
+    b = (G("b", "g"), parse_notation("1 @ 2 prec 30"))
     with pytest.raises(AmbiguityError):
         ParseScope([a, b])
 
 
 def test_same_delimiter_at_distinct_precedence_is_allowed():
-    a = ScopeEntry(G("a", "f"), parse_notation("1 @ 2 prec 30"))
-    b = ScopeEntry(G("b", "g"), parse_notation("1 @ 2 prec 40"))
+    a = (G("a", "f"), parse_notation("1 @ 2 prec 30"))
+    b = (G("b", "g"), parse_notation("1 @ 2 prec 40"))
     ParseScope([a, b])  # no complaint
 
 
 def test_the_longest_delimiter_wins():
     eq, imp, long = G("t", "eq"), G("t", "imp"), G("t", "long")
-    arrows = ParseScope([ScopeEntry(eq, parse_notation("1 = 2 prec 10")),
-                         ScopeEntry(imp, parse_notation("1 => 2 prec 10")),
-                         ScopeEntry(long, parse_notation("1 ==> 2 prec 10"))])
+    arrows = ParseScope([(eq, parse_notation("1 = 2 prec 10")),
+                         (imp, parse_notation("1 => 2 prec 10")),
+                         (long, parse_notation("1 ==> 2 prec 10"))])
     assert parse_term("a ==> b", arrows) == app(Const(long), Var("a"), Var("b"))
     assert parse_term("a=>b", arrows) == app(Const(imp), Var("a"), Var("b"))
     assert parse_term("a = b", arrows) == app(Const(eq), Var("a"), Var("b"))

@@ -105,6 +105,20 @@ def test_stdlib_theories_lint_clean(loaded):
         assert lint_theory(g, g.resolve(name)) == [], name
 
 
+def test_lint_leaves_no_cyclic_garbage(loaded):
+    import gc
+    g = loaded.graph
+    arith1 = g.resolve("arith1")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            lint_theory(g, arith1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_lint_on_generated_corpus(loaded):
     # Arity-correct generated terms attached to a scratch theory stay clean.
     import random

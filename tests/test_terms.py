@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -76,6 +78,27 @@ def test_free_vars():
     assert free_vars(lam("x", Var("x"))) == set()
     t = app(Const(PLUS), Var("x"), lam("x", Var("x")))
     assert free_vars(t) == {"x"}
+
+
+def _cyclic_garbage_of(call, times=100) -> int:
+    """Objects that ``times`` calls leave to the cyclic garbage collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(times):
+            call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: substitute(lam("x", app(Var("f"), Var("x"), Var("y"))),
+                       {"y": IntLit(2)}),
+    lambda: free_vars(lam("x", app(Var("f"), Var("x"), Var("y")))),
+], ids=["substitute", "free_vars"])
+def test_traversals_leave_no_cyclic_garbage(call):
+    assert _cyclic_garbage_of(call) == 0
 
 
 # -- property tests ---------------------------------------------------------
