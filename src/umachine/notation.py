@@ -7,11 +7,22 @@ the renderer, so ``parse_term(render_term(t)) == t`` for terms over in-scope
 constants.
 
 A notation's shape (binder, closed, prefix or infix; its slots; the trigger
-delimiters the parser dispatches on) is computed once, when the ``Notation``
-is built; a notation without a trigger is rejected there.  Every closed,
-prefix and infix notation is parsed by one method from its trigger on;
-binders have their own.  A ``ParseScope`` indexes its delimiters by first
-character, so the tokenizer tries only those that can match.
+delimiters the parser dispatches on; its operand precedence) is computed
+once, when the ``Notation`` is built; a notation without a trigger is
+rejected there, as is a negative precedence.  The operand precedence is the
+one at which the parser reads the operands: -1 in a closed notation, whose
+operands end at a separator or delimiter; the declared precedence in a
+prefix or infix one; one less in a binder, which associates right.  Every
+closed, prefix and infix notation is parsed by one method from its trigger
+on; binders have their own.  A ``ParseScope`` indexes its delimiters by
+first character, so the tokenizer tries only those that can match.
+
+Rendering is one walk over a notation's tokens.  A child is parenthesized
+when its precedence is at most the operand precedence, when it is a binder
+in a separator-delimited slot (binders extend maximally to the right), and
+when it is a numeral under a prefix notation (``-(3)`` is not the literal
+``-3``).  Declared precedences are at least 0, so precedence parenthesizes
+nothing in a closed notation or a call's arguments, both read at -1.
 
 Grammar facts baked in here:
   * higher precedence binds tighter; equal-precedence infixes associate left;
@@ -83,6 +94,7 @@ class Notation:
     slot_count: int = field(init=False, compare=False, repr=False)
     seq_slot: SeqArg | None = field(init=False, compare=False, repr=False)
     varlist: VarList | None = field(init=False, compare=False, repr=False)
+    operand_precedence: int = field(init=False, compare=False, repr=False)
     triggers: tuple = field(init=False, compare=False, repr=False)
     delimiters: frozenset = field(init=False, compare=False, repr=False)
 
@@ -90,6 +102,8 @@ class Notation:
         tokens = tuple(self.tokens)
         if not tokens:
             raise NotationError("notation needs at least one token")
+        if self.precedence < 0:
+            raise NotationError("precedence must not be negative")
         seqs = [t for t in tokens if isinstance(t, SeqArg)]
         if len(seqs) > 1:
             raise NotationError("at most one sequence-argument slot is allowed")
@@ -130,7 +144,10 @@ class Notation:
             and not varlists,
             is_infix=isinstance(first, (Arg, SeqArg)), slot_count=slot_count,
             seq_slot=seqs[0] if seqs else None,
-            varlist=varlists[0] if varlists else None, triggers=triggers,
+            varlist=varlists[0] if varlists else None,
+            operand_precedence=(-1 if is_closed else self.precedence - 1
+                                if varlists else self.precedence),
+            triggers=triggers,
             delimiters=frozenset(
                 t.text if isinstance(t, Delim) else t.separator
                 for t in tokens if not isinstance(t, Arg)))
@@ -392,8 +409,7 @@ class _Parser:
         g, notation = self.scope.binder_delims[tok.text]
         if len(set(names)) != len(names):
             raise SyntaxErrorAt("bound variable names must be distinct", tok.pos)
-        # Binders associate right and extend maximally to the right.
-        scope_term = self.parse_expr(notation.precedence - 1)
+        scope_term = self.parse_expr(notation.operand_precedence)
         return Bind(Const(g), tuple(names), scope_term)
 
     def parse_name(self) -> Term:
@@ -479,7 +495,7 @@ class _Parser:
         ``left`` is the operand before an infix notation's trigger."""
         trigger = self.next()
         tokens = notation.tokens
-        prec = -1 if notation.is_closed else notation.precedence
+        prec = notation.operand_precedence
         slots: dict[int, list[Term]] = {}
         k = 1  # tokens[k:] follow the trigger
         if left is not None:
@@ -557,14 +573,13 @@ def render_term(t: Term, scope: ParseScope) -> str:
     """Render ``t`` so that it re-parses to an equal term in the same scope.
 
     Constants without a notation fall back to qualified prefix form.
-    Parentheses are inserted whenever a child's precedence is less than or
-    equal to its parent's.
     """
-    text, _ = _render(t, scope)
-    return text
+    return _render(t, scope)[0]
 
 
-def _render(t: Term, scope: ParseScope) -> tuple[str, int | None]:
+def _render(t: Term, scope: ParseScope) -> tuple[str, Notation | None]:
+    """The text of ``t`` and the notation at its top (None for an atom or a
+    fallback form)."""
     if isinstance(t, IntLit):
         return str(t.value), None
     if isinstance(t, FloatLit):
@@ -576,100 +591,71 @@ def _render(t: Term, scope: ParseScope) -> tuple[str, int | None]:
     if isinstance(t, Foreign):
         return f"foreign({escape_str(t.format)}, {escape_str(t.content)})", None
     if isinstance(t, Const):
-        n = scope.notations.get(t.head)
-        if n is not None and n.is_closed and n.slot_count == 0:
-            return _word_boundary_glue([tok.text for tok in n.tokens]), None
+        head, args = t, ()
+    elif isinstance(t, App):
+        head, args = t.head, t.args
+    elif isinstance(t, Bind):
+        head, args = t.binder, (t.scope,)
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    n = scope.notations.get(head.head) if isinstance(head, Const) else None
+    # A bare separator sequence needs two elements, or the separator never
+    # appears and the rendering loses the head.
+    if n is not None and n.is_binder == isinstance(t, Bind) and (
+            len(args) == n.slot_count if n.seq_slot is None
+            else len(args) >= n.slot_count + (len(n.tokens) == 1)):
+        return _render_notation(n, args, t, scope), n
+    if isinstance(t, Const):
         return f"{t.head.module}?{t.head.name}", None
-    if isinstance(t, App):
-        return _render_app(t, scope)
     if isinstance(t, Bind):
-        return _render_bind(t, scope)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _child(t: Term, scope: ParseScope, parent_prec: int | None,
-           force_parens: bool = False, shield_binder: bool = False) -> str:
-    text, prec = _render(t, scope)
-    if shield_binder and isinstance(t, Bind):
-        # Binders extend maximally rightward, so in separator-delimited
-        # contexts they must be parenthesized to re-parse identically.
-        force_parens = True
-    if force_parens or (prec is not None and parent_prec is not None
-                        and prec <= parent_prec):
-        return f"({text})"
-    return text
-
-
-def _render_app(t: App, scope: ParseScope) -> tuple[str, int | None]:
-    head = t.head
-    if isinstance(head, Const):
-        n = scope.notations.get(head.head)
-        if n is not None and not n.is_binder and _notation_fits(n, len(t.args)):
-            return _render_with_notation(t, n, scope)
-    # Fallback: qualified prefix/call form.
-    head_text, _ = _render(head, scope)
+        binder, body = _render(t.binder, scope)[0], _render(t.scope, scope)[0]
+        return f"bind({binder}, [{', '.join(t.context)}], {body})", None
+    head_text = _render(head, scope)[0]
     if not isinstance(head, (Const, Var)):
         head_text = f"({head_text})"
-    args = ", ".join(_child(a, scope, None, shield_binder=True) for a in t.args)
-    return f"{head_text}({args})", None
+    args_text = ", ".join(_operand(a, scope, -1, separated=True)
+                          for a in args)
+    return f"{head_text}({args_text})", None
 
 
-def _notation_fits(n: Notation, argc: int) -> bool:
-    if n.seq_slot is not None:
-        # A bare separator sequence needs two elements, or the separator
-        # never appears and the rendering loses the head.
-        min_seq = 2 if len(n.tokens) == 1 else 1
-        return argc >= n.slot_count - 1 + min_seq
-    return argc == n.slot_count
-
-
-def _render_with_notation(t: App, n: Notation, scope: ParseScope) \
-        -> tuple[str, int | None]:
-    args = list(t.args)
-    slot_values: dict[int, object] = {}
-    fixed = n.slot_count - (1 if n.seq_slot is not None else 0)
-    seq_len = len(args) - fixed
-    pos = 0
-    for idx in range(1, n.slot_count + 1):
-        if n.seq_slot is not None and idx == n.seq_slot.index:
-            slot_values[idx] = args[pos:pos + seq_len]
-            pos += seq_len
-        else:
-            slot_values[idx] = args[pos]
-            pos += 1
-    parent_prec = None if n.is_closed else n.precedence
-    shield = n.is_closed  # separator-delimited interior
+def _render_notation(n: Notation, args: tuple, t: Term,
+                     scope: ParseScope) -> str:
+    """Walk ``n``'s tokens once.  Slots take ``args`` in index order, the
+    sequence slot the surplus; a binder's variable list takes the names
+    that ``t`` binds."""
+    surplus = len(args) - n.slot_count
     parts = []
     for tok in n.tokens:
         if isinstance(tok, Delim):
-            parts.append(f" {tok.text} " if _wordlike(tok.text) else tok.text)
-        elif isinstance(tok, Arg):
-            force = (n.is_prefix
-                     and isinstance(slot_values[tok.index], (IntLit, FloatLit)))
-            parts.append(_child(slot_values[tok.index], scope, parent_prec,
-                                force_parens=force, shield_binder=shield))
-        elif isinstance(tok, SeqArg):
-            parts.append(tok.separator.join(
-                _child(a, scope, parent_prec, shield_binder=True)
-                for a in slot_values[tok.index]))
-    return _word_boundary_glue(parts), None if n.is_closed else n.precedence
-
-
-def _render_bind(t: Bind, scope: ParseScope) -> tuple[str, int | None]:
-    n = None
-    if isinstance(t.binder, Const):
-        n = scope.notations.get(t.binder.head)
-    if n is None or not n.is_binder:
-        binder_text, _ = _render(t.binder, scope)
-        names = ", ".join(t.context)
-        scope_text, _ = _render(t.scope, scope)
-        return f"bind({binder_text}, [{names}], {scope_text})", None
-    parts = []
-    for tok in n.tokens:
-        if isinstance(tok, VarList):
+            # A word-like delimiter is spaced off its operands.
+            parts.append(f" {tok.text} " if args and _wordlike(tok.text)
+                         else tok.text)
+        elif isinstance(tok, VarList):
             parts.append(tok.separator.join(t.context))
-        elif isinstance(tok, Delim):
-            parts.append(f" {tok.text} " if _wordlike(tok.text) else tok.text)
-        elif isinstance(tok, Arg):
-            parts.append(_child(t.scope, scope, n.precedence - 1))
-    return _word_boundary_glue(parts), n.precedence
+        else:
+            i = tok.index - (2 if n.is_binder else 1)
+            if n.seq_slot is not None and n.seq_slot.index < tok.index:
+                i += surplus
+            if isinstance(tok, SeqArg):
+                parts.append(tok.separator.join(
+                    _operand(a, scope, n.operand_precedence, separated=True)
+                    for a in args[i:i + surplus + 1]))
+            else:
+                parts.append(_operand(
+                    args[i], scope, n.operand_precedence,
+                    separated=n.is_closed, under_prefix=n.is_prefix))
+    return _word_boundary_glue(parts)
+
+
+def _operand(t: Term, scope: ParseScope, prec: int, separated: bool,
+             under_prefix: bool = False) -> str:
+    """``t`` as an operand read at ``prec``, in parentheses when its own
+    precedence is at most ``prec``, when it is a binder in a
+    separator-delimited slot, and when it is a numeral under a prefix
+    notation."""
+    text, top = _render(t, scope)
+    if ((top is not None and not top.is_closed and top.precedence <= prec)
+            or (separated and isinstance(t, Bind))
+            or (under_prefix and isinstance(t, (IntLit, FloatLit)))):
+        return f"({text})"
+    return text

@@ -9,9 +9,10 @@ Endpoints:
       ``text/plain`` in notation syntax (scope required) or
       ``application/openmath+xml``; the response mirrors the request format
       and carries ``X-Simplify-Steps`` and ``X-Simplify-Exhausted`` headers.
-      200 success, 400 parse error or bad fuel, 404 unknown scope, 413
-      result integer too long to render or term nested too deeply, 422 fuel
-      exhausted (partial result in the body).
+      200 success, 400 parse error or bad fuel, 404 unknown scope or one
+      whose notations are ambiguous, 413 result integer too long to render
+      or term nested too deeply, 422 fuel exhausted (partial result in the
+      body).
   POST /theories  — ingest an OMDoc document; theories become available as
       scopes; no rules are gained.  201 ingested, 400 subset violation,
       409 name collision, 413 nested too deeply.
@@ -47,7 +48,7 @@ from .graph import (DuplicateModuleError, GraphError, TheoryGraph,
                     UnresolvedModuleError)
 from .machine import (DEFAULT_FUEL, MAX_FUEL,  # noqa: F401 (re-exported)
                       RuleBase, SimplifyBudget, simplify)
-from .notation import parse_term, render_term
+from .notation import AmbiguityError, parse_term, render_term
 from .omdoc import OmdocError, ingest_omdoc
 from .omxml import XmlDecodeError, decode_xml, encode_xml
 
@@ -107,7 +108,8 @@ class Service:
         if scope_ref:
             try:
                 scope = self.graph.scope_for(self.graph.resolve(scope_ref))
-            except (UnresolvedModuleError, GraphError) as e:
+            except (UnresolvedModuleError, GraphError,
+                    AmbiguityError) as e:
                 return Response(404, f"{e}\n")
         try:
             text = body.decode("utf-8")

@@ -44,7 +44,8 @@ _PARAMS_RE = re.compile(r"^\(([^()]*)\)\s*\"", re.S)
 
 def _logical_lines(text: str):
     """Yield (absolute_offset, line_number, content); a line with an open
-    quoted literal extends over following physical lines until it closes."""
+    quoted literal extends over following physical lines until it closes,
+    except a ``//`` comment, which ends at its newline."""
     offsets = []
     pos = 0
     for ln in text.splitlines(keepends=True):
@@ -56,7 +57,8 @@ def _logical_lines(text: str):
         start = offsets[i]
         lineno = i + 1
         chunk = lines[i]
-        while _open_quote(chunk) and i + 1 < len(lines):
+        while (not chunk.lstrip().startswith("//") and _open_quote(chunk)
+               and i + 1 < len(lines)):
             i += 1
             chunk += lines[i]
         yield start, lineno, chunk.rstrip("\n")

@@ -154,6 +154,20 @@ def test_unknown_scope_exits_1(capsys):
     assert "unknown module" in capsys.readouterr().err
 
 
+def test_ambiguous_scope_exits_1(tmp_path, capsys):
+    root = tmp_path / "amb"
+    (root / "source").mkdir(parents=True)
+    (root / "source" / "amb.mmt").write_text(
+        "document um:/amb\n\n"
+        "theory A : OpenMath\n  constant f : Object # 1 ⊕ 2 prec 50\n\n"
+        "theory B : OpenMath\n  constant g : Object # 1 ⊕ 2 prec 50\n\n"
+        "theory C : OpenMath\n  include A\n  include B\n", "utf-8")
+    code = main(["simplify", str(root), "--no-stdlib", "-e", "1", "--scope",
+                 "C"])
+    assert code == 1
+    assert "both match '⊕'" in capsys.readouterr().err
+
+
 def test_fuel_above_max_exits_1(capsys):
     code = main(["simplify", "-e", "1+2", "--scope", "arith1",
                  "--fuel", str(MAX_FUEL + 1)])

@@ -42,6 +42,17 @@ def test_precedence_suffix():
     assert n.precedence == 50 and n.tokens == (Arg(1), Delim("-"), Arg(2))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: parse_notation("1 ⊕ 2 prec -5"),
+    lambda: Notation((Delim("⊖"), Arg(1)), -1),
+], ids=["parse_notation", "Notation"])
+def test_negative_precedence_rejected(make):
+    # Operands are never read below precedence -1, so such an infix would
+    # render to text that does not parse back.
+    with pytest.raises(NotationError, match="precedence must not be negative"):
+        make()
+
+
 def test_duplicate_index_rejected():
     with pytest.raises(NotationError):
         parse_notation("1 + 1")
@@ -261,6 +272,50 @@ def test_render_inserts_parens(scope):
     s = render_term(t, scope)
     assert s == "(1+2)-3"
     assert parse_term(s, scope) == t
+
+
+def _c(module, name):
+    return Const(G(module, name))
+
+
+_LAMBDA = _c("fns1", "lambda")
+_PLUS = _c("arith1", "plus")
+_MINUS = _c("arith1", "minus")
+
+
+@pytest.mark.parametrize("t, text", [
+    # a binder notation
+    (Bind(_LAMBDA, ("x", "y"), app(_PLUS, Var("x"), IntLit(1))), "x,y↦x+1"),
+    # a binder in a sequence slot and in a call argument is parenthesized
+    (app(_c("set1", "set"), Bind(_LAMBDA, ("x",), Var("x")), IntLit(2)),
+     "{(x↦x),2}"),
+    (app(_c("set1", "size"), Bind(_LAMBDA, ("x",), Var("x"))),
+     "set1?size((x↦x))"),
+    (app(_c("set1", "map"),
+         Bind(_LAMBDA, ("x",), app(_c("arith1", "times"), Var("x"), Var("x"))),
+         app(_c("set1", "set"), IntLit(1))), "{1} map (x↦x*x)"),
+    # a numeral under a prefix notation is parenthesized, so that it does
+    # not read back as a negative literal; other operands by precedence
+    (app(_c("arith1", "unary_minus"), IntLit(3)), "-(3)"),
+    (app(_c("arith1", "unary_minus"), FloatLit(2.5)), "-(2.5)"),
+    (app(_c("arith1", "power"), app(_c("arith1", "unary_minus"), Var("x")),
+         IntLit(2)), "-x^2"),
+    (app(_c("logic1", "not"), app(_c("logic1", "and"), _c("logic1", "true"),
+                                  _c("logic1", "false"))),
+     "¬(logic1?true∧logic1?false)"),
+    # an equal-precedence right operand is parenthesized
+    (app(_MINUS, IntLit(1), app(_MINUS, IntLit(2), IntLit(3))), "1-(2-3)"),
+    # a closed notation without slots renders a bare constant
+    (_c("set1", "emptyset"), "∅"),
+    # a sequence of one element, an application of a binder, and a binding
+    # by a non-binder fall back to the call and bind forms
+    (app(_PLUS, IntLit(1)), "arith1?plus(1)"),
+    (app(_LAMBDA, IntLit(1)), "fns1?lambda(1)"),
+    (Bind(_PLUS, ("x",), Var("x")), "bind(arith1?plus, [x], x)"),
+])
+def test_render_text(scope, t, text):
+    assert render_term(t, scope) == text
+    assert parse_term(text, scope) == t
 
 
 def test_render_fallback_is_qualified(scope):

@@ -8,11 +8,14 @@ import pytest
 import requests
 
 from umachine.codegen import build_graph, load
+from umachine.graph import TheoryGraph
 from umachine.machine import Rule, RuleBase
 from umachine.omxml import decode_xml, encode_xml
+from umachine.realization import install_bifoundations
 from umachine.server import (IDLE_TIMEOUT_S, MAX_BODY_BYTES, MAX_FUEL, OMXML,
-                             Service, make_server)
+                             TEXT, Service, make_server)
 from umachine.stdlib import rules
+from umachine.surface import parse_modules
 from umachine.sts import Fixed
 from umachine.terms import Const, GlobalName, IntLit, app
 
@@ -444,3 +447,57 @@ def test_ingest_nested_too_deeply_is_413(loaded, monkeypatch):
 def test_service_refuses_a_default_fuel_out_of_range(loaded, fuel):
     with pytest.raises(ValueError, match=f"fuel out of range: {fuel}"):
         Service(loaded.graph, loaded.base, default_fuel=fuel)
+
+
+# C only includes A and B, whose notations share a trigger: C loads, but no
+# parse scope can be built for it.
+AMBIGUOUS = """\
+document um:/amb
+
+theory A : OpenMath
+  constant f : Object × Object → Object # 1 ⊕ 2 prec 50
+
+theory B : OpenMath
+  constant g : Object × Object → Object # 1 ⊕ 2 prec 50
+
+theory C : OpenMath
+  include A
+  include B
+"""
+AMBIGUOUS_REPLY = (404, "notations of A?f and B?g both match '⊕' at "
+                        "precedence 50\n")
+
+
+@pytest.fixture()
+def ambiguous():
+    graph = TheoryGraph()
+    install_bifoundations(graph)
+    parse_modules(graph, AMBIGUOUS, "amb.mmt")
+    return Service(graph, RuleBase())
+
+
+def test_service_answers_an_ambiguous_scope_with_404(ambiguous):
+    r = ambiguous.simplify_request("1 ⊕ 2".encode(), TEXT, "C", None)
+    assert (r.status, r.body) == AMBIGUOUS_REPLY
+
+
+def test_ambiguous_scope_is_404_and_keeps_the_connection(ambiguous):
+    httpd = make_server(ambiguous, port=0)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    conn = _connection(f"http://127.0.0.1:{httpd.server_address[1]}")
+    try:
+        conn.request("POST", "/simplify?scope=C", body="1 ⊕ 2".encode(),
+                     headers={"Content-Type": "text/plain"})
+        r = conn.getresponse()
+        assert (r.status, r.read().decode()) == AMBIGUOUS_REPLY
+        assert r.getheader("Connection") is None
+        conn.request("POST", "/simplify?scope=A", body="1 ⊕ 2".encode(),
+                     headers={"Content-Type": "text/plain"})
+        r = conn.getresponse()
+        assert (r.status, r.read().decode()) == (200, "1⊕2")
+    finally:
+        conn.close()
+        httpd.shutdown()
+        httpd.server_close()
+    assert conn.connects == 1

@@ -110,6 +110,14 @@ alias uno = one
     assert g.resolve("uno") == g.resolve("one")
 
 
+def test_a_comment_ends_at_its_newline():
+    g = fresh_graph()
+    parse_modules(g, 'theory T : OpenMath\n  // a stray " quote\n'
+                     '  constant a : Object\n  constant b : Object\n')
+    t = g.theory(g.resolve("T"))
+    assert [c.name for c in t.constants()] == ["a", "b"]
+
+
 def test_syntax_error_reports_position():
     g = fresh_graph()
     with pytest.raises(SurfaceError) as e:
