@@ -290,7 +290,7 @@ class TheoryGraph:
     def _flatten(self, r: ModuleRef, out: list, seen: set, stack: list):
         # A method, not a closure: a recursive closure is a reference cycle
         # that would keep ``out`` alive until the cyclic garbage collector
-        # runs, and ``scope_for`` flattens on every scoped request.
+        # runs, and ``scope_for`` flattens on every scope it builds.
         if r in stack:
             cycle = " -> ".join(str(s) for s in stack + [r])
             raise IncludeCycleError(f"include cycle: {cycle}")

@@ -31,7 +31,8 @@ Grammar facts baked in here:
     parse as integer literals (with ``.``/exponent: float literals);
   * delimiters match greedily longest-first; ``...`` and ``…`` are synonyms;
   * constants without a notation render as ``module?name`` with call-style
-    arguments, which the parser accepts back.
+    arguments, which the parser accepts back; so does the head of any call
+    on a constant, since the parser reads a call only after a name.
 """
 
 from __future__ import annotations
@@ -202,7 +203,8 @@ class ParseScope:
 
     Built from ``(GlobalName, Notation | None)`` pairs in scope order; in
     every table the first occurrence of a key wins, so a bare name resolves
-    to the first in-scope constant of that name.
+    to the first in-scope constant of that name.  Read-only once built, so
+    that requests can share one.
     """
 
     def __init__(self, entries):
@@ -605,14 +607,19 @@ def _render(t: Term, scope: ParseScope) -> tuple[str, Notation | None]:
             len(args) == n.slot_count if n.seq_slot is None
             else len(args) >= n.slot_count + (len(n.tokens) == 1)):
         return _render_notation(n, args, t, scope), n
-    if isinstance(t, Const):
-        return f"{t.head.module}?{t.head.name}", None
     if isinstance(t, Bind):
         binder, body = _render(t.binder, scope)[0], _render(t.scope, scope)[0]
         return f"bind({binder}, [{', '.join(t.context)}], {body})", None
-    head_text = _render(head, scope)[0]
-    if not isinstance(head, (Const, Var)):
-        head_text = f"({head_text})"
+    if isinstance(head, Const):
+        # Qualified even where a notation without slots would fit the bare
+        # head: ``∅(1)`` would not read back.
+        head_text = f"{head.head.module}?{head.head.name}"
+        if isinstance(t, Const):
+            return head_text, None
+    elif isinstance(head, Var):
+        head_text = head.name
+    else:
+        head_text = f"({_render(head, scope)[0]})"
     args_text = ", ".join(_operand(a, scope, -1, separated=True)
                           for a in args)
     return f"{head_text}({args_text})", None

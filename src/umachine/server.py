@@ -28,6 +28,18 @@ oversized body, a bad ``Content-Length``, 500 and the parser's replies the
 server closes the connection; after any other reply it keeps the connection
 open.
 
+Scopes: a served graph only grows.  ``POST /theories`` registers whole
+theories, once their document has parsed, and changes no module already
+there; an include names a resolved module.  So a theory's parse scope never
+changes once it builds, and a ``Service`` caches the scopes it builds, at
+most ``SCOPE_CACHE_SIZE`` of them (least recently used out first): a stated
+memory budget.  The ``scope`` parameter is resolved on every request, since
+a bare name can become ambiguous as modules arrive, and a scope that fails
+to build is not cached, so it is built again on the next request.
+``.mmt`` loading, which adds constants to a theory after registering it,
+builds its scopes through ``TheoryGraph.scope_for`` directly, and finishes
+before a ``Service`` serves the graph.
+
 An integer literal longer than ``sys.get_int_max_str_digits()`` digits is a
 400 on input; ``power`` and ``factorial`` decline a result that long.
 "Nested too deeply" is a ``RecursionError`` anywhere in handling the body.
@@ -57,6 +69,7 @@ OMXML = "application/openmath+xml"
 
 MAX_BODY_BYTES = 1 << 20
 IDLE_TIMEOUT_S = 30
+SCOPE_CACHE_SIZE = 64
 
 
 @dataclass
@@ -81,7 +94,8 @@ def _too_deep_is_413(method):
 
 @dataclass
 class Service:
-    """Framework-free request handling over a frozen graph and rule base."""
+    """Framework-free request handling over a graph that only grows and a
+    frozen rule base."""
 
     graph: TheoryGraph
     base: RuleBase
@@ -90,6 +104,10 @@ class Service:
 
     def __post_init__(self):
         SimplifyBudget(self.default_fuel)  # ValueError outside 1..MAX_FUEL
+        # A theory's scope never changes once built (see the module
+        # docstring); an error is never cached, so it is raised again.
+        self.scope_for = functools.lru_cache(maxsize=SCOPE_CACHE_SIZE)(
+            self.graph.scope_for)
 
     @_too_deep_is_413
     def simplify_request(self, body: bytes, content_type: str,
@@ -107,7 +125,7 @@ class Service:
         scope = None
         if scope_ref:
             try:
-                scope = self.graph.scope_for(self.graph.resolve(scope_ref))
+                scope = self.scope_for(self.graph.resolve(scope_ref))
             except (UnresolvedModuleError, GraphError,
                     AmbiguityError) as e:
                 return Response(404, f"{e}\n")

@@ -7,14 +7,17 @@ or hashing, and it is only ever "set" by building a new term value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 from urllib.parse import urlsplit, urlunsplit
 
 
+@functools.lru_cache(maxsize=1024)
 def normalize_uri(uri: str) -> str:
-    """Normalize a document URI: lowercase scheme and host, drop trailing slashes."""
+    """Normalize a document URI: lowercase scheme and host, drop trailing
+    slashes.  Cached: every ``ModuleRef`` and ``GlobalName`` calls it."""
     uri = uri.strip()
     parts = urlsplit(uri)
     if not parts.scheme:

@@ -312,6 +312,9 @@ _MINUS = _c("arith1", "minus")
     (app(_PLUS, IntLit(1)), "arith1?plus(1)"),
     (app(_LAMBDA, IntLit(1)), "fns1?lambda(1)"),
     (Bind(_PLUS, ("x",), Var("x")), "bind(arith1?plus, [x], x)"),
+    # a call on a constant whose notation has no slots names the constant:
+    # "∅(1)" would not read back
+    (app(_c("set1", "emptyset"), IntLit(1)), "set1?emptyset(1)"),
 ])
 def test_render_text(scope, t, text):
     assert render_term(t, scope) == text

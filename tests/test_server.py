@@ -13,7 +13,7 @@ from umachine.machine import Rule, RuleBase
 from umachine.omxml import decode_xml, encode_xml
 from umachine.realization import install_bifoundations
 from umachine.server import (IDLE_TIMEOUT_S, MAX_BODY_BYTES, MAX_FUEL, OMXML,
-                             TEXT, Service, make_server)
+                             SCOPE_CACHE_SIZE, TEXT, Service, make_server)
 from umachine.stdlib import rules
 from umachine.surface import parse_modules
 from umachine.sts import Fixed
@@ -501,3 +501,121 @@ def test_ambiguous_scope_is_404_and_keeps_the_connection(ambiguous):
         httpd.shutdown()
         httpd.server_close()
     assert conn.connects == 1
+
+
+def test_a_call_on_a_constant_without_slots_reads_back(loaded):
+    service = Service(loaded.graph, loaded.base)
+    r = service.simplify_request(b"set1?emptyset(1)", TEXT, "set1", None)
+    assert (r.status, r.body) == (200, "set1?emptyset(1)")
+    again = service.simplify_request(r.body.encode(), TEXT, "set1", None)
+    assert (again.status, again.body) == (r.status, r.body)
+
+
+# -- the scope cache ------------------------------------------------------------
+
+def _theory(base, name, *includes):
+    body = "".join(f'<include from="{i}"/>' for i in includes)
+    return (f'<omdoc base="{base}"><theory name="{name}">{body}'
+            f'</theory></omdoc>').encode()
+
+
+def test_a_repeated_scoped_request_reuses_its_scope(loaded):
+    service = Service(loaded.graph, loaded.base)
+    for _ in range(3):
+        r = service.simplify_request(b"1+2", TEXT, "arith1", None)
+        assert (r.status, r.body) == (200, "3")
+    ref = loaded.graph.resolve("arith1")
+    assert service.scope_for(ref) is service.scope_for(ref)
+    info = service.scope_for.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
+
+
+def test_a_scope_that_fails_to_build_is_not_cached():
+    service = Service(TheoryGraph(), RuleBase())
+    assert service.ingest(_theory("um:/late", "A", "?B")).status == 201
+    r = service.simplify_request(b"x", TEXT, "A", None)
+    assert (r.status, r.body) == (404, "unknown module um:/late?B\n")
+    assert service.ingest(_theory("um:/late", "B")).status == 201
+    r = service.simplify_request(b"x", TEXT, "A", None)
+    assert (r.status, r.body) == (200, "x")
+
+
+def test_a_bare_name_is_resolved_on_every_request():
+    service = Service(TheoryGraph(), RuleBase())
+    assert service.ingest(_theory("um:/one", "T")).status == 201
+    assert service.simplify_request(b"x", TEXT, "T", None).status == 200
+    assert service.ingest(_theory("um:/two", "T")).status == 201
+    r = service.simplify_request(b"x", TEXT, "T", None)
+    assert (r.status, r.body) == (
+        404, "ambiguous module 'T': um:/one?T, um:/two?T\n")
+    r = service.simplify_request(b"x", TEXT, "um:/one?T", None)
+    assert (r.status, r.body) == (200, "x")
+    assert service.scope_for.cache_info().hits == 1
+
+
+def test_the_scope_cache_is_bounded():
+    service = Service(TheoryGraph(), RuleBase())
+    n = SCOPE_CACHE_SIZE + 10
+    for i in range(n):
+        assert service.ingest(_theory(f"um:/many/d{i}", f"t{i}")).status == 201
+        r = service.simplify_request(b"x", TEXT, f"t{i}", None)
+        assert (r.status, r.body) == (200, "x")
+    info = service.scope_for.cache_info()
+    assert info.misses == n
+    assert info.currsize == info.maxsize == SCOPE_CACHE_SIZE
+
+
+# Scopes the stdlib graph has from the start, and a request in each.
+_SCOPED = [("arith1", b"1+2*3"), ("set1", b"set1?emptyset(1)"),
+           ("nums1", b"\xcf\x80"), ("logic1", b"true \xe2\x88\xa7 false"),
+           ("NumbersTest", b"2*3+1"), ("everything1", b"{1,2} \xe2\x88\xaa {3}"),
+           ("lists", b"x"), ("integer1", b"factorial(5)")]
+
+
+def test_scoped_requests_beside_ingests_answer_as_a_fresh_service():
+    graph, _, _ = build_graph()
+    base, _ = load(graph)
+    service = Service(graph, base)
+    answers, failures = [], []
+
+    def read(k):
+        try:
+            for i in range(40):
+                scope, body = _SCOPED[(k + i) % len(_SCOPED)]
+                r = service.simplify_request(body, TEXT, scope, None)
+                answers.append((scope, body, r.status, r.body))
+        except Exception as e:  # noqa: BLE001 (reported below)
+            failures.append(e)
+
+    def ingest():
+        # Each new theory is then asked for by its full name, so the cache
+        # evicts the stdlib scopes while the readers use them.
+        try:
+            for i in range(2 * SCOPE_CACHE_SIZE):
+                doc = _theory(f"um:/grow/d{i}", f"t{i}",
+                              "http://www.openmath.org/cd?arith1")
+                assert service.ingest(doc).status == 201
+                ref = f"um:/grow/d{i}?t{i}"
+                r = service.simplify_request(b"1+2", TEXT, ref, None)
+                answers.append((ref, b"1+2", r.status, r.body))
+        except Exception as e:  # noqa: BLE001 (reported below)
+            failures.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+        threads.append(threading.Thread(target=ingest))
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert failures == [] and not any(t.is_alive() for t in threads)
+    assert len(answers) == 8 * 40 + 2 * SCOPE_CACHE_SIZE
+    fresh = Service(graph, base)
+    for scope, body, status, reply in answers:
+        r = fresh.simplify_request(body, TEXT, scope, None)
+        assert (status, reply) == (r.status, r.body), (scope, body)
+    assert service.scope_for.cache_info().currsize <= SCOPE_CACHE_SIZE
