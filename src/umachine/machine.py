@@ -5,11 +5,21 @@ decline (return ``None``) or raise; both are absorbed, and the redex is left
 in place and marked simplified, so a failing rule can never cause a livelock.
 Resource errors (``RecursionError``, ``MemoryError``) are not declines: they
 propagate to the caller.  Simplification is innermost-leftmost (head, then
-arguments, then the head rule), consumes one unit of fuel per successful
-application, and marks every fully simplified subterm so later calls skip it
-without re-traversal.  It is a loop over an explicit stack and never touches
-the interpreter's recursion limit; rules and the helpers they call (structural
+arguments, then the head rule) and consumes one unit of fuel per successful
+application.  It is a loop over an explicit stack and never touches the
+interpreter's recursion limit; rules and the helpers they call (structural
 equality, substitution) still recurse along the term.
+
+A subterm is marked simplified once it is final, so later calls skip it
+without re-traversal.  An application or binding whose head rule declines
+is built once, marked, with marked children.  A leaf (a literal, variable,
+foreign object, or a constant without a nullary rule) is marked when its
+parent is finished that way, or when it is the whole result; a leaf that a
+firing rule consumes is never copied.  A constant whose nullary rule
+declines is marked at once, so that rule is not called on it again.  So
+every node of a result that is not exhausted is marked.  An exhausted
+partial result keeps the marks of the subterms that were final when the
+fuel ran out and leaves the rest as it was.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .sts import BINDER, Arity, Binder, Fixed, Flexible
+from .sts import Arity, Binder, Fixed, Flexible
 from .terms import App, Bind, Const, GlobalName, Term, mark
 
 
@@ -48,17 +58,48 @@ class Rule:
         return Const(self.head)
 
 
+class _HeadRules:
+    """The rules of one head constant, in the form ``simplify`` reads them:
+    Fixed rules by argument count, Flexible rules as ``(n, rule)`` with the
+    largest ``n`` first, and the binder rule."""
+
+    __slots__ = ("fixed", "flexible", "binder")
+
+    def __init__(self):
+        self.fixed: dict[int, Rule] = {}
+        self.flexible: list[tuple[int, Rule]] = []
+        self.binder: Rule | None = None
+
+    def get(self, arity: Arity) -> Rule | None:
+        if isinstance(arity, Fixed):
+            return self.fixed.get(arity.n)
+        if isinstance(arity, Flexible):
+            return next((r for n, r in self.flexible if n == arity.n), None)
+        return self.binder
+
+    def put(self, rule: Rule):
+        arity = rule.arity
+        if isinstance(arity, Fixed):
+            self.fixed[arity.n] = rule
+        elif isinstance(arity, Flexible):
+            # A new list, so that a concurrent reader never sees it half sorted.
+            self.flexible = sorted([*self.flexible, (arity.n, rule)],
+                                   key=lambda entry: -entry[0])
+        else:
+            self.binder = rule
+
+
 class RuleBase:
     """Rules indexed by head constant; at most one rule per (head, arity)."""
 
     def __init__(self, rules=()):
-        self._rules: dict[GlobalName, dict[Arity, Rule]] = {}
-        self._count = 0
+        self._heads: dict[GlobalName, _HeadRules] = {}
+        self._rules: list[Rule] = []
         for r in rules:
             self.add(r)
 
     def add(self, rule: Rule):
-        slot = self._rules.setdefault(rule.head, {})
+        slot = self._heads.setdefault(rule.head, _HeadRules())
         existing = slot.get(rule.arity)
         if existing is not None:
             if existing is rule or existing.fn is rule.fn:
@@ -66,22 +107,19 @@ class RuleBase:
             raise DuplicateRuleError(
                 f"a rule for {rule.head} at arity {rule.arity} is already "
                 f"registered")
-        slot[rule.arity] = rule
-        self._count += 1
+        slot.put(rule)
+        self._rules.append(rule)
         return self
 
     def get(self, head: GlobalName, arity: Arity) -> Rule | None:
-        return self._rules.get(head, {}).get(arity)
-
-    def for_head(self, head: GlobalName) -> dict[Arity, Rule]:
-        return self._rules.get(head, {})
+        slot = self._heads.get(head)
+        return None if slot is None else slot.get(arity)
 
     def rules(self):
-        for slot in self._rules.values():
-            yield from slot.values()
+        return iter(self._rules)
 
     def __len__(self):
-        return self._count
+        return len(self._rules)
 
 
 DEFAULT_FUEL = 10000
@@ -107,108 +145,158 @@ class SimplifyResult:
     steps: int
 
 
-def _select_rule(base: RuleBase, t: Term):
-    """The applicable head rule and its call arguments, if any.
+def _children(t: Term) -> tuple:
+    """Head then arguments, or binder then scope; none for a leaf."""
+    if isinstance(t, App):
+        return (t.head, *t.args)
+    if isinstance(t, Bind):
+        return (t.binder, t.scope)
+    return ()
+
+
+def _select_rule(base: RuleBase, t: Term, parts: tuple | None = None):
+    """The applicable head rule of ``t`` and its call arguments, if any;
+    ``parts`` replaces the children of ``t`` (default: its own).
 
     Fixed n is preferred over Flexible i <= n; among Flexible, the largest i.
     """
+    if parts is None:
+        parts = _children(t)
     if isinstance(t, Const):
-        r = base.get(t.head, Fixed(0))
-        if r is not None:
-            return r, ()
+        slot = base._heads.get(t.head)
+        rule = None if slot is None else slot.fixed.get(0)
+        return None if rule is None else (rule, ())
+    if not parts or not isinstance(parts[0], Const):
         return None
-    if isinstance(t, App) and isinstance(t.head, Const):
-        slot = base.for_head(t.head.head)
-        if not slot:
-            return None
-        n = len(t.args)
-        r = slot.get(Fixed(n))
-        if r is not None:
-            return r, t.args
-        best = None
-        for arity, rule in slot.items():
-            if isinstance(arity, Flexible) and arity.n <= n:
-                if best is None or arity.n > best[0]:
-                    best = (arity.n, rule)
-        if best is not None:
-            i, rule = best
-            return rule, t.args[:i] + (t.args[i:],)
+    slot = base._heads.get(parts[0].head)
+    if slot is None:
         return None
-    if isinstance(t, Bind) and isinstance(t.binder, Const):
-        r = base.get(t.binder.head, BINDER)
-        if r is not None:
-            return r, (t.context, t.scope)
-        return None
+    if isinstance(t, Bind):
+        rule = slot.binder
+        return None if rule is None else (rule, (t.context, parts[1]))
+    args = parts[1:]
+    n = len(args)
+    rule = slot.fixed.get(n)
+    if rule is not None:
+        return rule, args
+    for i, rule in slot.flexible:
+        if i <= n:
+            return rule, (*args[:i], args[i:])
     return None
 
 
-def rewrite_step(base: RuleBase, t: Term) -> Term | None:
-    """One head-rule application at the root; ``None`` when no rule applies,
-    the rule declines or fails, or the result equals the input.  A rule's
+def _apply(rule: Rule, args: tuple, t: Term, parts: tuple) -> Term | None:
+    """Call ``rule`` on the redex ``t`` with children ``parts``; ``None``
+    when it declines or fails, or its result equals the redex.  A rule's
     ``RecursionError`` or ``MemoryError`` propagates."""
-    hit = _select_rule(base, t)
-    if hit is None:
-        return None
-    rule, args = hit
     try:
         result = rule.fn(*args)
     except (RecursionError, MemoryError):
         raise
     except Exception:
         return None
-    if result is None or result == t:
+    if result is None or (result.__class__ is t.__class__
+                          and result == _build(t, parts)):
         return None
     return result
 
 
+def _build(t: Term, parts, simplified: bool = False) -> Term:
+    """``t`` with the children ``parts``: ``t`` itself when they are its own
+    and no marker is asked for."""
+    if isinstance(t, App):
+        if not simplified and parts[0] is t.head \
+                and all(a is b for a, b in zip(parts[1:], t.args)):
+            return t
+        return App(parts[0], tuple(parts[1:]), simplified=simplified)
+    if isinstance(t, Bind):
+        if not simplified and parts[0] is t.binder and parts[1] is t.scope:
+            return t
+        return Bind(parts[0], t.context, parts[1], simplified=simplified)
+    return t
+
+
+def _final(t: Term) -> Term:
+    """``t`` marked; ``mark`` is called only when a copy is needed."""
+    return t if t.simplified else mark(t)
+
+
+def _partial(t: Term, stack: list) -> Term:
+    """The result when the fuel runs out at ``t``: every subterm that was
+    final keeps its mark, the rest is left as it was."""
+    while stack:
+        node, kids, done = stack.pop()
+        t = _build(node, [*map(_final, done), t, *kids[len(done) + 1:]])
+    return t
+
+
+def rewrite_step(base: RuleBase, t: Term) -> Term | None:
+    """One head-rule application at the root; ``None`` when no rule applies,
+    the rule declines or fails, or the result equals the input.  A rule's
+    ``RecursionError`` or ``MemoryError`` propagates."""
+    parts = _children(t)
+    hit = _select_rule(base, t, parts)
+    return None if hit is None else _apply(*hit, t, parts)
+
+
 def simplify(base: RuleBase, t: Term,
              budget: SimplifyBudget = SimplifyBudget()) -> SimplifyResult:
-    """Exhaustively rewrite ``t``; see the module docstring for the strategy."""
+    """Exhaustively rewrite ``t``; see the module docstring for the strategy
+    and for when a subterm is marked."""
     fuel = budget.fuel
     steps = 0
-    exhausted = False
     # One frame per App or Bind under way: the node, its children (head then
-    # arguments, or binder then scope) and the children simplified so far.
-    # A rewrite takes the place of its redex, so the stack is as deep as the
+    # arguments, or binder then scope) and the children final so far.  A
+    # rewrite takes the place of its redex, so the stack is as deep as the
     # term, not as long as the rewrite chain.
     stack: list[tuple[Term, tuple, list]] = []
-    due = False  # t's children are simplified and its head rule is due
     while True:
-        if t.simplified or exhausted:
+        if t.simplified:
             pass
-        elif not due and isinstance(t, App):
+        elif isinstance(t, App):
             stack.append((t, (t.head, *t.args), []))
             t = t.head
             continue
-        elif not due and isinstance(t, Bind):
+        elif isinstance(t, Bind):
             stack.append((t, (t.binder, t.scope), []))
             t = t.binder
             continue
-        elif due or isinstance(t, Const):
-            result = rewrite_step(base, t)
+        elif isinstance(t, Const):
+            hit = _select_rule(base, t, ())
+            if hit is not None:
+                result = _apply(*hit, t, ())
+                if result is None:
+                    t = mark(t)  # so that no later pass calls its rule again
+                elif fuel == 0:
+                    return SimplifyResult(_partial(t, stack), True, steps)
+                else:
+                    fuel -= 1
+                    steps += 1
+                    t = result
+                    continue
+        # t is final: hand it to its parent, and finish each parent whose
+        # children are now all final.
+        while True:
+            if not stack:
+                return SimplifyResult(_final(t), False, steps)
+            node, kids, done = stack[-1]
+            done.append(t)
+            if len(done) < len(kids):
+                t = kids[len(done)]
+                break
+            stack.pop()
+            parts = tuple(done)
+            hit = _select_rule(base, node, parts)
+            result = None if hit is None else _apply(*hit, node, parts)
             if result is None:
-                t = mark(t)
+                t = _build(node, [*map(_final, parts)], simplified=True)
             elif fuel == 0:
                 # A rule would fire but the budget is spent: report
-                # exhaustion and leave the partial result unmarked.
-                exhausted = True
+                # exhaustion and leave the redex unmarked.
+                t = _build(node, [*map(_final, parts)])
+                return SimplifyResult(_partial(t, stack), True, steps)
             else:
                 fuel -= 1
                 steps += 1
-                t, due = result, False
-                continue
-        else:
-            t = mark(t)
-        # t is done: hand it to its parent.
-        if not stack:
-            return SimplifyResult(t, exhausted, steps)
-        node, kids, done = stack[-1]
-        done.append(t)
-        if len(done) < len(kids):
-            t, due = kids[len(done)], False
-            continue
-        stack.pop()
-        if any(a is not b for a, b in zip(done, kids)):
-            node = App(done[0], tuple(done[1:])) if isinstance(node, App) \
-                else Bind(done[0], node.context, done[1])
-        t, due = node, True
+                t = result
+                break

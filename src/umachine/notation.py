@@ -37,6 +37,7 @@ Grammar facts baked in here:
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -311,9 +312,12 @@ def tokenize(src: str, scope: ParseScope) -> list[_Tok]:
         if longest == 0:
             raise SyntaxErrorAt(f"stray character {c!r}", i)
         if len(number) == longest and len(number) > max(len(best_delim), len(ident)):
-            kind = "int" if number.isdigit() else "float"
-            value = int(number) if kind == "int" else float(number)
-            toks.append(_Tok(kind, number, i, value))
+            if number.isdigit():
+                toks.append(_Tok("int", number, i, int(number)))
+            elif math.isfinite(value := float(number)):
+                toks.append(_Tok("float", number, i, value))
+            else:  # it would render as ``inf``, which reads back as a variable
+                raise SyntaxErrorAt("float literal out of range", i)
         elif len(best_delim) == longest:
             toks.append(_Tok("sym", best_delim, i))
         else:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 from urllib.parse import urlsplit, urlunsplit
 
@@ -148,9 +148,26 @@ def app(head: Term, *args: Term) -> App:
     return App(head, args)
 
 
+_PAYLOAD = {cls: tuple(f.name for f in fields(cls) if f.name != "simplified")
+            for cls in (Const, Var, IntLit, FloatLit, StrLit, App, Bind, Foreign)}
+_set = object.__setattr__
+
+
+def _twin(t: Term, simplified: bool) -> Term:
+    """``t`` with another marker.  The copy skips the constructor's checks,
+    which ``t`` has passed."""
+    twin = object.__new__(t.__class__)
+    for name in _PAYLOAD[t.__class__]:
+        _set(twin, name, getattr(t, name))
+    _set(twin, "simplified", simplified)
+    return twin
+
+
 def mark(t: Term) -> Term:
-    """Return ``t`` carrying the simplified marker (no-op if already set)."""
-    return t if t.simplified else replace(t, simplified=True)
+    """Return ``t`` carrying the simplified marker (no-op if already set).
+
+    Only ``t`` itself is marked; its children are shared as they are."""
+    return t if t.simplified else _twin(t, True)
 
 
 def strip_marks(t: Term) -> Term:
@@ -167,7 +184,7 @@ def strip_marks(t: Term) -> Term:
         if binder is t.binder and scope is t.scope and not t.simplified:
             return t
         return Bind(binder, t.context, scope)
-    return replace(t, simplified=False) if t.simplified else t
+    return _twin(t, False) if t.simplified else t
 
 
 def free_vars(t: Term) -> frozenset:

@@ -9,12 +9,14 @@ import pytest
 import umachine
 from naive_engine import naive_simplify
 from termgen import engine_term
+from umachine import machine
+from umachine.codegen import load
 from umachine.machine import (MAX_FUEL, DuplicateRuleError, Rule, RuleBase,
                               SimplifyBudget, rewrite_step, simplify)
 from umachine.stdlib import rules
 from umachine.sts import BINDER, Fixed, Flexible
-from umachine.terms import (Bind, Const, GlobalName, IntLit, Var, app,
-                            strip_marks)
+from umachine.terms import (App, Bind, Const, GlobalName, IntLit, Var, app,
+                            mark, strip_marks)
 
 CD = "http://www.openmath.org/cd"
 MINUS = GlobalName(CD, "arith1", "minus")
@@ -130,6 +132,9 @@ def test_fuel_exhaustion_reports_partial_result(loaded):
     r = simplify(loaded.base, scope_term, SimplifyBudget(fuel=1))
     assert r.exhausted and r.steps == 1
     assert r.term == app(Const(PLUS), IntLit(1), IntLit(6))
+    # What was final when the fuel ran out keeps its mark; the redex does not.
+    assert not r.term.simplified
+    assert r.term.head.simplified and all(a.simplified for a in r.term.args)
     full = simplify(loaded.base, scope_term, SimplifyBudget(fuel=2))
     assert not full.exhausted and full.term == IntLit(7)
 
@@ -197,6 +202,39 @@ def test_congruence_when_no_head_rule_fires(loaded):
         assert r.term.args[0] == inner.term
 
 
+def _nodes(t):
+    todo = [t]
+    while todo:
+        x = todo.pop()
+        yield x
+        if isinstance(x, App):
+            todo += [x.head, *x.args]
+        elif isinstance(x, Bind):
+            todo += [x.binder, x.scope]
+
+
+def test_every_node_of_a_result_is_marked(loaded):
+    calls = []
+    spied = RuleBase(
+        Rule(r.head, r.arity, lambda *a, _r=r: calls.append(_r) or _r.fn(*a))
+        for r in loaded.base.rules())
+    for t in _corpus(150, seed=21):
+        first = simplify(loaded.base, t)
+        assert not first.exhausted
+        assert all(x.simplified for x in _nodes(first.term))
+        again = simplify(spied, first.term)
+        assert calls == [] and again.steps == 0 and again.term is first.term
+
+
+def test_leaves_a_firing_rule_consumes_are_never_copied(loaded, monkeypatch):
+    # Every marker copy goes through ``machine.mark``, which a tracer wraps.
+    copies = []
+    monkeypatch.setattr(machine, "mark", lambda t: copies.append(t) or mark(t))
+    r = simplify(loaded.base, app(Const(PLUS), *map(IntLit, range(50))))
+    assert r.term == IntLit(1225) and r.term.simplified
+    assert copies == [IntLit(1225)]
+
+
 def test_agreement_with_naive_engine(loaded):
     for t in _corpus(200, seed=11):
         fast = simplify(loaded.base, t)
@@ -244,6 +282,32 @@ def test_fuel_monotonicity(loaded):
                 assert r.steps == fuel
             else:
                 assert r.term == full.term
+
+
+# -- rules are read when they are called ----------------------------------------
+
+def test_a_rule_fn_replaced_after_load_is_the_one_called(loaded):
+    # A tracer wraps the rules of a loaded base by setting ``Rule.fn``.
+    base, _ = load(loaded.graph)
+    for rule in base.rules():
+        if rule.head == PLUS:
+            object.__setattr__(rule, "fn", lambda *args: IntLit(-1))
+    r = simplify(base, app(Const(PLUS), IntLit(1), IntLit(2)))
+    assert r.term == IntLit(-1) and r.steps == 1
+
+
+def test_a_rule_added_after_a_first_simplify_fires():
+    h = GlobalName("um:/t", "m", "late")
+    t = app(Const(h), Var("a"), Var("b"))
+    base = RuleBase()
+    assert simplify(base, t).steps == 0
+    for arity, fn, expect in [
+            (Flexible(0), lambda rest: IntLit(0), 0),
+            (Flexible(1), lambda a, rest: IntLit(1), 1),  # largest prefix
+            (Fixed(2), lambda a, b: IntLit(2), 2)]:       # Fixed first
+        base.add(Rule(h, arity, fn))
+        r = simplify(base, t)
+        assert r.term == IntLit(expect) and r.steps == 1
 
 
 # -- the engine does not recurse -------------------------------------------------

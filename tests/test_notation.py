@@ -246,6 +246,8 @@ def test_type_arrows_parse_to_mapsto(everything1):
     ("x ↦", "unexpected 'end of input'", 3),
     ("1 map", "unexpected 'end of input'", 5),
     ("Object ×", "unexpected 'end of input'", 8),
+    ("1e400", "float literal out of range", 0),
+    ("2*-1.5e309", "float literal out of range", 3),
 ])
 def test_malformed_input_is_reported_where_it_goes_wrong(
         everything1, src, message, pos):

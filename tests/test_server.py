@@ -84,6 +84,15 @@ def test_parse_error_is_400(server_url):
     assert "position" in r.text
 
 
+def test_float_literal_out_of_range_is_400(server_url):
+    # As a float, 1e400 is inf, whose rendering reads back as a variable.
+    url, _ = server_url
+    r = requests.post(f"{url}/simplify?scope=arith1", data="1e400",
+                      headers={"Content-Type": "text/plain"})
+    assert r.status_code == 400
+    assert r.text == "parse error: float literal out of range (at position 0)\n"
+
+
 def test_unknown_scope_is_404(server_url):
     url, _ = server_url
     r = requests.post(f"{url}/simplify?scope=nosuch", data="1+2",
