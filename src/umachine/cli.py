@@ -4,7 +4,8 @@ Subcommands: ``check`` (parse + lint + view totality), ``test`` (``load``
 without a report file), ``simplify``, ``repl``, ``serve``, and the build
 processes ``extract``, ``integrate``, ``load``.  The standard library is
 loaded into every session unless ``--no-stdlib`` is given.  ``UM_PORT`` and
-``UM_FUEL`` override the defaults.
+``UM_FUEL`` override the defaults of ``--port`` and ``--fuel``, and a value
+that is not an integer exits 2 as the same flag would.
 
 Exit codes: 0 success, 1 diagnostics, test failures or a typed error, 2 hard
 errors.  ``simplify`` and ``repl`` answer through ``server.Service`` as
@@ -31,13 +32,6 @@ from .graph import Theory, TheoryGraph, View
 from .machine import DEFAULT_FUEL, RuleBase, SimplifyBudget
 from .server import OMXML, TEXT, Response, Service, serve
 from .sts import Diagnostic, lint_theory
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, default))
-    except ValueError:
-        return default
 
 
 def _build(args) -> tuple[TheoryGraph, dict]:
@@ -194,7 +188,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-stdlib", action="store_true",
                        help="do not preload the standard library")
         p.add_argument("--fuel", type=int,
-                       default=_env_int("UM_FUEL", DEFAULT_FUEL),
+                       default=os.environ.get("UM_FUEL", DEFAULT_FUEL),
                        help="maximum rule applications per simplification")
 
     p = sub.add_parser("check", help="parse, lint, and check view totality")
@@ -235,7 +229,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="run the HTTP service")
     common(p)
-    p.add_argument("--port", type=int, default=_env_int("UM_PORT", 8080))
+    p.add_argument("--port", type=int,
+                   default=os.environ.get("UM_PORT", 8080))
     p.set_defaults(fn=cmd_serve)
 
     return parser

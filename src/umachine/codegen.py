@@ -77,7 +77,6 @@ def build_graph(roots=(), with_stdlib: bool = True) \
     projects: dict[Path, Project] = {}
     for r in ordered:
         projects[r] = Project(r, load_sources(graph, r))
-    stdlib.apply_list_types(graph)
     return graph, projects, bifoundation
 
 

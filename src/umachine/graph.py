@@ -4,12 +4,13 @@ The graph holds named modules (theories and views).  Two theories are always
 present: ``OpenMath`` (the meta-theory of content dictionaries, declaring the
 type formers) and ``Computation`` (the native target, declaring the shapes
 realizations map types into).  A constant reference resolves in its theory,
-the theory's includes, then the meta-theory chain.
+the theory's includes, then the meta-theory chain.  Modules are values: each
+is built whole, with its declarations in a tuple, and registered once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .notation import Arg, Delim, Notation, ParseScope, SeqArg
 from .terms import App, Bind, Const, Foreign, GlobalName, ModuleRef, Term
@@ -35,7 +36,7 @@ class MorphismError(GraphError):
     pass
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class SourcePos:
     file: str
     line: int
@@ -44,7 +45,7 @@ class SourcePos:
         return f"{self.file}:{self.line}"
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Constant:
     name: str
     type: Term | None = None
@@ -57,18 +58,34 @@ class Constant:
             raise ValueError("a constant needs a nonempty name")
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Include:
     target: ModuleRef
     pos: SourcePos | None = None
 
 
-@dataclass(slots=True)
+def _body(module, items, kind: str, of_kind: type) -> tuple:
+    """``items`` as a tuple, checked: one name per ``of_kind``."""
+    items = tuple(items)
+    names = [d.name for d in items if isinstance(d, of_kind)]
+    if len(set(names)) < len(names):
+        dup = next(n for i, n in enumerate(names) if n in names[:i])
+        raise DuplicateModuleError(f"duplicate {kind} {dup} in {module.name}")
+    return items
+
+
+@dataclass(frozen=True, slots=True)
 class Theory:
+    """A value; no two of its constants share a name."""
+
     name: ModuleRef
     meta: ModuleRef | None = None
-    declarations: list = field(default_factory=list)
+    declarations: tuple = ()
     pos: SourcePos | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "declarations", _body(
+            self, self.declarations, "constant", Constant))
 
     def constants(self):
         return [d for d in self.declarations if isinstance(d, Constant)]
@@ -82,14 +99,8 @@ class Theory:
                 return d
         return None
 
-    def add_constant(self, c: Constant):
-        if self.constant(c.name) is not None:
-            raise DuplicateModuleError(
-                f"duplicate constant {c.name} in {self.name}")
-        self.declarations.append(c)
 
-
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Assignment:
     name: str
     target: Term
@@ -98,13 +109,19 @@ class Assignment:
     pos: SourcePos | None = None
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class View:
+    """A value; no two of its assignments share a name."""
+
     name: ModuleRef
     domain: ModuleRef
     codomain: ModuleRef
-    statements: list = field(default_factory=list)
+    statements: tuple = ()
     pos: SourcePos | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "statements", _body(
+            self, self.statements, "assignment", Assignment))
 
     def includes(self):
         return [s for s in self.statements if isinstance(s, Include)]
@@ -114,12 +131,6 @@ class View:
             if isinstance(s, Assignment) and s.name == name:
                 return s
         return None
-
-    def add_assignment(self, a: Assignment):
-        if self.assignment(a.name) is not None:
-            raise DuplicateModuleError(
-                f"duplicate assignment {a.name} in {self.name}")
-        self.statements.append(a)
 
 
 def snippet_body(t: Term) -> Foreign | None:
@@ -161,38 +172,25 @@ CMP_TERM = COMPUTATION.name("Term")
 CMP_CONTEXT = COMPUTATION.name("Context")
 
 
-def _openmath_theory() -> Theory:
-    t = Theory(OPENMATH, meta=None)
-    t.add_constant(Constant(
-        "mapsto",
-        notation=Notation((SeqArg(1, "×"), Delim("→"), Arg(2)), precedence=15)))
-    t.add_constant(Constant("Object"))
-    t.add_constant(Constant("naryObject"))
-    t.add_constant(Constant("binder"))
-    t.add_constant(Constant("FMP"))
-    return t
-
-
-def _computation_theory() -> Theory:
-    t = Theory(COMPUTATION, meta=None)
-    t.add_constant(Constant("type"))
-    t.add_constant(Constant("Any"))
-    t.add_constant(Constant(
-        "Function",
-        notation=Notation((Delim("("), SeqArg(1, ","), Delim(")"),
-                           Delim("=>"), Arg(2)), precedence=15)))
-    t.add_constant(Constant("Lambda"))
-    t.add_constant(Constant(
-        "List", notation=Notation((Delim("List["), Arg(1), Delim("]")))))
-    t.add_constant(Constant(
-        "list", notation=Notation((Delim("List("), SeqArg(1, ","), Delim(")")))))
-    t.add_constant(Constant("Term"))
-    t.add_constant(Constant("Context"))
-    t.add_constant(Constant("Integer"))
-    t.add_constant(Constant("Double"))
-    t.add_constant(Constant("Boolean"))
-    t.add_constant(Constant("String"))
-    return t
+# Values, so every graph shares them.
+_BUILTINS = (
+    Theory(OPENMATH, declarations=(
+        Constant("mapsto", notation=Notation(
+            (SeqArg(1, "×"), Delim("→"), Arg(2)), precedence=15)),
+        *map(Constant, ("Object", "naryObject", "binder", "FMP")))),
+    Theory(COMPUTATION, declarations=(
+        Constant("type"), Constant("Any"),
+        Constant("Function", notation=Notation(
+            (Delim("("), SeqArg(1, ","), Delim(")"), Delim("=>"), Arg(2)),
+            precedence=15)),
+        Constant("Lambda"),
+        Constant("List", notation=Notation(
+            (Delim("List["), Arg(1), Delim("]")))),
+        Constant("list", notation=Notation(
+            (Delim("List("), SeqArg(1, ","), Delim(")")))),
+        *map(Constant, ("Term", "Context", "Integer", "Double", "Boolean",
+                        "String")))),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -212,25 +210,34 @@ def _map_constants(t: Term, f) -> Term:
 
 
 class TheoryGraph:
-    """One writer during the load phase, many readers afterwards."""
+    """Modules by ref, and aliases.  ``add``, the only way in, registers
+    whole modules; one writer at a time, any number of readers."""
 
     def __init__(self):
         self.modules: dict[ModuleRef, object] = {}
         self.aliases: dict[str, ModuleRef] = {}
         # Bare module name -> refs carrying it, in registration order.
         self._by_name: dict[str, tuple[ModuleRef, ...]] = {}
-        self.add(_openmath_theory())
-        self.add(_computation_theory())
+        self.add(*_BUILTINS)
 
     # -- registration -------------------------------------------------------
 
-    def add(self, module):
-        if module.name in self.modules:
-            raise DuplicateModuleError(f"module {module.name} already loaded")
-        ref = module.name
-        self.modules[ref] = module
-        self._by_name[ref.module] = self._by_name.get(ref.module, ()) + (ref,)
-        return module
+    def check_new(self, *refs: ModuleRef) -> None:
+        """Refuse a ref already registered or repeated among ``refs``."""
+        batch: set[ModuleRef] = set()
+        for ref in refs:
+            if ref in self.modules or ref in batch:
+                raise DuplicateModuleError(f"module {ref} already loaded")
+            batch.add(ref)
+
+    def add(self, *modules) -> None:
+        """Register whole theories and views: every name is checked, against
+        the graph and within the batch, before any module is registered."""
+        self.check_new(*(m.name for m in modules))
+        for m in modules:
+            self.modules[m.name] = m
+            name = m.name.module
+            self._by_name[name] = self._by_name.get(name, ()) + (m.name,)
 
     def add_alias(self, name: str, target: ModuleRef):
         self.aliases[name] = target
@@ -284,13 +291,14 @@ class TheoryGraph:
     def flatten(self, ref: ModuleRef) -> list[tuple[GlobalName, Constant]]:
         """Depth-first include expansion; a repeated include is a no-op."""
         out: list[tuple[GlobalName, Constant]] = []
-        self._flatten(ref, out, set(), [])
+        self._flatten(self.theory(ref), out, set(), [])
         return out
 
-    def _flatten(self, r: ModuleRef, out: list, seen: set, stack: list):
+    def _flatten(self, t: Theory, out: list, seen: set, stack: list):
         # A method, not a closure: a recursive closure is a reference cycle
         # that would keep ``out`` alive until the cyclic garbage collector
         # runs, and ``scope_for`` flattens on every scope it builds.
+        r = t.name
         if r in stack:
             cycle = " -> ".join(str(s) for s in stack + [r])
             raise IncludeCycleError(f"include cycle: {cycle}")
@@ -298,9 +306,9 @@ class TheoryGraph:
             return
         seen.add(r)
         stack.append(r)
-        for d in self.theory(r).declarations:
+        for d in t.declarations:
             if isinstance(d, Include):
-                self._flatten(d.target, out, seen, stack)
+                self._flatten(self.theory(d.target), out, seen, stack)
             else:
                 out.append((r.name(d.name), d))
         stack.pop()
@@ -313,27 +321,30 @@ class TheoryGraph:
 
     # -- scopes ---------------------------------------------------------------
 
-    def scope_for(self, refs) -> ParseScope:
+    def scope_for(self, roots) -> ParseScope:
         """A parse scope over one theory or several (in order): each one's
         flattened constants, then those of its meta-theory chain.
 
-        One walk of the include graph: a module already walked in this call
-        is skipped, so each constant appears once, at its first occurrence.
-        A meta-theory cycle ends the chain; an include cycle raises
-        ``IncludeCycleError``.
+        A root is a ref or a ``Theory``; an unregistered theory gets the
+        scope that registering it would give.  One walk of the include
+        graph: a module already walked in this call is skipped, so each
+        constant appears once, at its first occurrence.  A meta-theory cycle
+        ends the chain; an include cycle raises ``IncludeCycleError``.
         """
-        if isinstance(refs, ModuleRef):
-            refs = [refs]
+        if isinstance(roots, (ModuleRef, Theory)):
+            roots = [roots]
         out: list[tuple[GlobalName, Constant]] = []
         seen: set[ModuleRef] = set()
-        for r in refs:
-            self._flatten(r, out, seen, [])
-            chain = {r}
-            meta = self.theory(r).meta
+        for root in roots:
+            t = root if isinstance(root, Theory) else self.theory(root)
+            self._flatten(t, out, seen, [])
+            chain = {t.name}
+            meta = t.meta
             while meta is not None and meta not in chain:
                 chain.add(meta)
-                self._flatten(meta, out, seen, [])
-                meta = self.theory(meta).meta
+                m = self.theory(meta)
+                self._flatten(m, out, seen, [])
+                meta = m.meta
         return ParseScope((g, c.notation) for g, c in out)
 
     # -- views ----------------------------------------------------------------
@@ -421,9 +432,7 @@ class TheoryGraph:
         def translate(term: Term | None) -> Term | None:
             return None if term is None else _map_constants(term, assign)
 
-        out = Theory(new_ref, meta=v.codomain)
-        for g, c in flat:
-            out.add_constant(Constant(
-                c.name, type=translate(c.type), definiens=translate(c.definiens),
-                notation=c.notation))
-        return out
+        return Theory(new_ref, meta=v.codomain, declarations=(
+            Constant(c.name, type=translate(c.type),
+                     definiens=translate(c.definiens), notation=c.notation)
+            for _, c in flat))

@@ -264,26 +264,22 @@ _IDENT = re.compile(r"[^\W\d]\w*", re.UNICODE)
 _NUMBER = re.compile(r"\d+(\.\d+)?([eE][+-]?\d+)?")
 
 
+# A literal's body: runs of anything but a quote or a backslash, and escapes.
+_STRING_BODY = re.compile(r'[^"\\]*(?:\\["\\][^"\\]*)*')
+_ESCAPE = re.compile(r'\\(["\\])')
+
+
 def lex_string(src: str, i: int, error=SyntaxErrorAt) -> tuple[str, int]:
     """Read the quoted literal at ``src[i]``, with ``\\"`` and ``\\\\``
     escapes; returns (content, end_index).  ``error(message, position)``
     builds the exception for a malformed literal."""
     assert src[i] == '"'
-    out = []
-    j = i + 1
-    while j < len(src):
-        c = src[j]
-        if c == "\\":
-            if j + 1 >= len(src) or src[j + 1] not in ('"', "\\"):
-                raise error("bad escape in string literal", j)
-            out.append(src[j + 1])
-            j += 2
-        elif c == '"':
-            return "".join(out), j + 1
-        else:
-            out.append(c)
-            j += 1
-    raise error("unterminated string literal", i)
+    j = _STRING_BODY.match(src, i + 1).end()
+    if j == len(src):
+        raise error("unterminated string literal", i)
+    if src[j] == "\\":
+        raise error("bad escape in string literal", j)
+    return _ESCAPE.sub(r"\1", src[i + 1:j]), j + 1
 
 
 def tokenize(src: str, scope: ParseScope) -> list[_Tok]:

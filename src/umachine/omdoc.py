@@ -1,9 +1,10 @@
 """Ingestion and re-export of the OMDoc subset.
 
 Supported elements: ``omdoc`` (attribute ``base``), ``theory`` (``name``),
-``constant`` (``name``), ``include`` (``from``), and ``definition`` wrapping
-an ``OMOBJ`` (possibly containing ``OMFOREIGN``).  Theories get the
-``OpenMath`` meta-theory by default.
+``constant`` (``name``), ``include`` (``from``), and a constant's ``type``
+and ``definition``, each wrapping an ``OMOBJ`` (possibly containing
+``OMFOREIGN``).  Theories get the ``OpenMath`` meta-theory by default.  A
+document registers all of its theories or, on any error, none.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ from .terms import ModuleRef, normalize_uri
 
 class OmdocError(ValueError):
     pass
+
+
+# A constant's child element -> the ``Constant`` field its OMOBJ fills.
+_CONSTANT_TERMS = {"type": "type", "definition": "definiens"}
 
 
 def _resolve_module(ref: str, base: str) -> ModuleRef:
@@ -48,38 +53,37 @@ def ingest_omdoc(graph: TheoryGraph, xml_text: str) -> list[Theory]:
         name = el.get("name")
         if not name:
             raise OmdocError("theory needs a name attribute")
-        theory = Theory(ModuleRef(base, name), meta=OPENMATH)
+        decls = []
         for child in el:
             ctag = local_tag(child.tag)
             if ctag == "include":
                 frm = child.get("from")
                 if not frm:
                     raise OmdocError("include needs a from attribute")
-                theory.declarations.append(
-                    Include(_resolve_module(frm, base)))
+                decls.append(Include(_resolve_module(frm, base)))
             elif ctag == "constant":
                 cname = child.get("name")
                 if not cname:
                     raise OmdocError("constant needs a name attribute")
-                definiens = None
+                terms = {}
                 for sub in child:
                     stag = local_tag(sub.tag)
-                    if stag != "definition":
+                    if stag not in _CONSTANT_TERMS:
                         raise OmdocError(f"unsupported element: {stag}")
                     objs = list(sub)
                     if len(objs) != 1 or local_tag(objs[0].tag) != "OMOBJ":
-                        raise OmdocError("definition needs one OMOBJ child")
+                        raise OmdocError(f"{stag} needs one OMOBJ child")
                     try:
-                        definiens = from_element(objs[0], base)
+                        term = from_element(objs[0], base)
                     except XmlDecodeError as e:
                         raise OmdocError(str(e)) from e
-                theory.add_constant(Constant(cname, definiens=definiens))
+                    terms[_CONSTANT_TERMS[stag]] = term
+                decls.append(Constant(cname, **terms))
             else:
                 raise OmdocError(f"unsupported element: {ctag}")
-        added.append(theory)
-    # Register only once the whole document parsed.
-    for theory in added:
-        graph.add(theory)
+        added.append(Theory(ModuleRef(base, name), meta=OPENMATH,
+                            declarations=decls))
+    graph.add(*added)
     return added
 
 
@@ -101,8 +105,9 @@ def export_omdoc(theories, base: str) -> str:
             else:
                 cel = ET.SubElement(tel, "constant")
                 cel.set("name", d.name)
-                if d.definiens is not None:
-                    del_ = ET.SubElement(cel, "definition")
-                    obj = ET.SubElement(del_, "OMOBJ")
-                    obj.append(to_element(d.definiens))
+                for tag, field in _CONSTANT_TERMS.items():
+                    term = getattr(d, field)
+                    if term is not None:
+                        obj = ET.SubElement(ET.SubElement(cel, tag), "OMOBJ")
+                        obj.append(to_element(term))
     return ET.tostring(root, encoding="unicode")

@@ -53,35 +53,26 @@ class Bifoundation:
                 + ", ".join(str(m) for m in missing))
 
 
-def _assert_snippet(var: str) -> Term:
-    return Bind(Const(CMP_LAMBDA), (var,),
-                Foreign("native", f"assert({var} == OMS(logic1.true))"))
-
-
 def install_bifoundations(graph: TheoryGraph) -> Bifoundation:
     """Add the Syntactic and Semantic embeddings and return the former."""
     term, any_ = Const(CMP_TERM), Const(CMP_ANY)
     ctx = Const(CMP_CONTEXT)
 
-    syn = View(SYNTACTIC, domain=OPENMATH, codomain=COMPUTATION)
-    syn.add_assignment(Assignment("Object", term))
-    syn.add_assignment(Assignment("mapsto", Const(CMP_FUNCTION)))
-    syn.add_assignment(Assignment("naryObject", app(Const(CMP_LIST), term)))
-    syn.add_assignment(Assignment(
-        "binder", app(Const(CMP_FUNCTION), ctx, term, term)))
-    syn.add_assignment(Assignment("FMP", _assert_snippet("x")))
-    graph.add(syn)
-
-    sem = View(SEMANTIC, domain=OPENMATH, codomain=COMPUTATION)
-    sem.add_assignment(Assignment("Object", any_))
-    sem.add_assignment(Assignment("mapsto", Const(CMP_FUNCTION)))
-    sem.add_assignment(Assignment("naryObject", app(Const(CMP_LIST), any_)))
-    sem.add_assignment(Assignment(
-        "binder", app(Const(CMP_FUNCTION), ctx, term, any_)))
-    sem.add_assignment(Assignment(
-        "FMP", Bind(Const(CMP_LAMBDA), ("x",),
-                    Foreign("native", "assert(x == true)"))))
-    graph.add(sem)
+    graph.add(
+        View(SYNTACTIC, domain=OPENMATH, codomain=COMPUTATION, statements=(
+            Assignment("Object", term),
+            Assignment("mapsto", Const(CMP_FUNCTION)),
+            Assignment("naryObject", app(Const(CMP_LIST), term)),
+            Assignment("binder", app(Const(CMP_FUNCTION), ctx, term, term)),
+            Assignment("FMP", Bind(Const(CMP_LAMBDA), ("x",), Foreign(
+                "native", "assert(x == OMS(logic1.true))"))))),
+        View(SEMANTIC, domain=OPENMATH, codomain=COMPUTATION, statements=(
+            Assignment("Object", any_),
+            Assignment("mapsto", Const(CMP_FUNCTION)),
+            Assignment("naryObject", app(Const(CMP_LIST), any_)),
+            Assignment("binder", app(Const(CMP_FUNCTION), ctx, term, any_)),
+            Assignment("FMP", Bind(Const(CMP_LAMBDA), ("x",), Foreign(
+                "native", "assert(x == true)"))))))
 
     bf = Bifoundation(OPENMATH, COMPUTATION, SYNTACTIC)
     bf.validate(graph)
@@ -180,11 +171,7 @@ def rules_of(graph: TheoryGraph, realization: Realization) -> RulesReport:
         raise RealizationError(
             f"{realization.view} is not a syntactic realization")
     report = RulesReport(RuleBase())
-    seen: set[GlobalName] = set()
     for g, c in graph.flatten(graph.view(realization.view).domain):
-        if g in seen:
-            continue
-        seen.add(g)
         hit = graph.resolve_assignment(realization.view, g)
         if hit is None:
             continue

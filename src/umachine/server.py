@@ -15,7 +15,7 @@ Endpoints:
       body).
   POST /theories  — ingest an OMDoc document; theories become available as
       scopes; no rules are gained.  201 ingested, 400 subset violation,
-      409 name collision, 413 nested too deeply.
+      409 name collision (nothing registered), 413 nested too deeply.
   GET /theories   — loaded module URIs, one per line.
   GET /health     — "ok".
 
@@ -28,17 +28,14 @@ oversized body, a bad ``Content-Length``, 500 and the parser's replies the
 server closes the connection; after any other reply it keeps the connection
 open.
 
-Scopes: a served graph only grows.  ``POST /theories`` registers whole
-theories, once their document has parsed, and changes no module already
-there; an include names a resolved module.  So a theory's parse scope never
-changes once it builds, and a ``Service`` caches the scopes it builds, at
-most ``SCOPE_CACHE_SIZE`` of them (least recently used out first): a stated
+Scopes: a served graph only grows.  A registered module never changes, and
+``POST /theories`` registers all of a document's theories or none; an
+include names a resolved module.  So a theory's parse scope never changes
+once it builds, and a ``Service`` caches the scopes it builds, at most
+``SCOPE_CACHE_SIZE`` of them (least recently used out first): a stated
 memory budget.  The ``scope`` parameter is resolved on every request, since
 a bare name can become ambiguous as modules arrive, and a scope that fails
 to build is not cached, so it is built again on the next request.
-``.mmt`` loading, which adds constants to a theory after registering it,
-builds its scopes through ``TheoryGraph.scope_for`` directly, and finishes
-before a ``Service`` serves the graph.
 
 An integer literal longer than ``sys.get_int_max_str_digits()`` digits is a
 400 on input; ``power`` and ``factorial`` decline a result that long.

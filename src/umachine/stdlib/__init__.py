@@ -1,45 +1,19 @@
 """The shipped biform library: CD theories, native realizations, examples.
 
 The library is itself a project (``source/`` holds the ``.mmt`` sources and
-the lists OMDoc document) and is loaded by default into every CLI and server
-session.  Importing :mod:`umachine.stdlib.rules` populates the native-function
-registry; :func:`apply_list_types` supplies the types the rule-bearing list
-constants need (the shipped document itself declares them untyped).
+the lists OMDoc document, which declares the types of the rule-bearing list
+constants ``append`` and ``append_many``) and is loaded by default into every
+CLI and server session.  Importing :mod:`umachine.stdlib.rules` populates the
+native-function registry.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from ..graph import OM_MAPSTO, OM_NARYOBJECT, OM_OBJECT, LISTS_DOC_BASE, TheoryGraph
-from ..terms import Const, ModuleRef, app
-
 from . import rules  # noqa: F401  (registers the native functions on import)
-
-LISTS = ModuleRef(LISTS_DOC_BASE, "lists")
-LISTS_EXT = ModuleRef(LISTS_DOC_BASE, "lists_ext")
 
 
 def root() -> Path:
     """The stdlib project root (contains ``source/``)."""
     return Path(__file__).resolve().parent
-
-
-def apply_list_types(graph: TheoryGraph) -> None:
-    """Give the rule-bearing list constants their arities.
-
-    ``append : Object × Object → Object`` and
-    ``append_many : naryObject → Object``; idempotent, and a no-op when the
-    lists document has not been ingested.
-    """
-    obj = Const(OM_OBJECT)
-    binary = app(Const(OM_MAPSTO), obj, obj, obj)
-    flexible = app(Const(OM_MAPSTO), Const(OM_NARYOBJECT), obj)
-    if LISTS in graph.modules:
-        c = graph.theory(LISTS).constant("append")
-        if c is not None and c.type is None:
-            c.type = binary
-    if LISTS_EXT in graph.modules:
-        c = graph.theory(LISTS_EXT).constant("append_many")
-        if c is not None and c.type is None:
-            c.type = flexible

@@ -16,6 +16,13 @@ documents) or a full ``base?module`` URI.  Escaped bodies are double-quoted
 with ``\\"`` and ``\\\\`` escapes and may span lines; their byte spans are
 recorded so build processes can splice edits back in place.  Lines starting
 with ``//`` are comments.
+
+A ``theory`` or ``view`` block is registered, whole, when the next
+``document``, ``theory``, ``view`` or ``alias`` line or the end of the text
+closes it.  A block that fails registers nothing (blocks closed before it
+stay registered), so the fixed text parses again.  An open theory's constant
+parses in the scope registering the block so far would give; the block
+cannot include itself.
 """
 
 from __future__ import annotations
@@ -65,18 +72,13 @@ def _logical_lines(text: str):
         i += 1
 
 
+# Text outside quotes and closed quoted literals, with their escapes.
+_CLOSED_QUOTES_RE = re.compile(r'[^"]*(?:"[^"\\]*(?:\\.[^"\\]*)*"[^"]*)*',
+                               re.S)
+
+
 def _open_quote(s: str) -> bool:
-    in_str = False
-    i = 0
-    while i < len(s):
-        c = s[i]
-        if in_str and c == "\\":
-            i += 2
-            continue
-        if c == '"':
-            in_str = not in_str
-        i += 1
-    return in_str
+    return _CLOSED_QUOTES_RE.match(s).end() < len(s)
 
 
 def _split_markers(s: str, err) -> dict:
@@ -115,6 +117,7 @@ class _ModuleParser:
         self.text = text
         self.filename = filename
         self.base = _DEFAULT_BASE
+        # The open block, unregistered: each statement makes a new snapshot.
         self.current: Theory | View | None = None
         self.added: list[ModuleRef] = []
 
@@ -128,8 +131,10 @@ class _ModuleParser:
                 continue
             head = line.split(None, 1)[0]
             try:
+                if head in ("document", "theory", "view", "alias"):
+                    self._close()
                 if head == "document":
-                    self.base = line.split(None, 1)[1].strip()
+                    self.base = self._argument(line, "a base URI", lineno)
                 elif head == "theory":
                     self._theory_header(line, lineno)
                 elif head == "view":
@@ -146,9 +151,32 @@ class _ModuleParser:
                 raise
             except Exception as e:
                 raise self.error(str(e), lineno) from e
+        self._close()
         return self.added
 
-    # -- headers ---------------------------------------------------------
+    def _argument(self, line: str, what: str, lineno: int) -> str:
+        words = line.split(None, 1)
+        if len(words) < 2:
+            raise self.error(f"{words[0]} needs {what}", lineno)
+        return words[1].strip()
+
+    # -- blocks ----------------------------------------------------------
+
+    def _close(self):
+        """Register the open block, if any."""
+        if self.current is not None:
+            self.graph.add(self.current)
+            self.added.append(self.current.name)
+            self.current = None
+
+    def _extend(self, d):
+        """Snapshot the open block with ``d`` appended."""
+        b = self.current
+        if isinstance(b, Theory):
+            self.current = Theory(b.name, b.meta, b.declarations + (d,), b.pos)
+        else:
+            self.current = View(b.name, b.domain, b.codomain,
+                                b.statements + (d,), b.pos)
 
     def _theory_header(self, line: str, lineno: int):
         m = _THEORY_RE.match(line)
@@ -157,10 +185,9 @@ class _ModuleParser:
         name, meta = m.group(1), m.group(2)
         ref = ModuleRef(self.base, name)
         meta_ref = self.graph.resolve(meta, self.base) if meta else None
-        theory = Theory(ref, meta=meta_ref, pos=SourcePos(self.filename, lineno))
-        self.graph.add(theory)
-        self.added.append(ref)
-        self.current = theory
+        self.graph.check_new(ref)
+        self.current = Theory(ref, meta=meta_ref,
+                              pos=SourcePos(self.filename, lineno))
 
     def _view_header(self, line: str, lineno: int):
         m = _VIEW_RE.match(line)
@@ -168,12 +195,11 @@ class _ModuleParser:
             raise self.error("bad view header", lineno)
         name, dom, cod = m.groups()
         ref = ModuleRef(self.base, name)
-        view = View(ref, domain=self.graph.resolve(dom, self.base),
-                    codomain=self.graph.resolve(cod, self.base),
-                    pos=SourcePos(self.filename, lineno))
-        self.graph.add(view)
-        self.added.append(ref)
-        self.current = view
+        domain = self.graph.resolve(dom, self.base)
+        codomain = self.graph.resolve(cod, self.base)
+        self.graph.check_new(ref)
+        self.current = View(ref, domain=domain, codomain=codomain,
+                            pos=SourcePos(self.filename, lineno))
 
     def _alias(self, line: str, lineno: int):
         m = _ALIAS_RE.match(line)
@@ -182,15 +208,11 @@ class _ModuleParser:
         self.graph.add_alias(m.group(1), self.graph.resolve(m.group(2), self.base))
 
     def _include(self, line: str, lineno: int):
-        target = line.split(None, 1)[1].strip()
-        if isinstance(self.current, Theory):
-            body = self.current.declarations
-        elif isinstance(self.current, View):
-            body = self.current.statements
-        else:
+        target = self._argument(line, "a module", lineno)
+        if self.current is None:
             raise self.error("include outside a module", lineno)
-        body.append(Include(self.graph.resolve(target, self.base),
-                            pos=SourcePos(self.filename, lineno)))
+        self._extend(Include(self.graph.resolve(target, self.base),
+                             pos=SourcePos(self.filename, lineno)))
 
     # -- constants ---------------------------------------------------------
 
@@ -223,8 +245,8 @@ class _ModuleParser:
             seg_not = (marks["#"] + 1, len(body))
 
         if isinstance(self.current, Theory):
-            self._theory_constant(name, body, body_off, lineno,
-                                  seg_type, seg_def, seg_not)
+            self._theory_constant(name, body, lineno, seg_type, seg_def,
+                                  seg_not)
         elif isinstance(self.current, View):
             if seg_type or seg_not or not seg_def:
                 raise self.error("a view constant takes exactly '= <body>'",
@@ -233,10 +255,8 @@ class _ModuleParser:
         else:
             raise self.error("constant outside a module", lineno)
 
-    def _theory_constant(self, name, body, body_off, lineno,
-                         seg_type, seg_def, seg_not):
-        theory = self.current
-        scope = self.graph.scope_for(theory.name)
+    def _theory_constant(self, name, body, lineno, seg_type, seg_def, seg_not):
+        scope = self.graph.scope_for(self.current)
         ctype = cdef = notation = None
         if seg_type:
             ctype = parse_term(body[seg_type[0]:seg_type[1]].strip(), scope)
@@ -249,9 +269,9 @@ class _ModuleParser:
                 cdef = parse_term(text, scope)
         if seg_not:
             notation = parse_notation(body[seg_not[0]:seg_not[1]].strip())
-        theory.add_constant(Constant(name, type=ctype, definiens=cdef,
-                                     notation=notation,
-                                     pos=SourcePos(self.filename, lineno)))
+        self._extend(Constant(name, type=ctype, definiens=cdef,
+                              notation=notation,
+                              pos=SourcePos(self.filename, lineno)))
 
     def _view_constant(self, name, body, body_off, lineno, seg_def):
         view = self.current
@@ -278,6 +298,7 @@ class _ModuleParser:
             quote_local = lead + m.end() - 1
         elif stripped.startswith('"'):
             quote_local = lead
+        span = None
         if quote_local is not None:
             content, end_local = lex_string(
                 body, quote_local, lambda m_, i: self.error(m_, lineno))
@@ -285,14 +306,11 @@ class _ModuleParser:
             if params:
                 target = Bind(Const(CMP_LAMBDA), tuple(params), target)
             span = (self.filename, body_off + quote_local, body_off + end_local)
-            view.add_assignment(Assignment(
-                name, target, snippet_span=span,
-                pos=SourcePos(self.filename, lineno)))
         else:
             scope = self.graph.scope_for(view.codomain)
             target = parse_term(stripped.strip(), scope)
-            view.add_assignment(Assignment(
-                name, target, pos=SourcePos(self.filename, lineno)))
+        self._extend(Assignment(name, target, snippet_span=span,
+                                pos=SourcePos(self.filename, lineno)))
 
 
 def parse_modules(graph: TheoryGraph, text: str, filename: str = "<input>") \

@@ -56,7 +56,6 @@ def test_criterion_1_end_to_end_uom_scenario():
     ingest_omdoc(graph, doc)
     impl = (stdlib.root() / "source" / "lists_impl.mmt").read_text("utf-8")
     parse_modules(graph, impl, "lists_impl.mmt")
-    stdlib.apply_list_types(graph)
     base = RuleBase()
     for view in ("ListsImpl", "ListsExtImpl"):
         report = rules_of(graph, realization_of(graph, graph.resolve(view)))
@@ -264,6 +263,7 @@ def test_criterion_8_http_integration(loaded):
               and r4.headers["X-Simplify-Exhausted"] == "true")
     finally:
         httpd.shutdown()
+        httpd.server_close()
     announce(8, ok, 'text "1+2" -> "3"; XML scenario -> [1..7]; malformed '
                     "-> 400; fuel=1 -> 422 with partial result")
 

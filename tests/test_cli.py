@@ -239,3 +239,32 @@ def test_xml_integer_too_long_to_decode_exits_1(capsys):
     code = main(["simplify", "--xml", "-e", f"<OMI>{'7' * 5000}</OMI>"])
     assert code == 1
     assert "OMI too long" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("var, flag, argv", [
+    ("UM_FUEL", "--fuel", ["simplify", "-e", "1+2"]),
+    ("UM_PORT", "--port", ["serve"]),
+])
+def test_a_bad_environment_override_fails_like_the_bad_flag(
+        var, flag, argv, monkeypatch, capsys):
+    monkeypatch.setattr("umachine.cli.serve",
+                        lambda *args, **kwargs: pytest.fail("served"))
+    with pytest.raises(SystemExit) as e:
+        main(argv + [flag, "abc"])
+    assert e.value.code == 2
+    via_flag = capsys.readouterr().err
+    assert f"argument {flag}: invalid int value: 'abc'" in via_flag
+    monkeypatch.setenv(var, "abc")
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert capsys.readouterr().err == via_flag
+
+
+def test_port_env_override(monkeypatch, capsys):
+    ports = []
+    monkeypatch.setattr("umachine.cli.serve",
+                        lambda service, port: ports.append(port))
+    monkeypatch.setenv("UM_PORT", "8123")
+    assert main(["serve"]) == 0
+    assert ports == [8123]

@@ -1,9 +1,11 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 
-from umachine.graph import (COMPUTATION, OPENMATH, Constant,
+from umachine.graph import (COMPUTATION, OPENMATH, Assignment, Constant,
                             DuplicateModuleError, Include, IncludeCycleError,
                             MorphismError, Theory, TheoryGraph,
-                            UnresolvedModuleError,
+                            UnresolvedModuleError, View,
                             CMP_FUNCTION, CMP_LIST, CMP_TERM, OM_MAPSTO,
                             OM_OBJECT)
 from umachine.realization import SYNTACTIC, install_bifoundations
@@ -43,9 +45,8 @@ def test_flatten_is_idempotent(loaded):
     g = loaded.graph
     ref = g.resolve("NumbersTest")
     once = g.flatten(ref)
-    flat_theory = Theory(ModuleRef("um:/tmp", "flatNT"), meta=OPENMATH)
-    for _, c in once:
-        flat_theory.declarations.append(c)
+    flat_theory = Theory(ModuleRef("um:/tmp", "flatNT"), meta=OPENMATH,
+                         declarations=[c for _, c in once])
     g2 = TheoryGraph()
     g2.add(flat_theory)
     again = g2.flatten(flat_theory.name)
@@ -54,8 +55,8 @@ def test_flatten_is_idempotent(loaded):
 
 def test_repeated_include_is_a_noop():
     g = TheoryGraph()
-    a = Theory(ModuleRef("um:/t", "A"), meta=OPENMATH)
-    a.add_constant(Constant("c"))
+    a = Theory(ModuleRef("um:/t", "A"), meta=OPENMATH,
+               declarations=[Constant("c")])
     g.add(a)
     b = Theory(ModuleRef("um:/t", "B"), meta=OPENMATH,
                declarations=[Include(a.name), Include(a.name)])
@@ -65,12 +66,11 @@ def test_repeated_include_is_a_noop():
 
 def test_include_cycle_is_detected():
     g = TheoryGraph()
-    a = Theory(ModuleRef("um:/t", "A"), meta=OPENMATH)
-    b = Theory(ModuleRef("um:/t", "B"), meta=OPENMATH)
-    a.declarations.append(Include(b.name))
-    b.declarations.append(Include(a.name))
-    g.add(a)
-    g.add(b)
+    a = Theory(ModuleRef("um:/t", "A"), meta=OPENMATH,
+               declarations=[Include(ModuleRef("um:/t", "B"))])
+    b = Theory(ModuleRef("um:/t", "B"), meta=OPENMATH,
+               declarations=[Include(a.name)])
+    g.add(a, b)
     with pytest.raises(IncludeCycleError):
         g.flatten(a.name)
 
@@ -82,13 +82,10 @@ OPENMATH_NAMES = ["OpenMath?mapsto", "OpenMath?Object", "OpenMath?naryObject",
 
 
 def _theory(g, name, *decls, meta=OPENMATH):
-    t = Theory(ModuleRef("um:/t", name), meta=meta)
-    for d in decls:
-        if isinstance(d, str):
-            t.add_constant(Constant(d))
-        else:
-            t.declarations.append(d)
-    return g.add(t)
+    t = Theory(ModuleRef("um:/t", name), meta=meta, declarations=[
+        Constant(d) if isinstance(d, str) else d for d in decls])
+    g.add(t)
+    return t
 
 
 def test_scope_lists_an_included_meta_theory_once_at_the_include():
@@ -144,6 +141,50 @@ def test_duplicate_module_rejected():
         g.add(Theory(ModuleRef("um:/t", "A")))
 
 
+def test_add_registers_a_batch_whole_or_not_at_all():
+    g = TheoryGraph()
+    g.add(Theory(ModuleRef("um:/t", "A")))
+    before = dict(g.modules)
+    for names in (["B", "A"], ["C", "C"]):
+        with pytest.raises(DuplicateModuleError, match="already loaded"):
+            g.add(*(Theory(ModuleRef("um:/t", n)) for n in names))
+        assert g.modules == before
+    with pytest.raises(UnresolvedModuleError):
+        g.resolve("B")
+
+
+def test_a_module_is_a_value_checked_once():
+    t = Theory(ModuleRef("um:/t", "T"), declarations=[Constant("c")])
+    assert t.declarations == (Constant("c"),)
+    with pytest.raises(FrozenInstanceError):
+        t.declarations = ()
+    with pytest.raises(FrozenInstanceError):
+        t.declarations[0].name = "d"
+    with pytest.raises(DuplicateModuleError,
+                       match="duplicate constant c in um:/t\\?T"):
+        Theory(t.name, declarations=[Constant("c"), Include(OPENMATH),
+                                     Constant("c")])
+    with pytest.raises(DuplicateModuleError,
+                       match="duplicate assignment c in um:/t\\?V"):
+        View(ModuleRef("um:/t", "V"), OPENMATH, COMPUTATION,
+             statements=[Assignment("c", IntLit(1)),
+                         Assignment("c", IntLit(2))])
+
+
+def test_an_unregistered_theory_gets_the_scope_registering_it_gives():
+    g = TheoryGraph()
+    m = _theory(g, "M", "m1")
+    i = _theory(g, "I", "i1")
+    t = Theory(ModuleRef("um:/t", "T"), meta=m.name,
+               declarations=[Constant("c1"), Include(i.name)])
+    unregistered = g.scope_for(t)
+    g.add(t)
+    assert list(unregistered.by_qualified) == ["T?c1", "I?i1", "M?m1",
+                                               *OPENMATH_NAMES]
+    assert list(g.scope_for(t.name).by_qualified) == \
+        list(unregistered.by_qualified)
+
+
 # -- views -------------------------------------------------------------------
 
 PARTIAL_VIEW = """
@@ -182,8 +223,8 @@ def test_check_view_total_view_is_clean(loaded):
 
 def test_check_view_ignores_defined_constants():
     g = TheoryGraph()
-    t = Theory(ModuleRef("um:/t", "T"), meta=OPENMATH)
-    t.add_constant(Constant("c", definiens=IntLit(1)))
+    t = Theory(ModuleRef("um:/t", "T"), meta=OPENMATH,
+               declarations=[Constant("c", definiens=IntLit(1))])
     g.add(t)
     from umachine.graph import View
     v = View(ModuleRef("um:/t", "V"), domain=t.name, codomain=COMPUTATION)
@@ -239,18 +280,19 @@ def test_pushout_of_empty_theory(loaded):
     empty = Theory(ModuleRef("um:/t", "E"), meta=OPENMATH)
     g.add(empty)
     out = g.pushout(SYNTACTIC, empty.name)
-    assert out.meta == COMPUTATION and out.declarations == []
+    assert out.meta == COMPUTATION and out.declarations == ()
 
 
 def test_pushout_along_identity_is_renaming():
     from umachine.graph import View, Assignment
     g = TheoryGraph()
-    ident = View(ModuleRef("um:/t", "Id"), domain=OPENMATH, codomain=OPENMATH)
-    for name in ("mapsto", "Object", "naryObject", "binder", "FMP"):
-        ident.add_assignment(Assignment(name, Const(OPENMATH.name(name))))
+    ident = View(ModuleRef("um:/t", "Id"), domain=OPENMATH, codomain=OPENMATH,
+                 statements=[Assignment(name, Const(OPENMATH.name(name)))
+                             for name in ("mapsto", "Object", "naryObject",
+                                          "binder", "FMP")])
     g.add(ident)
-    t = Theory(ModuleRef("um:/t", "T"), meta=OPENMATH)
-    t.add_constant(Constant("c", type=Const(OM_OBJECT)))
+    t = Theory(ModuleRef("um:/t", "T"), meta=OPENMATH,
+               declarations=[Constant("c", type=Const(OM_OBJECT))])
     g.add(t)
     out = g.pushout(ident.name, t.name)
     assert out.meta == OPENMATH
@@ -270,25 +312,24 @@ def test_local_assignments_shadow_included_views():
     from umachine.realization import install_bifoundations
     g = TheoryGraph()
     install_bifoundations(g)
-    t = Theory(ModuleRef("um:/t", "T"), meta=OPENMATH)
-    t.add_constant(Constant("c"))
+    t = Theory(ModuleRef("um:/t", "T"), meta=OPENMATH,
+               declarations=[Constant("c")])
     g.add(t)
     inner = View(ModuleRef("um:/t", "Inner"), domain=t.name,
-                 codomain=COMPUTATION)
-    inner.add_assignment(Assignment("c", Const(CMP_TERM)))
+                 codomain=COMPUTATION,
+                 statements=[Assignment("c", Const(CMP_TERM))])
     g.add(inner)
     from umachine.graph import Include
     outer = View(ModuleRef("um:/t", "Outer"), domain=t.name,
-                 codomain=COMPUTATION)
-    outer.statements.append(Include(inner.name))
-    outer.add_assignment(Assignment("c", Const(CMP_ANY)))
+                 codomain=COMPUTATION,
+                 statements=[Include(inner.name),
+                             Assignment("c", Const(CMP_ANY))])
     g.add(outer)
     provider, a = g.resolve_assignment(outer.name, t.name.name("c"))
     assert provider == outer.name and a.target == Const(CMP_ANY)
     # Without a local assignment the included view provides it.
     bare = View(ModuleRef("um:/t", "Bare"), domain=t.name,
-                codomain=COMPUTATION)
-    bare.statements.append(Include(inner.name))
+                codomain=COMPUTATION, statements=[Include(inner.name)])
     g.add(bare)
     provider, a = g.resolve_assignment(bare.name, t.name.name("c"))
     assert provider == inner.name and a.target == Const(CMP_TERM)
@@ -301,12 +342,11 @@ def test_morphism_resolves_meta_constants_through_included_views():
     from umachine.realization import SYNTACTIC as SYN, install_bifoundations
     g = TheoryGraph()
     install_bifoundations(g)
-    t = Theory(ModuleRef("um:/t", "T"), meta=OPENMATH)
-    t.add_constant(Constant("c", type=Const(OM_OBJECT)))
+    t = Theory(ModuleRef("um:/t", "T"), meta=OPENMATH,
+               declarations=[Constant("c", type=Const(OM_OBJECT))])
     g.add(t)
-    v = View(ModuleRef("um:/t", "V"), domain=t.name, codomain=COMPUTATION)
-    v.statements.append(Include(SYN))
-    v.add_assignment(Assignment("c", Const(CMP_TERM)))
+    v = View(ModuleRef("um:/t", "V"), domain=t.name, codomain=COMPUTATION,
+             statements=[Include(SYN), Assignment("c", Const(CMP_TERM))])
     g.add(v)
     translated = g.apply_morphism(
         v.name, app(Const(OM_MAPSTO), Const(OM_OBJECT), Const(OM_OBJECT)))

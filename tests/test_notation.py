@@ -6,8 +6,9 @@ from termgen import surface_term
 from umachine.graph import OM_MAPSTO, OM_OBJECT
 from umachine.notation import (AmbiguityError, Arg, Delim, Notation,
                                NotationError, ParseScope, SeqArg,
-                               SyntaxErrorAt, VarList, parse_notation,
-                               parse_term, render_term)
+                               SyntaxErrorAt, VarList, escape_str,
+                               lex_string, parse_notation, parse_term,
+                               render_term)
 from umachine.terms import (Bind, Const, FloatLit, Foreign, GlobalName,
                             IntLit, StrLit, Var, app)
 
@@ -357,3 +358,38 @@ def test_generated_round_trip(scope):
         t = surface_term(rng, depth=rng.randrange(1, 4))
         s = render_term(t, scope)
         assert parse_term(s, scope) == t, s
+
+
+# -- string literals -------------------------------------------------------------
+
+def _lex_string_by_loop(src, i):
+    """Reference: the character loop ``lex_string`` must agree with."""
+    out, j = [], i + 1
+    while j < len(src):
+        c = src[j]
+        if c == "\\":
+            if j + 1 >= len(src) or src[j + 1] not in ('"', "\\"):
+                return ("bad escape in string literal", j)
+            out.append(src[j + 1])
+            j += 2
+        elif c == '"':
+            return "".join(out), j + 1
+        else:
+            out.append(c)
+            j += 1
+    return ("unterminated string literal", i)
+
+
+def test_lex_string_agrees_with_the_character_loop():
+    rng = random.Random(7)
+    for _ in range(20000):
+        lead = "x" * rng.randrange(3)
+        src = lead + '"' + "".join(rng.choice('ab"\\\n ')
+                                   for _ in range(rng.randrange(12)))
+        try:
+            got = lex_string(src, len(lead))
+        except SyntaxErrorAt as e:
+            got = (str(e).rsplit(" (at", 1)[0], e.pos)
+        assert got == _lex_string_by_loop(src, len(lead)), src
+    assert escape_str('a"b\\c') == '"a\\"b\\\\c"'
+    assert lex_string(escape_str('a"b\\c'), 0) == ('a"b\\c', 9)

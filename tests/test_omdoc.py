@@ -3,10 +3,11 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import umachine.stdlib as stdlib
-from umachine.graph import (DuplicateModuleError, LISTS_DOC_BASE, TheoryGraph,
-                            UnresolvedModuleError)
+from umachine.graph import (OM_MAPSTO, OM_NARYOBJECT, OM_OBJECT, OPENMATH,
+                            Constant, DuplicateModuleError, LISTS_DOC_BASE,
+                            Theory, TheoryGraph, UnresolvedModuleError)
 from umachine.omdoc import OmdocError, export_omdoc, ingest_omdoc
-from umachine.terms import Foreign, ModuleRef
+from umachine.terms import Const, Foreign, ModuleRef, app
 
 
 def lists_doc_text() -> str:
@@ -121,3 +122,37 @@ def test_lists_document_round_trips_up_to_whitespace():
     a = _normalize(ET.fromstring(lists_doc_text()))
     b = _normalize(ET.fromstring(out))
     assert a == b
+
+
+def test_the_lists_document_types_its_rule_bearing_constants():
+    g = TheoryGraph()
+    lists, ext = ingest_omdoc(g, lists_doc_text())
+    obj = Const(OM_OBJECT)
+    assert lists.constant("append").type == app(Const(OM_MAPSTO), obj, obj,
+                                                obj)
+    assert ext.constant("append_many").type == app(
+        Const(OM_MAPSTO), Const(OM_NARYOBJECT), obj)
+
+
+def test_a_type_survives_export_and_ingest():
+    typed = Constant("c", type=app(Const(OM_MAPSTO), Const(OM_OBJECT),
+                                   Const(OM_OBJECT)),
+                     definiens=Foreign("native", "c"))
+    t = Theory(ModuleRef("um:/t", "T"), meta=OPENMATH, declarations=[typed])
+    again, = ingest_omdoc(TheoryGraph(), export_omdoc([t], "um:/t"))
+    assert again.declarations == (typed,)
+
+
+def test_a_document_registers_all_its_theories_or_none():
+    g = TheoryGraph()
+    ingest_omdoc(g, '<omdoc base="um:/b"><theory name="old"/></omdoc>')
+    before = dict(g.modules)
+    with pytest.raises(DuplicateModuleError, match=r"um:/b\?old already"):
+        ingest_omdoc(g, '<omdoc base="um:/b"><theory name="new"/>'
+                        '<theory name="old"/></omdoc>')
+    with pytest.raises(DuplicateModuleError, match=r"um:/b\?twice already"):
+        ingest_omdoc(g, '<omdoc base="um:/b"><theory name="twice"/>'
+                        '<theory name="twice"/></omdoc>')
+    assert g.modules == before
+    assert [t.name.module for t in ingest_omdoc(
+        g, '<omdoc base="um:/b"><theory name="new"/></omdoc>')] == ["new"]

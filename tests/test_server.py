@@ -6,6 +6,7 @@ import time
 
 import pytest
 import requests
+from hypothesis import given, settings, strategies as st
 
 from umachine.codegen import build_graph, load
 from umachine.graph import TheoryGraph
@@ -13,7 +14,8 @@ from umachine.machine import Rule, RuleBase
 from umachine.omxml import decode_xml, encode_xml
 from umachine.realization import install_bifoundations
 from umachine.server import (IDLE_TIMEOUT_S, MAX_BODY_BYTES, MAX_FUEL, OMXML,
-                             SCOPE_CACHE_SIZE, TEXT, Service, make_server)
+                             SCOPE_CACHE_SIZE, TEXT, Response, Service,
+                             make_server)
 from umachine.stdlib import rules
 from umachine.surface import parse_modules
 from umachine.sts import Fixed
@@ -628,3 +630,65 @@ def test_scoped_requests_beside_ingests_answer_as_a_fresh_service():
         r = fresh.simplify_request(body, TEXT, scope, None)
         assert (status, reply) == (r.status, r.body), (scope, body)
     assert service.scope_for.cache_info().currsize <= SCOPE_CACHE_SIZE
+
+
+# -- ingest is all or nothing --------------------------------------------------
+
+def test_a_colliding_document_registers_none_of_its_theories():
+    graph, _, _ = build_graph()
+    service = Service(graph, RuleBase())
+    cd = "http://www.openmath.org/cd"
+    doc = (f'<omdoc base="{cd}"><theory name="fresh1"/>'
+           '<theory name="arith1"/></omdoc>')
+    r = service.ingest(doc.encode())
+    assert (r.status, r.body) == (409, f"module {cd}?arith1 already loaded\n")
+    assert f"{cd}?fresh1" not in service.theories().body.splitlines()
+    fixed = doc.replace('<theory name="arith1"/>', "")
+    r = service.ingest(fixed.encode())
+    assert (r.status, r.body) == (201, f"{cd}?fresh1\n")
+
+
+def test_a_document_naming_a_theory_twice_registers_nothing():
+    service = Service(TheoryGraph(), RuleBase())
+    before = service.theories().body
+    r = service.ingest(b'<omdoc base="um:/d"><theory name="t"/>'
+                       b'<theory name="u"/><theory name="t"/></omdoc>')
+    assert (r.status, r.body) == (409, "module um:/d?t already loaded\n")
+    assert service.theories().body == before
+
+
+# -- every answer is one of the documented ones --------------------------------
+
+_CONTENT_TYPES = [TEXT, "text/plain", OMXML, f"{OMXML}; charset=utf-8",
+                  "APPLICATION/OPENMATH+XML ;q=1", "", "junk/;;", "\x00"]
+_SCOPES = [None, "", "arith1", "NumbersTest", "everything1",
+           "http://www.openmath.org/cd?set1", "IntegerArith", "?", "a?b?c",
+           "nosuch", " arith1 "]
+_BODIES = [b"1+2*3", b"2^10", b"1+", b"{1,2} \xe2\x88\xaa {3}",
+           encode_xml(app(Const(GlobalName("http://www.openmath.org/cd",
+                                           "arith1", "plus")),
+                          IntLit(1), IntLit(2))).encode(),
+           b"<OMOBJ><OMI>x</OMI></OMOBJ>", b"\xff\xfe"]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(body=st.one_of(st.sampled_from(_BODIES), st.binary(max_size=40),
+                      st.text(max_size=20).map(str.encode)),
+       content_type=st.one_of(st.sampled_from(_CONTENT_TYPES),
+                              st.text(max_size=12)),
+       scope=st.one_of(st.sampled_from(_SCOPES), st.text(max_size=12)),
+       fuel=st.one_of(st.none(), st.sampled_from(
+           ["", "1", "3", "0", "-1", "abc", "1e3", " 7 ", str(MAX_FUEL + 1),
+            "9" * 5000]), st.text(max_size=6)))
+def test_every_answer_has_a_documented_status(status_service, body,
+                                              content_type, scope, fuel):
+    r = status_service.simplify_request(body, content_type, scope, fuel)
+    assert isinstance(r, Response)
+    assert r.status in (200, 400, 404, 413, 422)
+    if r.status in (200, 422):
+        assert set(r.headers) == {"X-Simplify-Steps", "X-Simplify-Exhausted"}
+
+
+@pytest.fixture(scope="module")
+def status_service(loaded):
+    return Service(loaded.graph, loaded.base)

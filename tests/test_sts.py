@@ -57,11 +57,10 @@ def test_arity_rejects_ill_formed():
 
 def _theory_with(defs):
     g = TheoryGraph()
-    t = Theory(ModuleRef("um:/lint", "T"), meta=OPENMATH)
-    t.add_constant(Constant("minus", type=mapsto(OBJ, OBJ, OBJ)))
-    t.add_constant(Constant("plus", type=mapsto(NARY, OBJ)))
-    for name, term in defs:
-        t.add_constant(Constant(name, definiens=term))
+    t = Theory(ModuleRef("um:/lint", "T"), meta=OPENMATH, declarations=[
+        Constant("minus", type=mapsto(OBJ, OBJ, OBJ)),
+        Constant("plus", type=mapsto(NARY, OBJ)),
+        *(Constant(name, definiens=term) for name, term in defs)])
     g.add(t)
     return g, t
 
@@ -84,8 +83,8 @@ def test_lint_allows_single_argument_sequences():
 
 def test_lint_flags_ill_formed_type():
     g = TheoryGraph()
-    t = Theory(ModuleRef("um:/lint", "T2"), meta=OPENMATH)
-    t.add_constant(Constant("c", type=NARY))
+    t = Theory(ModuleRef("um:/lint", "T2"), meta=OPENMATH,
+               declarations=[Constant("c", type=NARY)])
     g.add(t)
     diags = lint_theory(g, t.name)
     assert len(diags) == 1 and "ill-formed" in str(diags[0])
@@ -125,11 +124,12 @@ def test_lint_on_generated_corpus(loaded):
     from termgen import engine_term
     g = loaded.graph
     rng = random.Random(5)
-    t = Theory(ModuleRef("um:/lint", "Corpus"), meta=OPENMATH)
-    for i in range(50):
-        t.add_constant(Constant(f"e{i}", definiens=engine_term(rng, 3)))
+    scratch = Theory(ModuleRef("um:/lint", "Corpus"), meta=OPENMATH,
+                     declarations=[Constant(f"e{i}",
+                                            definiens=engine_term(rng, 3))
+                                   for i in range(50)])
     g2 = TheoryGraph()
-    scratch = g2.add(t)
+    g2.add(scratch)
     # resolve against the loaded graph for arities: copy the relevant theories
     for name in ("arith1", "logic1", "relation1", "set1", "fns1", "integer1"):
         g2.modules[g.resolve(name)] = g.modules[g.resolve(name)]

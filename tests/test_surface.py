@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from umachine.graph import OM_MAPSTO, OM_NARYOBJECT, OM_OBJECT, TheoryGraph
@@ -5,8 +7,8 @@ from umachine.machine import RuleBase
 from umachine.notation import Notation, SeqArg
 from umachine.realization import install_bifoundations
 from umachine.server import TEXT, Service
-from umachine.surface import SurfaceError, parse_modules
-from umachine.terms import Bind, Const, Foreign, IntLit, app
+from umachine.surface import SurfaceError, _open_quote, parse_modules
+from umachine.terms import Bind, Const, Foreign, IntLit, ModuleRef, app
 
 
 def fresh_graph():
@@ -195,3 +197,79 @@ theory T : OpenMath
                                             IntLit(1))
     r = Service(g, RuleBase()).simplify_request(b"f(1)", TEXT, "T", None)
     assert (r.status, r.body) == (200, "base?f(1)")
+
+
+def test_a_failed_block_is_not_registered_and_the_fixed_text_parses():
+    g = fresh_graph()
+    broken = ("document um:/test\ntheory half : OpenMath\n"
+              "  constant a : Object\n  constant b : Object ×\n")
+    with pytest.raises(SurfaceError) as e:
+        parse_modules(g, broken, "half.mmt")
+    assert str(e.value).startswith("half.mmt:4:")
+    assert ModuleRef("um:/test", "half") not in g.modules
+    fixed = broken.replace("Object ×", "Object")
+    half = ModuleRef("um:/test", "half")
+    assert parse_modules(g, fixed, "half.mmt") == [half]
+    t = g.theory(half)
+    assert [c.name for c in t.constants()] == ["a", "b"]
+
+
+def test_a_block_registers_when_the_next_header_closes_it():
+    g = fresh_graph()
+    src = ("document um:/test\n"
+           "theory first : OpenMath\n  constant a : Object\n"
+           "theory second : OpenMath\n  constant b : Object\n"
+           "  constant b : Object\n")
+    with pytest.raises(SurfaceError, match="duplicate constant b") as e:
+        parse_modules(g, src, "two.mmt")
+    assert e.value.line == 6
+    assert ModuleRef("um:/test", "first") in g.modules
+    assert ModuleRef("um:/test", "second") not in g.modules
+
+
+def test_a_constant_parses_in_the_scope_of_its_open_block():
+    g = fresh_graph()
+    parse_modules(g, "document um:/test\ntheory own : OpenMath\n"
+                     "  constant k : Object\n  constant c = k\n", "own.mmt")
+    t = g.theory(ModuleRef("um:/test", "own"))
+    assert t.constant("c").definiens == Const(t.name.name("k"))
+    assert isinstance(t.declarations, tuple)
+
+
+@pytest.mark.parametrize("src, line, message", [
+    ("document\n", 1, "document needs a base URI"),
+    ("theory T : OpenMath\n  include\n", 2, "include needs a module"),
+    # The open block is not registered, so it cannot include itself.
+    ("document um:/test\ntheory T : OpenMath\n  include T\n", 3,
+     "unknown module 'T'"),
+    # An alias line closes the block before it.
+    ("theory T : OpenMath\nalias U = T\n  constant c : Object\n", 3,
+     "constant outside a module"),
+    ("theory T : OpenMath\nalias U = T\n  include T\n", 3,
+     "include outside a module"),
+])
+def test_statement_errors_name_their_line(src, line, message):
+    g = fresh_graph()
+    with pytest.raises(SurfaceError) as e:
+        parse_modules(g, src, "bad.mmt")
+    assert str(e.value) == f"bad.mmt:{line}:0: {message}"
+
+
+def _open_quote_by_loop(s):
+    """Reference: the character loop ``_open_quote`` must agree with."""
+    in_str, i = False, 0
+    while i < len(s):
+        if in_str and s[i] == "\\":
+            i += 2
+            continue
+        if s[i] == '"':
+            in_str = not in_str
+        i += 1
+    return in_str
+
+
+def test_open_quote_agrees_with_the_character_loop():
+    rng = random.Random(3)
+    for _ in range(20000):
+        s = "".join(rng.choice('ab"\\\n ') for _ in range(rng.randrange(14)))
+        assert _open_quote(s) == _open_quote_by_loop(s), s
