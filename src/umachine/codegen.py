@@ -21,9 +21,8 @@ from .machine import RuleBase, SimplifyBudget
 from .notation import escape_str
 from .omdoc import ingest_omdoc
 from .realization import (Bifoundation, TestReport, collect_tests,
-                          install_bifoundations, realization_of, rules_of,
-                          run_tests)
-from .sts import Binder, Fixed, Flexible
+                          install_bifoundations, rules_of, run_tests)
+from .sts import Binder, Fixed, Flexible, declared_arity
 from .surface import parse_modules
 from .terms import Bind, GlobalName, ModuleRef
 
@@ -97,8 +96,7 @@ def realization_views(graph: TheoryGraph, modules=None) -> list[View]:
 
 def _param_list(g: GlobalName, assignment: Assignment,
                 graph: TheoryGraph) -> str:
-    from .sts import constant_arity
-    arity = constant_arity(graph, g)
+    arity = declared_arity(graph.lookup(g))
     names = list(assignment.target.context) \
         if isinstance(assignment.target, Bind) else []
     if isinstance(arity, Binder):
@@ -250,16 +248,11 @@ def load(graph: TheoryGraph,
         -> tuple[RuleBase, LoadReport]:
     """Build the union rule base of all loaded realizations and run the tests."""
     base = RuleBase()
-    unimplemented: list[GlobalName] = []
-    seen: set[GlobalName] = set()
+    unimplemented: dict[GlobalName, None] = {}  # an ordered set
     for view in realization_views(graph):
-        realization = realization_of(graph, view.name)
-        report = rules_of(graph, realization)
+        report = rules_of(graph, view.name)
         for rule in report.base.rules():
             base.add(rule)
-        for g in report.unimplemented:
-            if g not in seen:
-                seen.add(g)
-                unimplemented.append(g)
+        unimplemented.update(dict.fromkeys(report.unimplemented))
     tests = run_tests(graph, base, collect_tests(graph), budget)
-    return base, LoadReport(len(base), unimplemented, tests)
+    return base, LoadReport(len(base), list(unimplemented), tests)

@@ -4,8 +4,10 @@ The graph holds named modules (theories and views).  Two theories are always
 present: ``OpenMath`` (the meta-theory of content dictionaries, declaring the
 type formers) and ``Computation`` (the native target, declaring the shapes
 realizations map types into).  A constant reference resolves in its theory,
-the theory's includes, then the meta-theory chain.  Modules are values: each
-is built whole, with its declarations in a tuple, and registered once.
+the theory's includes, then the meta-theory chain; a view assigns a name by
+its own statements first, then its included views in order, first hit wins.
+Modules are values: each is built whole, with its declarations in a tuple,
+and registered once.
 """
 
 from __future__ import annotations
@@ -349,24 +351,30 @@ class TheoryGraph:
 
     # -- views ----------------------------------------------------------------
 
-    def resolve_assignment(self, vref: ModuleRef, g: GlobalName,
-                           _seen: frozenset = frozenset()) \
-            -> tuple[ModuleRef, Assignment] | None:
-        """Find the assignment for ``g``: local statements first, then
-        included views in order.  Returns the providing view as well."""
-        if vref in _seen:
-            return None
-        v = self.view(vref)
-        domain_names = {h for h, _ in self.flatten(v.domain)}
-        if g in domain_names:
-            a = v.assignment(g.name)
-            if a is not None:
-                return (vref, a)
-        for inc in v.includes():
-            hit = self.resolve_assignment(inc.target, g, _seen | {vref})
-            if hit is not None:
-                return hit
-        return None
+    def assignments(self, vref: ModuleRef) \
+            -> dict[GlobalName, tuple[ModuleRef, Assignment]]:
+        """What ``vref`` assigns to each name, with the view providing it.
+
+        One walk: a view's own statements first, then its included views in
+        include order; the first hit wins, and a view reached twice is read
+        once.  Each view assigns only names of its own flattened domain.
+        """
+        table: dict[GlobalName, tuple[ModuleRef, Assignment]] = {}
+        seen: set[ModuleRef] = set()
+        todo = [vref]  # a stack, so included views are read depth first
+        while todo:
+            ref = todo.pop()
+            if ref in seen:
+                continue
+            seen.add(ref)
+            v = self.view(ref)
+            own = {s.name: s for s in v.statements
+                   if isinstance(s, Assignment)}
+            for g, c in self.flatten(v.domain):
+                if c.name in own and g not in table:
+                    table[g] = (ref, own[c.name])
+            todo.extend(reversed([i.target for i in v.includes()]))
+        return table
 
     def check_view(self, vref: ModuleRef) -> list[GlobalName]:
         """Names of definiens-less domain constants without a real assignment.
@@ -374,32 +382,31 @@ class TheoryGraph:
         An escaped assignment whose body is empty is a stub, not an
         assignment.
         """
-        v = self.view(vref)
-        missing = []
-        for g, c in self.flatten(v.domain):
-            if c.definiens is not None:
-                continue
-            hit = self.resolve_assignment(vref, g)
-            if hit is None or snippet_is_stub(hit[1].target):
-                missing.append(g)
-        return missing
+        table = self.assignments(vref)
+        return [g for g, c in self.flatten(self.view(vref).domain)
+                if c.definiens is None
+                and (g not in table or snippet_is_stub(table[g][1].target))]
 
-    def apply_morphism(self, vref: ModuleRef, t: Term, _depth: int = 0) -> Term:
+    def apply_morphism(self, vref: ModuleRef, t: Term) -> Term:
         """Homomorphic replacement of constants by their view assignments.
 
         Constants the view does not assign fall back to their definiens
         (translated recursively); anything else is an error.
         """
-        if _depth > 100:
+        return self._translate(vref, self.assignments(vref), t, 0)
+
+    def _translate(self, vref: ModuleRef, table: dict, t: Term,
+                   depth: int) -> Term:
+        if depth > 100:
             raise MorphismError("definiens expansion does not terminate")
 
         def assign(x: Const) -> Term:
-            hit = self.resolve_assignment(vref, x.head)
+            hit = table.get(x.head)
             if hit is not None:
                 return hit[1].target
             c = self.lookup(x.head)
             if c is not None and c.definiens is not None:
-                return self.apply_morphism(vref, c.definiens, _depth + 1)
+                return self._translate(vref, table, c.definiens, depth + 1)
             raise MorphismError(f"no assignment for {x.head} in view {vref}")
 
         return _map_constants(t, assign)
@@ -420,11 +427,12 @@ class TheoryGraph:
         flat = self.flatten(tref)
         new_ref = ModuleRef(tref.base, f"{v.name.module}_{tref.module}")
         fixed = {g: Const(new_ref.name(c.name)) for g, c in flat}
+        table = self.assignments(vref)
 
         def assign(x: Const) -> Term:
             if x.head in fixed:
                 return fixed[x.head]
-            hit = self.resolve_assignment(vref, x.head)
+            hit = table.get(x.head)
             if hit is not None:
                 return hit[1].target
             raise MorphismError(f"no assignment for {x.head} in view {vref}")

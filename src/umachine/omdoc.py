@@ -3,15 +3,17 @@
 Supported elements: ``omdoc`` (attribute ``base``), ``theory`` (``name``),
 ``constant`` (``name``), ``include`` (``from``), and a constant's ``type``
 and ``definition``, each wrapping an ``OMOBJ`` (possibly containing
-``OMFOREIGN``).  Theories get the ``OpenMath`` meta-theory by default.  A
-document registers all of its theories or, on any error, none.
+``OMFOREIGN``), at most one of each.  Theories get the ``OpenMath``
+meta-theory by default.  An include may name a theory registered later, but
+not a registered view.  A document registers all of its theories or, on any
+error, none.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 
-from .graph import OPENMATH, Constant, Include, Theory, TheoryGraph
+from .graph import OPENMATH, Constant, Include, Theory, TheoryGraph, View
 from .omxml import XmlDecodeError, from_element, local_tag, to_element
 from .terms import ModuleRef, normalize_uri
 
@@ -60,7 +62,11 @@ def ingest_omdoc(graph: TheoryGraph, xml_text: str) -> list[Theory]:
                 frm = child.get("from")
                 if not frm:
                     raise OmdocError("include needs a from attribute")
-                decls.append(Include(_resolve_module(frm, base)))
+                target = _resolve_module(frm, base)
+                if isinstance(graph.modules.get(target), View):
+                    raise OmdocError(
+                        f"theory {name} includes {target}, a view")
+                decls.append(Include(target))
             elif ctag == "constant":
                 cname = child.get("name")
                 if not cname:
@@ -73,11 +79,14 @@ def ingest_omdoc(graph: TheoryGraph, xml_text: str) -> list[Theory]:
                     objs = list(sub)
                     if len(objs) != 1 or local_tag(objs[0].tag) != "OMOBJ":
                         raise OmdocError(f"{stag} needs one OMOBJ child")
+                    if _CONSTANT_TERMS[stag] in terms:
+                        raise OmdocError(
+                            f"constant {cname} has more than one {stag}")
                     try:
-                        term = from_element(objs[0], base)
+                        terms[_CONSTANT_TERMS[stag]] = from_element(
+                            objs[0], base)
                     except XmlDecodeError as e:
                         raise OmdocError(str(e)) from e
-                    terms[_CONSTANT_TERMS[stag]] = term
                 decls.append(Constant(cname, **terms))
             else:
                 raise OmdocError(f"unsupported element: {ctag}")

@@ -2,9 +2,11 @@
 
 The registry binds ``View?constant`` to an in-process function with an arity;
 the escaped snippet stored in the view is documentation and codegen payload,
-never executed.  A realization is syntactic when the bifoundation embedding
-translates every assigned constant's type to the term-shaped Computation
-types; only syntactic realizations induce rules.
+never executed.  A view assigns a constant by its own statements first, then
+by its included views in include order; the first hit wins, and the view
+providing it keys the registry.  A realization is syntactic (``commutes``) when the
+bifoundation embedding translates every assigned constant's type to the
+term-shaped Computation types; only those induce rules (``rules_of``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .graph import (BUILTIN_BASE, CMP_ANY, CMP_CONTEXT, CMP_FUNCTION,
                     View, snippet_is_stub)
 from .machine import Rule, RuleBase, SimplifyBudget, simplify
 from .notation import render_term
-from .sts import Arity, Binder, Fixed, Flexible, arity_of, well_formed_type
+from .sts import Arity, Binder, Fixed, Flexible, declared_arity
 from .terms import (App, Bind, Const, Foreign, GlobalName, ModuleRef, Term,
                     app)
 
@@ -114,35 +116,17 @@ def register(view: str, constant: str, arity: Arity, fn: Callable):
     return fn
 
 
-@dataclass
-class Realization:
-    view: ModuleRef
-    registry: dict[str, RegisteredFn]
-    syntactic: bool
+def commutes(graph: TheoryGraph, view_ref: ModuleRef,
+             embed: ModuleRef = SYNTACTIC) -> bool:
+    """Whether the triangle with the bifoundation embedding commutes.
 
-
-def realization_of(graph: TheoryGraph, view_ref: ModuleRef,
-                   registry: dict[str, RegisteredFn] | None = None,
-                   embed: ModuleRef = SYNTACTIC) -> Realization:
-    """Wrap a view with its registry bindings and the syntactic check.
-
-    The check translates each assigned constant's type along the bifoundation
-    embedding and compares it with the term-shaped Computation type of the
-    constant's arity (the triangle with the embedding must commute).
+    Each assigned, well-typed constant's type, translated along ``embed``,
+    must be the term-shaped Computation type of the constant's arity.
     """
-    registry = REGISTRY if registry is None else registry
-    view = graph.view(view_ref)
-    syntactic = True
-    for g, c in graph.flatten(view.domain):
-        if graph.resolve_assignment(view_ref, g) is None:
-            continue
-        if c.type is None or not well_formed_type(c.type):
-            continue
-        translated = graph.apply_morphism(embed, c.type)
-        if translated != syntactic_shape(arity_of(c.type)):
-            syntactic = False
-            break
-    return Realization(view_ref, registry, syntactic)
+    table = graph.assignments(view_ref)
+    return all(graph.apply_morphism(embed, c.type) == syntactic_shape(arity)
+               for g, c in graph.flatten(graph.view(view_ref).domain)
+               if g in table and (arity := declared_arity(c)) is not None)
 
 
 @dataclass
@@ -160,27 +144,26 @@ def _expects_function(c, arity: Arity | None, assignment: Assignment) -> bool:
         and isinstance(assignment.target.scope, Foreign)
 
 
-def rules_of(graph: TheoryGraph, realization: Realization) -> RulesReport:
+def rules_of(graph: TheoryGraph, view_ref: ModuleRef,
+             registry: dict[str, RegisteredFn] | None = None,
+             embed: ModuleRef = SYNTACTIC) -> RulesReport:
     """The rule base a syntactic realization induces.
 
     One rule per registered constant; assigned constants whose snippet is a
     stub, or whose function-shaped assignment has no registry binding, are
     reported as unimplemented.
     """
-    if not realization.syntactic:
-        raise RealizationError(
-            f"{realization.view} is not a syntactic realization")
+    if not commutes(graph, view_ref, embed):
+        raise RealizationError(f"{view_ref} is not a syntactic realization")
+    registry = REGISTRY if registry is None else registry
+    table = graph.assignments(view_ref)
     report = RulesReport(RuleBase())
-    for g, c in graph.flatten(graph.view(realization.view).domain):
-        hit = graph.resolve_assignment(realization.view, g)
-        if hit is None:
+    for g, c in graph.flatten(graph.view(view_ref).domain):
+        if g not in table:
             continue
-        provider, assignment = hit
-        declared = None
-        if c.type is not None and well_formed_type(c.type):
-            declared = arity_of(c.type)
-        key = f"{provider.module}?{c.name}"
-        entry = realization.registry.get(key)
+        provider, assignment = table[g]
+        declared = declared_arity(c)
+        entry = registry.get(f"{provider.module}?{c.name}")
         if entry is None:
             if snippet_is_stub(assignment.target) \
                     or _expects_function(c, declared, assignment):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import (OM_BINDER, OM_FMP, OM_MAPSTO, OM_NARYOBJECT, OM_OBJECT,
-                    SourcePos, TheoryGraph)
+                    Constant, SourcePos, TheoryGraph)
 from .terms import App, Bind, Const, GlobalName, Term
 
 
@@ -97,9 +97,8 @@ class Diagnostic:
         return f"{self.severity} {pos} {self.subject.local} {self.message}"
 
 
-def constant_arity(graph: TheoryGraph, g: GlobalName) -> Arity | None:
-    """The arity of a declared constant, or None if untyped/ill-typed."""
-    c = graph.lookup(g)
+def declared_arity(c: Constant | None) -> Arity | None:
+    """The arity of a constant's type; None if no constant or no such type."""
     if c is None or c.type is None or not well_formed_type(c.type):
         return None
     return arity_of(c.type)
@@ -115,9 +114,9 @@ def lint_theory(graph: TheoryGraph, ref) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     for c in theory.constants():
         g = theory.name.name(c.name)
-        if c.type is not None and not well_formed_type(c.type):
+        if c.type is not None and declared_arity(c) is None:
             out.append(Diagnostic("error", c.pos, g, "ill-formed type"))
-        if c.type is not None and well_formed_type(c.type):
+        elif c.type is not None:
             _check_term(graph, c.type, g, c.pos, out)
         if c.definiens is not None:
             _check_term(graph, c.definiens, g, c.pos, out)
@@ -130,7 +129,7 @@ def _check_term(graph: TheoryGraph, t: Term, subject: GlobalName, pos,
     a recursive closure would be a reference cycle per ``lint_theory``)."""
     if isinstance(t, App):
         if isinstance(t.head, Const) and t.head.head != OM_FMP:
-            a = constant_arity(graph, t.head.head)
+            a = declared_arity(graph.lookup(t.head.head))
             if isinstance(a, Fixed) and a.n != len(t.args):
                 out.append(Diagnostic(
                     "error", pos, subject,
@@ -150,7 +149,7 @@ def _check_term(graph: TheoryGraph, t: Term, subject: GlobalName, pos,
             _check_term(graph, x, subject, pos, out)
     elif isinstance(t, Bind):
         if isinstance(t.binder, Const):
-            a = constant_arity(graph, t.binder.head)
+            a = declared_arity(graph.lookup(t.binder.head))
             if a is not None and not isinstance(a, Binder):
                 out.append(Diagnostic(
                     "error", pos, subject,

@@ -211,8 +211,13 @@ class _ModuleParser:
         target = self._argument(line, "a module", lineno)
         if self.current is None:
             raise self.error("include outside a module", lineno)
-        self._extend(Include(self.graph.resolve(target, self.base),
-                             pos=SourcePos(self.filename, lineno)))
+        ref = self.graph.resolve(target, self.base)
+        # A theory includes theories and a view views; fail at this line.
+        if isinstance(self.current, View):
+            self.graph.view(ref)
+        else:
+            self.graph.theory(ref)
+        self._extend(Include(ref, pos=SourcePos(self.filename, lineno)))
 
     # -- constants ---------------------------------------------------------
 

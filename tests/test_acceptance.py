@@ -22,8 +22,7 @@ from umachine.notation import parse_term, render_term
 from umachine.omdoc import ingest_omdoc
 from umachine.omxml import decode_xml, encode_xml
 from umachine.realization import (LOGIC1_TRUE, collect_tests,
-                                  install_bifoundations, realization_of,
-                                  rules_of, run_tests)
+                                  install_bifoundations, rules_of, run_tests)
 from umachine.server import OMXML, Service, make_server
 from umachine.stdlib import rules
 from umachine.sts import BINDER, Fixed, Flexible, arity_of
@@ -58,7 +57,7 @@ def test_criterion_1_end_to_end_uom_scenario():
     parse_modules(graph, impl, "lists_impl.mmt")
     base = RuleBase()
     for view in ("ListsImpl", "ListsExtImpl"):
-        report = rules_of(graph, realization_of(graph, graph.resolve(view)))
+        report = rules_of(graph, graph.resolve(view))
         for rule in report.base.rules():
             base.add(rule)
     scenario = app(Const(rules.APPEND_MANY), clist(1, 2, 3), clist(4, 5),

@@ -73,6 +73,25 @@ def test_check_prints_a_missing_assignment_as_a_diagnostic(partial_project,
         f"error {mmt}:3 arith1?plus missing assignment in view NumberArith\n")
 
 
+@pytest.mark.parametrize("command", ["check", "test"])
+@pytest.mark.parametrize("block, include, message", [
+    ("view V : arith1 -> Computation", "arith1",
+     "http://www.openmath.org/cd?arith1 is a theory, not a view"),
+    # Without a constant after it, the include is the block's last line.
+    ("theory T : OpenMath", "IntegerArith",
+     "http://www.openmath.org/cd?IntegerArith is a view, not a theory"),
+])
+def test_an_include_of_the_wrong_kind_fails_at_its_line(
+        tmp_path, capsys, command, block, include, message):
+    root = tmp_path / "kind"
+    (root / "source").mkdir(parents=True)
+    mmt = root / "source" / "k.mmt"
+    mmt.write_text(f"document um:/kind\n\n{block}\n  include {include}\n",
+                   "utf-8")
+    assert main([command, str(root)]) == 2
+    assert capsys.readouterr().err == f"error: {mmt}:4:0: {message}\n"
+
+
 def test_test_command_reports_passes(capsys):
     code = main(["test"])
     out = capsys.readouterr().out

@@ -325,13 +325,13 @@ def test_local_assignments_shadow_included_views():
                  statements=[Include(inner.name),
                              Assignment("c", Const(CMP_ANY))])
     g.add(outer)
-    provider, a = g.resolve_assignment(outer.name, t.name.name("c"))
+    provider, a = g.assignments(outer.name)[t.name.name("c")]
     assert provider == outer.name and a.target == Const(CMP_ANY)
     # Without a local assignment the included view provides it.
     bare = View(ModuleRef("um:/t", "Bare"), domain=t.name,
                 codomain=COMPUTATION, statements=[Include(inner.name)])
     g.add(bare)
-    provider, a = g.resolve_assignment(bare.name, t.name.name("c"))
+    provider, a = g.assignments(bare.name)[t.name.name("c")]
     assert provider == inner.name and a.target == Const(CMP_TERM)
 
 

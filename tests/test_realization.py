@@ -5,7 +5,7 @@ from umachine.graph import TheoryGraph, LISTS_DOC_BASE
 from umachine.realization import (LOGIC1_TRUE, SEMANTIC, SYNTACTIC,
                                   ArityMismatchError, RealizationError,
                                   RegisteredFn, TestCase, collect_tests,
-                                  realization_of, rules_of, run_tests)
+                                  commutes, rules_of, run_tests)
 from umachine.sts import Fixed, Flexible
 from umachine.surface import parse_modules
 from umachine.terms import Const, GlobalName, IntLit
@@ -46,10 +46,9 @@ def _registry(**overrides):
 def test_rules_of_partial_realization():
     graph, _, _ = build_graph()
     parse_modules(graph, NUMBER_ARITH, "na.mmt")
-    real = realization_of(graph, graph.resolve("NumberArithX"),
-                          registry=_registry())
-    assert real.syntactic
-    report = rules_of(graph, real)
+    ref = graph.resolve("NumberArithX")
+    assert commutes(graph, ref)
+    report = rules_of(graph, ref, registry=_registry())
     minus = GlobalName(CD, "arith1", "minus")
     assert report.base.get(minus, Fixed(2)) is not None
     assert [g.local for g in report.unimplemented] == ["arith1?plus"]
@@ -59,15 +58,13 @@ def test_rules_of_empty_view():
     graph, _, _ = build_graph()
     parse_modules(graph, "document um:/t\n\n"
                          "view Empty : arith1 -> Computation\n", "e.mmt")
-    real = realization_of(graph, graph.resolve("Empty"), registry={})
-    report = rules_of(graph, real)
+    report = rules_of(graph, graph.resolve("Empty"), registry={})
     assert len(report.base) == 0 and report.unimplemented == []
 
 
 def test_rules_of_lists_realizations(loaded):
     g = loaded.graph
-    real = realization_of(g, g.resolve("ListsExtImpl"))
-    report = rules_of(g, real)
+    report = rules_of(g, g.resolve("ListsExtImpl"))
     append = GlobalName(LISTS_DOC_BASE, "lists", "append")
     many = GlobalName(LISTS_DOC_BASE, "lists_ext", "append_many")
     assert report.base.get(append, Fixed(2)) is not None
@@ -79,25 +76,23 @@ def test_arity_mismatch_is_an_error():
     graph, _, _ = build_graph()
     parse_modules(graph, NUMBER_ARITH, "na.mmt")
     bad = _registry(**{"NumberArithX?minus": RegisteredFn(Fixed(1), _minus)})
-    real = realization_of(graph, graph.resolve("NumberArithX"), registry=bad)
     with pytest.raises(ArityMismatchError):
-        rules_of(graph, real)
+        rules_of(graph, graph.resolve("NumberArithX"), registry=bad)
 
 
 def test_non_syntactic_realizations_are_rejected():
     graph, _, _ = build_graph()
     parse_modules(graph, NUMBER_ARITH, "na.mmt")
-    real = realization_of(graph, graph.resolve("NumberArithX"),
-                          registry=_registry(), embed=SEMANTIC)
-    assert not real.syntactic
+    ref = graph.resolve("NumberArithX")
+    assert not commutes(graph, ref, embed=SEMANTIC)
     with pytest.raises(RealizationError):
-        rules_of(graph, real)
+        rules_of(graph, ref, registry=_registry(), embed=SEMANTIC)
 
 
 def test_all_shipped_realizations_commute(loaded):
     from umachine.codegen import realization_views
     for view in realization_views(loaded.graph):
-        assert realization_of(loaded.graph, view.name).syntactic, view.name
+        assert commutes(loaded.graph, view.name), view.name
 
 
 def test_bifoundation_embeddings_are_total(loaded):

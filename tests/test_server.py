@@ -657,6 +657,37 @@ def test_a_document_naming_a_theory_twice_registers_nothing():
     assert service.theories().body == before
 
 
+@pytest.mark.parametrize("element", ["type", "definition"])
+def test_a_repeated_constant_element_is_400_and_registers_nothing(element):
+    service = Service(TheoryGraph(), RuleBase())
+    before = service.theories().body
+    one = f"<{element}><OMOBJ><OMI>1</OMI></OMOBJ></{element}>"
+    two = f"<{element}><OMOBJ><OMI>2</OMI></OMOBJ></{element}>"
+    r = service.ingest(f'<omdoc base="um:/d"><theory name="ok"/>'
+                       f'<theory name="t"><constant name="c">{one}{two}'
+                       f'</constant></theory></omdoc>'.encode())
+    assert (r.status, r.body) == (
+        400, f"constant c has more than one {element}\n")
+    assert service.theories().body == before
+
+
+def test_an_include_of_a_registered_view_is_400():
+    graph, _, _ = build_graph()
+    service = Service(graph, RuleBase())
+    before = service.theories().body
+    cd = "http://www.openmath.org/cd"
+    r = service.ingest(f'<omdoc base="um:/d"><theory name="t">'
+                       f'<include from="{cd}?IntegerArith"/></theory>'
+                       f'</omdoc>'.encode())
+    assert (r.status, r.body) == (
+        400, f"theory t includes {cd}?IntegerArith, a view\n")
+    assert service.theories().body == before
+    # A module not registered yet may still be named.
+    r = service.ingest(b'<omdoc base="um:/d"><theory name="t">'
+                       b'<include from="?later"/></theory></omdoc>')
+    assert (r.status, r.body) == (201, "um:/d?t\n")
+
+
 # -- every answer is one of the documented ones --------------------------------
 
 _CONTENT_TYPES = [TEXT, "text/plain", OMXML, f"{OMXML}; charset=utf-8",

@@ -209,9 +209,9 @@ def test_zero_divisor_declines(loaded):
 # -- catalog coherence --------------------------------------------------------------------
 
 def test_rule_arities_match_declared_types(loaded):
-    from umachine.sts import constant_arity
+    from umachine.sts import declared_arity
     for rule in loaded.base.rules():
-        declared = constant_arity(loaded.graph, rule.head)
+        declared = declared_arity(loaded.graph.lookup(rule.head))
         assert declared == rule.arity, rule.head
 
 

@@ -247,6 +247,11 @@ def test_a_constant_parses_in_the_scope_of_its_open_block():
      "constant outside a module"),
     ("theory T : OpenMath\nalias U = T\n  include T\n", 3,
      "include outside a module"),
+    # An include names a module of its block's kind.
+    ("view V : OpenMath -> Computation\n  include OpenMath\n", 2,
+     "urn:um:builtin?OpenMath is a theory, not a view"),
+    ("theory T : OpenMath\n  include Syntactic\n", 2,
+     "urn:um:builtin?Syntactic is a view, not a theory"),
 ])
 def test_statement_errors_name_their_line(src, line, message):
     g = fresh_graph()
