@@ -12,6 +12,7 @@ and registered once.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .notation import Arg, Delim, Notation, ParseScope, SeqArg
@@ -393,7 +394,13 @@ class TheoryGraph:
         Constants the view does not assign fall back to their definiens
         (translated recursively); anything else is an error.
         """
-        return self._translate(vref, self.assignments(vref), t, 0)
+        return self.morphism(vref)(t)
+
+    def morphism(self, vref: ModuleRef) -> Callable[[Term], Term]:
+        """``apply_morphism`` along ``vref`` as a function, with the view's
+        assignment table built once for every term it is applied to."""
+        table = self.assignments(vref)
+        return lambda t: self._translate(vref, table, t, 0)
 
     def _translate(self, vref: ModuleRef, table: dict, t: Term,
                    depth: int) -> Term:
@@ -417,7 +424,9 @@ class TheoryGraph:
         Requires the theory's meta-theory to equal the view's domain.  The
         result declares the flattened constants under the new module name,
         with types and definientia translated; constants of the theory itself
-        are fixed (they name the result's own constants).
+        are fixed (they name the result's own constants); any other constant
+        is translated as ``apply_morphism`` translates it, definiens fallback
+        included.
         """
         v = self.view(vref)
         t = self.theory(tref)
@@ -427,15 +436,11 @@ class TheoryGraph:
         flat = self.flatten(tref)
         new_ref = ModuleRef(tref.base, f"{v.name.module}_{tref.module}")
         fixed = {g: Const(new_ref.name(c.name)) for g, c in flat}
-        table = self.assignments(vref)
+        along = self.morphism(vref)
 
         def assign(x: Const) -> Term:
-            if x.head in fixed:
-                return fixed[x.head]
-            hit = table.get(x.head)
-            if hit is not None:
-                return hit[1].target
-            raise MorphismError(f"no assignment for {x.head} in view {vref}")
+            hit = fixed.get(x.head)
+            return along(x) if hit is None else hit
 
         def translate(term: Term | None) -> Term | None:
             return None if term is None else _map_constants(term, assign)

@@ -14,8 +14,16 @@ one at which the parser reads the operands: -1 in a closed notation, whose
 operands end at a separator or delimiter; the declared precedence in a
 prefix or infix one; one less in a binder, which associates right.  Every
 closed, prefix and infix notation is parsed by one method from its trigger
-on; binders have their own.  A ``ParseScope`` indexes its delimiters by
-first character, so the tokenizer tries only those that can match.
+on; binders have their own.
+
+The tokenizer is one regex scan.  Its alternatives are the scope's
+delimiters longest first, a number, an identifier, a string literal and any
+other character, so the longest token wins, and a delimiter wins over an
+identifier or number as long.  An identifier or one character that spells a
+delimiter is read as that delimiter, so the regex holds only the others
+(such as ``=>`` or ``1.``), and scopes alike in those share one compiled
+regex.  Tokens are ``(kind, text, pos, value)`` tuples; two ``eof`` tokens
+end the list, so the parser looks ahead by plain indexing.
 
 Rendering is one walk over a notation's tokens.  A child is parenthesized
 when its precedence is at most the operand precedence, when it is a binder
@@ -37,9 +45,11 @@ Grammar facts baked in here:
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .terms import (App, Bind, Const, FloatLit, Foreign, GlobalName, IntLit,
                     StrLit, Term, Var)
@@ -196,6 +206,7 @@ def parse_notation(src: str) -> Notation:
 
 
 _STRUCTURAL = ("(", ")", ",", "[", "]", "?")
+_LITERALS = {"int": IntLit, "float": FloatLit, "str": StrLit}
 _NEGATION = (Delim("-"), Arg(1))
 
 
@@ -239,10 +250,9 @@ class ParseScope:
                         f"notations of {other.local} and {g.local} both "
                         f"match {trig!r} at precedence {n.precedence}")
                 table.setdefault(trig, (g, n))
-        # First character -> the delimiters starting with it, longest first.
-        self.delimiters: dict[str, list[str]] = {}
-        for d in sorted(filter(None, delims), key=len, reverse=True):
-            self.delimiters.setdefault(d[0], []).append(d)
+        self.delimiters = frozenset(filter(None, delims))
+        self.lexer = _lexer(frozenset(
+            d for d in self.delimiters if not _OUTSIDE_REGEX.fullmatch(d)))
 
     def resolve_qualified(self, module: str, name: str) -> GlobalName | None:
         return self.by_qualified.get(f"{module}?{name}")
@@ -252,21 +262,58 @@ class ParseScope:
 # Tokenizer
 
 
-@dataclass
-class _Tok:
-    kind: str  # int | float | str | ident | sym | eof
-    text: str
-    pos: int
-    value: object = None
-
-
-_IDENT = re.compile(r"[^\W\d]\w*", re.UNICODE)
-_NUMBER = re.compile(r"\d+(\.\d+)?([eE][+-]?\d+)?")
-
-
 # A literal's body: runs of anything but a quote or a backslash, and escapes.
 _STRING_BODY = re.compile(r'[^"\\]*(?:\\["\\][^"\\]*)*')
 _ESCAPE = re.compile(r'\\(["\\])')
+
+_IDENT = r"[^\W\d]\w*"
+# Delimiters the lexer's regex leaves out: those an identifier or a single
+# character spells, looked up in the scope's delimiters instead, and those
+# starting with whitespace or a quote, which are never read.
+_OUTSIDE_REGEX = re.compile(rf'{_IDENT}|\D|[\s"].*', re.DOTALL)
+# What must follow an integer's digits for the number there to go on.
+_MORE_DIGITS = r"\d|\.\d|[eE][+-]?\d"
+# A delimiter that starts a number loses to the number when that is longer:
+# each shape of such a delimiter, with what must follow the delimiter for
+# the number to go on.  The first shape that fits applies.
+_NUMBER_GOES_ON = tuple((re.compile(shape), more) for shape, more in (
+    (r"\d+", _MORE_DIGITS),
+    (r"\d+\.", r"\d"),
+    (r"\d+\.\d+", r"\d|[eE][+-]?\d"),
+    (r"\d+(?:\.\d+)?[eE]", r"[+-]?\d"),
+    (r"\d+(?:\.\d+)?[eE][+-]?\d*", r"\d"),
+))
+# Group numbers of the lexer's alternatives.
+_SYM, _INT, _FLOAT, _ID, _STR, _CHAR = range(1, 7)
+
+
+def _guarded(d: str) -> str:
+    """The lexer pattern of delimiter ``d``."""
+    for shape, more in _NUMBER_GOES_ON:
+        if shape.fullmatch(d):
+            return f"{re.escape(d)}(?!{more})"
+    return re.escape(d)
+
+
+@functools.lru_cache(maxsize=128)
+def _lexer(delimiters: frozenset):
+    """The ``finditer`` of the lexer regex over some delimiters.
+
+    One token per match, with the whitespace after it.  Alternatives, in
+    order: the delimiters, longest first, each failing where the number
+    starting at the same place is longer; an integer; a float; an
+    identifier; a string literal; any other character.  The float would
+    match an integer too; otherwise the alternatives between the first and
+    the last start with characters of different classes, and their order
+    only puts the commonest first.  Memoized, because many scopes share
+    these delimiters (most have none) and a compile is slow.
+    """
+    delims = "|".join(map(_guarded, sorted(delimiters,
+                                           key=lambda d: (-len(d), d))))
+    return re.compile(
+        rf'(?:({delims or "(?!)"})|(\d+(?!{_MORE_DIGITS}))'
+        rf"|(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|({_IDENT})"
+        rf'|("{_STRING_BODY.pattern}")|(\S))\s*').finditer
 
 
 def lex_string(src: str, i: int, error=SyntaxErrorAt) -> tuple[str, int]:
@@ -282,44 +329,39 @@ def lex_string(src: str, i: int, error=SyntaxErrorAt) -> tuple[str, int]:
     return _ESCAPE.sub(r"\1", src[i + 1:j]), j + 1
 
 
-def tokenize(src: str, scope: ParseScope) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == '"':
-            value, j = lex_string(src, i)
-            toks.append(_Tok("str", src[i:j], i, value))
-            i = j
-            continue
-        best_delim = ""
-        for d in scope.delimiters.get(c, ()):
-            if src.startswith(d, i):
-                best_delim = d
-                break
-        m = _IDENT.match(src, i)
-        ident = m.group(0) if m else ""
-        m = _NUMBER.match(src, i)
-        number = m.group(0) if m else ""
-        longest = max(len(best_delim), len(ident), len(number))
-        if longest == 0:
-            raise SyntaxErrorAt(f"stray character {c!r}", i)
-        if len(number) == longest and len(number) > max(len(best_delim), len(ident)):
-            if number.isdigit():
-                toks.append(_Tok("int", number, i, int(number)))
-            elif math.isfinite(value := float(number)):
-                toks.append(_Tok("float", number, i, value))
-            else:  # it would render as ``inf``, which reads back as a variable
-                raise SyntaxErrorAt("float literal out of range", i)
-        elif len(best_delim) == longest:
-            toks.append(_Tok("sym", best_delim, i))
+def tokenize(src: str, scope: ParseScope) -> list[tuple]:
+    """``src`` as ``(kind, text, pos, value)`` tokens, where kind is one of
+    int, float, str, ident and sym; two ``eof`` tokens end the list, so that
+    the parser can look one token past the end."""
+    toks = []
+    append = toks.append
+    delimiters = scope.delimiters
+    for m in scope.lexer(src, len(src) - len(src.lstrip())):
+        k = m.lastindex
+        text = m[k]
+        if k == _CHAR:
+            if text == '"':
+                lex_string(src, m.start())  # raises: the literal is malformed
+            if text not in delimiters:
+                raise SyntaxErrorAt(f"stray character {text!r}", m.start())
+            append(("sym", text, m.start(), None))
+        elif k == _INT:
+            append(("int", text, m.start(), int(text)))
+        elif k == _ID:
+            # An identifier spelling a delimiter is that delimiter.
+            append(("sym" if text in delimiters else "ident", text, m.start(),
+                    None))
+        elif k == _SYM:
+            append(("sym", text, m.start(), None))
+        elif k == _STR:
+            append(("str", text, m.start(), _ESCAPE.sub(r"\1", text[1:-1])))
         else:
-            toks.append(_Tok("ident", ident, i))
-        i += longest
-    toks.append(_Tok("eof", "", n))
+            if not math.isfinite(value := float(text)):
+                # It would render as ``inf``, which reads back as a variable.
+                raise SyntaxErrorAt("float literal out of range", m.start())
+            append(("float", text, m.start(), value))
+    eof = ("eof", "", len(src), None)
+    toks += (eof, eof)
     return toks
 
 
@@ -328,106 +370,110 @@ def tokenize(src: str, scope: ParseScope) -> list[_Tok]:
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok], scope: ParseScope):
+    """Pratt parsing over ``tokenize``'s tokens; ``i`` is the next one."""
+
+    def __init__(self, toks: list[tuple], scope: ParseScope):
         self.toks = toks
         self.scope = scope
         self.i = 0
 
-    def peek(self, k: int = 0) -> _Tok:
-        return self.toks[min(self.i + k, len(self.toks) - 1)]
+    # The token list ends in two eofs, and the parser stops at the first
+    # (or, past it, fails at the second), so a look one ahead stays inside.
 
-    def next(self) -> _Tok:
-        t = self.toks[self.i]
-        if t.kind != "eof":
-            self.i += 1
-        return t
+    def peek(self, k: int = 0) -> tuple:
+        return self.toks[self.i + k]
 
-    def expect(self, text: str) -> _Tok:
-        t = self.peek()
-        if t.text != text or t.kind == "eof":
-            raise SyntaxErrorAt(f"expected {text!r}", t.pos)
-        return self.next()
+    def next(self) -> tuple:
+        self.i += 1
+        return self.toks[self.i - 1]
+
+    def expect(self, text: str) -> None:
+        kind, got, pos, _ = self.toks[self.i]
+        if got != text or kind == "eof":
+            raise SyntaxErrorAt(f"expected {text!r}", pos)
+        self.i += 1
 
     # -- grammar -----------------------------------------------------------
 
     def parse(self) -> Term:
         t = self.parse_expr(-1)
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise SyntaxErrorAt(f"unexpected {tok.text!r}", tok.pos)
+        kind, text, pos, _ = self.toks[self.i]
+        if kind != "eof":
+            raise SyntaxErrorAt(f"unexpected {text!r}", pos)
         return t
 
     def parse_expr(self, min_prec: int) -> Term:
-        left = self.nud()
+        toks, led = self.toks, self.scope.led
+        kind, _, _, value = toks[self.i]
+        literal = _LITERALS.get(kind)
+        if literal is not None:
+            self.i += 1
+            left = literal(value)
+        else:
+            left = self.nud()
         while True:
-            tok = self.peek()
-            hit = self.scope.led.get(tok.text) if tok.kind == "sym" else None
+            tok = toks[self.i]
+            hit = led.get(tok[1]) if tok[0] == "sym" else None
             if hit is None or hit[1].precedence <= min_prec:
                 return left
             left = self.parse_notation(*hit, left)
 
     def nud(self) -> Term:
-        tok = self.peek()
-        if tok.kind in ("int", "float"):
-            self.next()
-            return IntLit(tok.value) if tok.kind == "int" else FloatLit(tok.value)
-        if tok.kind == "str":
-            self.next()
-            return StrLit(tok.value)
-        if tok.text == "(":
-            self.next()
+        """The term a token other than a literal starts."""
+        kind, text, pos, _ = self.toks[self.i]
+        if text == "(":
+            self.i += 1
             inner = self.parse_expr(-1)
             self.expect(")")
             return inner
-        if tok.kind == "ident":
+        if kind == "ident":
             delim = self.binder_delimiter()
             if delim is not None:
                 return self.parse_binder(delim)
             return self.parse_name()
-        if tok.kind == "sym" and tok.text in self.scope.nud:
-            return self.parse_notation(*self.scope.nud[tok.text])
-        raise SyntaxErrorAt(f"unexpected {tok.text or 'end of input'!r}", tok.pos)
+        if kind == "sym" and text in self.scope.nud:
+            return self.parse_notation(*self.scope.nud[text])
+        raise SyntaxErrorAt(f"unexpected {text or 'end of input'!r}", pos)
 
     def binder_delimiter(self) -> int | None:
         """Lookahead from an identifier: the index of the binder delimiter
         after ``ident (sep ident)*``, or None."""
         if not self.scope.binder_delims:
             return None
+        toks, seps = self.toks, self.scope.binder_seps
         j = self.i + 1
-        while (self.toks[j].text in self.scope.binder_seps
-               and self.toks[j].kind == "sym"
-               and self.toks[j + 1].kind == "ident"):
+        while (toks[j][1] in seps and toks[j][0] == "sym"
+               and toks[j + 1][0] == "ident"):
             j += 2
-        tok = self.toks[j]
-        if tok.kind == "sym" and tok.text in self.scope.binder_delims:
+        kind, text, _, _ = toks[j]
+        if kind == "sym" and text in self.scope.binder_delims:
             return j
         return None
 
     def parse_binder(self, j: int) -> Term:
         """A binder notation whose delimiter is at ``toks[j]``."""
-        names = [t.text for t in self.toks[self.i:j:2]]
-        tok = self.toks[j]
+        names = [t[1] for t in self.toks[self.i:j:2]]
+        _, text, pos, _ = self.toks[j]
         self.i = j + 1
-        g, notation = self.scope.binder_delims[tok.text]
+        g, notation = self.scope.binder_delims[text]
         if len(set(names)) != len(names):
-            raise SyntaxErrorAt("bound variable names must be distinct", tok.pos)
+            raise SyntaxErrorAt("bound variable names must be distinct", pos)
         scope_term = self.parse_expr(notation.operand_precedence)
         return Bind(Const(g), tuple(names), scope_term)
 
     def parse_name(self) -> Term:
-        tok = self.next()
-        name = tok.text
-        if self.peek().text == "?" and self.peek(1).kind == "ident":
-            self.next()
-            const = self.next().text
+        _, name, pos, _ = self.next()
+        if self.peek()[1] == "?" and self.peek(1)[0] == "ident":
+            self.i += 1
+            const = self.next()[1]
             g = self.scope.resolve_qualified(name, const)
             if g is None:
-                raise SyntaxErrorAt(f"unknown constant {name}?{const}", tok.pos)
+                raise SyntaxErrorAt(f"unknown constant {name}?{const}", pos)
             return self.maybe_call(Const(g))
-        if name == "bind" and self.peek().text == "(":
-            return self.parse_bind_form(tok)
-        if name == "foreign" and self.peek().text == "(":
-            return self.parse_foreign_form(tok)
+        if name == "bind" and self.peek()[1] == "(":
+            return self.parse_bind_form()
+        if name == "foreign" and self.peek()[1] == "(":
+            return self.parse_foreign_form()
         g = self.scope.by_local.get(name)
         if g is not None:
             return self.maybe_call(Const(g))
@@ -435,59 +481,61 @@ class _Parser:
 
     def maybe_call(self, head: Term) -> Term:
         """Call-style application suffix: ``head(a, b, ...)``."""
-        if self.peek().text != "(":
+        if self.peek()[1] != "(":
             return head
-        self.next()
-        if self.peek().text == ")":
-            tok = self.peek()
+        self.i += 1
+        _, text, pos, _ = self.peek()
+        if text == ")":
             raise SyntaxErrorAt("an application needs at least one argument",
-                                tok.pos)
+                                pos)
         args = self.sequence(-1, ",")
         self.expect(")")
         return App(head, tuple(args))
 
-    def parse_bind_form(self, tok: _Tok) -> Term:
+    def parse_bind_form(self) -> Term:
         """Fallback binder syntax: ``bind(binder, [x, y], scope)``."""
         self.expect("(")
         binder = self.parse_expr(-1)
         self.expect(",")
         self.expect("[")
-        names = [self._expect_ident().text]
-        while self.peek().text == ",":
-            self.next()
-            names.append(self._expect_ident().text)
+        names = [self._expect_ident()]
+        while self.peek()[1] == ",":
+            self.i += 1
+            names.append(self._expect_ident())
         self.expect("]")
         self.expect(",")
         scope_term = self.parse_expr(-1)
         self.expect(")")
         return Bind(binder, tuple(names), scope_term)
 
-    def parse_foreign_form(self, tok: _Tok) -> Term:
+    def parse_foreign_form(self) -> Term:
         """Fallback escaped-payload syntax: ``foreign("format", "content")``."""
         self.expect("(")
-        fmt = self.peek()
-        if fmt.kind != "str":
-            raise SyntaxErrorAt("foreign() needs a quoted format", fmt.pos)
-        self.next()
+        fmt = self._expect_str("foreign() needs a quoted format")
         self.expect(",")
-        content = self.peek()
-        if content.kind != "str":
-            raise SyntaxErrorAt("foreign() needs quoted content", content.pos)
-        self.next()
+        content = self._expect_str("foreign() needs quoted content")
         self.expect(")")
-        return Foreign(fmt.value, content.value)
+        return Foreign(fmt, content)
 
-    def _expect_ident(self) -> _Tok:
-        t = self.peek()
-        if t.kind != "ident":
-            raise SyntaxErrorAt("expected a variable name", t.pos)
-        return self.next()
+    def _expect_ident(self) -> str:
+        kind, text, pos, _ = self.toks[self.i]
+        if kind != "ident":
+            raise SyntaxErrorAt("expected a variable name", pos)
+        self.i += 1
+        return text
+
+    def _expect_str(self, message: str) -> str:
+        kind, _, pos, value = self.toks[self.i]
+        if kind != "str":
+            raise SyntaxErrorAt(message, pos)
+        self.i += 1
+        return value
 
     def sequence(self, prec: int, separator: str) -> list[Term]:
         """One or more operands separated by ``separator``."""
         items = [self.parse_expr(prec)]
-        while self.peek().text == separator:
-            self.next()
+        while self.peek()[1] == separator:
+            self.i += 1
             items.append(self.parse_expr(prec))
         return items
 
@@ -495,16 +543,17 @@ class _Parser:
                        left: Term | None = None) -> Term:
         """A closed, prefix or infix notation, from its trigger token on;
         ``left`` is the operand before an infix notation's trigger."""
-        trigger = self.next()
+        _, trigger, trigger_pos, _ = self.next()
         tokens = notation.tokens
         prec = notation.operand_precedence
-        slots: dict[int, list[Term]] = {}
+        # The operands of each slot, in slot order (indices run from 1).
+        slots: list = [None] * notation.slot_count
         k = 1  # tokens[k:] follow the trigger
         if left is not None:
             first = tokens[0]
-            slots[first.index] = [left]
-            if isinstance(first, SeqArg) and trigger.text == first.separator:
-                slots[first.index] += self.sequence(prec, first.separator)
+            slots[first.index - 1] = [left]
+            if isinstance(first, SeqArg) and trigger == first.separator:
+                slots[first.index - 1] += self.sequence(prec, first.separator)
             else:
                 # The trigger is the delimiter after the first slot (for a
                 # sequence: the separator never appeared, a sequence of one).
@@ -518,26 +567,26 @@ class _Parser:
                 operand = self.parse_expr(prec)
                 # A bare numeral directly after a prefix "-" is a negative literal.
                 if (self.i == before + 1 and tokens == _NEGATION
-                        and self.toks[before].kind in ("int", "float")):
+                        and self.toks[before][0] in ("int", "float")):
                     return type(operand)(-operand.value)
-                slots[tok.index] = [operand]
+                slots[tok.index - 1] = [operand]
             else:  # SeqArg; only a closed or prefix one may be empty
                 closer = tokens[j + 1] if j + 1 < len(tokens) else None
                 if (left is None and isinstance(closer, Delim)
-                        and self.peek().text == closer.text):
-                    slots[tok.index] = []
+                        and self.peek()[1] == closer.text):
+                    slots[tok.index - 1] = []
                 else:
-                    slots[tok.index] = self.sequence(prec, tok.separator)
-        if notation.slot_count == 0:
+                    slots[tok.index - 1] = self.sequence(prec, tok.separator)
+        if not slots:
             return Const(g)  # a pure-delimiter atom
-        args = tuple(a for index in sorted(slots) for a in slots[index])
+        args = tuple(chain.from_iterable(slots))
         if args:
             return App(Const(g), args)
         # An empty element sequence: ``{}`` denotes the empty set.
         empty = self.scope.by_local.get("emptyset")
         if empty is None:
             raise SyntaxErrorAt("an application needs at least one argument",
-                                trigger.pos)
+                                trigger_pos)
         return Const(empty)
 
 

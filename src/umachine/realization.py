@@ -124,7 +124,8 @@ def commutes(graph: TheoryGraph, view_ref: ModuleRef,
     must be the term-shaped Computation type of the constant's arity.
     """
     table = graph.assignments(view_ref)
-    return all(graph.apply_morphism(embed, c.type) == syntactic_shape(arity)
+    along = graph.morphism(embed)
+    return all(along(c.type) == syntactic_shape(arity)
                for g, c in graph.flatten(graph.view(view_ref).domain)
                if g in table and (arity := declared_arity(c)) is not None)
 

@@ -9,7 +9,8 @@ from umachine.codegen import build_graph
 from umachine.graph import (CMP_TERM, COMPUTATION, OM_OBJECT, OPENMATH,
                             Assignment, Constant, Include, Theory, TheoryGraph,
                             UnresolvedModuleError, View)
-from umachine.realization import RegisteredFn, install_bifoundations, rules_of
+from umachine.realization import (SYNTACTIC, RegisteredFn, commutes,
+                                  install_bifoundations, rules_of)
 from umachine.sts import Fixed
 from umachine.terms import Const, IntLit, ModuleRef, StrLit
 
@@ -144,6 +145,21 @@ def test_rules_of_on_a_diamond_is_linear_in_its_views(view_calls):
     report = rules_of(graph, top, registry=registry)
     assert [r.head.name for r in report.base.rules()] == ["a"]
     assert len(view_calls) <= 3 * n_views
+
+
+def test_commutes_builds_each_table_once(monkeypatch):
+    graph, _, _ = build_graph()
+    ref = graph.resolve("IntegerArith")
+    calls = []
+    assignments = TheoryGraph.assignments
+
+    def counting(self, vref):
+        calls.append(vref)
+        return assignments(self, vref)
+
+    monkeypatch.setattr(TheoryGraph, "assignments", counting)
+    assert commutes(graph, ref)
+    assert sorted(map(str, calls)) == sorted(map(str, [ref, SYNTACTIC]))
 
 
 def test_an_included_view_that_cannot_be_walked_fails_every_lookup():

@@ -300,6 +300,25 @@ def test_pushout_along_identity_is_renaming():
     assert out.constant("c").type == Const(OM_OBJECT)
 
 
+def test_pushout_falls_back_to_the_definiens():
+    # V assigns only o, which check_view calls total because d = o has a
+    # definiens; the pushout translates S's type d as apply_morphism does.
+    g = TheoryGraph()
+    install_bifoundations(g)
+    t = Theory(ModuleRef("um:/p", "T"), declarations=[
+        Constant("o"), Constant("d", definiens=Const(GlobalName("um:/p", "T", "o")))])
+    v = View(ModuleRef("um:/p", "V"), domain=t.name, codomain=COMPUTATION,
+             statements=[Assignment("o", Const(CMP_TERM))])
+    s = Theory(ModuleRef("um:/p", "S"), meta=t.name, declarations=[
+        Constant("c", type=Const(t.name.name("d")))])
+    g.add(t, v, s)
+    assert g.check_view(v.name) == []
+    assert g.apply_morphism(v.name, Const(t.name.name("d"))) == Const(CMP_TERM)
+    out = g.pushout(v.name, s.name)
+    assert out.meta == COMPUTATION
+    assert out.constant("c").type == Const(CMP_TERM)
+
+
 def test_pushout_meta_mismatch(loaded):
     g = loaded.graph
     with pytest.raises(MorphismError):

@@ -1,16 +1,20 @@
+import math
 import random
+import re
 
 import pytest
 
 from termgen import surface_term
-from umachine.graph import OM_MAPSTO, OM_OBJECT
+from umachine.codegen import build_graph
+from umachine.graph import (OM_MAPSTO, OM_OBJECT, OPENMATH, Constant, Include,
+                            Theory)
 from umachine.notation import (AmbiguityError, Arg, Delim, Notation,
                                NotationError, ParseScope, SeqArg,
                                SyntaxErrorAt, VarList, escape_str,
                                lex_string, parse_notation, parse_term,
-                               render_term)
+                               render_term, tokenize)
 from umachine.terms import (Bind, Const, FloatLit, Foreign, GlobalName,
-                            IntLit, StrLit, Var, app)
+                            IntLit, ModuleRef, StrLit, Var, app)
 
 CD = "http://www.openmath.org/cd"
 
@@ -393,3 +397,143 @@ def test_lex_string_agrees_with_the_character_loop():
         assert got == _lex_string_by_loop(src, len(lead)), src
     assert escape_str('a"b\\c') == '"a\\"b\\\\c"'
     assert lex_string(escape_str('a"b\\c'), 0) == ('a"b\\c', 9)
+
+
+# -- the lexer ---------------------------------------------------------------------
+
+_IDENT = re.compile(r"[^\W\d]\w*")
+_NUMBER = re.compile(r"\d+(\.\d+)?([eE][+-]?\d+)?")
+
+
+def _tokenize_by_loop(src, delimiters):
+    """Reference: the character loop ``tokenize`` must agree with.  At each
+    character it tries the delimiters starting with it, longest first, an
+    identifier and a number; the longest wins, a number only when strictly
+    longer, a delimiter over an identifier as long."""
+    by_first = {}
+    for d in sorted(delimiters, key=len, reverse=True):
+        by_first.setdefault(d[0], []).append(d)
+    toks = []
+    i, n = 0, len(src)
+    while i < n:
+        c = src[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c == '"':
+            value, j = lex_string(src, i)
+            toks.append(("str", src[i:j], i, value))
+            i = j
+            continue
+        best_delim = ""
+        for d in by_first.get(c, ()):
+            if src.startswith(d, i):
+                best_delim = d
+                break
+        m = _IDENT.match(src, i)
+        ident = m.group(0) if m else ""
+        m = _NUMBER.match(src, i)
+        number = m.group(0) if m else ""
+        longest = max(len(best_delim), len(ident), len(number))
+        if longest == 0:
+            raise SyntaxErrorAt(f"stray character {c!r}", i)
+        if len(number) == longest and len(number) > max(len(best_delim),
+                                                        len(ident)):
+            if number.isdigit():
+                toks.append(("int", number, i, int(number)))
+            elif math.isfinite(value := float(number)):
+                toks.append(("float", number, i, value))
+            else:
+                raise SyntaxErrorAt("float literal out of range", i)
+        elif len(best_delim) == longest:
+            toks.append(("sym", best_delim, i, None))
+        else:
+            toks.append(("ident", ident, i, None))
+        i += longest
+    return toks + [("eof", "", n, None)] * 2
+
+
+def _tokens_or_error(lex, src, *args):
+    try:
+        return lex(src, *args)
+    except SyntaxErrorAt as e:
+        return str(e), e.pos
+
+
+# Characters the lexer's classes split on: identifier and digit characters,
+# a Unicode digit (a digit), a superscript two (a letter to ``\w``, not a
+# digit), a no-break space and an information separator (both whitespace),
+# exponents; then, drawn less often as each may end the scan with an error,
+# quotes, backslashes, a float out of range and stray characters.
+_CHARS = ["a", "x", "_", "0", "1", "9", "٣", "²", "\xa0", "\x1c", " ", "e",
+          "E", "1.5", "2e+7"]
+_RARE = ['"', '"', "\\", "9e999", ".", "+", "-"]
+
+
+def _agree(scope, rng, count, delimiters):
+    """``tokenize`` and the loop agree on ``count`` strings made of
+    ``delimiters`` and the characters above."""
+    for _ in range(count):
+        src = "".join(rng.choice(delimiters if r < 0.45 else _CHARS
+                                 if r < 0.9 else _RARE)
+                      for r in (rng.random() for _ in range(rng.randrange(12))))
+        assert (_tokens_or_error(tokenize, src, scope)
+                == _tokens_or_error(_tokenize_by_loop, src,
+                                    scope.delimiters)), repr(src)
+
+
+def test_the_lexer_agrees_with_the_character_loop_in_every_stdlib_scope(
+        loaded):
+    g = loaded.graph
+    rng = random.Random(14)
+    theories = [m.name for m in g.modules.values() if isinstance(m, Theory)]
+    assert len(theories) == 20
+    for ref in theories:
+        scope = g.scope_for(ref)
+        _agree(scope, rng, 300, sorted(scope.delimiters))
+
+
+# Digit-leading, word-like and mixed delimiters, and some that a longer
+# delimiter, identifier or number contains or continues.
+_DELIMITERS = ["1.", "2D", "1e", "1.5", "2e+", "٣", "map", "in", "π", "a+",
+               "x1", "_", "ab", "=", "==", "==>", "..", "-", "+", "ⁿ", "²x",
+               '"q', 'a"', " +", "\\"]
+
+
+def _scope_over(delimiters):
+    return ParseScope((G("t", f"d{k}"), Notation((Delim(d),)))
+                      for k, d in enumerate(delimiters))
+
+
+def test_the_lexer_agrees_with_the_character_loop_on_generated_notations():
+    rng = random.Random(1414)
+    for _ in range(150):
+        delimiters = rng.sample(_DELIMITERS, rng.randrange(1, 8))
+        _agree(_scope_over(delimiters), rng, 80, delimiters)
+
+
+def test_a_number_or_identifier_beats_a_delimiter_only_when_longer():
+    scope = _scope_over(["1.", "2D", "map", "a+", "1e"])
+    assert [t[:2] for t in tokenize("1.5 1.x 2D5 map mapx a+b ab 1e5 1e",
+                                    scope)[:-2]] == [
+        ("float", "1.5"), ("sym", "1."), ("ident", "x"), ("sym", "2D"),
+        ("int", "5"), ("sym", "map"), ("ident", "mapx"), ("sym", "a+"),
+        ("ident", "b"), ("ident", "ab"), ("float", "1e5"), ("sym", "1e")]
+
+
+def test_scopes_share_the_lexer_of_their_delimiters():
+    # Ingested theories include arith1 and relation1 and add no notation,
+    # so the scope of each new one compiles no lexer.
+    graph, _, _ = build_graph()
+    arith1, relation1 = graph.resolve("arith1"), graph.resolve("relation1")
+    a = Theory(ModuleRef("um:/lex", "A"), meta=OPENMATH, declarations=[
+        Include(arith1), Include(relation1), Constant("k")])
+    b = Theory(ModuleRef("um:/lex", "B"), meta=OPENMATH, declarations=[
+        Include(relation1), Include(arith1)])
+    graph.add(a, b)
+    assert graph.scope_for(a.name).lexer is graph.scope_for(b.name).lexer
+    # Delimiters that an identifier or one character spells are looked up,
+    # not compiled: the stdlib's scopes differ only in "=>", "List(" and
+    # "List[", which either all are in scope or none is.
+    assert len({graph.scope_for(m.name).lexer for m in graph.modules.values()
+                if isinstance(m, Theory)}) == 2
