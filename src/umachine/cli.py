@@ -16,8 +16,8 @@ stderr, which the REPL prints as ``error: ...`` before it reads on; an
 internal error (HTTP 500) exits 2.  ``simplify``, ``repl``, ``serve``,
 ``test`` and ``load`` check ``--fuel`` (or ``UM_FUEL``) against
 ``1..MAX_FUEL`` through ``SimplifyBudget`` and exit 1 at once outside it.
-The recursion limit is 30000 on CPython 3.11 and later and 12000 before, so
-there a shallower term is already too deep (413, exit 1).
+A term nested deeper than ``MAX_TERM_DEPTH`` is a 413 and exits 1, on every
+interpreter and at its default recursion limit, which ``um`` leaves alone.
 """
 
 from __future__ import annotations
@@ -237,13 +237,6 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # Rules, structural equality and the codecs recurse along the term, and
-    # the default limit would cap terms far below the fuel.  Raised once,
-    # before any command or server thread runs; never lowered.  Before 3.11
-    # every Python call also recurses in C, and an 8 MiB C stack overflows
-    # (SIGSEGV) before 20000 frames; 12000 leaves it a margin.
-    limit = 30000 if sys.version_info >= (3, 11) else 12000
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), limit))
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)

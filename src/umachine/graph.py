@@ -16,7 +16,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .notation import Arg, Delim, Notation, ParseScope, SeqArg
-from .terms import App, Bind, Const, Foreign, GlobalName, ModuleRef, Term
+from .terms import Bind, Const, Foreign, GlobalName, ModuleRef, Term, rebuild
 
 
 class GraphError(Exception):
@@ -201,15 +201,7 @@ _BUILTINS = (
 
 def _map_constants(t: Term, f) -> Term:
     """``t`` with every constant ``x`` replaced by ``f(x)``."""
-    if isinstance(t, Const):
-        return f(t)
-    if isinstance(t, App):
-        return App(_map_constants(t.head, f),
-                   tuple(_map_constants(a, f) for a in t.args))
-    if isinstance(t, Bind):
-        return Bind(_map_constants(t.binder, f), t.context,
-                    _map_constants(t.scope, f))
-    return t
+    return rebuild(t, lambda x: f(x) if isinstance(x, Const) else x)
 
 
 class TheoryGraph:

@@ -7,8 +7,9 @@ Resource errors (``RecursionError``, ``MemoryError``) are not declines: they
 propagate to the caller.  Simplification is innermost-leftmost (head, then
 arguments, then the head rule) and consumes one unit of fuel per successful
 application.  It is a loop over an explicit stack and never touches the
-interpreter's recursion limit; rules and the helpers they call (structural
-equality, substitution) still recurse along the term.
+interpreter's recursion limit; nor do the helpers rules call (structural
+equality, ``term_key``, substitution), so a ``RecursionError`` comes only
+from a rule that recurses itself.
 
 A subterm is marked simplified once it is final, so later calls skip it
 without re-traversal.  An application or binding whose head rule declines

@@ -51,8 +51,9 @@ import re
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .terms import (App, Bind, Const, FloatLit, Foreign, GlobalName, IntLit,
-                    StrLit, Term, Var)
+from .terms import (MAX_TERM_DEPTH, App, Bind, Const, FloatLit, Foreign,
+                    GlobalName, IntLit, StrLit, Term, TermTooDeepError, Var,
+                    run)
 
 
 class NotationError(ValueError):
@@ -370,12 +371,19 @@ def tokenize(src: str, scope: ParseScope) -> list[tuple]:
 
 
 class _Parser:
-    """Pratt parsing over ``tokenize``'s tokens; ``i`` is the next one."""
+    """Pratt parsing over ``tokenize``'s tokens; ``i`` is the next one.
+
+    The grammar methods are generators for ``terms.run``: a method that
+    reads a sub-expression yields ``parse_expr``'s generator for it and is
+    sent back the term, so a sub-expression is one more generator waiting,
+    not one more Python frame.  An input with more than ``MAX_TERM_DEPTH``
+    sub-expressions nested is refused."""
 
     def __init__(self, toks: list[tuple], scope: ParseScope):
         self.toks = toks
         self.scope = scope
         self.i = 0
+        self.depth = -1  # sub-expressions around the one being read
 
     # The token list ends in two eofs, and the parser stops at the first
     # (or, past it, fails at the second), so a look one ahead stays inside.
@@ -395,14 +403,17 @@ class _Parser:
 
     # -- grammar -----------------------------------------------------------
 
-    def parse(self) -> Term:
-        t = self.parse_expr(-1)
+    def parse(self):
+        t = yield from self.parse_expr(-1)
         kind, text, pos, _ = self.toks[self.i]
         if kind != "eof":
             raise SyntaxErrorAt(f"unexpected {text!r}", pos)
         return t
 
-    def parse_expr(self, min_prec: int) -> Term:
+    def parse_expr(self, min_prec: int):
+        self.depth += 1
+        if self.depth > MAX_TERM_DEPTH:
+            raise TermTooDeepError
         toks, led = self.toks, self.scope.led
         kind, _, _, value = toks[self.i]
         literal = _LITERALS.get(kind)
@@ -410,29 +421,46 @@ class _Parser:
             self.i += 1
             left = literal(value)
         else:
-            left = self.nud()
+            left = yield from self.nud()
         while True:
             tok = toks[self.i]
             hit = led.get(tok[1]) if tok[0] == "sym" else None
             if hit is None or hit[1].precedence <= min_prec:
+                self.depth -= 1
                 return left
-            left = self.parse_notation(*hit, left)
+            left = yield from self.parse_notation(*hit, left)
 
-    def nud(self) -> Term:
+    def lone_literal(self, prec: int) -> Term | None:
+        """The literal here, if no operator after it binds tighter than
+        ``prec``: what ``parse_expr(prec)`` would read, without a generator
+        of its own."""
+        toks = self.toks
+        kind, _, _, value = toks[self.i]
+        literal = _LITERALS.get(kind)
+        if literal is None or self.depth == MAX_TERM_DEPTH:
+            return None
+        kind, text, _, _ = toks[self.i + 1]
+        hit = self.scope.led.get(text) if kind == "sym" else None
+        if hit is not None and hit[1].precedence > prec:
+            return None
+        self.i += 1
+        return literal(value)
+
+    def nud(self):
         """The term a token other than a literal starts."""
         kind, text, pos, _ = self.toks[self.i]
         if text == "(":
             self.i += 1
-            inner = self.parse_expr(-1)
+            inner = yield self.parse_expr(-1)
             self.expect(")")
             return inner
         if kind == "ident":
             delim = self.binder_delimiter()
             if delim is not None:
-                return self.parse_binder(delim)
-            return self.parse_name()
+                return (yield from self.parse_binder(delim))
+            return (yield from self.parse_name())
         if kind == "sym" and text in self.scope.nud:
-            return self.parse_notation(*self.scope.nud[text])
+            return (yield from self.parse_notation(*self.scope.nud[text]))
         raise SyntaxErrorAt(f"unexpected {text or 'end of input'!r}", pos)
 
     def binder_delimiter(self) -> int | None:
@@ -450,7 +478,7 @@ class _Parser:
             return j
         return None
 
-    def parse_binder(self, j: int) -> Term:
+    def parse_binder(self, j: int):
         """A binder notation whose delimiter is at ``toks[j]``."""
         names = [t[1] for t in self.toks[self.i:j:2]]
         _, text, pos, _ = self.toks[j]
@@ -458,10 +486,10 @@ class _Parser:
         g, notation = self.scope.binder_delims[text]
         if len(set(names)) != len(names):
             raise SyntaxErrorAt("bound variable names must be distinct", pos)
-        scope_term = self.parse_expr(notation.operand_precedence)
+        scope_term = yield self.parse_expr(notation.operand_precedence)
         return Bind(Const(g), tuple(names), scope_term)
 
-    def parse_name(self) -> Term:
+    def parse_name(self):
         _, name, pos, _ = self.next()
         if self.peek()[1] == "?" and self.peek(1)[0] == "ident":
             self.i += 1
@@ -469,17 +497,17 @@ class _Parser:
             g = self.scope.resolve_qualified(name, const)
             if g is None:
                 raise SyntaxErrorAt(f"unknown constant {name}?{const}", pos)
-            return self.maybe_call(Const(g))
+            return (yield from self.maybe_call(Const(g)))
         if name == "bind" and self.peek()[1] == "(":
-            return self.parse_bind_form()
+            return (yield from self.parse_bind_form())
         if name == "foreign" and self.peek()[1] == "(":
             return self.parse_foreign_form()
         g = self.scope.by_local.get(name)
         if g is not None:
-            return self.maybe_call(Const(g))
-        return self.maybe_call(Var(name))
+            return (yield from self.maybe_call(Const(g)))
+        return (yield from self.maybe_call(Var(name)))
 
-    def maybe_call(self, head: Term) -> Term:
+    def maybe_call(self, head: Term):
         """Call-style application suffix: ``head(a, b, ...)``."""
         if self.peek()[1] != "(":
             return head
@@ -488,14 +516,14 @@ class _Parser:
         if text == ")":
             raise SyntaxErrorAt("an application needs at least one argument",
                                 pos)
-        args = self.sequence(-1, ",")
+        args = yield from self.sequence(-1, ",")
         self.expect(")")
         return App(head, tuple(args))
 
-    def parse_bind_form(self) -> Term:
+    def parse_bind_form(self):
         """Fallback binder syntax: ``bind(binder, [x, y], scope)``."""
         self.expect("(")
-        binder = self.parse_expr(-1)
+        binder = yield self.parse_expr(-1)
         self.expect(",")
         self.expect("[")
         names = [self._expect_ident()]
@@ -504,7 +532,7 @@ class _Parser:
             names.append(self._expect_ident())
         self.expect("]")
         self.expect(",")
-        scope_term = self.parse_expr(-1)
+        scope_term = yield self.parse_expr(-1)
         self.expect(")")
         return Bind(binder, tuple(names), scope_term)
 
@@ -531,16 +559,18 @@ class _Parser:
         self.i += 1
         return value
 
-    def sequence(self, prec: int, separator: str) -> list[Term]:
+    def sequence(self, prec: int, separator: str):
         """One or more operands separated by ``separator``."""
-        items = [self.parse_expr(prec)]
-        while self.peek()[1] == separator:
+        items = []
+        while True:
+            items.append(self.lone_literal(prec)
+                         or (yield self.parse_expr(prec)))
+            if self.toks[self.i][1] != separator:
+                return items
             self.i += 1
-            items.append(self.parse_expr(prec))
-        return items
 
     def parse_notation(self, g: GlobalName, notation: Notation,
-                       left: Term | None = None) -> Term:
+                       left: Term | None = None):
         """A closed, prefix or infix notation, from its trigger token on;
         ``left`` is the operand before an infix notation's trigger."""
         _, trigger, trigger_pos, _ = self.next()
@@ -553,7 +583,8 @@ class _Parser:
             first = tokens[0]
             slots[first.index - 1] = [left]
             if isinstance(first, SeqArg) and trigger == first.separator:
-                slots[first.index - 1] += self.sequence(prec, first.separator)
+                slots[first.index - 1] += yield from self.sequence(
+                    prec, first.separator)
             else:
                 # The trigger is the delimiter after the first slot (for a
                 # sequence: the separator never appeared, a sequence of one).
@@ -564,7 +595,8 @@ class _Parser:
                 self.expect(tok.text)
             elif isinstance(tok, Arg):
                 before = self.i
-                operand = self.parse_expr(prec)
+                operand = (self.lone_literal(prec)
+                           or (yield self.parse_expr(prec)))
                 # A bare numeral directly after a prefix "-" is a negative literal.
                 if (self.i == before + 1 and tokens == _NEGATION
                         and self.toks[before][0] in ("int", "float")):
@@ -576,7 +608,8 @@ class _Parser:
                         and self.peek()[1] == closer.text):
                     slots[tok.index - 1] = []
                 else:
-                    slots[tok.index - 1] = self.sequence(prec, tok.separator)
+                    slots[tok.index - 1] = yield from self.sequence(
+                        prec, tok.separator)
         if not slots:
             return Const(g)  # a pure-delimiter atom
         args = tuple(chain.from_iterable(slots))
@@ -592,7 +625,7 @@ class _Parser:
 
 def parse_term(src: str, scope: ParseScope) -> Term:
     """Parse ``src`` against the notations and constants in ``scope``."""
-    return _Parser(tokenize(src, scope), scope).parse()
+    return run(_Parser(tokenize(src, scope), scope).parse())
 
 
 # ---------------------------------------------------------------------------
@@ -628,19 +661,51 @@ def render_term(t: Term, scope: ParseScope) -> str:
     return _render(t, scope)[0]
 
 
+_LEAF_TEXT = {
+    IntLit: lambda t: str(t.value),
+    FloatLit: lambda t: repr(t.value),
+    StrLit: lambda t: escape_str(t.value),
+    Var: lambda t: t.name,
+    Foreign: lambda t: (f"foreign({escape_str(t.format)}, "
+                        f"{escape_str(t.content)})"),
+}
+
+
 def _render(t: Term, scope: ParseScope) -> tuple[str, Notation | None]:
     """The text of ``t`` and the notation at its top (None for an atom or a
-    fallback form)."""
-    if isinstance(t, IntLit):
-        return str(t.value), None
-    if isinstance(t, FloatLit):
-        return repr(t.value), None
-    if isinstance(t, StrLit):
-        return escape_str(t.value), None
-    if isinstance(t, Var):
-        return t.name, None
-    if isinstance(t, Foreign):
-        return f"foreign({escape_str(t.format)}, {escape_str(t.content)})", None
+    fallback form), built bottom up."""
+    # One frame per node under way: the node, its notation (None for a
+    # fallback form), the children whose texts it is made of, and the
+    # (text, notation) pairs of those done so far.
+    stack: list[tuple[Term, Notation | None, tuple, list]] = []
+    while True:
+        leaf = _LEAF_TEXT.get(t.__class__)
+        if leaf is not None:
+            out = leaf(t), None
+        else:
+            n, kids = _layout(t, scope)
+            if kids:
+                stack.append((t, n, kids, []))
+                t = kids[0]
+                continue
+            out = _assemble(t, n, kids, [])
+        while True:
+            if not stack:
+                return out
+            node, n, kids, done = stack[-1]
+            done.append(out)
+            if len(done) < len(kids):
+                t = kids[len(done)]
+                break
+            stack.pop()
+            out = _assemble(node, n, kids, done)
+
+
+def _layout(t: Term, scope: ParseScope) -> tuple[Notation | None, tuple]:
+    """How a constant, application or binding renders: through a notation,
+    from the texts of its arguments (a binding: its scope), or, with None,
+    in a fallback form, from the texts of its binder and scope, or of its
+    arguments after a head that is not a name."""
     if isinstance(t, Const):
         head, args = t, ()
     elif isinstance(t, App):
@@ -655,10 +720,24 @@ def _render(t: Term, scope: ParseScope) -> tuple[str, Notation | None]:
     if n is not None and n.is_binder == isinstance(t, Bind) and (
             len(args) == n.slot_count if n.seq_slot is None
             else len(args) >= n.slot_count + (len(n.tokens) == 1)):
-        return _render_notation(n, args, t, scope), n
+        return n, args
     if isinstance(t, Bind):
-        binder, body = _render(t.binder, scope)[0], _render(t.scope, scope)[0]
-        return f"bind({binder}, [{', '.join(t.context)}], {body})", None
+        return None, (t.binder, t.scope)
+    if isinstance(head, (Const, Var)):
+        return None, args
+    return None, (head, *args)
+
+
+def _assemble(t: Term, n: Notation | None, kids: tuple,
+              texts: list) -> tuple[str, Notation | None]:
+    """The text of ``t`` laid out by ``_layout`` as ``n`` and ``kids``, from
+    the texts of ``kids``."""
+    if n is not None:
+        return _render_notation(n, kids, texts, t), n
+    if isinstance(t, Bind):
+        return (f"bind({texts[0][0]}, [{', '.join(t.context)}], "
+                f"{texts[1][0]})"), None
+    head = t if isinstance(t, Const) else t.head
     if isinstance(head, Const):
         # Qualified even where a notation without slots would fit the bare
         # head: ``∅(1)`` would not read back.
@@ -668,17 +747,17 @@ def _render(t: Term, scope: ParseScope) -> tuple[str, Notation | None]:
     elif isinstance(head, Var):
         head_text = head.name
     else:
-        head_text = f"({_render(head, scope)[0]})"
-    args_text = ", ".join(_operand(a, scope, -1, separated=True)
-                          for a in args)
+        head_text = f"({texts[0][0]})"
+        kids, texts = kids[1:], texts[1:]
+    args_text = ", ".join(_operand(a, r, -1, separated=True)
+                          for a, r in zip(kids, texts))
     return f"{head_text}({args_text})", None
 
 
-def _render_notation(n: Notation, args: tuple, t: Term,
-                     scope: ParseScope) -> str:
-    """Walk ``n``'s tokens once.  Slots take ``args`` in index order, the
-    sequence slot the surplus; a binder's variable list takes the names
-    that ``t`` binds."""
+def _render_notation(n: Notation, args: tuple, texts: list, t: Term) -> str:
+    """Walk ``n``'s tokens once.  Slots take ``args`` (rendered as
+    ``texts``) in index order, the sequence slot the surplus; a binder's
+    variable list takes the names that ``t`` binds."""
     surplus = len(args) - n.slot_count
     parts = []
     for tok in n.tokens:
@@ -693,23 +772,24 @@ def _render_notation(n: Notation, args: tuple, t: Term,
             if n.seq_slot is not None and n.seq_slot.index < tok.index:
                 i += surplus
             if isinstance(tok, SeqArg):
+                j = i + surplus + 1
                 parts.append(tok.separator.join(
-                    _operand(a, scope, n.operand_precedence, separated=True)
-                    for a in args[i:i + surplus + 1]))
+                    _operand(a, r, n.operand_precedence, separated=True)
+                    for a, r in zip(args[i:j], texts[i:j])))
             else:
                 parts.append(_operand(
-                    args[i], scope, n.operand_precedence,
+                    args[i], texts[i], n.operand_precedence,
                     separated=n.is_closed, under_prefix=n.is_prefix))
     return _word_boundary_glue(parts)
 
 
-def _operand(t: Term, scope: ParseScope, prec: int, separated: bool,
-             under_prefix: bool = False) -> str:
-    """``t`` as an operand read at ``prec``, in parentheses when its own
-    precedence is at most ``prec``, when it is a binder in a
-    separator-delimited slot, and when it is a numeral under a prefix
-    notation."""
-    text, top = _render(t, scope)
+def _operand(t: Term, rendered: tuple[str, Notation | None], prec: int,
+             separated: bool, under_prefix: bool = False) -> str:
+    """``t``, rendered as ``(text, notation)``, as an operand read at
+    ``prec``: in parentheses when its own precedence is at most ``prec``,
+    when it is a binder in a separator-delimited slot, and when it is a
+    numeral under a prefix notation."""
+    text, top = rendered
     if ((top is not None and not top.is_closed and top.precedence <= prec)
             or (separated and isinstance(t, Bind))
             or (under_prefix and isinstance(t, (IntLit, FloatLit)))):

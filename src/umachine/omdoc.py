@@ -14,7 +14,8 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 
 from .graph import OPENMATH, Constant, Include, Theory, TheoryGraph, View
-from .omxml import XmlDecodeError, from_element, local_tag, to_element
+from .omxml import (XmlDecodeError, element, encode_xml, from_element,
+                    local_tag)
 from .terms import ModuleRef, normalize_uri
 
 
@@ -97,26 +98,22 @@ def ingest_omdoc(graph: TheoryGraph, xml_text: str) -> list[Theory]:
 
 
 def export_omdoc(theories, base: str) -> str:
-    """Serialize theories back into the same OMDoc subset."""
-    root = ET.Element("omdoc")
-    root.set("xmlns", "http://omdoc.org/ns")
-    root.set("base", base)
+    """Serialize theories back into the same OMDoc subset, as
+    ``xml.etree.ElementTree`` would write it."""
+    out = []
     for theory in theories:
-        tel = ET.SubElement(root, "theory")
-        tel.set("name", theory.name.module)
+        decls = []
         for d in theory.declarations:
             if isinstance(d, Include):
-                iel = ET.SubElement(tel, "include")
-                if d.target.base == theory.name.base:
-                    iel.set("from", f"?{d.target.module}")
-                else:
-                    iel.set("from", str(d.target))
+                frm = (f"?{d.target.module}"
+                       if d.target.base == theory.name.base else str(d.target))
+                decls.append(element("include", (("from", frm),)))
             else:
-                cel = ET.SubElement(tel, "constant")
-                cel.set("name", d.name)
-                for tag, field in _CONSTANT_TERMS.items():
-                    term = getattr(d, field)
-                    if term is not None:
-                        obj = ET.SubElement(ET.SubElement(cel, tag), "OMOBJ")
-                        obj.append(to_element(term))
-    return ET.tostring(root, encoding="unicode")
+                decls.append(element("constant", (("name", d.name),), "".join(
+                    element(tag, (), encode_xml(term))
+                    for tag, field in _CONSTANT_TERMS.items()
+                    if (term := getattr(d, field)) is not None)))
+        out.append(element("theory", (("name", theory.name.module),),
+                           "".join(decls)))
+    return element("omdoc", (("xmlns", "http://omdoc.org/ns"),
+                             ("base", base)), "".join(out))

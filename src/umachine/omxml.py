@@ -4,6 +4,11 @@ Element set: OMOBJ, OMS, OMV, OMI, OMF (attribute ``dec``), OMSTR, OMA,
 OMBIND/OMBVAR, and OMFOREIGN (attribute ``format``).  OMS carries
 ``cdbase``/``cd``/``name``; an omitted ``cdbase`` inherits from the nearest
 ancestor element or the document default.
+
+Both directions are loops over explicit stacks, so no term is too deep for
+the interpreter; the decoder refuses an object nested deeper than
+``MAX_TERM_DEPTH`` with ``TermTooDeepError``.  The encoder writes the text
+that ``xml.etree.ElementTree`` would write for the same elements.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ import re
 import weakref
 import xml.etree.ElementTree as ET
 
-from .terms import (App, Bind, Const, FloatLit, Foreign, GlobalName, IntLit,
-                    StrLit, Term, Var)
+from .terms import (MAX_TERM_DEPTH, App, Bind, Const, FloatLit, Foreign,
+                    GlobalName, IntLit, StrLit, Term, TermTooDeepError, Var)
 
 
 class XmlDecodeError(ValueError):
@@ -58,62 +63,73 @@ def _dec_to_float(s: str) -> float:
         raise XmlDecodeError(f"bad OMF dec value: {s!r}") from e
 
 
-def to_element(t: Term) -> ET.Element:
-    """Encode ``t`` as an OpenMath element (without the OMOBJ wrapper)."""
+def _escape_text(s: str) -> str:
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _escape_attribute(s: str) -> str:
+    """``s`` quoted as ``xml.etree.ElementTree`` writes an attribute value."""
+    return (_escape_text(s).replace('"', "&quot;").replace("\r", "&#13;")
+            .replace("\n", "&#10;").replace("\t", "&#09;"))
+
+
+def element(tag: str, attributes=(), content: str = "") -> str:
+    """An element as ``xml.etree.ElementTree.tostring`` writes it: the
+    attributes ``(name, value)`` in order, and ``content`` (escaped
+    already), or none in a short empty element."""
+    attrs = "".join(f' {k}="{_escape_attribute(v)}"'
+                    for k, v in attributes)
+    if not content:
+        return f"<{tag}{attrs} />"
+    return f"<{tag}{attrs}>{content}</{tag}>"
+
+
+def _leaf_xml(t: Term) -> str:
+    """The element of a term other than an application or binding."""
     if isinstance(t, Const):
-        el = ET.Element("OMS")
-        el.set("cdbase", t.head.base)
-        el.set("cd", t.head.module)
-        el.set("name", t.head.name)
-        return el
+        return element("OMS", (("cdbase", t.head.base), ("cd", t.head.module),
+                               ("name", t.head.name)))
     if isinstance(t, Var):
-        el = ET.Element("OMV")
-        el.set("name", t.name)
-        return el
+        return element("OMV", (("name", t.name),))
     if isinstance(t, IntLit):
-        el = ET.Element("OMI")
-        el.text = str(t.value)
-        return el
+        return f"<OMI>{t.value}</OMI>"
     if isinstance(t, FloatLit):
-        el = ET.Element("OMF")
-        el.set("dec", _float_to_dec(t.value))
-        return el
+        return element("OMF", (("dec", _float_to_dec(t.value)),))
     if isinstance(t, StrLit):
-        el = ET.Element("OMSTR")
-        el.text = t.value
-        return el
-    if isinstance(t, App):
-        el = ET.Element("OMA")
-        el.append(to_element(t.head))
-        for a in t.args:
-            el.append(to_element(a))
-        return el
-    if isinstance(t, Bind):
-        el = ET.Element("OMBIND")
-        el.append(to_element(t.binder))
-        bvar = ET.SubElement(el, "OMBVAR")
-        for x in t.context:
-            v = ET.SubElement(bvar, "OMV")
-            v.set("name", x)
-        el.append(to_element(t.scope))
-        return el
+        return element("OMSTR", (), _escape_text(t.value))
     if isinstance(t, Foreign):
-        el = ET.Element("OMFOREIGN")
-        if t.format:
-            el.set("format", t.format)
-        el.text = t.content
-        return el
+        return element("OMFOREIGN",
+                       (("format", t.format),) if t.format else (),
+                       _escape_text(t.content))
     raise TypeError(f"not a term: {t!r}")
 
 
 def encode_xml(t: Term, wrap: bool = True) -> str:
-    """Serialize ``t`` as OpenMath XML, by default wrapped in ``<OMOBJ>``."""
-    el = to_element(t)
-    if wrap:
-        root = ET.Element("OMOBJ")
-        root.append(el)
-        el = root
-    return ET.tostring(el, encoding="unicode")
+    """Serialize ``t`` as OpenMath XML, by default wrapped in ``<OMOBJ>``.
+
+    The text is what ``xml.etree.ElementTree`` would write for the same
+    elements, written in one preorder walk."""
+    out = ["<OMOBJ>"] if wrap else []
+    # Terms to write, and strings to write as they are.
+    todo: list = ["</OMOBJ>", t] if wrap else [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, App):
+            out.append("<OMA>")
+            todo.append("</OMA>")
+            todo += t.args[::-1]
+            todo.append(t.head)
+        elif isinstance(t, Bind):
+            names = "".join(element("OMV", (("name", x),)) for x in t.context)
+            out.append("<OMBIND>")
+            todo += ("</OMBIND>", t.scope,
+                     f"<OMBVAR>{names}</OMBVAR>" if names else "<OMBVAR />",
+                     t.binder)
+        else:
+            out.append(_leaf_xml(t))
+    return "".join(out)
 
 
 def local_tag(tag: str) -> str:
@@ -122,14 +138,69 @@ def local_tag(tag: str) -> str:
 
 
 def from_element(el: ET.Element, cdbase: str | None = None) -> Term:
-    """Decode an OpenMath element into a term."""
-    tag = local_tag(el.tag)
-    base = el.get("cdbase", cdbase)
-    if tag == "OMOBJ":
-        children = list(el)
-        if len(children) != 1:
-            raise XmlDecodeError("OMOBJ must contain exactly one object")
-        return from_element(children[0], base)
+    """Decode an OpenMath element into a term.  An element with more than
+    ``MAX_TERM_DEPTH`` OMA and OMBIND elements nested is refused."""
+    # One frame per OMA or OMBIND under way: its tag, its cdbase, its child
+    # elements and what is decoded of them so far (an OMBIND's: the binder,
+    # the variable names, the scope).
+    stack: list[tuple[str, str | None, list, list]] = []
+    while True:
+        tag = local_tag(el.tag)
+        base = el.get("cdbase", cdbase)
+        if tag == "OMOBJ":
+            children = list(el)
+            if len(children) != 1:
+                raise XmlDecodeError("OMOBJ must contain exactly one object")
+            el, cdbase = children[0], base
+            continue
+        if tag == "OMA" or tag == "OMBIND":
+            children = list(el)
+            if tag == "OMA" and not children:
+                raise XmlDecodeError("empty OMA")
+            if tag == "OMBIND" and (len(children) != 3 or local_tag(
+                    children[1].tag) != "OMBVAR"):
+                raise XmlDecodeError("OMBIND needs binder, OMBVAR, and scope")
+            if len(stack) == MAX_TERM_DEPTH:
+                raise TermTooDeepError
+            stack.append((tag, base, children, []))
+            el, cdbase = children[0], base
+            continue
+        t = _leaf(tag, el, base)
+        while True:
+            if not stack:
+                return t
+            tag, base, children, done = stack[-1]
+            done.append(t)
+            if tag == "OMA" and len(done) < len(children):
+                el, cdbase = children[len(done)], base
+                break
+            if tag == "OMBIND" and len(done) == 1:
+                done.append(_bound_names(children[1]))
+                el, cdbase = children[2], base
+                break
+            stack.pop()
+            if tag == "OMBIND":
+                t = Bind(*done)
+            elif len(done) == 1:
+                raise XmlDecodeError(
+                    "OMA needs a head and at least one argument")
+            else:
+                t = App(done[0], tuple(done[1:]))
+
+
+def _bound_names(bvar: ET.Element) -> tuple:
+    names = []
+    for v in bvar:
+        if local_tag(v.tag) != "OMV" or not v.get("name"):
+            raise XmlDecodeError("OMBVAR may only contain named OMV elements")
+        names.append(v.get("name"))
+    if len(set(names)) != len(names):
+        raise XmlDecodeError("bound variable names must be pairwise distinct")
+    return tuple(names)
+
+
+def _leaf(tag: str, el: ET.Element, base: str | None) -> Term:
+    """The term of an element other than OMOBJ, OMA and OMBIND."""
     if tag == "OMS":
         cd, name = el.get("cd"), el.get("name")
         if cd is None or name is None:
@@ -158,25 +229,6 @@ def from_element(el: ET.Element, cdbase: str | None = None) -> Term:
         return FloatLit(_dec_to_float(dec))
     if tag == "OMSTR":
         return StrLit(el.text or "")
-    if tag == "OMA":
-        children = [from_element(c, base) for c in el]
-        if not children:
-            raise XmlDecodeError("empty OMA")
-        if len(children) == 1:
-            raise XmlDecodeError("OMA needs a head and at least one argument")
-        return App(children[0], tuple(children[1:]))
-    if tag == "OMBIND":
-        children = list(el)
-        if len(children) != 3 or local_tag(children[1].tag) != "OMBVAR":
-            raise XmlDecodeError("OMBIND needs binder, OMBVAR, and scope")
-        binder = from_element(children[0], base)
-        names = []
-        for v in children[1]:
-            if local_tag(v.tag) != "OMV" or not v.get("name"):
-                raise XmlDecodeError("OMBVAR may only contain named OMV elements")
-            names.append(v.get("name"))
-        scope = from_element(children[2], base)
-        return Bind(binder, tuple(names), scope)
     if tag == "OMFOREIGN":
         return Foreign(el.get("format", ""), el.text or "")
     raise XmlDecodeError(f"unknown OpenMath element: {tag}")

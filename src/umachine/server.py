@@ -39,7 +39,10 @@ to build is not cached, so it is built again on the next request.
 
 An integer literal longer than ``sys.get_int_max_str_digits()`` digits is a
 400 on input; ``power`` and ``factorial`` decline a result that long.
-"Nested too deeply" is a ``RecursionError`` anywhere in handling the body.
+"Nested too deeply" is an input with more than ``MAX_TERM_DEPTH`` levels
+nested (see ``terms``), or a rule that runs out of stack
+(``RecursionError``).  No walk of the server's own recurses along a term, so
+the answer does not depend on the interpreter or its recursion limit.
 ``Service.simplify_request`` also answers ``um simplify`` and ``um repl``,
 which map its status to an exit code.  A ``Service`` refuses a default fuel
 outside ``1..MAX_FUEL``.
@@ -60,6 +63,8 @@ from .machine import (DEFAULT_FUEL, MAX_FUEL,  # noqa: F401 (re-exported)
 from .notation import AmbiguityError, parse_term, render_term
 from .omdoc import OmdocError, ingest_omdoc
 from .omxml import XmlDecodeError, decode_xml, encode_xml
+from .terms import (MAX_TERM_DEPTH,  # noqa: F401 (re-exported)
+                    TermTooDeepError)
 
 TEXT = "text/plain; charset=utf-8"
 OMXML = "application/openmath+xml"
@@ -75,18 +80,6 @@ class Response:
     body: str
     content_type: str = TEXT
     headers: dict = field(default_factory=dict)
-
-
-def _too_deep_is_413(method):
-    """A ``RecursionError`` while handling the request (decoding, parsing,
-    simplifying, rendering) answers 413."""
-    @functools.wraps(method)
-    def answer(*args):
-        try:
-            return method(*args)
-        except RecursionError:
-            return Response(413, "term nested too deeply\n")
-    return answer
 
 
 @dataclass
@@ -106,7 +99,6 @@ class Service:
         self.scope_for = functools.lru_cache(maxsize=SCOPE_CACHE_SIZE)(
             self.graph.scope_for)
 
-    @_too_deep_is_413
     def simplify_request(self, body: bytes, content_type: str,
                          scope_ref: str | None, fuel: str | None) -> Response:
         xml = content_type.split(";")[0].strip().lower() == OMXML
@@ -130,19 +122,20 @@ class Service:
             text = body.decode("utf-8")
         except UnicodeDecodeError:
             return Response(400, "body is not UTF-8\n")
-        if xml:
-            try:
-                term = decode_xml(text)
-            except XmlDecodeError as e:
-                return Response(400, f"{e}\n")
-        else:
-            if scope is None:
-                return Response(400, "text requests need a scope parameter\n")
-            try:
-                term = parse_term(text.strip(), scope)
-            except ValueError as e:  # SyntaxErrorAt, or a literal too long
-                return Response(400, f"parse error: {e}\n")
-        result = simplify(self.base, term, budget)
+        if not xml and scope is None:
+            return Response(400, "text requests need a scope parameter\n")
+        try:
+            term = decode_xml(text) if xml else parse_term(text.strip(), scope)
+        except TermTooDeepError as e:
+            return Response(413, f"{e}\n")
+        except XmlDecodeError as e:
+            return Response(400, f"{e}\n")
+        except ValueError as e:  # SyntaxErrorAt, or a literal too long
+            return Response(400, f"parse error: {e}\n")
+        try:
+            result = simplify(self.base, term, budget)
+        except RecursionError:  # a rule ran out of stack
+            return Response(413, "term nested too deeply\n")
         try:
             if xml:
                 payload = encode_xml(result.term)
@@ -155,7 +148,6 @@ class Service:
         status = 422 if result.exhausted else 200
         return Response(status, payload, out_type, headers)
 
-    @_too_deep_is_413
     def ingest(self, body: bytes) -> Response:
         try:
             text = body.decode("utf-8")
@@ -166,6 +158,8 @@ class Service:
                 added = ingest_omdoc(self.graph, text)
             except DuplicateModuleError as e:
                 return Response(409, f"{e}\n")
+            except TermTooDeepError as e:
+                return Response(413, f"{e}\n")
             except OmdocError as e:
                 return Response(400, f"{e}\n")
         names = "".join(f"{t.name}\n" for t in added)

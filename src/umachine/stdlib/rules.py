@@ -71,19 +71,20 @@ def _is_cons_list(t: Term) -> bool:
 
 
 def _is_value(t: Term) -> bool:
-    """Ground values: structural equality coincides with semantic equality."""
-    if isinstance(t, (IntLit,)):
-        return True
-    if _bool(t) is not None:
-        return True
-    if t == NIL or t == EMPTYSET:
-        return True
-    if _is_set(t):
-        return all(_is_value(e) for e in _set_elements(t))
-    if isinstance(t, App) and isinstance(t.head, Const) \
-            and t.head.head == CONS and len(t.args) == 2:
-        return all(_is_value(a) for a in t.args)
-    return False
+    """Ground values: structural equality coincides with semantic equality.
+    An integer, a truth value, a set of values or a cons list of values."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, IntLit) or _bool(t) is not None or t == NIL:
+            continue
+        if _is_set(t):
+            todo += _set_elements(t)
+        elif _is_cons_list(t):
+            todo += t.args
+        else:
+            return False
+    return True
 
 
 def _canonical_set(elems) -> Term:

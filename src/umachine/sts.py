@@ -125,34 +125,35 @@ def lint_theory(graph: TheoryGraph, ref) -> list[Diagnostic]:
 
 def _check_term(graph: TheoryGraph, t: Term, subject: GlobalName, pos,
                 out: list):
-    """Append the arity diagnostics of ``t`` to ``out`` (a module function:
-    a recursive closure would be a reference cycle per ``lint_theory``)."""
-    if isinstance(t, App):
-        if isinstance(t.head, Const) and t.head.head != OM_FMP:
-            a = declared_arity(graph.lookup(t.head.head))
-            if isinstance(a, Fixed) and a.n != len(t.args):
-                out.append(Diagnostic(
-                    "error", pos, subject,
-                    f"{t.head.head.local} expects {a.n} argument(s), "
-                    f"got {len(t.args)}"))
-            elif isinstance(a, Flexible) and len(t.args) < a.n:
-                out.append(Diagnostic(
-                    "error", pos, subject,
-                    f"{t.head.head.local} expects at least {a.n} "
-                    f"argument(s), got {len(t.args)}"))
-            elif isinstance(a, Binder):
-                out.append(Diagnostic(
-                    "error", pos, subject,
-                    f"{t.head.head.local} is a binder, not an operator"))
-        _check_term(graph, t.head, subject, pos, out)
-        for x in t.args:
-            _check_term(graph, x, subject, pos, out)
-    elif isinstance(t, Bind):
-        if isinstance(t.binder, Const):
-            a = declared_arity(graph.lookup(t.binder.head))
-            if a is not None and not isinstance(a, Binder):
-                out.append(Diagnostic(
-                    "error", pos, subject,
-                    f"{t.binder.head.local} lacks binder arity"))
-        _check_term(graph, t.binder, subject, pos, out)
-        _check_term(graph, t.scope, subject, pos, out)
+    """Append the arity diagnostics of ``t`` to ``out``, in preorder."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, App):
+            if isinstance(t.head, Const) and t.head.head != OM_FMP:
+                a = declared_arity(graph.lookup(t.head.head))
+                if isinstance(a, Fixed) and a.n != len(t.args):
+                    out.append(Diagnostic(
+                        "error", pos, subject,
+                        f"{t.head.head.local} expects {a.n} argument(s), "
+                        f"got {len(t.args)}"))
+                elif isinstance(a, Flexible) and len(t.args) < a.n:
+                    out.append(Diagnostic(
+                        "error", pos, subject,
+                        f"{t.head.head.local} expects at least {a.n} "
+                        f"argument(s), got {len(t.args)}"))
+                elif isinstance(a, Binder):
+                    out.append(Diagnostic(
+                        "error", pos, subject,
+                        f"{t.head.head.local} is a binder, not an operator"))
+            todo += t.args[::-1]
+            todo.append(t.head)
+        elif isinstance(t, Bind):
+            if isinstance(t.binder, Const):
+                a = declared_arity(graph.lookup(t.binder.head))
+                if a is not None and not isinstance(a, Binder):
+                    out.append(Diagnostic(
+                        "error", pos, subject,
+                        f"{t.binder.head.local} lacks binder arity"))
+            todo.append(t.scope)
+            todo.append(t.binder)

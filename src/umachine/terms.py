@@ -3,6 +3,12 @@
 Terms are immutable values that are safe to share between threads.  The
 ``simplified`` marker is metadata: it never takes part in structural equality
 or hashing, and it is only ever "set" by building a new term value.
+
+No walk over a term recurses along it: equality, hashing, ``term_key``,
+``free_vars``, ``substitute`` and ``strip_marks`` keep their own stacks, so
+a term of any depth is handled whatever the interpreter's recursion limit.
+The front ends refuse an input nested deeper than ``MAX_TERM_DEPTH`` while
+they build it, with ``TermTooDeepError``.
 """
 
 from __future__ import annotations
@@ -10,8 +16,39 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Mapping
+from typing import Callable, Generator, Mapping
 from urllib.parse import urlsplit, urlunsplit
+
+# How deeply an input may nest: in text, the operands and parentheses
+# nested around its innermost part; in XML, the OMA and OMBIND elements.  A
+# stated budget, not an option: the parser and the XML decoder refuse a
+# deeper input.
+MAX_TERM_DEPTH = 10_000
+
+
+class TermTooDeepError(ValueError):
+    """An input nests deeper than ``MAX_TERM_DEPTH``."""
+
+    def __init__(self):
+        super().__init__("term nested too deeply")
+
+
+def run(gen: Generator):
+    """The return value of ``gen``, where a generator that yields a generator
+    waits for that one's return value, sent back to it.  The waiting
+    generators are kept on a stack, so none of them recurses."""
+    waiting = []
+    value = None
+    while True:
+        try:
+            sub = gen.send(value)
+        except StopIteration as done:
+            if not waiting:
+                return done.value
+            gen, value = waiting.pop(), done.value
+            continue
+        waiting.append(gen)
+        gen, value = sub, None
 
 
 @functools.lru_cache(maxsize=1024)
@@ -70,9 +107,62 @@ class GlobalName:
 
 @dataclass(frozen=True, slots=True)
 class Term:
-    """Base of the term variants; carries the ``simplified`` marker."""
+    """Base of the term variants; carries the ``simplified`` marker.
+
+    Two terms are equal when they have the same variant and payload and
+    their children are equal in order; the marker takes no part.  The
+    variants inherit ``==`` and ``hash`` from here (``eq=False``), since the
+    dataclass versions recurse along the term."""
 
     simplified: bool = field(default=False, compare=False, repr=False, kw_only=True)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        cls = self.__class__
+        if other.__class__ is not cls:
+            return False if isinstance(other, Term) else NotImplemented
+        if cls is not App and cls is not Bind:
+            return _same_leaf(self, other)
+        # Pairs of applications or bindings of the same variant to compare;
+        # their leaves are compared on the spot.
+        pairs = [(self, other)]
+        for a, b in pairs:
+            if a.__class__ is App:
+                if len(a.args) != len(b.args):
+                    return False
+                kids = zip((a.head, *a.args), (b.head, *b.args))
+            else:
+                if a.context != b.context:
+                    return False
+                kids = ((a.binder, b.binder), (a.scope, b.scope))
+            for x, y in kids:
+                if x is y:
+                    continue
+                cls = x.__class__
+                if y.__class__ is not cls:
+                    return False
+                if cls is App or cls is Bind:
+                    pairs.append((x, y))
+                elif not _same_leaf(x, y):
+                    return False
+        return True
+
+    def __hash__(self):
+        return hash(term_key(self))
+
+
+def _same_leaf(a: Term, b: Term) -> bool:
+    """Whether two terms of the same variant, neither an application nor a
+    binding, have the same payload; a NaN float equals only itself."""
+    cls = a.__class__
+    if cls is Const:
+        return a.head is b.head or a.head == b.head
+    if cls is Var:
+        return a.name == b.name
+    if cls is Foreign:
+        return a.format == b.format and a.content == b.content
+    return a.value is b.value or a.value == b.value
 
 
 class _WeakReferable:
@@ -82,7 +172,7 @@ class _WeakReferable:
     __slots__ = ("__weakref__",)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Const(Term, _WeakReferable):
     """A symbol; weakly referable so decoders can share one per name."""
 
@@ -93,27 +183,27 @@ class Const(Term, _WeakReferable):
             raise TypeError("Const expects a GlobalName")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Var(Term):
     name: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class IntLit(Term):
     value: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class FloatLit(Term):
     value: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class StrLit(Term):
     value: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class App(Term):
     head: Term = None  # type: ignore[assignment]
     args: tuple = ()
@@ -124,7 +214,7 @@ class App(Term):
             raise ValueError("an application needs at least one argument")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Bind(Term):
     binder: Term = None  # type: ignore[assignment]
     context: tuple = ()
@@ -136,7 +226,7 @@ class Bind(Term):
             raise ValueError("bound variable names must be pairwise distinct")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Foreign(Term):
     """An escaped non-term payload, preserved verbatim and never executed."""
 
@@ -170,43 +260,67 @@ def mark(t: Term) -> Term:
     return t if t.simplified else _twin(t, True)
 
 
+def rebuild(t: Term, leaf: Callable[[Term], Term]) -> Term:
+    """``t`` with every leaf ``x`` replaced by ``leaf(x)``.  An application
+    or binding is built again, unmarked, when a child changed or it is
+    marked; a subtree that stays as it was is shared."""
+    # One frame per App or Bind under way: the node, its children and the
+    # results of those done so far, as in ``machine.simplify``.
+    stack: list[tuple[Term, tuple, list]] = []
+    while True:
+        if isinstance(t, App):
+            stack.append((t, (t.head, *t.args), []))
+            t = t.head
+            continue
+        if isinstance(t, Bind):
+            stack.append((t, (t.binder, t.scope), []))
+            t = t.binder
+            continue
+        t = leaf(t)
+        while True:
+            if not stack:
+                return t
+            node, kids, done = stack[-1]
+            done.append(t)
+            if len(done) < len(kids):
+                t = kids[len(done)]
+                break
+            stack.pop()
+            if not node.simplified and all(a is b for a, b in zip(done, kids)):
+                t = node
+            elif isinstance(node, App):
+                t = App(done[0], tuple(done[1:]))
+            else:
+                t = Bind(done[0], node.context, done[1])
+
+
 def strip_marks(t: Term) -> Term:
     """Remove every simplified marker in ``t``, sharing untouched subtrees."""
-    if isinstance(t, App):
-        head = strip_marks(t.head)
-        args = tuple(strip_marks(a) for a in t.args)
-        if head is t.head and all(a is b for a, b in zip(args, t.args)) and not t.simplified:
-            return t
-        return App(head, args)
-    if isinstance(t, Bind):
-        binder = strip_marks(t.binder)
-        scope = strip_marks(t.scope)
-        if binder is t.binder and scope is t.scope and not t.simplified:
-            return t
-        return Bind(binder, t.context, scope)
-    return _twin(t, False) if t.simplified else t
+    return rebuild(t, lambda x: _twin(x, False) if x.simplified else x)
 
 
 def free_vars(t: Term) -> frozenset:
     """The variables of ``t`` occurring outside any binder that binds them."""
-    return _free_vars(t, frozenset())
-
-
-# ``_free_vars`` and ``_substitute`` are module functions, not nested
-# closures: a closure that calls itself is a reference cycle, left for the
-# cyclic garbage collector after every call.
-def _free_vars(t: Term, bound: frozenset) -> frozenset:
-    if isinstance(t, Var):
-        return frozenset() if t.name in bound else frozenset((t.name,))
-    if isinstance(t, App):
-        acc = _free_vars(t.head, bound)
-        for a in t.args:
-            acc |= _free_vars(a, bound)
-        return acc
-    if isinstance(t, Bind):
-        return (_free_vars(t.binder, bound)
-                | _free_vars(t.scope, bound | frozenset(t.context)))
-    return frozenset()
+    found = set()
+    bound: dict[str, int] = {}  # name -> the bindings around here of it
+    # Terms, and (step, names): a binding's names come into scope (step 1)
+    # after its binder and leave it (step -1) after its scope.
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Var):
+            if not bound.get(t.name):
+                found.add(t.name)
+        elif isinstance(t, App):
+            todo += t.args[::-1]
+            todo.append(t.head)
+        elif isinstance(t, Bind):
+            todo += ((-1, t.context), t.scope, (1, t.context), t.binder)
+        elif t.__class__ is tuple:
+            step, names = t
+            for x in names:
+                bound[x] = bound.get(x, 0) + step
+    return frozenset(found)
 
 
 def fresh_name(base: str, avoid) -> str:
@@ -225,54 +339,75 @@ def substitute(t: Term, bindings: Mapping[str, Term]) -> Term:
     """
     if not bindings:
         return t
-    return _substitute(t, dict(bindings))
+    return run(_substituted(t, dict(bindings)))
 
 
-def _substitute(t: Term, bnd: dict) -> Term:
-    if isinstance(t, Var):
-        return bnd.get(t.name, t)
-    if isinstance(t, App):
-        head = _substitute(t.head, bnd)
-        args = tuple(_substitute(a, bnd) for a in t.args)
-        if head is t.head and all(a is b for a, b in zip(args, t.args)):
-            return t
-        return App(head, args)
-    if isinstance(t, Bind):
-        binder = _substitute(t.binder, bnd)
-        inner = {k: v for k, v in bnd.items() if k not in t.context}
-        ctx, scope = t.context, t.scope
-        if inner:
-            scope_fvs = free_vars(scope)
-            inner = {k: v for k, v in inner.items() if k in scope_fvs}
-        if inner:
-            # Rename bound names that would capture a replacement's free variable.
-            clashing = [x for x in ctx
-                        if any(x in free_vars(v) for v in inner.values())]
-            if clashing:
-                avoid = set(scope_fvs) | set(ctx)
-                for v in inner.values():
-                    avoid |= free_vars(v)
-                renaming = {}
-                new_ctx = []
-                for x in ctx:
-                    if x in clashing:
-                        nx = fresh_name(x, avoid)
-                        avoid.add(nx)
-                        renaming[x] = Var(nx)
-                        new_ctx.append(nx)
-                    else:
-                        new_ctx.append(x)
-                ctx = tuple(new_ctx)
-                scope = _substitute(scope, renaming)
-            scope = _substitute(scope, inner)
-        if binder is t.binder and ctx == t.context and scope is t.scope:
-            return t
-        return Bind(binder, ctx, scope)
-    return t
+def _substituted(t: Term, bnd: dict):
+    """A generator for ``run``: ``t`` under ``bnd``.  The scope of a binding
+    goes under another mapping (the names it binds left out, and perhaps
+    renamed first), each by a generator of its own."""
+    stack: list[tuple[Term, tuple, list]] = []
+    while True:
+        if isinstance(t, App):
+            stack.append((t, (t.head, *t.args), []))
+            t = t.head
+            continue
+        if isinstance(t, Bind):
+            stack.append((t, (t.binder,), []))
+            t = t.binder
+            continue
+        if isinstance(t, Var):
+            t = bnd.get(t.name, t)
+        while True:
+            if not stack:
+                return t
+            node, kids, done = stack[-1]
+            done.append(t)
+            if len(done) < len(kids):
+                t = kids[len(done)]
+                break
+            stack.pop()
+            if isinstance(node, App):
+                t = (node if all(a is b for a, b in zip(done, kids))
+                     else App(done[0], tuple(done[1:])))
+                continue
+            binder = done[0]
+            inner = {k: v for k, v in bnd.items() if k not in node.context}
+            ctx, scope = node.context, node.scope
+            if inner:
+                scope_fvs = free_vars(scope)
+                inner = {k: v for k, v in inner.items() if k in scope_fvs}
+            if inner:
+                # Rename bound names that would capture a replacement's free
+                # variable.
+                clashing = [x for x in ctx
+                            if any(x in free_vars(v) for v in inner.values())]
+                if clashing:
+                    avoid = set(scope_fvs) | set(ctx)
+                    for v in inner.values():
+                        avoid |= free_vars(v)
+                    renaming = {}
+                    new_ctx = []
+                    for x in ctx:
+                        if x in clashing:
+                            nx = fresh_name(x, avoid)
+                            avoid.add(nx)
+                            renaming[x] = Var(nx)
+                            new_ctx.append(nx)
+                        else:
+                            new_ctx.append(x)
+                    ctx = tuple(new_ctx)
+                    scope = yield _substituted(scope, renaming)
+                scope = yield _substituted(scope, inner)
+            if binder is node.binder and ctx == node.context \
+                    and scope is node.scope:
+                t = node
+            else:
+                t = Bind(binder, ctx, scope)
 
 
-def term_key(t: Term):
-    """A total-order key on terms: variant tag, then payload, then children."""
+def _leaf_key(t: Term) -> tuple:
+    """The key of a term other than an application or binding."""
     if isinstance(t, Const):
         return (0, (t.head.base, t.head.module, t.head.name))
     if isinstance(t, Var):
@@ -283,10 +418,35 @@ def term_key(t: Term):
         return (3, (1, 0.0) if math.isnan(t.value) else (0, t.value))
     if isinstance(t, StrLit):
         return (4, t.value)
-    if isinstance(t, App):
-        return (5, (term_key(t.head), len(t.args), tuple(term_key(a) for a in t.args)))
-    if isinstance(t, Bind):
-        return (6, (term_key(t.binder), t.context, term_key(t.scope)))
     if isinstance(t, Foreign):
         return (7, (t.format, t.content))
     raise TypeError(f"not a term: {t!r}")
+
+
+def term_key(t: Term) -> tuple:
+    """A total-order key on terms: the preorder of ``t`` as one flat tuple.
+
+    A leaf gives its tag and payload; an application 5, its head, its
+    argument count and its arguments; a binding 6, its binder, its
+    variables and its scope.  No key is a proper prefix of another, so
+    keys compare as the terms' variant tag, then payload, then children."""
+    if not isinstance(t, (App, Bind)):
+        return _leaf_key(t)
+    key = []
+    # Terms, and one-element tuples holding a payload that goes in as is.
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, App):
+            key.append(5)
+            todo += t.args[::-1]
+            todo.append((len(t.args),))
+            todo.append(t.head)
+        elif isinstance(t, Bind):
+            key.append(6)
+            todo += (t.scope, (t.context,), t.binder)
+        elif isinstance(t, tuple):
+            key.append(t[0])
+        else:
+            key += _leaf_key(t)
+    return tuple(key)

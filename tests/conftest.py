@@ -9,15 +9,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from umachine.codegen import build_graph, load
 
 
-@pytest.fixture(autouse=True)
-def _restore_recursion_limit():
-    """``cli.main`` raises the process-wide recursion limit; restore it, so
-    that no test depends on whether a CLI test ran before it."""
-    limit = sys.getrecursionlimit()
-    yield
-    sys.setrecursionlimit(limit)
-
-
 @pytest.fixture(scope="session")
 def loaded():
     """Stdlib graph + union rule base, shared read-only across tests."""

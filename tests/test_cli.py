@@ -1,13 +1,9 @@
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import umachine
 from umachine.cli import main
-from umachine.server import MAX_FUEL
+from umachine.server import MAX_FUEL, MAX_TERM_DEPTH
 
 PARTIAL_VIEW = """\
 document http://www.openmath.org/cd
@@ -200,18 +196,25 @@ def test_test_with_fuel_out_of_range_exits_1(fuel, capsys):
     assert capsys.readouterr().err == f"error: fuel out of range: {fuel}\n"
 
 
-def test_term_nested_too_deeply_exits_1():
-    # In a subprocess: where the C stack cannot hold the recursion limit
-    # that main() sets (CPython 3.10), the interpreter crashes instead.
-    script = ("import sys; from umachine.cli import main; sys.exit(main(["
-              "'simplify', '--scope', 'arith1', '-e',"
-              " '(' * 50_000 + '1' + ')' * 50_000]))")
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(umachine.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert (proc.returncode, proc.stderr) == (
-        1, "error: term nested too deeply\n")
+def test_term_nested_too_deeply_exits_1(capsys):
+    # In process, at the interpreter's default recursion limit, which
+    # main() leaves as it is.
+    before = sys.getrecursionlimit()
+    for argv in [["-e", "(" * 50_000 + "1" + ")" * 50_000],
+                 ["--xml", "-e", "<OMA><OMS cdbase='c' cd='d' name='n'/>"
+                  * (MAX_TERM_DEPTH + 1) + "<OMI>1</OMI>"
+                  + "</OMA>" * (MAX_TERM_DEPTH + 1)]]:
+        assert main(["simplify", "--scope", "arith1", *argv]) == 1
+        assert capsys.readouterr().err == "error: term nested too deeply\n"
+    assert sys.getrecursionlimit() == before
+
+
+def test_repeated_bound_variable_exits_1(capsys):
+    expr = ("<OMBIND><OMS cdbase='c' cd='fns1' name='lambda'/><OMBVAR>"
+            "<OMV name='x'/><OMV name='x'/></OMBVAR><OMV name='x'/></OMBIND>")
+    assert main(["simplify", "--xml", "-e", expr]) == 1
+    assert capsys.readouterr().err == (
+        "error: bound variable names must be pairwise distinct\n")
 
 
 @pytest.mark.parametrize("via_env", [False, True])

@@ -9,13 +9,14 @@ import requests
 from hypothesis import given, settings, strategies as st
 
 from umachine.codegen import build_graph, load
-from umachine.graph import TheoryGraph
+from umachine.graph import LISTS_DOC_BASE, TheoryGraph
+from umachine.graph import OPENMATH_CD_BASE as CD
 from umachine.machine import Rule, RuleBase
 from umachine.omxml import decode_xml, encode_xml
 from umachine.realization import install_bifoundations
-from umachine.server import (IDLE_TIMEOUT_S, MAX_BODY_BYTES, MAX_FUEL, OMXML,
-                             SCOPE_CACHE_SIZE, TEXT, Response, Service,
-                             make_server)
+from umachine.server import (IDLE_TIMEOUT_S, MAX_BODY_BYTES, MAX_FUEL,
+                             MAX_TERM_DEPTH, OMXML, SCOPE_CACHE_SIZE, TEXT,
+                             Response, Service, make_server)
 from umachine.stdlib import rules
 from umachine.surface import parse_modules
 from umachine.sts import Fixed
@@ -445,13 +446,77 @@ def test_service_answers_a_term_nested_too_deeply_with_413(loaded):
     assert (r.status, r.body) == (413, "term nested too deeply\n")
 
 
-def test_ingest_nested_too_deeply_is_413(loaded, monkeypatch):
-    def give_out(graph, text):
-        raise RecursionError("maximum recursion depth exceeded")
+def _omdoc(base: str, definition: str) -> bytes:
+    return (f'<omdoc base="{base}"><theory name="t"><constant name="c">'
+            f"<definition><OMOBJ>{definition}</OMOBJ></definition>"
+            "</constant></theory></omdoc>").encode()
 
-    monkeypatch.setattr("umachine.server.ingest_omdoc", give_out)
-    r = Service(loaded.graph, loaded.base).ingest(b"<omdoc/>")
+
+def _negations(depth: int) -> str:
+    """``-(-(…1…))``, ``depth`` applications deep, as OpenMath XML."""
+    neg = f'<OMA><OMS cdbase="{CD}" cd="arith1" name="unary_minus"/>'
+    return neg * depth + "<OMI>1</OMI>" + "</OMA>" * depth
+
+
+def test_ingest_nested_too_deeply_is_413(loaded):
+    service = Service(TheoryGraph(), loaded.base)
+    before = dict(service.graph.modules)
+    r = service.ingest(_omdoc("um:/deep", _negations(MAX_TERM_DEPTH + 1)))
     assert (r.status, r.body) == (413, "term nested too deeply\n")
+    assert service.graph.modules == before
+    r = service.ingest(_omdoc("um:/deep", _negations(MAX_TERM_DEPTH)))
+    assert r.status == 201
+
+
+REPEATED_BVAR = (f'<OMBIND><OMS cdbase="{CD}" cd="fns1" name="lambda"/>'
+                 '<OMBVAR><OMV name="x"/><OMV name="x"/></OMBVAR>'
+                 '<OMV name="x"/></OMBIND>')
+
+
+def test_a_repeated_bound_variable_is_400(loaded):
+    service = Service(TheoryGraph(), loaded.base)
+    before = dict(service.graph.modules)
+    message = "bound variable names must be pairwise distinct\n"
+    r = service.simplify_request(REPEATED_BVAR.encode(), OMXML, None, None)
+    assert (r.status, r.body) == (400, message)
+    r = service.ingest(_omdoc("um:/bvar", REPEATED_BVAR))
+    assert (r.status, r.body) == (400, message)
+    assert service.graph.modules == before
+
+
+def _xml_list(n: int) -> str:
+    cons = f'<OMS cdbase="{LISTS_DOC_BASE}" cd="lists" name="cons"/>'
+    nil = f'<OMS cdbase="{LISTS_DOC_BASE}" cd="lists" name="nil"/>'
+    return (f"<OMA>{cons}<OMI>1</OMI>" * n + nil + "</OMA>" * n)
+
+
+@pytest.mark.parametrize("cells", [300, 3000])
+def test_equality_of_long_lists_at_the_default_recursion_limit(loaded, cells):
+    # Once 413 on one interpreter and 200 on another, depending on the
+    # recursion limit; now 200 on all, at the interpreter's default limit.
+    assert sys.getrecursionlimit() <= 1000
+    body = (f'<OMOBJ><OMA><OMS cdbase="{CD}" cd="relation1" name="eq"/>'
+            f"{_xml_list(cells)}{_xml_list(cells)}</OMA></OMOBJ>")
+    r = Service(loaded.graph, loaded.base).simplify_request(
+        body.encode(), OMXML, None, None)
+    assert r.status == 200
+    assert decode_xml(r.body) == rules.LOGIC_TRUE
+
+
+def test_nesting_up_to_the_budget_is_answered(loaded):
+    assert sys.getrecursionlimit() <= 1000
+    service = Service(loaded.graph, loaded.base)
+    for depth, status, body in [(2000, 200, "1"),
+                                (MAX_TERM_DEPTH, 200, "1"),
+                                (MAX_TERM_DEPTH + 1, 413,
+                                 "term nested too deeply\n")]:
+        r = service.simplify_request(
+            ("(" * depth + "1" + ")" * depth).encode(), TEXT, "arith1", None)
+        assert (r.status, r.body) == (status, body)
+    for depth, status in [(MAX_TERM_DEPTH, 200), (MAX_TERM_DEPTH + 1, 413)]:
+        r = service.simplify_request(_negations(depth).encode(), OMXML, None,
+                                     None)
+        assert r.status == status
 
 
 @pytest.mark.parametrize("fuel", [0, MAX_FUEL + 1])
@@ -699,7 +764,8 @@ _BODIES = [b"1+2*3", b"2^10", b"1+", b"{1,2} \xe2\x88\xaa {3}",
            encode_xml(app(Const(GlobalName("http://www.openmath.org/cd",
                                            "arith1", "plus")),
                           IntLit(1), IntLit(2))).encode(),
-           b"<OMOBJ><OMI>x</OMI></OMOBJ>", b"\xff\xfe"]
+           b"<OMOBJ><OMI>x</OMI></OMOBJ>", b"\xff\xfe",
+           REPEATED_BVAR.encode()]
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)

@@ -1,0 +1,231 @@
+"""The term walks are loops, not recursions: they agree with the recursive
+references in ``reference_walks`` on generated corpora, and they handle
+terms far deeper than the interpreter's default recursion limit."""
+
+import random
+import sys
+
+import pytest
+
+from reference_walks import (ref_decode_xml, ref_encode_xml, ref_eq,
+                             ref_export_omdoc, ref_parse_term,
+                             ref_render_term, ref_term_key)
+from termgen import CONS, LAMBDA, NIL, SET, engine_term, g, surface_term
+from umachine import notation, omxml
+from umachine.graph import Theory, _map_constants
+from umachine.notation import parse_term, render_term
+from umachine.omdoc import export_omdoc
+from umachine.omxml import decode_xml, encode_xml
+from umachine.stdlib import rules
+from umachine.sts import _check_term
+from umachine.terms import (MAX_TERM_DEPTH, Bind, Const, FloatLit, Foreign,
+                            IntLit, StrLit, TermTooDeepError, Var, app,
+                            free_vars, mark, strip_marks, substitute,
+                            term_key)
+
+DEEP = 50_000
+
+
+def _outcome(f, *args):
+    """What ``f(*args)`` gives: a value, or the type, message and position
+    of its error."""
+    try:
+        return "ok", f(*args)
+    except (ValueError, TypeError) as e:
+        return type(e), str(e), getattr(e, "pos", None)
+
+
+def _same_tree(a, b):
+    return (a[0] == b[0] == "ok" and ref_eq(a[1], b[1])
+            and repr(a[1]) == repr(b[1])) or (a[0] != "ok" and a == b)
+
+
+def _corpus(seed: int, n: int) -> list:
+    rng = random.Random(seed)
+    terms = [surface_term(rng, rng.randrange(5)) for _ in range(n)]
+    terms += [engine_term(rng, rng.randrange(4)) for _ in range(n)]
+    terms += [FloatLit(float("nan")), FloatLit(-0.0), FloatLit(0.0),
+              StrLit("a<b&\"c\"\n\t\r"), Foreign("", ""),
+              Foreign("x&y", "<p>"), Bind(LAMBDA, (), Var("x")),
+              app(Var("f"), IntLit(1)), app(app(Var("f"), NIL), SET)]
+    return terms
+
+
+def _mutations(text: str, rng: random.Random, n: int) -> list[str]:
+    """``text`` with a slice cut out, or cut short, ``n`` times."""
+    out = []
+    for _ in range(n):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randrange(1, 6))
+        out.append(text[:i] + text[j:] if rng.random() < 0.7 else text[:i])
+    return out
+
+
+def _theories(loaded):
+    return [m for m in loaded.graph.modules.values() if isinstance(m, Theory)]
+
+
+def test_render_and_parse_agree_with_the_references_in_every_stdlib_scope(
+        loaded):
+    rng = random.Random(15)
+    theories = _theories(loaded)
+    assert len(theories) == 20
+    for k, theory in enumerate(theories):
+        scope = loaded.graph.scope_for(theory.name)
+        for t in _corpus(k, 25):
+            text = render_term(t, scope)
+            assert text == ref_render_term(t, scope)
+            for src in [text, *_mutations(text, rng, 4)]:
+                assert _same_tree(_outcome(parse_term, src, scope),
+                                  _outcome(ref_parse_term, src, scope)), src
+
+
+def test_the_codecs_agree_with_the_references():
+    rng = random.Random(16)
+    for t in _corpus(16, 150):
+        for wrap in (False, True):
+            assert encode_xml(t, wrap) == ref_encode_xml(t, wrap)
+        xml = encode_xml(t)
+        for src in [xml, *_mutations(xml, rng, 6)]:
+            assert _same_tree(_outcome(decode_xml, src),
+                              _outcome(ref_decode_xml, src)), src
+    for xml in ['<OMOBJ><OMBIND><OMS cd="fns1" name="lambda"/><OMBVAR>'
+                '<OMV name="x"/><OMV name="x"/></OMBVAR><OMV name="x"/>'
+                '</OMBIND></OMOBJ>', "<OMA/>", "<OMOBJ/>", "<OMA><OMI>1</OMI>"
+                "</OMA>", '<OMBIND cdbase="b"><OMS cd="c" name="n"/><OMV '
+                'name="x"/><OMV name="x"/></OMBIND>', "<OMBVAR/>"]:
+        assert _same_tree(_outcome(decode_xml, xml, "um:/d"),
+                          _outcome(ref_decode_xml, xml, "um:/d")), xml
+
+
+def test_export_agrees_with_the_reference(loaded):
+    for theory in _theories(loaded):
+        assert (export_omdoc([theory], theory.name.base)
+                == ref_export_omdoc([theory], theory.name.base))
+    assert export_omdoc([], "a&b") == ref_export_omdoc([], "a&b")
+
+
+def test_equality_and_term_key_agree_with_the_references():
+    corpus = _corpus(17, 150)
+    # Equal terms that are not the same objects: copies, marked copies.
+    corpus += [decode_xml(encode_xml(t)) for t in corpus[::3]]
+    corpus += [mark(t) for t in corpus[::5]]
+    rng = random.Random(17)
+    for _ in range(20000):
+        a, b = rng.choice(corpus), rng.choice(corpus)
+        assert (a == b) is ref_eq(a, b)
+        assert (a != b) is not ref_eq(a, b)
+        if a == b:
+            assert hash(a) == hash(b)
+        assert ((term_key(a) < term_key(b))
+                is (ref_term_key(a) < ref_term_key(b)))
+    assert ([id(t) for t in sorted(corpus, key=term_key)]
+            == [id(t) for t in sorted(corpus, key=ref_term_key)])
+    assert IntLit(1) != 1 and Var("x") != "x"
+    with pytest.raises(TypeError, match="not a term"):
+        term_key((5,))
+
+
+# -- terms 50 000 levels deep, at the default recursion limit ----------------
+
+def _cons_list(n: int, cell=IntLit):
+    t = NIL
+    for i in range(n):
+        t = app(CONS, cell(i), t)
+    return t
+
+
+def test_the_recursion_limit_is_the_default():
+    # Nothing in the package raises it, so the tests below run at it.
+    assert sys.getrecursionlimit() <= 1000
+
+
+def test_equality_hash_and_term_key_of_deep_terms():
+    a, b = _cons_list(DEEP), _cons_list(DEEP)
+    assert a == b and hash(a) == hash(b)
+    assert a != _cons_list(DEEP, lambda i: IntLit(i + (i == 0)))
+    assert len(term_key(a)) == 6 * DEEP + 2
+    assert term_key(a) < term_key(app(CONS, IntLit(DEEP), a))
+
+
+def test_free_vars_substitute_and_strip_marks_on_deep_terms():
+    t = Var("x")
+    for i in range(DEEP):
+        t = app(CONS, t, Var("y") if i == DEEP // 2 else IntLit(i))
+    assert free_vars(t) == {"x", "y"}
+    s = substitute(t, {"x": IntLit(-1)})
+    assert free_vars(s) == {"y"}
+    assert strip_marks(mark(s)) == s and not strip_marks(mark(s)).simplified
+    # A binder inside: its variable is renamed away from the replacement.
+    b = Bind(LAMBDA, ("y",), t)
+    assert free_vars(substitute(b, {"x": Var("y")})) == {"y"}
+
+
+def test_substitution_under_nested_binders():
+    # Each binding's scope is substituted by a generator of its own; more
+    # of them nest than the recursion limit allows frames.
+    t = Var("x")
+    for i in range(1200):
+        t = Bind(LAMBDA, (f"v{i}",), app(CONS, t, Var(f"v{i}")))
+    s = substitute(t, {"x": IntLit(7)})
+    assert free_vars(s) == frozenset()
+    for _ in range(1200):
+        s = s.scope.args[0]
+    assert s == IntLit(7)
+
+
+def test_the_codecs_on_deep_terms(monkeypatch):
+    t = _cons_list(DEEP)
+    xml = encode_xml(t)
+    assert xml.count("<OMA>") == DEEP
+    monkeypatch.setattr(omxml, "MAX_TERM_DEPTH", 10 * DEEP)
+    assert decode_xml(xml) == t
+
+
+def test_the_parser_and_renderer_on_deep_terms(scope_all, monkeypatch):
+    monkeypatch.setattr(notation, "MAX_TERM_DEPTH", 10 * DEEP)
+    calls = "lists?cons(0, " * DEEP + "lists?nil" + ")" * DEEP
+    zeros = _cons_list(DEEP, lambda _: IntLit(0))
+    assert parse_term(calls, scope_all) == zeros
+    nested = "(" * DEEP + "1" + "+1)" * DEEP
+    t = parse_term(nested, scope_all)
+    assert parse_term(render_term(t, scope_all), scope_all) == t
+
+
+def test_the_graph_and_lint_walks_on_deep_terms(loaded):
+    t = _cons_list(DEEP, lambda i: Const(g("nums1", "pi")))
+    e = Const(g("nums1", "e"))
+    mapped = _map_constants(t, lambda c: e if c.head.name == "pi" else c)
+    assert mapped == _cons_list(DEEP, lambda i: e)
+    out = []
+    bad = app(Const(g("arith1", "minus")), IntLit(1))
+    _check_term(loaded.graph, app(CONS, bad, t), g("t", "c"), None, out)
+    assert [d.message for d in out] == [
+        "arith1?minus expects 2 argument(s), got 1"]
+
+
+def test_is_value_on_deep_terms():
+    a, b = _cons_list(DEEP), _cons_list(DEEP)
+    assert rules.eq(a, b) == rules.LOGIC_TRUE
+    assert rules.eq(a, app(CONS, Var("x"), b)) is None
+
+
+# -- the depth budget ---------------------------------------------------------
+
+def test_the_budget_counts_nested_operands_and_parentheses(loaded):
+    scope = loaded.graph.scope_for(loaded.graph.resolve("arith1"))
+    m = MAX_TERM_DEPTH
+    # The innermost part at depth m is read; one level more is refused.  A
+    # literal operand (read without a generator of its own) counts as a
+    # variable does.
+    for text in ["(" * m + "1" + ")" * m,
+                 "(" * (m - 1) + "x+y" + ")" * (m - 1),
+                 "(" * (m - 1) + "x+1" + ")" * (m - 1)]:
+        parse_term(text, scope)
+        with pytest.raises(TermTooDeepError, match="term nested too deeply"):
+            parse_term(f"({text})", scope)
+    # In XML the levels are the OMA and OMBIND elements; OMOBJ is none.
+    t = _cons_list(m)
+    assert decode_xml(encode_xml(t)) == t
+    with pytest.raises(TermTooDeepError, match="term nested too deeply"):
+        decode_xml(encode_xml(app(CONS, IntLit(0), t)))
