@@ -11,6 +11,13 @@ interpreter's recursion limit; nor do the helpers rules call (structural
 equality, ``term_key``, substitution), so a ``RecursionError`` comes only
 from a rule that recurses itself.
 
+The loop dispatches on a node's class.  A frame holds an application or
+binding under way; once a child is final, the children after it that are
+final as they are (marked, or a literal, variable or foreign object) join
+it in one inner loop, without a trip round the whole loop each.  Whether a
+rule's result equals its redex is tested against the redex's head and
+arguments as they are, so no node is built only to be compared.
+
 A subterm is marked simplified once it is final, so later calls skip it
 without re-traversal.  An application or binding whose head rule declines
 is built once, marked, with marked children.  A leaf (a literal, variable,
@@ -29,7 +36,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .sts import Arity, Binder, Fixed, Flexible
-from .terms import App, Bind, Const, GlobalName, Term, mark
+from .terms import (App, Bind, Const, FloatLit, Foreign, GlobalName,
+                    IntLit, StrLit, Term, Var, mark)
 
 
 class DuplicateRuleError(Exception):
@@ -148,9 +156,10 @@ class SimplifyResult:
 
 def _children(t: Term) -> tuple:
     """Head then arguments, or binder then scope; none for a leaf."""
-    if isinstance(t, App):
+    cls = t.__class__
+    if cls is App:
         return (t.head, *t.args)
-    if isinstance(t, Bind):
+    if cls is Bind:
         return (t.binder, t.scope)
     return ()
 
@@ -161,18 +170,19 @@ def _select_rule(base: RuleBase, t: Term, parts: tuple | None = None):
 
     Fixed n is preferred over Flexible i <= n; among Flexible, the largest i.
     """
-    if parts is None:
-        parts = _children(t)
-    if isinstance(t, Const):
+    cls = t.__class__
+    if cls is Const:
         slot = base._heads.get(t.head)
         rule = None if slot is None else slot.fixed.get(0)
         return None if rule is None else (rule, ())
-    if not parts or not isinstance(parts[0], Const):
+    if parts is None:
+        parts = _children(t)
+    if not parts or parts[0].__class__ is not Const:
         return None
     slot = base._heads.get(parts[0].head)
     if slot is None:
         return None
-    if isinstance(t, Bind):
+    if cls is Bind:
         rule = slot.binder
         return None if rule is None else (rule, (t.context, parts[1]))
     args = parts[1:]
@@ -196,21 +206,30 @@ def _apply(rule: Rule, args: tuple, t: Term, parts: tuple) -> Term | None:
         raise
     except Exception:
         return None
-    if result is None or (result.__class__ is t.__class__
-                          and result == _build(t, parts)):
-        return None
-    return result
+    if result is None or result.__class__ is not t.__class__:
+        return result
+    # Whether the result equals ``t`` with the children ``parts``.
+    if result.__class__ is App:
+        same = (len(result.args) == len(parts) - 1
+                and result.head == parts[0] and result.args == parts[1:])
+    elif result.__class__ is Bind:
+        same = (result.context == t.context and result.binder == parts[0]
+                and result.scope == parts[1])
+    else:
+        same = result == t
+    return None if same else result
 
 
 def _build(t: Term, parts, simplified: bool = False) -> Term:
     """``t`` with the children ``parts``: ``t`` itself when they are its own
     and no marker is asked for."""
-    if isinstance(t, App):
+    cls = t.__class__
+    if cls is App:
         if not simplified and parts[0] is t.head \
                 and all(a is b for a, b in zip(parts[1:], t.args)):
             return t
         return App(parts[0], tuple(parts[1:]), simplified=simplified)
-    if isinstance(t, Bind):
+    if cls is Bind:
         if not simplified and parts[0] is t.binder and parts[1] is t.scope:
             return t
         return Bind(parts[0], t.context, parts[1], simplified=simplified)
@@ -240,10 +259,15 @@ def rewrite_step(base: RuleBase, t: Term) -> Term | None:
     return None if hit is None else _apply(*hit, t, parts)
 
 
+# Terms that are final as they are: no rule applies to them or inside them.
+_LEAVES = frozenset({Var, IntLit, FloatLit, StrLit, Foreign})
+
+
 def simplify(base: RuleBase, t: Term,
              budget: SimplifyBudget = SimplifyBudget()) -> SimplifyResult:
     """Exhaustively rewrite ``t``; see the module docstring for the strategy
     and for when a subterm is marked."""
+    heads = base._heads
     fuel = budget.fuel
     steps = 0
     # One frame per App or Bind under way: the node, its children (head then
@@ -252,20 +276,22 @@ def simplify(base: RuleBase, t: Term,
     # term, not as long as the rewrite chain.
     stack: list[tuple[Term, tuple, list]] = []
     while True:
+        cls = t.__class__
         if t.simplified:
             pass
-        elif isinstance(t, App):
+        elif cls is App:
             stack.append((t, (t.head, *t.args), []))
             t = t.head
             continue
-        elif isinstance(t, Bind):
+        elif cls is Bind:
             stack.append((t, (t.binder, t.scope), []))
             t = t.binder
             continue
-        elif isinstance(t, Const):
-            hit = _select_rule(base, t, ())
-            if hit is not None:
-                result = _apply(*hit, t, ())
+        elif cls is Const:
+            slot = heads.get(t.head)
+            rule = None if slot is None else slot.fixed.get(0)
+            if rule is not None:
+                result = _apply(rule, (), t, ())
                 if result is None:
                     t = mark(t)  # so that no later pass calls its rule again
                 elif fuel == 0:
@@ -275,29 +301,36 @@ def simplify(base: RuleBase, t: Term,
                     steps += 1
                     t = result
                     continue
-        # t is final: hand it to its parent, and finish each parent whose
-        # children are now all final.
+        # t is final: hand it to its parent with the siblings after it that
+        # are final as they are, and finish each parent whose children are
+        # now all final.
         while True:
             if not stack:
                 return SimplifyResult(_final(t), False, steps)
             node, kids, done = stack[-1]
             done.append(t)
-            if len(done) < len(kids):
-                t = kids[len(done)]
-                break
-            stack.pop()
-            parts = tuple(done)
-            hit = _select_rule(base, node, parts)
-            result = None if hit is None else _apply(*hit, node, parts)
-            if result is None:
-                t = _build(node, [*map(_final, parts)], simplified=True)
-            elif fuel == 0:
-                # A rule would fire but the budget is spent: report
-                # exhaustion and leave the redex unmarked.
-                t = _build(node, [*map(_final, parts)])
-                return SimplifyResult(_partial(t, stack), True, steps)
+            i = len(done)
+            while i < len(kids):
+                t = kids[i]
+                if not t.simplified and t.__class__ not in _LEAVES:
+                    break
+                done.append(t)
+                i += 1
             else:
+                stack.pop()
+                parts = tuple(done)
+                hit = _select_rule(base, node, parts)
+                result = None if hit is None else _apply(*hit, node, parts)
+                if result is None:
+                    t = _build(node, [x if x.simplified else mark(x)
+                                      for x in parts], simplified=True)
+                    continue
+                if fuel == 0:
+                    # A rule would fire but the budget is spent: report
+                    # exhaustion and leave the redex unmarked.
+                    t = _build(node, [*map(_final, parts)])
+                    return SimplifyResult(_partial(t, stack), True, steps)
                 fuel -= 1
                 steps += 1
                 t = result
-                break
+            break

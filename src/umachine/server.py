@@ -10,9 +10,9 @@ Endpoints:
       ``application/openmath+xml``; the response mirrors the request format
       and carries ``X-Simplify-Steps`` and ``X-Simplify-Exhausted`` headers.
       200 success, 400 parse error or bad fuel, 404 unknown scope or one
-      whose notations are ambiguous, 413 result integer too long to render
-      or term nested too deeply, 422 fuel exhausted (partial result in the
-      body).
+      whose notations are ambiguous, 413 result integer too long to render,
+      term nested too deeply or term too large, 422 fuel exhausted (partial
+      result in the body).
   POST /theories  — ingest an OMDoc document; theories become available as
       scopes; no rules are gained.  201 ingested, 400 subset violation,
       409 name collision (nothing registered), 413 nested too deeply.
@@ -41,8 +41,10 @@ An integer literal longer than ``sys.get_int_max_str_digits()`` digits is a
 400 on input; ``power`` and ``factorial`` decline a result that long.
 "Nested too deeply" is an input with more than ``MAX_TERM_DEPTH`` levels
 nested (see ``terms``), or a rule that runs out of stack
-(``RecursionError``).  No walk of the server's own recurses along a term, so
-the answer does not depend on the interpreter or its recursion limit.
+(``RecursionError``); "term too large" is a rule that runs out of memory
+(``MemoryError``).  Both keep the connection open.  No walk of the server's
+own recurses along a term, so the answer does not depend on the interpreter
+or its recursion limit.
 ``Service.simplify_request`` also answers ``um simplify`` and ``um repl``,
 which map its status to an exit code.  A ``Service`` refuses a default fuel
 outside ``1..MAX_FUEL``.
@@ -136,6 +138,8 @@ class Service:
             result = simplify(self.base, term, budget)
         except RecursionError:  # a rule ran out of stack
             return Response(413, "term nested too deeply\n")
+        except MemoryError:  # a rule ran out of memory
+            return Response(413, "term too large\n")
         try:
             if xml:
                 payload = encode_xml(result.term)

@@ -30,6 +30,12 @@ CONS = GlobalName(LISTS_DOC_BASE, "lists", "cons")
 APPEND = GlobalName(LISTS_DOC_BASE, "lists", "append")
 APPEND_MANY = GlobalName(LISTS_DOC_BASE, "lists_ext", "append_many")
 
+# The heads of the applications the rules build, shared by every result.
+_SET = Const(SET)
+_CONS = Const(CONS)
+_APPEND = Const(APPEND)
+_APPEND_MANY = Const(APPEND_MANY)
+
 
 def _int(t: Term):
     return t.value if isinstance(t, IntLit) else None
@@ -97,7 +103,7 @@ def _canonical_set(elems) -> Term:
             out.append(e)
     if not out:
         return EMPTYSET
-    return app(Const(SET), *out)
+    return app(_SET, *out)
 
 
 # -- arith1 -------------------------------------------------------------------
@@ -251,7 +257,7 @@ def set_map(f, s):
         mapped = [substitute(f.scope, {x: e}) for e in elems]
     else:
         mapped = [app(f, e) for e in elems]
-    return app(Const(SET), *mapped)
+    return app(_SET, *mapped)
 
 
 # -- integer1 -----------------------------------------------------------------
@@ -295,7 +301,7 @@ def lists_append(l, m):
     if isinstance(l, App) and isinstance(l.head, Const) \
             and l.head.head == CONS and len(l.args) == 2:
         head, tail = l.args
-        return app(Const(CONS), head, app(Const(APPEND), tail, m))
+        return app(_CONS, head, app(_APPEND, tail, m))
     return None
 
 
@@ -305,8 +311,8 @@ def lists_append_many(args):
     if not args:
         return NIL
     if len(args) == 1:
-        return app(Const(APPEND), args[0], NIL)
-    return app(Const(APPEND), args[0], app(Const(APPEND_MANY), *args[1:]))
+        return app(_APPEND, args[0], NIL)
+    return app(_APPEND, args[0], app(_APPEND_MANY, *args[1:]))
 
 
 def register_all():

@@ -4,11 +4,21 @@ Terms are immutable values that are safe to share between threads.  The
 ``simplified`` marker is metadata: it never takes part in structural equality
 or hashing, and it is only ever "set" by building a new term value.
 
+Each variant's constructor is written out: it writes the node's slots
+through their member descriptors, with the checks that keep a term well
+formed (a ``Const`` names a ``GlobalName``, an ``App`` has at least one
+argument, a ``Bind`` binds distinct names), so building a node costs its
+slot writes.  A ``GlobalName`` computes its hash once, when it is built.
+
 No walk over a term recurses along it: equality, hashing, ``term_key``,
 ``free_vars``, ``substitute`` and ``strip_marks`` keep their own stacks, so
 a term of any depth is handled whatever the interpreter's recursion limit.
-The front ends refuse an input nested deeper than ``MAX_TERM_DEPTH`` while
-they build it, with ``TermTooDeepError``.
+Substitution is one loop whose frames carry the mapping in force; it
+computes the free variables of a binding's scope only when a replacement
+could be captured there, so its cost is linear in the term unless names
+are renamed.  ``run`` drives the parser's generators.  The front ends refuse
+an input nested deeper than ``MAX_TERM_DEPTH`` while they build it, with
+``TermTooDeepError``.
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, fields
+from operator import is_
 from typing import Callable, Generator, Mapping
 from urllib.parse import urlsplit, urlunsplit
 
@@ -81,16 +92,35 @@ class ModuleRef:
         return f"{self.base}?{self.module}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class GlobalName:
-    """A constant qualified by document base and module: ``base?module?name``."""
+    """A constant qualified by document base and module: ``base?module?name``.
+
+    Built once per name and hashed on every rule lookup, so the hash is
+    computed once, in the constructor."""
 
     base: str
     module: str
     name: str
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", normalize_uri(self.base))
+    def __init__(self, base: str, module: str, name: str):
+        base = normalize_uri(base)
+        _set_base(self, base)
+        _set_module(self, module)
+        _set_name(self, name)
+        _set_hash(self, hash((base, module, name)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not GlobalName:
+            return NotImplemented
+        return (self._hash == other._hash and self.name == other.name
+                and self.module == other.module and self.base == other.base)
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def module_ref(self) -> ModuleRef:
@@ -105,16 +135,17 @@ class GlobalName:
         return f"{self.base}?{self.module}?{self.name}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Term:
     """Base of the term variants; carries the ``simplified`` marker.
 
     Two terms are equal when they have the same variant and payload and
     their children are equal in order; the marker takes no part.  The
-    variants inherit ``==`` and ``hash`` from here (``eq=False``), since the
-    dataclass versions recurse along the term."""
+    variants inherit ``==`` and ``hash`` from here, since the dataclass
+    versions recurse along the term.  Each variant's constructor takes the
+    marker as the keyword ``simplified`` (default ``False``)."""
 
-    simplified: bool = field(default=False, compare=False, repr=False, kw_only=True)
+    simplified: bool = field(compare=False, repr=False, kw_only=True)
 
     def __eq__(self, other):
         if self is other:
@@ -172,84 +203,145 @@ class _WeakReferable:
     __slots__ = ("__weakref__",)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+# The variants.  A constructor writes each slot through its member
+# descriptor (the ``_set_*`` functions below): the frozen dataclass
+# ``__setattr__`` refuses every write after construction.
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Const(Term, _WeakReferable):
     """A symbol; weakly referable so decoders can share one per name."""
 
-    head: GlobalName = None  # type: ignore[assignment]
+    head: GlobalName
 
-    def __post_init__(self):
-        if not isinstance(self.head, GlobalName):
+    def __init__(self, head: GlobalName = None, *, simplified: bool = False):
+        if not isinstance(head, GlobalName):
             raise TypeError("Const expects a GlobalName")
+        _set_const_head(self, head)
+        _set_simplified(self, simplified)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Var(Term):
-    name: str = ""
+    name: str
+
+    def __init__(self, name: str = "", *, simplified: bool = False):
+        _set_var_name(self, name)
+        _set_simplified(self, simplified)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class IntLit(Term):
-    value: int = 0
+    value: int
+
+    def __init__(self, value: int = 0, *, simplified: bool = False):
+        _set_int(self, value)
+        _set_simplified(self, simplified)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class FloatLit(Term):
-    value: float = 0.0
+    value: float
+
+    def __init__(self, value: float = 0.0, *, simplified: bool = False):
+        _set_float(self, value)
+        _set_simplified(self, simplified)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class StrLit(Term):
-    value: str = ""
+    value: str
+
+    def __init__(self, value: str = "", *, simplified: bool = False):
+        _set_str(self, value)
+        _set_simplified(self, simplified)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class App(Term):
-    head: Term = None  # type: ignore[assignment]
-    args: tuple = ()
+    head: Term
+    args: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-        if not self.args:
+    def __init__(self, head: Term = None, args=(), *,
+                 simplified: bool = False):
+        if args.__class__ is not tuple:
+            args = tuple(args)
+        if not args:
             raise ValueError("an application needs at least one argument")
+        _set_app_head(self, head)
+        _set_args(self, args)
+        _set_simplified(self, simplified)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Bind(Term):
-    binder: Term = None  # type: ignore[assignment]
-    context: tuple = ()
-    scope: Term = None  # type: ignore[assignment]
+    binder: Term
+    context: tuple
+    scope: Term
 
-    def __post_init__(self):
-        object.__setattr__(self, "context", tuple(self.context))
-        if len(set(self.context)) != len(self.context):
+    def __init__(self, binder: Term = None, context=(), scope: Term = None,
+                 *, simplified: bool = False):
+        if context.__class__ is not tuple:
+            context = tuple(context)
+        if len(context) > 1 and len(set(context)) != len(context):
             raise ValueError("bound variable names must be pairwise distinct")
+        _set_binder(self, binder)
+        _set_context(self, context)
+        _set_scope(self, scope)
+        _set_simplified(self, simplified)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Foreign(Term):
     """An escaped non-term payload, preserved verbatim and never executed."""
 
-    format: str = ""
-    content: str = ""
+    format: str
+    content: str
+
+    def __init__(self, format: str = "", content: str = "", *,
+                 simplified: bool = False):
+        _set_format(self, format)
+        _set_content(self, content)
+        _set_simplified(self, simplified)
+
+
+# The setters of the slots' member descriptors, through which the
+# constructors write.
+_set_base = GlobalName.base.__set__
+_set_module = GlobalName.module.__set__
+_set_name = GlobalName.name.__set__
+_set_hash = GlobalName._hash.__set__
+_set_simplified = Term.simplified.__set__
+_set_const_head = Const.head.__set__
+_set_var_name = Var.name.__set__
+_set_int = IntLit.value.__set__
+_set_float = FloatLit.value.__set__
+_set_str = StrLit.value.__set__
+_set_app_head = App.head.__set__
+_set_args = App.args.__set__
+_set_binder = Bind.binder.__set__
+_set_context = Bind.context.__set__
+_set_scope = Bind.scope.__set__
+_set_format = Foreign.format.__set__
+_set_content = Foreign.content.__set__
 
 
 def app(head: Term, *args: Term) -> App:
     return App(head, args)
 
 
-_PAYLOAD = {cls: tuple(f.name for f in fields(cls) if f.name != "simplified")
-            for cls in (Const, Var, IntLit, FloatLit, StrLit, App, Bind, Foreign)}
-_set = object.__setattr__
+# Each variant's payload slots, as member descriptors.
+_SLOTS = {cls: tuple(getattr(cls, f.name) for f in fields(cls)
+                     if f.name != "simplified")
+          for cls in (Const, Var, IntLit, FloatLit, StrLit, App, Bind, Foreign)}
 
 
 def _twin(t: Term, simplified: bool) -> Term:
     """``t`` with another marker.  The copy skips the constructor's checks,
     which ``t`` has passed."""
     twin = object.__new__(t.__class__)
-    for name in _PAYLOAD[t.__class__]:
-        _set(twin, name, getattr(t, name))
-    _set(twin, "simplified", simplified)
+    for slot in _SLOTS[t.__class__]:
+        slot.__set__(twin, slot.__get__(t))
+    _set_simplified(twin, simplified)
     return twin
 
 
@@ -339,71 +431,109 @@ def substitute(t: Term, bindings: Mapping[str, Term]) -> Term:
     """
     if not bindings:
         return t
-    return run(_substituted(t, dict(bindings)))
-
-
-def _substituted(t: Term, bnd: dict):
-    """A generator for ``run``: ``t`` under ``bnd``.  The scope of a binding
-    goes under another mapping (the names it binds left out, and perhaps
-    renamed first), each by a generator of its own."""
-    stack: list[tuple[Term, tuple, list]] = []
+    # The mapping in force, and the free variables of its replacements,
+    # computed when a binding first asks for them.
+    env = [dict(bindings), None]
+    # One frame per App or Bind under way: the node, its children (a
+    # binding's binder only), the results so far and the mapping they are
+    # under.  A binding whose binder is done becomes a frame with no
+    # children: the node, then its binder, its names and the mappings its
+    # scope has still to go under, in turn.
+    stack: list[tuple] = []
     while True:
-        if isinstance(t, App):
-            stack.append((t, (t.head, *t.args), []))
+        cls = t.__class__
+        if cls is App:
+            stack.append((t, (t.head, *t.args), [], env))
             t = t.head
             continue
-        if isinstance(t, Bind):
-            stack.append((t, (t.binder,), []))
+        if cls is Bind:
+            stack.append((t, (t.binder,), [], env))
             t = t.binder
             continue
-        if isinstance(t, Var):
-            t = bnd.get(t.name, t)
+        if cls is Var:
+            t = env[0].get(t.name, t)
+        # t is done: hand it to its frame with the leaves after it, and
+        # finish each frame whose children are all done.
         while True:
             if not stack:
                 return t
-            node, kids, done = stack[-1]
-            done.append(t)
-            if len(done) < len(kids):
-                t = kids[len(done)]
-                break
-            stack.pop()
-            if isinstance(node, App):
-                t = (node if all(a is b for a, b in zip(done, kids))
-                     else App(done[0], tuple(done[1:])))
+            node, kids, done, env = stack[-1]
+            if kids is None:
+                binder, ctx, envs = done
+                if envs:  # the scope as it is goes under the next mapping
+                    env = envs.pop()
+                    break
+                stack.pop()
+                t = (node if binder is node.binder and ctx is node.context
+                     and t is node.scope else Bind(binder, ctx, t))
                 continue
-            binder = done[0]
-            inner = {k: v for k, v in bnd.items() if k not in node.context}
-            ctx, scope = node.context, node.scope
-            if inner:
-                scope_fvs = free_vars(scope)
-                inner = {k: v for k, v in inner.items() if k in scope_fvs}
-            if inner:
-                # Rename bound names that would capture a replacement's free
-                # variable.
-                clashing = [x for x in ctx
-                            if any(x in free_vars(v) for v in inner.values())]
-                if clashing:
-                    avoid = set(scope_fvs) | set(ctx)
-                    for v in inner.values():
-                        avoid |= free_vars(v)
-                    renaming = {}
-                    new_ctx = []
-                    for x in ctx:
-                        if x in clashing:
-                            nx = fresh_name(x, avoid)
-                            avoid.add(nx)
-                            renaming[x] = Var(nx)
-                            new_ctx.append(nx)
-                        else:
-                            new_ctx.append(x)
-                    ctx = tuple(new_ctx)
-                    scope = yield _substituted(scope, renaming)
-                scope = yield _substituted(scope, inner)
-            if binder is node.binder and ctx == node.context \
-                    and scope is node.scope:
-                t = node
+            done.append(t)
+            bnd = env[0]
+            i = len(done)
+            while i < len(kids):
+                t = kids[i]
+                cls = t.__class__
+                if cls is App or cls is Bind:
+                    break
+                done.append(bnd.get(t.name, t) if cls is Var else t)
+                i += 1
             else:
-                t = Bind(binder, ctx, scope)
+                stack.pop()
+                if node.__class__ is App:
+                    t = (node if all(map(is_, done, kids))
+                         else App(done[0], tuple(done[1:])))
+                    continue
+                binder = done[0]
+                ctx, envs = _scope_mappings(node, env)
+                if not envs:
+                    t = (node if binder is node.binder
+                         else Bind(binder, ctx, node.scope))
+                    continue
+                stack.append((node, None, (binder, ctx, envs), None))
+                env = envs.pop()
+                t = node.scope
+            break
+
+
+def _scope_mappings(node: Bind, env: list) -> tuple[tuple, list]:
+    """The names ``node`` binds once renamed away from capture, and the
+    mappings (with the free variables of their replacements, or ``None``
+    until asked for) that its scope goes under, the last first, when its
+    binding is under ``env``."""
+    bnd, reach = env
+    ctx = node.context
+    if any(x in bnd for x in ctx):
+        bnd = {k: v for k, v in bnd.items() if k not in ctx}
+        if not bnd:
+            return ctx, []
+    if reach is None:
+        reach = env[1] = set().union(*map(free_vars, env[0].values()))
+    if not any(x in reach for x in ctx):
+        # No replacement has a free variable that ``node`` binds: nothing
+        # is captured, whichever of them occur free in the scope.
+        return ctx, [[bnd, reach]]
+    scope_fvs = free_vars(node.scope)
+    inner = {k: v for k, v in bnd.items() if k in scope_fvs}
+    if not inner:
+        return ctx, []
+    reach = set().union(*map(free_vars, inner.values()))
+    clashing = [x for x in ctx if x in reach]
+    if not clashing:
+        return ctx, [[inner, reach]]
+    # Rename bound names that would capture a replacement's free variable.
+    avoid = set(scope_fvs) | set(ctx) | reach
+    renaming = {}
+    new_ctx = []
+    for x in ctx:
+        if x in clashing:
+            nx = fresh_name(x, avoid)
+            avoid.add(nx)
+            renaming[x] = Var(nx)
+            new_ctx.append(nx)
+        else:
+            new_ctx.append(x)
+    return tuple(new_ctx), [[inner, reach],
+                            [renaming, {v.name for v in renaming.values()}]]
 
 
 def _leaf_key(t: Term) -> tuple:

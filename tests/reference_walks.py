@@ -6,6 +6,12 @@ terms well inside the interpreter's recursion limit.  The parser, renderer,
 OpenMath codecs, structural equality and ``term_key`` are here as they were
 before the walks became loops; the tests compare the two on generated
 corpora.
+
+Two loops are here as they were before their frames were made cheaper: the
+engine's ``simplify``, which took each child round the whole loop and built
+the redex again to compare a rule's result with it, and substitution, a
+generator per binding under ``run`` that computed the free variables of
+every binding's scope.
 """
 
 import math
@@ -20,8 +26,11 @@ from umachine.graph import Include
 from umachine.omdoc import _CONSTANT_TERMS
 from umachine.omxml import (_OMI_RE, XmlDecodeError, _dec_to_float,
                             _float_to_dec, _symbol, local_tag)
+from umachine.machine import (SimplifyBudget, SimplifyResult, _build, _final,
+                              _partial, _select_rule)
 from umachine.terms import (App, Bind, Const, FloatLit, Foreign, GlobalName,
-                            IntLit, StrLit, Term, Var)
+                            IntLit, StrLit, Term, Var, fresh_name, free_vars,
+                            mark, run)
 
 
 # -- structural equality and term_key --------------------------------------------
@@ -555,3 +564,143 @@ def ref_export_omdoc(theories, base: str) -> str:
                         obj = ET.SubElement(ET.SubElement(cel, tag), "OMOBJ")
                         obj.append(to_element(term))
     return ET.tostring(root, encoding="unicode")
+
+
+# -- the engine loop and substitution before their frames were made cheaper -------
+
+def _ref_apply(rule, args: tuple, t: Term, parts: tuple):
+    """Call ``rule`` on the redex ``t`` with children ``parts``; ``None``
+    when it declines or fails, or its result equals the redex rebuilt."""
+    try:
+        result = rule.fn(*args)
+    except (RecursionError, MemoryError):
+        raise
+    except Exception:
+        return None
+    if result is None or (result.__class__ is t.__class__
+                          and result == _build(t, parts)):
+        return None
+    return result
+
+
+def ref_simplify(base, t: Term,
+                 budget: SimplifyBudget = SimplifyBudget()) -> SimplifyResult:
+    """``machine.simplify``: every child, final or not, goes round the loop."""
+    fuel = budget.fuel
+    steps = 0
+    stack: list[tuple[Term, tuple, list]] = []
+    while True:
+        if t.simplified:
+            pass
+        elif isinstance(t, App):
+            stack.append((t, (t.head, *t.args), []))
+            t = t.head
+            continue
+        elif isinstance(t, Bind):
+            stack.append((t, (t.binder, t.scope), []))
+            t = t.binder
+            continue
+        elif isinstance(t, Const):
+            hit = _select_rule(base, t, ())
+            if hit is not None:
+                result = _ref_apply(*hit, t, ())
+                if result is None:
+                    t = mark(t)
+                elif fuel == 0:
+                    return SimplifyResult(_partial(t, stack), True, steps)
+                else:
+                    fuel -= 1
+                    steps += 1
+                    t = result
+                    continue
+        while True:
+            if not stack:
+                return SimplifyResult(_final(t), False, steps)
+            node, kids, done = stack[-1]
+            done.append(t)
+            if len(done) < len(kids):
+                t = kids[len(done)]
+                break
+            stack.pop()
+            parts = tuple(done)
+            hit = _select_rule(base, node, parts)
+            result = None if hit is None else _ref_apply(*hit, node, parts)
+            if result is None:
+                t = _build(node, [*map(_final, parts)], simplified=True)
+            elif fuel == 0:
+                t = _build(node, [*map(_final, parts)])
+                return SimplifyResult(_partial(t, stack), True, steps)
+            else:
+                fuel -= 1
+                steps += 1
+                t = result
+                break
+
+
+def ref_substitute(t: Term, bindings) -> Term:
+    """``terms.substitute``: capture-avoiding, sharing untouched subtrees."""
+    if not bindings:
+        return t
+    return run(_substituted(t, dict(bindings)))
+
+
+def _substituted(t: Term, bnd: dict):
+    """A generator for ``run``: ``t`` under ``bnd``.  The scope of a binding
+    goes under another mapping (the names it binds left out, and perhaps
+    renamed first), each by a generator of its own."""
+    stack: list[tuple[Term, tuple, list]] = []
+    while True:
+        if isinstance(t, App):
+            stack.append((t, (t.head, *t.args), []))
+            t = t.head
+            continue
+        if isinstance(t, Bind):
+            stack.append((t, (t.binder,), []))
+            t = t.binder
+            continue
+        if isinstance(t, Var):
+            t = bnd.get(t.name, t)
+        while True:
+            if not stack:
+                return t
+            node, kids, done = stack[-1]
+            done.append(t)
+            if len(done) < len(kids):
+                t = kids[len(done)]
+                break
+            stack.pop()
+            if isinstance(node, App):
+                t = (node if all(a is b for a, b in zip(done, kids))
+                     else App(done[0], tuple(done[1:])))
+                continue
+            binder = done[0]
+            inner = {k: v for k, v in bnd.items() if k not in node.context}
+            ctx, scope = node.context, node.scope
+            if inner:
+                scope_fvs = free_vars(scope)
+                inner = {k: v for k, v in inner.items() if k in scope_fvs}
+            if inner:
+                clashing = [x for x in ctx
+                            if any(x in free_vars(v) for v in inner.values())]
+                if clashing:
+                    avoid = set(scope_fvs) | set(ctx)
+                    for v in inner.values():
+                        avoid |= free_vars(v)
+                    renaming = {}
+                    new_ctx = []
+                    for x in ctx:
+                        if x in clashing:
+                            nx = fresh_name(x, avoid)
+                            avoid.add(nx)
+                            renaming[x] = Var(nx)
+                            new_ctx.append(nx)
+                        else:
+                            new_ctx.append(x)
+                    ctx = tuple(new_ctx)
+                    scope = yield _substituted(scope, renaming)
+                scope = yield _substituted(scope, inner)
+            if binder is node.binder and ctx == node.context \
+                    and scope is node.scope:
+                t = node
+            else:
+                t = Bind(binder, ctx, scope)

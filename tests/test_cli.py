@@ -2,7 +2,9 @@ import sys
 
 import pytest
 
+from umachine import cli
 from umachine.cli import main
+from umachine.machine import Rule, RuleBase
 from umachine.server import MAX_FUEL, MAX_TERM_DEPTH
 
 PARTIAL_VIEW = """\
@@ -290,3 +292,21 @@ def test_port_env_override(monkeypatch, capsys):
     monkeypatch.setenv("UM_PORT", "8123")
     assert main(["serve"]) == 0
     assert ports == [8123]
+
+
+def test_a_rule_out_of_memory_exits_1(monkeypatch, capsys):
+    load = cli._load
+
+    def load_with_plus_out_of_memory(args):
+        graph, base, report = load(args)
+
+        def out_of_memory(args):
+            raise MemoryError
+
+        rules = [Rule(r.head, r.arity, out_of_memory)
+                 if r.head.local == "arith1?plus" else r for r in base.rules()]
+        return graph, RuleBase(rules), report
+
+    monkeypatch.setattr(cli, "_load", load_with_plus_out_of_memory)
+    assert main(["simplify", "-e", "1+2", "--scope", "arith1"]) == 1
+    assert capsys.readouterr().err == "error: term too large\n"

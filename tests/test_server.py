@@ -402,13 +402,12 @@ def test_theories_listing_beside_ingests():
     assert "um:/race/d2999?t2999" in service.theories().body
 
 
-def test_term_nested_too_deeply_is_413_and_keeps_the_connection(loaded):
-    # A rule that runs out of stack stands for any recursion along the term;
-    # the reply must not depend on the interpreter's limit.
+def _a_rule_that_raises_is_413_and_keeps_the_connection(loaded, error,
+                                                        reply: bytes):
     deep = GlobalName("um:/t", "m", "deep")
 
     def give_out(a):
-        raise RecursionError("maximum recursion depth exceeded")
+        raise error
 
     base = RuleBase([Rule(deep, Fixed(1), give_out), *loaded.base.rules()])
     httpd = make_server(Service(loaded.graph, base), port=0)
@@ -420,7 +419,7 @@ def test_term_nested_too_deeply_is_413_and_keeps_the_connection(loaded):
                      body=encode_xml(app(Const(deep), IntLit(1))),
                      headers={"Content-Type": OMXML})
         r = conn.getresponse()
-        assert (r.status, r.read()) == (413, b"term nested too deeply\n")
+        assert (r.status, r.read()) == (413, reply)
         assert r.getheader("Connection") is None
         conn.request("POST", "/simplify?scope=arith1", body="1+2",
                      headers={"Content-Type": "text/plain"})
@@ -431,6 +430,19 @@ def test_term_nested_too_deeply_is_413_and_keeps_the_connection(loaded):
         httpd.shutdown()
         httpd.server_close()
     assert conn.connects == 1
+
+
+def test_term_nested_too_deeply_is_413_and_keeps_the_connection(loaded):
+    # A rule that runs out of stack stands for any recursion along the term;
+    # the reply must not depend on the interpreter's limit.
+    _a_rule_that_raises_is_413_and_keeps_the_connection(
+        loaded, RecursionError("maximum recursion depth exceeded"),
+        b"term nested too deeply\n")
+
+
+def test_a_rule_out_of_memory_is_413_and_keeps_the_connection(loaded):
+    _a_rule_that_raises_is_413_and_keeps_the_connection(
+        loaded, MemoryError(), b"term too large\n")
 
 
 def test_service_answers_a_term_nested_too_deeply_with_413(loaded):

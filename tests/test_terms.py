@@ -1,11 +1,12 @@
 import gc
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, strategies as st
 
-from umachine.terms import (App, Bind, Const, GlobalName, IntLit, Var, app,
-                            free_vars, mark, normalize_uri, strip_marks,
-                            substitute)
+from umachine.terms import (App, Bind, Const, FloatLit, Foreign, GlobalName,
+                            IntLit, StrLit, Var, app, free_vars, mark,
+                            normalize_uri, strip_marks, substitute, term_key)
 
 L = GlobalName("http://www.openmath.org/cd", "fns1", "lambda")
 PLUS = GlobalName("http://www.openmath.org/cd", "arith1", "plus")
@@ -38,6 +39,86 @@ def test_app_needs_arguments():
 def test_bind_context_distinct():
     with pytest.raises(ValueError):
         Bind(Const(L), ("x", "x"), Var("x"))
+
+
+def test_const_needs_a_global_name():
+    for head in [None, "fns1?lambda", (L.base, L.module, L.name)]:
+        with pytest.raises(TypeError, match="Const expects a GlobalName"):
+            Const(head)
+
+
+def test_app_stores_its_arguments_as_a_tuple():
+    t = App(Var("f"), [IntLit(1), IntLit(2)])
+    assert t.args == (IntLit(1), IntLit(2)) and type(t.args) is tuple
+    assert App(Var("f"), iter([Var("x")])).args == (Var("x"),)
+    with pytest.raises(ValueError, match="at least one argument"):
+        App(Var("f"), [])
+    with pytest.raises(ValueError, match="at least one argument"):
+        App(Var("f"))
+
+
+def test_bind_stores_distinct_names_as_a_tuple():
+    t = Bind(Const(L), ["x", "y"], Var("x"))
+    assert t.context == ("x", "y") and type(t.context) is tuple
+    assert Bind(Const(L), (), Var("x")).context == ()
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        Bind(Const(L), ["x", "y", "x"], Var("x"))
+
+
+EVERY_VARIANT = [
+    (Const(L), "Const(head=GlobalName(base='http://www.openmath.org/cd', "
+               "module='fns1', name='lambda'))"),
+    (Var("x"), "Var(name='x')"),
+    (IntLit(5), "IntLit(value=5)"),
+    (FloatLit(0.5), "FloatLit(value=0.5)"),
+    (StrLit("s"), "StrLit(value='s')"),
+    (App(Var("f"), (IntLit(1),)),
+     "App(head=Var(name='f'), args=(IntLit(value=1),))"),
+    (Bind(Var("b"), ("x",), Var("x")),
+     "Bind(binder=Var(name='b'), context=('x',), scope=Var(name='x'))"),
+    (Foreign("f", "c"), "Foreign(format='f', content='c')"),
+]
+
+
+@pytest.mark.parametrize("t, text", EVERY_VARIANT,
+                         ids=[type(t).__name__ for t, _ in EVERY_VARIANT])
+def test_every_variant_is_frozen_and_prints_as_before(t, text):
+    assert repr(t) == repr(mark(t)) == text
+    for f in fields(t):
+        with pytest.raises(FrozenInstanceError):
+            setattr(t, f.name, getattr(t, f.name))
+        with pytest.raises(FrozenInstanceError):
+            delattr(t, f.name)
+    payload = [getattr(t, f.name) for f in fields(t) if f.name != "simplified"]
+    again = type(t)(*payload)
+    marked = type(t)(*payload, simplified=True)
+    assert not again.simplified and marked.simplified
+    assert again == t == marked
+    assert hash(again) == hash(marked) == hash(term_key(t))
+    assert t != StrLit("other") and t != repr(t)
+
+
+def test_a_global_name_is_frozen_and_hashes_its_fields():
+    g = GlobalName("HTTP://www.OpenMath.org/cd/", "fns1", "lambda")
+    assert repr(g) == ("GlobalName(base='http://www.openmath.org/cd', "
+                       "module='fns1', name='lambda')")
+    assert hash(g) == hash(("http://www.openmath.org/cd", "fns1", "lambda"))
+    for name in ["base", "module", "name"]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(g, name, "x")
+        with pytest.raises(FrozenInstanceError):
+            delattr(g, name)
+
+
+def test_global_names_equal_up_to_uri_normalization_hash_equal():
+    a = GlobalName("HTTP://CDS.OMDoc.org/unsorted/uom.omdoc/", "lists", "nil")
+    b = GlobalName("http://cds.omdoc.org/unsorted/uom.omdoc", "lists", "nil")
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a != GlobalName(b.base, "lists", "cons")
+    assert a != GlobalName(b.base, "lists_ext", "nil")
+    assert a != GlobalName(b.base + "/x", "lists", "nil")
+    assert a != (a.base, a.module, a.name) and (a.base, a.module, a.name) != a
+    assert a != str(a)
 
 
 def test_equality_ignores_simplified_flag():

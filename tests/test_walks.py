@@ -4,24 +4,28 @@ terms far deeper than the interpreter's default recursion limit."""
 
 import random
 import sys
+import time
 
 import pytest
 
 from reference_walks import (ref_decode_xml, ref_encode_xml, ref_eq,
                              ref_export_omdoc, ref_parse_term,
-                             ref_render_term, ref_term_key)
+                             ref_render_term, ref_simplify, ref_substitute,
+                             ref_term_key)
 from termgen import CONS, LAMBDA, NIL, SET, engine_term, g, surface_term
 from umachine import notation, omxml
 from umachine.graph import Theory, _map_constants
+from umachine.machine import Rule, RuleBase, SimplifyBudget, simplify
 from umachine.notation import parse_term, render_term
 from umachine.omdoc import export_omdoc
 from umachine.omxml import decode_xml, encode_xml
+from umachine.server import Service
 from umachine.stdlib import rules
-from umachine.sts import _check_term
-from umachine.terms import (MAX_TERM_DEPTH, Bind, Const, FloatLit, Foreign,
-                            IntLit, StrLit, TermTooDeepError, Var, app,
-                            free_vars, mark, strip_marks, substitute,
-                            term_key)
+from umachine.sts import BINDER, Fixed, _check_term
+from umachine.terms import (MAX_TERM_DEPTH, App, Bind, Const, FloatLit,
+                            Foreign, GlobalName, IntLit, StrLit,
+                            TermTooDeepError, Var, app, free_vars, mark,
+                            strip_marks, substitute, term_key)
 
 DEEP = 50_000
 
@@ -126,6 +130,153 @@ def test_equality_and_term_key_agree_with_the_references():
         term_key((5,))
 
 
+# -- the engine loop and substitution against their references -------------
+
+PLUS = Const(g("arith1", "plus"))
+MAP = Const(g("set1", "map"))
+FIRST = Const(GlobalName("um:/t", "m", "first"))
+
+
+def _nodes(t) -> list:
+    """The nodes of ``t`` in preorder."""
+    out, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        out.append(t)
+        if isinstance(t, App):
+            todo += t.args[::-1]
+            todo.append(t.head)
+        elif isinstance(t, Bind):
+            todo += (t.scope, t.binder)
+    return out
+
+
+def _shape(t, given=()) -> tuple:
+    """``t`` as its key, which nodes carry the mark, and which are nodes of
+    the terms ``given``, the same objects."""
+    ids = {id(x) for u in given for x in _nodes(u)}
+    nodes = _nodes(t)
+    return (term_key(t), [x.simplified for x in nodes],
+            [id(x) in ids for x in nodes])
+
+
+def _capturing_maps() -> list:
+    """``{y1, y} map (x ↦ y ↦ y1 ↦ x + y + y1)`` and its kin: every element
+    is captured by a binding of the function's body unless renamed."""
+    body = Bind(LAMBDA, ("y",), Bind(LAMBDA, ("y1",), app(
+        PLUS, Var("x"), Var("y"), Var("y1"))))
+    fn = Bind(LAMBDA, ("x",), body)
+    return [app(MAP, fn, app(SET, Var("y1"), Var("y"))),
+            app(MAP, fn, app(SET, app(PLUS, Var("y"), Var("y2")), IntLit(1))),
+            app(MAP, Bind(LAMBDA, ("x",), Bind(LAMBDA, ("y", "z"), app(
+                PLUS, Var("x"), Var("y"), Var("z1")))),
+                app(SET, Var("z"), Var("y"), Var("x")))]
+
+
+def _engine_corpus(seed: int, n: int) -> list:
+    rng = random.Random(seed)
+    terms = [engine_term(rng, rng.randrange(5)) for _ in range(n)]
+    # Surface terms hold the constants ``nums1?pi`` and ``nums1?e``.
+    terms += [surface_term(rng, rng.randrange(4)) for _ in range(n // 4)]
+    # Terms with marked parts, as a rule's result may hold.
+    terms += [app(PLUS, mark(t), u) for t, u in zip(terms[::7], terms[1::7])]
+    terms += [app(SET, mark(t), NIL) for t in terms[:20]]
+    return terms + _capturing_maps()
+
+
+@pytest.mark.parametrize("fuel", [3, 10_000])
+def test_simplify_agrees_with_the_reference_loop(loaded, fuel):
+    # A nullary rule that fires and one that declines, so that constants
+    # are rewritten or marked where they stand; an application rule and a
+    # binder rule whose results equal their redexes in all but one child.
+    base = RuleBase([*loaded.base.rules(),
+                     Rule(g("nums1", "pi"), Fixed(0), lambda: IntLit(3)),
+                     Rule(g("nums1", "e"), Fixed(0), lambda: None),
+                     Rule(FIRST.head, Fixed(2),
+                          lambda a, b: app(FIRST, IntLit(0), b)),
+                     Rule(LAMBDA.head, BINDER, lambda ctx, body: Bind(
+                         LAMBDA, ctx, IntLit(0) if body.__class__ is IntLit
+                         else body))])
+    budget = SimplifyBudget(fuel)
+    terms = [app(FIRST, IntLit(i), t)
+             for i, t in enumerate(_engine_corpus(20, 40))]
+    terms += [Bind(LAMBDA, ("x",), t) for t in terms[:20]]
+    for t in _engine_corpus(18, 400) + terms:
+        got = simplify(base, t, budget)
+        want = ref_simplify(base, t, budget)
+        assert (got.steps, got.exhausted) == (want.steps, want.exhausted)
+        assert ref_eq(got.term, want.term) and repr(got.term) == repr(want.term)
+        assert _shape(got.term, [t]) == _shape(want.term, [t])
+
+
+def test_substitute_agrees_with_the_reference():
+    rng = random.Random(19)
+    corpus = _corpus(19, 150) + [t.args[0].scope for t in _capturing_maps()]
+    corpus += [Bind(LAMBDA, ("y", "x"), t) for t in corpus[::5]]
+    corpus += [mark(t) for t in corpus[::4]]
+    maps = [{"x": Var("y")}, {"x": IntLit(1), "y": Var("x")},
+            {"x": app(PLUS, Var("y"), Var("y1")), "u": Var("v")},
+            {"y": Var("x1"), "x": Var("y")}, {"z": IntLit(0)},
+            {"x": Bind(LAMBDA, ("y",), app(PLUS, Var("y"), Var("z")))}]
+    for t in corpus:
+        for bnd in maps + [{rng.choice("uvwxyz"): surface_term(rng, 2)}]:
+            got, want = substitute(t, bnd), ref_substitute(t, bnd)
+            assert ref_eq(got, want) and repr(got) == repr(want)
+            given = [t, *bnd.values()]
+            assert _shape(got, given) == _shape(want, given)
+
+
+def _nested_binders(n: int):
+    """``y0 ↦ … ↦ y(n−1) ↦ x``."""
+    t = Var("x")
+    for i in reversed(range(n)):
+        t = Bind(LAMBDA, (f"y{i}",), t)
+    return t
+
+
+def _calls(f, *args) -> int:
+    """The Python and built-in functions called by ``f(*args)``."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        f(*args)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+@pytest.mark.parametrize("replacement", [IntLit(1), Var("z"), Var("y0")],
+                         ids=["literal", "variable", "captured"])
+def test_substitution_under_nested_binders_is_linear(replacement):
+    # As in a set map, whose every element goes into a body under n
+    # bindings.  A substitution that found the free variables of every
+    # binding's scope would call a function per node per binding.
+    calls = {n: _calls(substitute, _nested_binders(n), {"x": replacement})
+             for n in (1000, 2000, 4000)}
+    assert calls[1000] < 60 * 1000
+    assert calls[2000] < 2.2 * calls[1000]
+    assert calls[4000] < 2.2 * calls[2000]
+
+
+def test_a_set_map_under_4000_bindings_answers_at_once(loaded):
+    n = 4000
+    text = ("{1,2} map (x ↦ " + "".join(f"y{i} ↦ " for i in range(n))
+            + "x)")
+    start = time.perf_counter()
+    r = Service(loaded.graph, loaded.base).simplify_request(
+        text.encode(), "text/plain", "NumbersTest", None)
+    assert time.perf_counter() - start < 5
+    assert r.status == 200 and r.headers["X-Simplify-Steps"] == "1"
+    binders = "↦".join(f"y{i}" for i in range(n))
+    assert r.body == f"{{({binders}↦1),({binders}↦2)}}"
+
+
 # -- terms 50 000 levels deep, at the default recursion limit ----------------
 
 def _cons_list(n: int, cell=IntLit):
@@ -162,8 +313,8 @@ def test_free_vars_substitute_and_strip_marks_on_deep_terms():
 
 
 def test_substitution_under_nested_binders():
-    # Each binding's scope is substituted by a generator of its own; more
-    # of them nest than the recursion limit allows frames.
+    # Each binding's scope is one more frame on substitution's own stack;
+    # more of them nest than the recursion limit allows frames.
     t = Var("x")
     for i in range(1200):
         t = Bind(LAMBDA, (f"v{i}",), app(CONS, t, Var(f"v{i}")))
