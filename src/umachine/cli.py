@@ -170,9 +170,7 @@ def cmd_repl(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    service = _service(args)
-    print(f"serving on port {args.port}")
-    serve(service, port=args.port)
+    serve(_service(args), port=args.port)
     return 0
 
 

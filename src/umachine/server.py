@@ -3,6 +3,14 @@
 The server speaks HTTP/1.1 and keeps connections alive: a client may send
 any number of requests over one connection, each answered in turn.  A
 connection that sends nothing for ``IDLE_TIMEOUT_S`` seconds is closed.
+HTTP/1.1 stays open unless the client sends ``Connection: close``, HTTP/1.0
+only if it sends ``Connection: keep-alive``.  ``Expect: 100-continue`` is
+answered with ``100 Continue`` once the body's framing is accepted.
+
+The request head is read by the server's own loop (RFC 9112): the request
+line, then field lines into a dict by lower-cased name, then the body by
+``Content-Length``.  A line is at most ``MAX_LINE_BYTES`` long and a head
+has at most ``MAX_FIELD_LINES`` field lines.
 
 Endpoints:
   POST /simplify?scope=<theory-ref>&fuel=<n>  — body is a term, either
@@ -22,11 +30,18 @@ Endpoints:
 GET and POST on any path: 404 unknown path, 400 malformed or negative
 ``Content-Length``, 411 body without ``Content-Length`` (chunked), 413 body
 over ``MAX_BODY_BYTES``, 500 internal error.
-The standard library's request parser answers 400, 414, 431 and 505 for
-malformed requests and 501 for other methods.  After 411, the 413 for an
-oversized body, a bad ``Content-Length``, 500 and the parser's replies the
-server closes the connection; after any other reply it keeps the connection
-open.
+Any request: 400 malformed request line, HTTP version or field line (no
+colon, whitespace before the colon, an obsolete line fold) or a head cut
+short, 414 request line too long, 431 field line too long or too many field
+lines, 501 a method other than GET and POST, 505 an HTTP version other than
+1.x.
+After 411, the 413 for an oversized body, a bad ``Content-Length``, 500,
+the head errors and a reply to a client that asked to close, the server
+closes the connection, and says so with ``Connection: close``; after any
+other reply it keeps the connection open.  An error is a ``text/plain``
+reply of one line, head errors included.  After a closing reply the server
+drops what the client still sends for up to ``LINGER_S`` seconds, or until
+the client closes, so that the reply is not lost to a connection reset.
 
 Scopes: a served graph only grows.  A registered module never changes, and
 ``POST /theories`` registers all of a document's theories or none; an
@@ -53,9 +68,12 @@ outside ``1..MAX_FUEL``.
 from __future__ import annotations
 
 import functools
+import signal
+import socket
+import socketserver
 import threading
+import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from .graph import (DuplicateModuleError, GraphError, TheoryGraph,
@@ -72,7 +90,10 @@ TEXT = "text/plain; charset=utf-8"
 OMXML = "application/openmath+xml"
 
 MAX_BODY_BYTES = 1 << 20
+MAX_LINE_BYTES = 65536
+MAX_FIELD_LINES = 100
 IDLE_TIMEOUT_S = 30
+LINGER_S = 2
 SCOPE_CACHE_SIZE = 64
 
 
@@ -178,90 +199,220 @@ class Service:
         return Response(200, "ok")
 
 
-class _Handler(BaseHTTPRequestHandler):
+# RFC 9110 reason phrases of every final status the server sends.
+_REASONS = {200: "OK", 201: "Created", 400: "Bad Request",
+            404: "Not Found", 409: "Conflict", 411: "Length Required",
+            413: "Content Too Large", 414: "URI Too Long",
+            422: "Unprocessable Content",
+            431: "Request Header Fields Too Large",
+            500: "Internal Server Error", 501: "Not Implemented",
+            505: "HTTP Version Not Supported"}
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep",
+           "Oct", "Nov", "Dec")
+_EMPTY_LINES = (b"\r\n", b"\n")
+
+
+def _http_date() -> str:
+    """Now as an RFC 9110 IMF-fixdate, whatever the locale."""
+    y, mo, d, h, mi, s, wd, _, _ = time.gmtime()
+    return (f"{_DAYS[wd]}, {d:02d} {_MONTHS[mo - 1]} {y} "
+            f"{h:02d}:{mi:02d}:{s:02d} GMT")
+
+
+class _Refusal(Exception):
+    """A request answered with ``response``, after which the connection
+    closes, because where the next request starts is unknown."""
+
+    def __init__(self, status: int, reason: str):
+        super().__init__(reason)
+        self.response = Response(status, f"{reason}\n")
+
+
+def _request_line(line: bytes) -> tuple[bytes, str, bool]:
+    """The method, the target and whether the version is HTTP/1.1 or later,
+    of a request line that is well formed (RFC 9112 §3) and asks for GET or
+    POST over HTTP/1.x."""
+    parts = line.split()
+    if len(parts) != 3:
+        raise _Refusal(400, "malformed request line")
+    method, target, version = parts
+    if not (len(version) == 8 and version.startswith(b"HTTP/")
+            and version[5:6].isdigit() and version[6:7] == b"."
+            and version[7:8].isdigit()):
+        raise _Refusal(400, "malformed HTTP version")
+    if version[5:6] != b"1":
+        raise _Refusal(505, "only HTTP/1.x is served")
+    if method not in (b"GET", b"POST"):
+        raise _Refusal(501, "only GET and POST are served")
+    return method, target.decode("latin-1"), version != b"HTTP/1.0"
+
+
+def _keep_alive(fields: dict, http11: bool) -> bool:
+    """RFC 9112 §9.3: HTTP/1.1 persists unless the client sends ``close``,
+    HTTP/1.0 only if it sends ``keep-alive``."""
+    if "connection" not in fields:
+        return http11
+    options = {o.strip().lower() for v in fields["connection"]
+               for o in v.split(",")}
+    return "close" not in options and (http11 or "keep-alive" in options)
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection: its requests are read and answered in turn until a
+    reply closes it, the client does, or it idles for ``timeout`` seconds."""
+
     service: Service  # set on the subclass by make_server
-    protocol_version = "HTTP/1.1"
     timeout = IDLE_TIMEOUT_S
+    # Each reply is one write, so sending it at once costs no extra segment.
+    disable_nagle_algorithm = True
 
-    def log_message(self, *args):  # tests stay quiet
-        pass
+    def handle(self):
+        try:
+            while self._exchange():
+                pass
+        except OSError:  # the idle timeout, or the client went away
+            pass
 
-    def _send(self, r: Response, close: bool = False):
+    def _exchange(self) -> bool:
+        """Read one request and answer it; whether the connection stays
+        open for the next."""
+        line = self.rfile.readline(MAX_LINE_BYTES + 1)
+        if line in _EMPTY_LINES:  # RFC 9112 §2.2: one may precede a request
+            line = self.rfile.readline(MAX_LINE_BYTES + 1)
+        if not line:  # the client closed the connection
+            return False
+        try:
+            if len(line) > MAX_LINE_BYTES:
+                raise _Refusal(414, "request line too long")
+            method, target, http11 = _request_line(line)
+            fields = self._read_fields()
+            keep_alive = _keep_alive(fields, http11)
+            # The body is read whatever the path, so that none of it is
+            # left on a kept-alive connection to be read as the next request.
+            body = self._read_body(fields, http11)
+        except _Refusal as e:
+            return self._send(e.response, close=True)
+        if body is None:  # the client closed the connection mid-body
+            return False
+        try:
+            r = self._route(method, target, fields, body)
+        except Exception as e:  # keep the connection answered
+            return self._send(Response(500, f"internal error: {e}\n"),
+                              close=True)
+        return self._send(r, close=not keep_alive)
+
+    def _read_fields(self) -> dict[str, list[str]]:
+        """The field lines up to the empty line, by lower-cased name; a
+        field line that is malformed (RFC 9112 §5.1–§5.2: no colon,
+        whitespace in the name or before it, which is an obsolete line
+        fold) or past a budget is refused."""
+        fields: dict[str, list[str]] = {}
+        readline = self.rfile.readline
+        for _ in range(MAX_FIELD_LINES + 1):
+            line = readline(MAX_LINE_BYTES + 1)
+            if line in _EMPTY_LINES:
+                return fields
+            if len(line) > MAX_LINE_BYTES:
+                raise _Refusal(431, "field line too long")
+            if not line:
+                raise _Refusal(400, "request head cut short")
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon or not name or " " in name or "\t" in name:
+                raise _Refusal(400, "malformed header field")
+            fields.setdefault(name.lower(), []).append(value.strip(" \t\r\n"))
+        raise _Refusal(431, f"more than {MAX_FIELD_LINES} field lines")
+
+    def _read_body(self, fields: dict, http11: bool) -> bytes | None:
+        """The request body; ``None`` if the client closed the connection
+        before sending all of it."""
+        if "transfer-encoding" in fields:
+            raise _Refusal(411, "send the body with a Content-Length")
+        lengths = set(fields.get("content-length", ("0",)))
+        length = lengths.pop() if len(lengths) == 1 else ""
+        if not (length.isascii() and length.isdigit()):
+            raise _Refusal(400, "bad Content-Length")
+        n = int(length)
+        if n > MAX_BODY_BYTES:
+            raise _Refusal(413, f"body over {MAX_BODY_BYTES} bytes")
+        if n and http11 and any(v.lower() == "100-continue"
+                                for v in fields.get("expect", ())):
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        body = self.rfile.read(n)
+        return body if len(body) == n else None
+
+    def _route(self, method: bytes, target: str, fields: dict,
+               body: bytes) -> Response:
+        url = urlsplit(target)
+        if method == b"GET":
+            if url.path == "/health":
+                return self.service.health()
+            if url.path == "/theories":
+                return self.service.theories()
+        elif url.path == "/simplify":
+            query = parse_qs(url.query)
+            return self.service.simplify_request(
+                body, fields.get("content-type", (TEXT,))[0],
+                (query.get("scope") or [None])[0],
+                (query.get("fuel") or [None])[0])
+        elif url.path == "/theories":
+            return self.service.ingest(body)
+        return Response(404, "not found\n")
+
+    def _send(self, r: Response, close: bool) -> bool:
+        """Write the reply; whether the connection stays open."""
         body = r.body.encode("utf-8")
-        head = [f"{self.protocol_version} {r.status} {self.responses[r.status][0]}",
-                f"Date: {self.date_time_string()}",
+        head = [f"HTTP/1.1 {r.status} {_REASONS.get(r.status, '')}",
+                f"Date: {_http_date()}",
                 f"Content-Type: {r.content_type}",
                 f"Content-Length: {len(body)}"]
         head += [f"{k}: {v}" for k, v in r.headers.items()]
         if close:
             head.append("Connection: close")
-            self.close_connection = True
-        # One write: a body sent as a second small segment is held back by
-        # Nagle's algorithm until the client's delayed ACK, up to 40 ms.
+        # One write: a body sent as a second small segment would wait for
+        # the client's delayed ACK if Nagle's algorithm were on.
         self.wfile.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n"
                          + body)
+        if close:
+            self._linger()
+        return not close
 
-    def _read_body(self) -> bytes | Response:
-        """The request body, or the error reply after which the connection
-        closes, because the body's end on the wire is unknown."""
-        if "Transfer-Encoding" in self.headers:
-            return Response(411, "send the body with a Content-Length\n")
-        lengths = {v.strip() for v in self.headers.get_all("Content-Length", ["0"])}
-        length = lengths.pop() if len(lengths) == 1 else ""
-        if not (length.isascii() and length.isdigit()):
-            return Response(400, "bad Content-Length\n")
-        if int(length) > MAX_BODY_BYTES:
-            return Response(413, f"body over {MAX_BODY_BYTES} bytes\n")
-        return self.rfile.read(int(length))
+    def _linger(self):
+        """Half-close, then read and drop what the client still sends for
+        up to ``LINGER_S`` seconds: a socket closed with unread input resets
+        the connection, and a reset can discard the reply before the client
+        reads it."""
+        sock = self.request
+        sock.shutdown(socket.SHUT_WR)
+        deadline = time.monotonic() + LINGER_S
+        while (left := deadline - time.monotonic()) > 0:
+            sock.settimeout(left)
+            if not sock.recv(65536):
+                return
 
-    def _answer(self, route):
-        # The body is read whatever the path, so that none of it is left on
-        # a kept-alive connection to be parsed as the next request.
-        body = self._read_body()
-        if isinstance(body, Response):
-            self._send(body, close=True)
-            return
-        try:
-            r = route(urlsplit(self.path), body)
-        except Exception as e:  # keep the connection answered
-            self._send(Response(500, f"internal error: {e}\n"), close=True)
-            return
-        self._send(r)
 
-    def _get(self, url, body: bytes) -> Response:
-        if url.path == "/health":
-            return self.service.health()
-        if url.path == "/theories":
-            return self.service.theories()
-        return Response(404, "not found\n")
-
-    def _post(self, url, body: bytes) -> Response:
-        if url.path == "/simplify":
-            query = parse_qs(url.query)
-            return self.service.simplify_request(
-                body, self.headers.get("Content-Type", TEXT),
-                (query.get("scope") or [None])[0],
-                (query.get("fuel") or [None])[0])
-        if url.path == "/theories":
-            return self.service.ingest(body)
-        return Response(404, "not found\n")
-
-    def do_GET(self):
-        self._answer(self._get)
-
-    def do_POST(self):
-        self._answer(self._post)
+class _Server(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
+    # A kept-alive connection does not hold the process open at exit.
+    daemon_threads = True
 
 
 def make_server(service: Service, port: int = 8080,
-                host: str = "127.0.0.1") -> ThreadingHTTPServer:
+                host: str = "127.0.0.1") -> _Server:
     handler = type("BoundHandler", (_Handler,), {"service": service})
-    return ThreadingHTTPServer((host, port), handler)
+    return _Server((host, port), handler)
 
 
 def serve(service: Service, port: int = 8080, host: str = "0.0.0.0"):
+    """Print the port bound, then serve until SIGTERM, which exits 0."""
     server = make_server(service, port, host)
+    signal.signal(signal.SIGTERM, _exit)
+    print(f"serving on port {server.server_address[1]}", flush=True)
     try:
         server.serve_forever()
     finally:
         server.server_close()
+
+
+def _exit(signum, frame):
+    raise SystemExit(0)

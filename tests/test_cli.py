@@ -1,11 +1,20 @@
+import os
+import signal
+import socket
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import umachine
 from umachine import cli
 from umachine.cli import main
 from umachine.machine import Rule, RuleBase
 from umachine.server import MAX_FUEL, MAX_TERM_DEPTH
+
+# The package's source, for ``python -m umachine.cli`` in a subprocess.
+SRC = str(Path(umachine.__file__).resolve().parents[1])
 
 PARTIAL_VIEW = """\
 document http://www.openmath.org/cd
@@ -310,3 +319,33 @@ def test_a_rule_out_of_memory_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_load", load_with_plus_out_of_memory)
     assert main(["simplify", "-e", "1+2", "--scope", "arith1"]) == 1
     assert capsys.readouterr().err == "error: term too large\n"
+
+
+def test_serve_on_port_0_prints_the_port_and_stops_on_sigterm():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "umachine.cli", "serve", "--no-stdlib",
+         "--port", "0"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": SRC})
+    try:
+        line = proc.stdout.readline().decode()
+        assert line.startswith("serving on port "), proc.stderr.read()
+        port = int(line.split()[-1])
+        assert port != 0
+        # A kept-alive connection, its handler waiting for the next request.
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
+            s.sendall(b"GET /health HTTP/1.1\r\n\r\n")
+            assert s.recv(65536).endswith(b"\r\n\r\nok")
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=5) == 0
+    finally:
+        proc.kill()
+        proc.communicate()
+
+
+def test_the_cli_imports_no_http_library_module():
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, umachine.cli; print(sorted({"
+         "'http.server', 'http.client', 'email.parser'} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+        text=True, check=True).stdout
+    assert out == "[]\n"

@@ -1,8 +1,10 @@
 import http.client
+import io
 import socket
 import sys
 import threading
 import time
+from urllib.parse import parse_qsl, urlsplit
 
 import pytest
 import requests
@@ -14,7 +16,8 @@ from umachine.graph import OPENMATH_CD_BASE as CD
 from umachine.machine import Rule, RuleBase
 from umachine.omxml import decode_xml, encode_xml
 from umachine.realization import install_bifoundations
-from umachine.server import (IDLE_TIMEOUT_S, MAX_BODY_BYTES, MAX_FUEL,
+from umachine.server import (IDLE_TIMEOUT_S, MAX_BODY_BYTES,
+                             MAX_FIELD_LINES, MAX_FUEL, MAX_LINE_BYTES,
                              MAX_TERM_DEPTH, OMXML, SCOPE_CACHE_SIZE, TEXT,
                              Response, Service, make_server)
 from umachine.stdlib import rules
@@ -356,6 +359,210 @@ def test_chunked_body_is_411_and_closes(server_url):
                                    b"Transfer-Encoding: chunked\r\n\r\n"
                                    b"3\r\n1+2\r\n0\r\n\r\n")
     assert status == 411 and b"Connection: close" in reply
+
+
+def _read_reply(f) -> tuple[int, dict, bytes]:
+    """The status, the fields by lower-cased name and the body of the next
+    reply in the binary file ``f``."""
+    status = int(f.readline().split(b" ", 2)[1])
+    fields = {}
+    while (line := f.readline()) != b"\r\n":
+        assert line, "the reply head ends early"
+        name, _, value = line.decode("latin-1").partition(":")
+        fields[name.lower()] = value.strip()
+    return status, fields, f.read(int(fields["content-length"]))
+
+
+def _replies(data: bytes) -> list[tuple[int, dict, bytes]]:
+    """Every reply in ``data``, which ends with the last one."""
+    f = io.BytesIO(data)
+    replies = []
+    while f.tell() < len(data):
+        replies.append(_read_reply(f))
+    return replies
+
+
+def _assert_closing_text_reply(reply: bytes, status: int, reason: bytes):
+    [(got, fields, body)] = _replies(reply)
+    assert (got, body) == (status, reason)
+    assert fields["content-type"] == TEXT
+    assert fields["connection"] == "close"
+    assert "server" not in fields
+
+
+@pytest.mark.parametrize("field", [b"Content-Length : 3", b"X-Junk",
+                                   b" folded"],
+                         ids=["space-before-colon", "no-colon", "obs-fold"])
+def test_a_malformed_field_line_is_400_and_closes(server_url, field):
+    # Read as no length, ``Content-Length : 3`` once left the body on the
+    # connection to be read as the next request line.
+    url, _ = server_url
+    _, reply = _exchange(url, b"POST /simplify?scope=arith1 HTTP/1.1\r\n"
+                              b"Content-Type: text/plain\r\nX-A: 1\r\n"
+                              + field + b"\r\n\r\n1+2")
+    _assert_closing_text_reply(reply, 400, b"malformed header field\n")
+
+
+_LONG = b"a" * (MAX_LINE_BYTES + 1)
+
+
+@pytest.mark.parametrize("raw, status, reason", [
+    (b"GET /" + _LONG + b" HTTP/1.1\r\n\r\n", 414, b"request line too long\n"),
+    (b"GET /health HTTP/1.1\r\nX-Long: " + _LONG + b"\r\n\r\n", 431,
+     b"field line too long\n"),
+    (b"GET /health HTTP/1.1\r\n"
+     + b"".join(b"X-%d: 1\r\n" % i for i in range(MAX_FIELD_LINES + 1))
+     + b"\r\n", 431, b"more than %d field lines\n" % MAX_FIELD_LINES),
+    (b"PUT /theories HTTP/1.1\r\nContent-Length: 0\r\n\r\n", 501,
+     b"only GET and POST are served\n"),
+    (b"GET /health HTTP/2.0\r\n\r\n", 505, b"only HTTP/1.x is served\n"),
+    (b"GET /health HTTP/1.x\r\n\r\n", 400, b"malformed HTTP version\n"),
+    (b"GET /health\r\n", 400, b"malformed request line\n"),
+], ids=["414", "431-line", "431-count", "501", "505", "400-version",
+        "400-no-version"])
+def test_a_head_error_is_a_text_reply_and_closes(server_url, raw, status,
+                                                 reason):
+    url, _ = server_url
+    start = time.monotonic()
+    _, reply = _exchange(url, raw)
+    _assert_closing_text_reply(reply, status, reason)
+    assert time.monotonic() - start < 5
+
+
+def test_a_head_at_both_budgets_is_answered(server_url):
+    url, _ = server_url
+    short = b"".join(b"X-%d: 1\r\n" % i for i in range(MAX_FIELD_LINES - 2))
+    long = b"X-Long: " + b"a" * (MAX_LINE_BYTES - 10) + b"\r\n"
+    assert len(long) == MAX_LINE_BYTES
+    _, reply = _exchange(url, b"GET /health HTTP/1.1\r\n" + short + long
+                         + b"Connection: close\r\n\r\n")
+    [(status, fields, body)] = _replies(reply)
+    assert (status, body) == (200, b"ok") and fields["connection"] == "close"
+
+
+def test_one_empty_line_before_a_request_is_ignored(server_url):
+    # RFC 9112 §2.2: a client may end a body with a stray CRLF.
+    url, _ = server_url
+    _, reply = _exchange(url, b"\r\nGET /health HTTP/1.1\r\n"
+                              b"Connection: close\r\n\r\n")
+    [(status, fields, body)] = _replies(reply)
+    assert (status, body) == (200, b"ok") and fields["connection"] == "close"
+
+
+def test_http10_keeps_the_connection_only_when_asked(server_url):
+    url, _ = server_url
+    _, reply = _exchange(url, b"GET /health HTTP/1.0\r\n"
+                              b"Connection: keep-alive\r\n\r\n"
+                              b"GET /health HTTP/1.0\r\n\r\n")
+    (status, fields, body), (status2, fields2, body2) = _replies(reply)
+    assert (status, body) == (200, b"ok") and "connection" not in fields
+    assert (status2, body2) == (200, b"ok") and fields2["connection"] == "close"
+
+
+def test_expect_100_continue_is_answered_before_the_body(server_url):
+    url, _ = server_url
+    host, port = url.removeprefix("http://").split(":")
+    interim = b"HTTP/1.1 100 Continue\r\n\r\n"
+    with socket.create_connection((host, int(port)), timeout=10) as s:
+        s.sendall(b"POST /simplify?scope=arith1 HTTP/1.1\r\n"
+                  b"Content-Type: text/plain\r\nContent-Length: 3\r\n"
+                  b"Expect: 100-continue\r\n\r\n")
+        got = b""
+        while len(got) < len(interim) and (chunk := s.recv(len(interim))):
+            got += chunk
+        assert got == interim
+        s.sendall(b"1+2")
+        s.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := s.recv(65536):
+            reply += chunk
+    [(status, fields, body)] = _replies(reply)
+    assert (status, body) == (200, b"3") and "connection" not in fields
+
+
+def test_expect_100_continue_is_not_sent_for_a_body_refused(server_url):
+    url, _ = server_url
+    _, reply = _exchange(url, b"POST /simplify?scope=arith1 HTTP/1.1\r\n"
+                              b"Expect: 100-continue\r\nContent-Length: %d"
+                              b"\r\n\r\n" % (MAX_BODY_BYTES + 1))
+    _assert_closing_text_reply(reply, 413,
+                               b"body over %d bytes\n" % MAX_BODY_BYTES)
+
+
+# -- framing over one connection, pipelined and split at random ---------------
+
+_PLUS = Const(GlobalName("http://www.openmath.org/cd", "arith1", "plus"))
+# (target, content type, body) of requests a connection keeps open after.
+_KEPT = [("/simplify?scope=arith1", "text/plain", b"1+2*3"),
+         ("/simplify?scope=arith1&fuel=1", "text/plain", b"1+2*3"),
+         ("/simplify?scope=arith1", "text/plain", b"1+"),
+         ("/simplify?scope=nosuch", "text/plain", b"1"),
+         ("/simplify?scope=NumbersTest", TEXT, "{1,2}∪{2,3}".encode()),
+         ("/simplify", OMXML,
+          encode_xml(app(_PLUS, IntLit(1), IntLit(2))).encode()),
+         ("/simplify", OMXML, b"<OMOBJ><OMI>x</OMI></OMOBJ>"),
+         ("/health", None, b"")]
+# Raw requests after whose reply, with this status, the connection closes.
+_CLOSING = [(b"GET /health HTTP/1.1\r\nconnection: close\r\n\r\n", 200),
+            (b"GET /health HTTP/1.0\r\n\r\n", 200),
+            (b"POST /simplify HTTP/1.1\r\nContent-Length : 3\r\n\r\n1+2", 400),
+            (b"POST /simplify HTTP/1.1\r\nX-Junk\r\n\r\n", 400),
+            (b"GET /health HTTP/1.1\r\nX: 1\r\n folded\r\n\r\n", 400),
+            (b"GET /health\r\n", 400),
+            (b"GET /health HTTP/1.x\r\n\r\n", 400),
+            (b"PUT /health HTTP/1.1\r\n\r\n", 501),
+            (b"GET /health HTTP/2.0\r\n\r\n", 505),
+            (b"POST /theories HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400),
+            (b"POST /simplify HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+             b"3\r\n1+2\r\n0\r\n\r\n", 411),
+            (b"POST /theories HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+             % (MAX_BODY_BYTES + 1), 413)]
+_CASES = [str.lower, str.upper, str.title, str.swapcase]
+
+
+def _raw_kept(request, case) -> bytes:
+    target, content_type, body = request
+    if content_type is None:
+        return f"GET {target} HTTP/1.1\r\n{case('Host')}: x\r\n\r\n".encode()
+    return (f"POST {target} HTTP/1.1\r\n{case('Content-Type')}: "
+            f"{content_type}\r\n{case('Content-Length')}: {len(body)}\r\n\r\n"
+            ).encode() + body
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(kept=st.lists(st.tuples(st.sampled_from(_KEPT),
+                               st.sampled_from(_CASES)), max_size=6),
+       closing=st.one_of(st.none(), st.sampled_from(_CLOSING)),
+       after=st.lists(st.sampled_from(_KEPT), max_size=2),
+       cuts=st.lists(st.floats(0, 1), max_size=8))
+def test_pipelined_requests_are_answered_in_order(server_url, kept, closing,
+                                                  after, cuts):
+    url, service = server_url
+    raw = b"".join(_raw_kept(r, case) for r, case in kept)
+    if closing is not None:
+        raw += closing[0] + b"".join(_raw_kept(r, str.title) for r in after)
+    offsets = sorted({0, len(raw), *(int(c * len(raw)) for c in cuts)})
+    host, port = url.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as s:
+        s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
+        for a, b in zip(offsets, offsets[1:]):
+            s.sendall(raw[a:b])
+        with s.makefile("rb") as f:
+            for (target, content_type, body), _ in kept:
+                status, fields, reply = _read_reply(f)
+                if content_type is None:
+                    want = service.health()
+                else:
+                    query = dict(parse_qsl(urlsplit(target).query))
+                    want = service.simplify_request(
+                        body, content_type, query.get("scope"),
+                        query.get("fuel"))
+                assert (status, reply) == (want.status, want.body.encode())
+                assert "connection" not in fields
+            if closing is not None:
+                status, fields, _ = _read_reply(f)
+                assert (status, fields["connection"]) == (closing[1], "close")
+                assert f.read() == b""
 
 
 def test_idle_connection_is_closed(loaded):
