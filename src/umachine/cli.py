@@ -15,7 +15,9 @@ with the partial result on stdout and a warning on stderr; any other 4xx
 stderr, which the REPL prints as ``error: ...`` before it reads on; an
 internal error (HTTP 500) exits 2.  ``simplify``, ``repl``, ``serve``,
 ``test`` and ``load`` check ``--fuel`` (or ``UM_FUEL``) against
-``1..MAX_FUEL`` through ``SimplifyBudget`` and exit 1 at once outside it.
+``1..MAX_FUEL`` through ``SimplifyBudget`` and exit 1 at once outside it;
+the REPL's ``:fuel <n>`` is checked the same way, and a bad value is
+reported and leaves the fuel as it was.
 A term nested deeper than ``MAX_TERM_DEPTH`` is a 413 and exits 1, on every
 interpreter and at its default recursion limit, which ``um`` leaves alone.
 """
@@ -155,9 +157,14 @@ def cmd_repl(args) -> int:
             parts = line.split(None, 1)
             if len(parts) == 2:
                 try:
-                    fuel = int(parts[1])
+                    n = int(parts[1])
                 except ValueError:
                     print("error: fuel must be an integer")
+                else:
+                    try:  # checked as --fuel is; a bad value keeps the old
+                        fuel = SimplifyBudget(n).fuel
+                    except ValueError as e:
+                        print(f"error: {e}")
             print(f"fuel: {fuel}")
             continue
         try:

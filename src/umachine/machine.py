@@ -2,10 +2,10 @@
 
 A rule is a native partial function keyed by (constant, arity).  Rules may
 decline (return ``None``) or raise; both are absorbed, and the redex is left
-in place and marked simplified, so a failing rule can never cause a livelock.
-Resource errors (``RecursionError``, ``MemoryError``) are not declines: they
-propagate to the caller.  Simplification is innermost-leftmost (head, then
-arguments, then the head rule) and consumes one unit of fuel per successful
+in place, so a failing rule can never cause a livelock.  Resource errors
+(``RecursionError``, ``MemoryError``) are not declines: they propagate to
+the caller.  Simplification is innermost-leftmost (head, then arguments,
+then the head rule) and consumes one unit of fuel per successful
 application.  It is a loop over an explicit stack and never touches the
 interpreter's recursion limit; nor do the helpers rules call (structural
 equality, ``term_key``, substitution), so a ``RecursionError`` comes only
@@ -13,21 +13,22 @@ from a rule that recurses itself.
 
 The loop dispatches on a node's class.  A frame holds an application or
 binding under way; once a child is final, the children after it that are
-final as they are (marked, or a literal, variable or foreign object) join
-it in one inner loop, without a trip round the whole loop each.  Whether a
-rule's result equals its redex is tested against the redex's head and
-arguments as they are, so no node is built only to be compared.
+final as they are (``t.simplified``: marked, or a literal, variable or
+foreign object) join it in one inner loop, without a trip round the whole
+loop each.  Whether a rule's result equals its redex is tested against the
+redex's head and arguments as they are, so no node is built only to be
+compared.
 
-A subterm is marked simplified once it is final, so later calls skip it
-without re-traversal.  An application or binding whose head rule declines
-is built once, marked, with marked children.  A leaf (a literal, variable,
-foreign object, or a constant without a nullary rule) is marked when its
-parent is finished that way, or when it is the whole result; a leaf that a
-firing rule consumes is never copied.  A constant whose nullary rule
-declines is marked at once, so that rule is not called on it again.  So
-every node of a result that is not exhausted is marked.  An exhausted
-partial result keeps the marks of the subterms that were final when the
-fuel ran out and leaves the rest as it was.
+Only an application or binding is marked simplified: ``mark`` builds it,
+marked, from its final children once its head rule declines, so later calls
+skip the whole subtree without re-traversal.  A leaf is never copied: a
+literal, variable or foreign object is final by its class, and a constant is
+final when the base has no nullary rule for it or that rule declines.  Such
+a rule is asked again only when a later rewrite's result holds the constant,
+so its calls stay bounded by the fuel.  So every node of a result that is
+not exhausted is final, and every application or binding in it is marked.
+An exhausted partial result keeps the marks of the subterms that were final
+when the fuel ran out and leaves the rest as it was.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .sts import Arity, Binder, Fixed, Flexible
-from .terms import (App, Bind, Const, FloatLit, Foreign, GlobalName,
-                    IntLit, StrLit, Term, Var, mark)
+from .terms import App, Bind, Const, GlobalName, Term
 
 
 class DuplicateRuleError(Exception):
@@ -220,25 +220,28 @@ def _apply(rule: Rule, args: tuple, t: Term, parts: tuple) -> Term | None:
     return None if same else result
 
 
-def _build(t: Term, parts, simplified: bool = False) -> Term:
-    """``t`` with the children ``parts``: ``t`` itself when they are its own
-    and no marker is asked for."""
+def _build(t: Term, parts) -> Term:
+    """``t`` with the children ``parts``: ``t`` itself when they are its
+    own."""
     cls = t.__class__
     if cls is App:
-        if not simplified and parts[0] is t.head \
+        if parts[0] is t.head \
                 and all(a is b for a, b in zip(parts[1:], t.args)):
             return t
-        return App(parts[0], tuple(parts[1:]), simplified=simplified)
+        return App(parts[0], tuple(parts[1:]))
     if cls is Bind:
-        if not simplified and parts[0] is t.binder and parts[1] is t.scope:
+        if parts[0] is t.binder and parts[1] is t.scope:
             return t
-        return Bind(parts[0], t.context, parts[1], simplified=simplified)
+        return Bind(parts[0], t.context, parts[1])
     return t
 
 
-def _final(t: Term) -> Term:
-    """``t`` marked; ``mark`` is called only when a copy is needed."""
-    return t if t.simplified else mark(t)
+def mark(node: Term, parts: tuple) -> Term:
+    """The application or binding ``node`` with the final children
+    ``parts``, marked simplified: built when its head rule declines."""
+    if node.__class__ is App:
+        return App(parts[0], parts[1:], simplified=True)
+    return Bind(parts[0], node.context, parts[1], simplified=True)
 
 
 def _partial(t: Term, stack: list) -> Term:
@@ -246,7 +249,7 @@ def _partial(t: Term, stack: list) -> Term:
     final keeps its mark, the rest is left as it was."""
     while stack:
         node, kids, done = stack.pop()
-        t = _build(node, [*map(_final, done), t, *kids[len(done) + 1:]])
+        t = _build(node, [*done, t, *kids[len(done) + 1:]])
     return t
 
 
@@ -257,10 +260,6 @@ def rewrite_step(base: RuleBase, t: Term) -> Term | None:
     parts = _children(t)
     hit = _select_rule(base, t, parts)
     return None if hit is None else _apply(*hit, t, parts)
-
-
-# Terms that are final as they are: no rule applies to them or inside them.
-_LEAVES = frozenset({Var, IntLit, FloatLit, StrLit, Foreign})
 
 
 def simplify(base: RuleBase, t: Term,
@@ -292,11 +291,9 @@ def simplify(base: RuleBase, t: Term,
             rule = None if slot is None else slot.fixed.get(0)
             if rule is not None:
                 result = _apply(rule, (), t, ())
-                if result is None:
-                    t = mark(t)  # so that no later pass calls its rule again
-                elif fuel == 0:
-                    return SimplifyResult(_partial(t, stack), True, steps)
-                else:
+                if result is not None:
+                    if fuel == 0:
+                        return SimplifyResult(_partial(t, stack), True, steps)
                     fuel -= 1
                     steps += 1
                     t = result
@@ -306,13 +303,13 @@ def simplify(base: RuleBase, t: Term,
         # now all final.
         while True:
             if not stack:
-                return SimplifyResult(_final(t), False, steps)
+                return SimplifyResult(t, False, steps)
             node, kids, done = stack[-1]
             done.append(t)
             i = len(done)
             while i < len(kids):
                 t = kids[i]
-                if not t.simplified and t.__class__ not in _LEAVES:
+                if not t.simplified:
                     break
                 done.append(t)
                 i += 1
@@ -322,13 +319,12 @@ def simplify(base: RuleBase, t: Term,
                 hit = _select_rule(base, node, parts)
                 result = None if hit is None else _apply(*hit, node, parts)
                 if result is None:
-                    t = _build(node, [x if x.simplified else mark(x)
-                                      for x in parts], simplified=True)
+                    t = mark(node, parts)
                     continue
                 if fuel == 0:
                     # A rule would fire but the budget is spent: report
                     # exhaustion and leave the redex unmarked.
-                    t = _build(node, [*map(_final, parts)])
+                    t = _build(node, parts)
                     return SimplifyResult(_partial(t, stack), True, steps)
                 fuel -= 1
                 steps += 1

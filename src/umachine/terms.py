@@ -1,8 +1,13 @@
 """Core term language: OpenMath-style objects, qualified names, substitution.
 
-Terms are immutable values that are safe to share between threads.  The
-``simplified`` marker is metadata: it never takes part in structural equality
-or hashing, and it is only ever "set" by building a new term value.
+Terms are immutable values that are safe to share between threads.
+``simplified`` says that no rule applies to a term or inside it, as it
+stands.  A literal, variable or foreign object is final by its class: rules
+are keyed by constants, so none rewrites it, and it answers ``True``.  A
+``Const`` answers ``False``: whether it is final depends on a rule base's
+nullary rules, which the engine looks up.  Only an application or a binding
+carries the marker, as a slot set when the node is built (the keyword
+``simplified``); it never takes part in structural equality or hashing.
 
 Each variant's constructor is written out: it writes the node's slots
 through their member descriptors, with the checks that keep a term well
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from operator import is_
 from typing import Callable, Generator, Mapping
 from urllib.parse import urlsplit, urlunsplit
@@ -137,15 +142,16 @@ class GlobalName:
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
 class Term:
-    """Base of the term variants; carries the ``simplified`` marker.
+    """Base of the term variants.
 
     Two terms are equal when they have the same variant and payload and
     their children are equal in order; the marker takes no part.  The
     variants inherit ``==`` and ``hash`` from here, since the dataclass
-    versions recurse along the term.  Each variant's constructor takes the
-    marker as the keyword ``simplified`` (default ``False``)."""
+    versions recurse along the term.  ``simplified`` is a class constant of
+    the leaves, ``True`` but for ``Const``; ``App`` and ``Bind`` override it
+    with a slot."""
 
-    simplified: bool = field(compare=False, repr=False, kw_only=True)
+    simplified = True
 
     def __eq__(self, other):
         if self is other:
@@ -209,57 +215,55 @@ class _WeakReferable:
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
 class Const(Term, _WeakReferable):
-    """A symbol; weakly referable so decoders can share one per name."""
+    """A symbol; weakly referable so decoders can share one per name.  Not
+    final by class: a rule base may hold a nullary rule for it."""
 
     head: GlobalName
+    simplified = False
 
-    def __init__(self, head: GlobalName = None, *, simplified: bool = False):
+    def __init__(self, head: GlobalName = None):
         if not isinstance(head, GlobalName):
             raise TypeError("Const expects a GlobalName")
         _set_const_head(self, head)
-        _set_simplified(self, simplified)
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
 class Var(Term):
     name: str
 
-    def __init__(self, name: str = "", *, simplified: bool = False):
+    def __init__(self, name: str = ""):
         _set_var_name(self, name)
-        _set_simplified(self, simplified)
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
 class IntLit(Term):
     value: int
 
-    def __init__(self, value: int = 0, *, simplified: bool = False):
+    def __init__(self, value: int = 0):
         _set_int(self, value)
-        _set_simplified(self, simplified)
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
 class FloatLit(Term):
     value: float
 
-    def __init__(self, value: float = 0.0, *, simplified: bool = False):
+    def __init__(self, value: float = 0.0):
         _set_float(self, value)
-        _set_simplified(self, simplified)
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
 class StrLit(Term):
     value: str
 
-    def __init__(self, value: str = "", *, simplified: bool = False):
+    def __init__(self, value: str = ""):
         _set_str(self, value)
-        _set_simplified(self, simplified)
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
 class App(Term):
     head: Term
     args: tuple
+    simplified: bool = field(compare=False, repr=False)
 
     def __init__(self, head: Term = None, args=(), *,
                  simplified: bool = False):
@@ -269,7 +273,7 @@ class App(Term):
             raise ValueError("an application needs at least one argument")
         _set_app_head(self, head)
         _set_args(self, args)
-        _set_simplified(self, simplified)
+        _set_app_simplified(self, simplified)
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
@@ -277,6 +281,7 @@ class Bind(Term):
     binder: Term
     context: tuple
     scope: Term
+    simplified: bool = field(compare=False, repr=False)
 
     def __init__(self, binder: Term = None, context=(), scope: Term = None,
                  *, simplified: bool = False):
@@ -287,7 +292,7 @@ class Bind(Term):
         _set_binder(self, binder)
         _set_context(self, context)
         _set_scope(self, scope)
-        _set_simplified(self, simplified)
+        _set_bind_simplified(self, simplified)
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
@@ -297,11 +302,9 @@ class Foreign(Term):
     format: str
     content: str
 
-    def __init__(self, format: str = "", content: str = "", *,
-                 simplified: bool = False):
+    def __init__(self, format: str = "", content: str = ""):
         _set_format(self, format)
         _set_content(self, content)
-        _set_simplified(self, simplified)
 
 
 # The setters of the slots' member descriptors, through which the
@@ -310,7 +313,6 @@ _set_base = GlobalName.base.__set__
 _set_module = GlobalName.module.__set__
 _set_name = GlobalName.name.__set__
 _set_hash = GlobalName._hash.__set__
-_set_simplified = Term.simplified.__set__
 _set_const_head = Const.head.__set__
 _set_var_name = Var.name.__set__
 _set_int = IntLit.value.__set__
@@ -318,38 +320,17 @@ _set_float = FloatLit.value.__set__
 _set_str = StrLit.value.__set__
 _set_app_head = App.head.__set__
 _set_args = App.args.__set__
+_set_app_simplified = App.simplified.__set__
 _set_binder = Bind.binder.__set__
 _set_context = Bind.context.__set__
 _set_scope = Bind.scope.__set__
+_set_bind_simplified = Bind.simplified.__set__
 _set_format = Foreign.format.__set__
 _set_content = Foreign.content.__set__
 
 
 def app(head: Term, *args: Term) -> App:
     return App(head, args)
-
-
-# Each variant's payload slots, as member descriptors.
-_SLOTS = {cls: tuple(getattr(cls, f.name) for f in fields(cls)
-                     if f.name != "simplified")
-          for cls in (Const, Var, IntLit, FloatLit, StrLit, App, Bind, Foreign)}
-
-
-def _twin(t: Term, simplified: bool) -> Term:
-    """``t`` with another marker.  The copy skips the constructor's checks,
-    which ``t`` has passed."""
-    twin = object.__new__(t.__class__)
-    for slot in _SLOTS[t.__class__]:
-        slot.__set__(twin, slot.__get__(t))
-    _set_simplified(twin, simplified)
-    return twin
-
-
-def mark(t: Term) -> Term:
-    """Return ``t`` carrying the simplified marker (no-op if already set).
-
-    Only ``t`` itself is marked; its children are shared as they are."""
-    return t if t.simplified else _twin(t, True)
 
 
 def rebuild(t: Term, leaf: Callable[[Term], Term]) -> Term:
@@ -388,7 +369,7 @@ def rebuild(t: Term, leaf: Callable[[Term], Term]) -> Term:
 
 def strip_marks(t: Term) -> Term:
     """Remove every simplified marker in ``t``, sharing untouched subtrees."""
-    return rebuild(t, lambda x: _twin(x, False) if x.simplified else x)
+    return rebuild(t, lambda x: x)
 
 
 def free_vars(t: Term) -> frozenset:

@@ -11,7 +11,9 @@ Two loops are here as they were before their frames were made cheaper: the
 engine's ``simplify``, which took each child round the whole loop and built
 the redex again to compare a rule's result with it, and substitution, a
 generator per binding under ``run`` that computed the free variables of
-every binding's scope.
+every binding's scope.  The engine loop builds its nodes and its partial
+result with helpers of its own; it shares only rule dispatch
+(``machine._select_rule``) with the code under test.
 """
 
 import math
@@ -26,11 +28,10 @@ from umachine.graph import Include
 from umachine.omdoc import _CONSTANT_TERMS
 from umachine.omxml import (_OMI_RE, XmlDecodeError, _dec_to_float,
                             _float_to_dec, _symbol, local_tag)
-from umachine.machine import (SimplifyBudget, SimplifyResult, _build, _final,
-                              _partial, _select_rule)
+from umachine.machine import SimplifyBudget, SimplifyResult, _select_rule
 from umachine.terms import (App, Bind, Const, FloatLit, Foreign, GlobalName,
                             IntLit, StrLit, Term, Var, fresh_name, free_vars,
-                            mark, run)
+                            run)
 
 
 # -- structural equality and term_key --------------------------------------------
@@ -568,6 +569,33 @@ def ref_export_omdoc(theories, base: str) -> str:
 
 # -- the engine loop and substitution before their frames were made cheaper -------
 
+def _ref_children(t: Term) -> tuple:
+    """Head then arguments, or binder then scope."""
+    return (t.head, *t.args) if isinstance(t, App) else (t.binder, t.scope)
+
+
+def _ref_build(t: Term, parts, simplified: bool = False) -> Term:
+    """``t`` with the children ``parts``, carrying the marker if asked: ``t``
+    itself when they are its own and no marker is asked for.  A leaf has
+    no children and carries no marker: it is ``t`` itself."""
+    if not isinstance(t, (App, Bind)) or not simplified and all(
+            a is b for a, b in zip(parts, _ref_children(t))):
+        return t
+    if isinstance(t, App):
+        return App(parts[0], parts[1:], simplified=simplified)
+    return Bind(parts[0], t.context, parts[1], simplified=simplified)
+
+
+def _ref_partial(t: Term, stack: list) -> Term:
+    """The result when the fuel runs out at ``t``: each node under way is
+    rebuilt around its children done so far, ``t`` and the rest as they
+    were."""
+    while stack:
+        node, kids, done = stack.pop()
+        t = _ref_build(node, (*done, t, *kids[len(done) + 1:]))
+    return t
+
+
 def _ref_apply(rule, args: tuple, t: Term, parts: tuple):
     """Call ``rule`` on the redex ``t`` with children ``parts``; ``None``
     when it declines or fails, or its result equals the redex rebuilt."""
@@ -578,44 +606,39 @@ def _ref_apply(rule, args: tuple, t: Term, parts: tuple):
     except Exception:
         return None
     if result is None or (result.__class__ is t.__class__
-                          and result == _build(t, parts)):
+                          and result == _ref_build(t, parts)):
         return None
     return result
 
 
 def ref_simplify(base, t: Term,
                  budget: SimplifyBudget = SimplifyBudget()) -> SimplifyResult:
-    """``machine.simplify``: every child, final or not, goes round the loop."""
+    """``machine.simplify``: every child, final or not, goes round the loop.
+    A literal, variable or foreign object is final as it is; a constant is
+    final when its nullary rule is missing or declines; an application or
+    binding whose head rule declines is built again, marked."""
     fuel = budget.fuel
     steps = 0
     stack: list[tuple[Term, tuple, list]] = []
     while True:
-        if t.simplified:
-            pass
-        elif isinstance(t, App):
-            stack.append((t, (t.head, *t.args), []))
-            t = t.head
+        if isinstance(t, (App, Bind)) and not t.simplified:
+            kids = _ref_children(t)
+            stack.append((t, kids, []))
+            t = kids[0]
             continue
-        elif isinstance(t, Bind):
-            stack.append((t, (t.binder, t.scope), []))
-            t = t.binder
-            continue
-        elif isinstance(t, Const):
+        if isinstance(t, Const):
             hit = _select_rule(base, t, ())
-            if hit is not None:
-                result = _ref_apply(*hit, t, ())
-                if result is None:
-                    t = mark(t)
-                elif fuel == 0:
-                    return SimplifyResult(_partial(t, stack), True, steps)
-                else:
-                    fuel -= 1
-                    steps += 1
-                    t = result
-                    continue
+            result = None if hit is None else _ref_apply(*hit, t, ())
+            if result is not None:
+                if fuel == 0:
+                    return SimplifyResult(_ref_partial(t, stack), True, steps)
+                fuel -= 1
+                steps += 1
+                t = result
+                continue
         while True:
             if not stack:
-                return SimplifyResult(_final(t), False, steps)
+                return SimplifyResult(t, False, steps)
             node, kids, done = stack[-1]
             done.append(t)
             if len(done) < len(kids):
@@ -626,10 +649,10 @@ def ref_simplify(base, t: Term,
             hit = _select_rule(base, node, parts)
             result = None if hit is None else _ref_apply(*hit, node, parts)
             if result is None:
-                t = _build(node, [*map(_final, parts)], simplified=True)
+                t = _ref_build(node, parts, simplified=True)
             elif fuel == 0:
-                t = _build(node, [*map(_final, parts)])
-                return SimplifyResult(_partial(t, stack), True, steps)
+                t = _ref_build(node, parts)
+                return SimplifyResult(_ref_partial(t, stack), True, steps)
             else:
                 fuel -= 1
                 steps += 1

@@ -9,7 +9,7 @@ cleanly-rendering floats).
 import random
 
 from umachine.graph import OPENMATH_CD_BASE, LISTS_DOC_BASE
-from umachine.terms import (Bind, Const, FloatLit, GlobalName, IntLit,
+from umachine.terms import (App, Bind, Const, FloatLit, GlobalName, IntLit,
                             StrLit, Var, app)
 
 CD = OPENMATH_CD_BASE
@@ -31,6 +31,17 @@ EMPTYSET = Const(g("set1", "emptyset"))
 LAMBDA = Const(g("fns1", "lambda"))
 
 VARS = ["u", "v", "w", "x", "y", "z"]
+
+
+def marked(t):
+    """``t`` carrying the simplified marker, as a term a rule returns may:
+    an application or binding as a marked copy whatever its children, a
+    leaf as it is (only applications and bindings carry the marker)."""
+    if isinstance(t, App):
+        return App(t.head, t.args, simplified=True)
+    if isinstance(t, Bind):
+        return Bind(t.binder, t.context, t.scope, simplified=True)
+    return t
 
 
 def int_list(rng: random.Random, max_len=4):

@@ -10,7 +10,7 @@ import pytest
 import umachine
 from umachine import cli
 from umachine.cli import main
-from umachine.machine import Rule, RuleBase
+from umachine.machine import DEFAULT_FUEL, Rule, RuleBase
 from umachine.server import MAX_FUEL, MAX_TERM_DEPTH
 
 # The package's source, for ``python -m umachine.cli`` in a subprocess.
@@ -252,8 +252,26 @@ def test_repl_reports_typed_errors_and_reads_on(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[1].startswith("error: parse error")
     assert out[2] == "2^200000"
-    assert out[4] == "error: fuel out of range: 0"
-    assert out[6] == "2"
+    assert out[3:5] == ["error: fuel out of range: 0", f"fuel: {DEFAULT_FUEL}"]
+    assert out[5] == "2" and out[7] == "2"
+
+
+def test_repl_fuel_is_checked_and_a_bad_value_keeps_the_old(monkeypatch,
+                                                            capsys):
+    nested = "(" * 7 + "1" + "+1)" * 7
+    lines = iter([":fuel 5", ":fuel 0", f":fuel {MAX_FUEL + 1}",
+                  ":fuel 99999999999", ":fuel five", "1+1", nested, ":quit"])
+    monkeypatch.setattr("builtins.input", lambda _prompt="": next(lines))
+    assert main(["repl", "--scope", "arith1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "fuel: 5",
+        "error: fuel out of range: 0", "fuel: 5",
+        f"error: fuel out of range: {MAX_FUEL + 1}", "fuel: 5",
+        "error: fuel out of range: 99999999999", "fuel: 5",
+        "error: fuel must be an integer", "fuel: 5",
+        "2",
+        "(6+1)+1",  # seven steps asked, five allowed: a partial result
+    ]
 
 
 @pytest.mark.parametrize("expr, code, out, err", [

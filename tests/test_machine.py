@@ -13,10 +13,11 @@ from umachine import machine
 from umachine.codegen import load
 from umachine.machine import (MAX_FUEL, DuplicateRuleError, Rule, RuleBase,
                               SimplifyBudget, rewrite_step, simplify)
+from umachine.omxml import decode_xml
 from umachine.stdlib import rules
 from umachine.sts import BINDER, Fixed, Flexible
 from umachine.terms import (App, Bind, Const, GlobalName, IntLit, Var, app,
-                            mark, strip_marks)
+                            strip_marks)
 
 CD = "http://www.openmath.org/cd"
 MINUS = GlobalName(CD, "arith1", "minus")
@@ -132,9 +133,11 @@ def test_fuel_exhaustion_reports_partial_result(loaded):
     r = simplify(loaded.base, scope_term, SimplifyBudget(fuel=1))
     assert r.exhausted and r.steps == 1
     assert r.term == app(Const(PLUS), IntLit(1), IntLit(6))
-    # What was final when the fuel ran out keeps its mark; the redex does not.
+    # What was final when the fuel ran out keeps its mark; the redex does
+    # not, and its head is the input's own constant.
     assert not r.term.simplified
-    assert r.term.head.simplified and all(a.simplified for a in r.term.args)
+    assert r.term.head is scope_term.head
+    assert all(a.simplified for a in r.term.args)
     full = simplify(loaded.base, scope_term, SimplifyBudget(fuel=2))
     assert not full.exhausted and full.term == IntLit(7)
 
@@ -221,18 +224,64 @@ def test_every_node_of_a_result_is_marked(loaded):
     for t in _corpus(150, seed=21):
         first = simplify(loaded.base, t)
         assert not first.exhausted
-        assert all(x.simplified for x in _nodes(first.term))
+        # Every node but a constant, which carries no marker.
+        assert all(x.simplified or x.__class__ is Const
+                   for x in _nodes(first.term))
         again = simplify(spied, first.term)
         assert calls == [] and again.steps == 0 and again.term is first.term
 
 
 def test_leaves_a_firing_rule_consumes_are_never_copied(loaded, monkeypatch):
-    # Every marker copy goes through ``machine.mark``, which a tracer wraps.
-    copies = []
-    monkeypatch.setattr(machine, "mark", lambda t: copies.append(t) or mark(t))
-    r = simplify(loaded.base, app(Const(PLUS), *map(IntLit, range(50))))
-    assert r.term == IntLit(1225) and r.term.simplified
-    assert copies == [IntLit(1225)]
+    # Every marked node is built by ``machine.mark``, which a tracer wraps.
+    calls = []
+    mark = machine.mark
+    monkeypatch.setattr(machine, "mark", lambda node, parts: calls.append(
+        (node, parts)) or mark(node, parts))
+    f, x = Var("f"), Var("x")
+    t = app(f, app(Const(PLUS), *map(IntLit, range(50))), x)
+    r = simplify(loaded.base, t)
+    assert r.term == app(f, IntLit(1225), x) and r.term.simplified
+    # One node is marked, the application whose head rule declines; the
+    # leaves are its own, and the sum's are consumed without a copy.
+    assert calls == [(t, (f, IntLit(1225), x))]
+    assert r.term.head is f and r.term.args[1] is x
+    # The sum alone marks nothing: its result is a literal.
+    assert simplify(loaded.base, t.args[0]).term == IntLit(1225)
+    assert len(calls) == 1
+
+
+def test_a_rules_shared_cells_and_nil_come_out_as_they_are(loaded):
+    # ``append`` builds its cells on ``rules._CONS``; the second list is
+    # built on it too, and ends in ``rules.NIL``.
+    first = Const(rules.NIL.head)
+    for i in reversed(range(3)):
+        first = app(Const(rules.CONS), IntLit(i), first)
+    second = rules.NIL
+    for i in reversed(range(3, 6)):
+        second = app(rules._CONS, IntLit(i), second)
+    r = simplify(loaded.base, app(Const(rules.APPEND), first, second))
+    assert not r.exhausted and r.steps == 4
+    t, cells = r.term, 0
+    while t.__class__ is App:
+        assert t.head is rules._CONS and t.simplified
+        assert t.args[0] == IntLit(cells)
+        t, cells = t.args[1], cells + 1
+    assert cells == 6 and t is rules.NIL
+
+
+def test_a_rules_shared_constant_is_the_result_itself(loaded):
+    eq = Const(GlobalName(CD, "relation1", "eq"))
+    r = simplify(loaded.base, app(eq, IntLit(1), IntLit(1)))
+    assert r.term is rules.LOGIC_TRUE and r.steps == 1
+
+
+def test_a_decoded_symbol_passes_through_unchanged(loaded):
+    term = decode_xml(f'<OMOBJ cdbase="{CD}"><OMA><OMS cd="arith1" '
+                      'name="plus"/><OMV name="x"/><OMI>1</OMI></OMA></OMOBJ>')
+    r = simplify(loaded.base, term)
+    assert r.steps == 0 and r.term == term and r.term.simplified
+    assert r.term.head is term.head
+    assert r.term.args[0] is term.args[0] and r.term.args[1] is term.args[1]
 
 
 def test_agreement_with_naive_engine(loaded):

@@ -12,7 +12,8 @@ from reference_walks import (ref_decode_xml, ref_encode_xml, ref_eq,
                              ref_export_omdoc, ref_parse_term,
                              ref_render_term, ref_simplify, ref_substitute,
                              ref_term_key)
-from termgen import CONS, LAMBDA, NIL, SET, engine_term, g, surface_term
+from termgen import (CONS, LAMBDA, NIL, SET, engine_term, g, marked,
+                     surface_term)
 from umachine import notation, omxml
 from umachine.graph import Theory, _map_constants
 from umachine.machine import Rule, RuleBase, SimplifyBudget, simplify
@@ -24,7 +25,7 @@ from umachine.stdlib import rules
 from umachine.sts import BINDER, Fixed, _check_term
 from umachine.terms import (MAX_TERM_DEPTH, App, Bind, Const, FloatLit,
                             Foreign, GlobalName, IntLit, StrLit,
-                            TermTooDeepError, Var, app, free_vars, mark,
+                            TermTooDeepError, Var, app, free_vars,
                             strip_marks, substitute, term_key)
 
 DEEP = 50_000
@@ -113,7 +114,7 @@ def test_equality_and_term_key_agree_with_the_references():
     corpus = _corpus(17, 150)
     # Equal terms that are not the same objects: copies, marked copies.
     corpus += [decode_xml(encode_xml(t)) for t in corpus[::3]]
-    corpus += [mark(t) for t in corpus[::5]]
+    corpus += [marked(t) for t in corpus[::5]]
     rng = random.Random(17)
     for _ in range(20000):
         a, b = rng.choice(corpus), rng.choice(corpus)
@@ -179,15 +180,16 @@ def _engine_corpus(seed: int, n: int) -> list:
     # Surface terms hold the constants ``nums1?pi`` and ``nums1?e``.
     terms += [surface_term(rng, rng.randrange(4)) for _ in range(n // 4)]
     # Terms with marked parts, as a rule's result may hold.
-    terms += [app(PLUS, mark(t), u) for t, u in zip(terms[::7], terms[1::7])]
-    terms += [app(SET, mark(t), NIL) for t in terms[:20]]
+    terms += [app(PLUS, marked(t), u)
+              for t, u in zip(terms[::7], terms[1::7])]
+    terms += [app(SET, marked(t), NIL) for t in terms[:20]]
     return terms + _capturing_maps()
 
 
 @pytest.mark.parametrize("fuel", [3, 10_000])
 def test_simplify_agrees_with_the_reference_loop(loaded, fuel):
     # A nullary rule that fires and one that declines, so that constants
-    # are rewritten or marked where they stand; an application rule and a
+    # are rewritten or left where they stand; an application rule and a
     # binder rule whose results equal their redexes in all but one child.
     base = RuleBase([*loaded.base.rules(),
                      Rule(g("nums1", "pi"), Fixed(0), lambda: IntLit(3)),
@@ -213,7 +215,7 @@ def test_substitute_agrees_with_the_reference():
     rng = random.Random(19)
     corpus = _corpus(19, 150) + [t.args[0].scope for t in _capturing_maps()]
     corpus += [Bind(LAMBDA, ("y", "x"), t) for t in corpus[::5]]
-    corpus += [mark(t) for t in corpus[::4]]
+    corpus += [marked(t) for t in corpus[::4]]
     maps = [{"x": Var("y")}, {"x": IntLit(1), "y": Var("x")},
             {"x": app(PLUS, Var("y"), Var("y1")), "u": Var("v")},
             {"y": Var("x1"), "x": Var("y")}, {"z": IntLit(0)},
@@ -306,7 +308,8 @@ def test_free_vars_substitute_and_strip_marks_on_deep_terms():
     assert free_vars(t) == {"x", "y"}
     s = substitute(t, {"x": IntLit(-1)})
     assert free_vars(s) == {"y"}
-    assert strip_marks(mark(s)) == s and not strip_marks(mark(s)).simplified
+    assert strip_marks(marked(s)) == s
+    assert not strip_marks(marked(s)).simplified
     # A binder inside: its variable is renamed away from the replacement.
     b = Bind(LAMBDA, ("y",), t)
     assert free_vars(substitute(b, {"x": Var("y")})) == {"y"}
