@@ -25,12 +25,14 @@ delimiter is read as that delimiter, so the regex holds only the others
 regex.  Tokens are ``(kind, text, pos, value)`` tuples; two ``eof`` tokens
 end the list, so the parser looks ahead by plain indexing.
 
-Rendering is one walk over a notation's tokens.  A child is parenthesized
-when its precedence is at most the operand precedence, when it is a binder
-in a separator-delimited slot (binders extend maximally to the right), and
-when it is a numeral under a prefix notation (``-(3)`` is not the literal
-``-3``).  Declared precedences are at least 0, so precedence parenthesizes
-nothing in a closed notation or a call's arguments, both read at -1.
+Rendering writes each text once, in order, into one list, as ``encode_xml``
+writes XML, and lays an operand out when it comes off its stack.  A child is
+parenthesized when its precedence is at most the operand precedence, when it
+is a binder in a separator-delimited slot (binders extend maximally to the
+right), and when it is a numeral under a prefix notation (``-(3)`` is not the
+literal ``-3``).  Declared precedences are at least 0, so precedence
+parenthesizes nothing in a closed notation or a call's arguments, both read
+at -1.
 
 Grammar facts baked in here:
   * higher precedence binds tighter; equal-precedence infixes associate left;
@@ -637,28 +639,86 @@ def escape_str(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _wordlike(s: str) -> bool:
-    return bool(s) and (s[0].isalnum() or s[0] == "_")
-
-
-def _word_boundary_glue(parts: list[str]) -> str:
-    out = []
-    for p in parts:
-        if not p:
-            continue
-        if out and (out[-1][-1].isalnum() or out[-1][-1] == "_") \
-                and (p[0].isalnum() or p[0] == "_"):
-            out.append(" ")
-        out.append(p)
-    return "".join(out).strip()
-
-
 def render_term(t: Term, scope: ParseScope) -> str:
     """Render ``t`` so that it re-parses to an equal term in the same scope.
 
     Constants without a notation fall back to qualified prefix form.
     """
-    return _render(t, scope)[0]
+    out: list[str] = []
+    word = False  # whether ``out`` ends in a letter, digit or underscore
+    glue = False  # whether the next text starts a part of a notation
+    trim = False  # whether the notation under way has written nothing yet
+    # The pieces to write, the next last: a text that starts a part of a
+    # notation (a str) or not (a 1-tuple), an operand ``(term, operand
+    # precedence, separated, under_prefix, starts a part)``, or the end of
+    # a notation (a bool: the ``trim`` of the one around it).
+    todo: list = [(t, -1, False, False, False)]
+    while todo:
+        piece = todo.pop()
+        cls = piece.__class__
+        if cls is str:
+            glue = glue or not trim
+        elif cls is bool:  # a notation's text loses its trailing spaces
+            if not trim and out[-1][-1].isspace():
+                while not out[-1].strip():
+                    out.pop()
+                out[-1] = out[-1].rstrip()
+                word = out[-1][-1].isalnum() or out[-1][-1] == "_"
+            glue, trim = glue and trim, trim and piece
+            continue
+        elif len(piece) == 1:
+            piece = piece[0]
+        else:
+            t, prec, separated, under_prefix, part = piece
+            glue = glue or (part and not trim)
+            cls = t.__class__
+            leaf = _LEAF_TEXT.get(cls)
+            if leaf is not None:
+                piece = leaf(t)
+                if under_prefix and (cls is IntLit or cls is FloatLit):
+                    piece = f"({piece})"  # -(3) is not the literal -3
+            else:
+                n, args = _layout(t, scope)
+                if ((n is not None and not n.is_closed
+                     and n.precedence <= prec) or (separated and cls is Bind)):
+                    out.append("(")
+                    todo.append((")",))
+                    glue = trim = word = False
+                if n is not None:
+                    todo.append(trim)
+                    trim = True
+                    _push_notation(n, args, t, todo)
+                elif cls is Bind:
+                    todo += ((")",), (t.scope, -1, False, False, False),
+                             (f", [{', '.join(t.context)}], ",),
+                             (t.binder, -1, False, False, False), ("bind(",))
+                elif cls is Const:
+                    todo.append((t.head.local,))
+                else:
+                    # Qualified even where a notation without slots would
+                    # fit the bare head: ``∅(1)`` would not read back.
+                    head = t.head
+                    todo.append((")",))
+                    _push_list(t.args, -1, ", ", todo)
+                    todo.append(("(",))
+                    if head.__class__ is Const:
+                        todo.append((head.head.local,))
+                    elif head.__class__ is Var:
+                        todo.append((head.name,))
+                    else:
+                        todo += ((")",), (head, -1, False, False, False),
+                                 ("(",))
+                continue
+        if trim:
+            piece = piece.lstrip()
+        if piece:
+            # Parts that meet in word-like characters are spaced apart.
+            if glue and word and (piece[0].isalnum() or piece[0] == "_"):
+                out.append(" ")
+            out.append(piece)
+            word = piece[-1].isalnum() or piece[-1] == "_"
+            glue = trim = False
+    return "".join(out)
 
 
 _LEAF_TEXT = {
@@ -671,127 +731,52 @@ _LEAF_TEXT = {
 }
 
 
-def _render(t: Term, scope: ParseScope) -> tuple[str, Notation | None]:
-    """The text of ``t`` and the notation at its top (None for an atom or a
-    fallback form), built bottom up."""
-    # One frame per node under way: the node, its notation (None for a
-    # fallback form), the children whose texts it is made of, and the
-    # (text, notation) pairs of those done so far.
-    stack: list[tuple[Term, Notation | None, tuple, list]] = []
-    while True:
-        leaf = _LEAF_TEXT.get(t.__class__)
-        if leaf is not None:
-            out = leaf(t), None
-        else:
-            n, kids = _layout(t, scope)
-            if kids:
-                stack.append((t, n, kids, []))
-                t = kids[0]
-                continue
-            out = _assemble(t, n, kids, [])
-        while True:
-            if not stack:
-                return out
-            node, n, kids, done = stack[-1]
-            done.append(out)
-            if len(done) < len(kids):
-                t = kids[len(done)]
-                break
-            stack.pop()
-            out = _assemble(node, n, kids, done)
-
-
 def _layout(t: Term, scope: ParseScope) -> tuple[Notation | None, tuple]:
-    """How a constant, application or binding renders: through a notation,
-    from the texts of its arguments (a binding: its scope), or, with None,
-    in a fallback form, from the texts of its binder and scope, or of its
-    arguments after a head that is not a name."""
-    if isinstance(t, Const):
-        head, args = t, ()
-    elif isinstance(t, App):
-        head, args = t.head, t.args
-    elif isinstance(t, Bind):
-        head, args = t.binder, (t.scope,)
-    else:
+    """The notation ``t`` renders through, and the terms its slots take (a
+    binding's: its scope); or None when ``t`` renders in a fallback form."""
+    cls = t.__class__
+    if cls is not Const and cls is not App and cls is not Bind:
         raise TypeError(f"not a term: {t!r}")
-    n = scope.notations.get(head.head) if isinstance(head, Const) else None
+    head, args = ((t, ()) if cls is Const else (t.head, t.args) if cls is App
+                  else (t.binder, (t.scope,)))
+    n = scope.notations.get(head.head) if head.__class__ is Const else None
     # A bare separator sequence needs two elements, or the separator never
     # appears and the rendering loses the head.
-    if n is not None and n.is_binder == isinstance(t, Bind) and (
+    if n is not None and n.is_binder == (cls is Bind) and (
             len(args) == n.slot_count if n.seq_slot is None
             else len(args) >= n.slot_count + (len(n.tokens) == 1)):
         return n, args
-    if isinstance(t, Bind):
-        return None, (t.binder, t.scope)
-    if isinstance(head, (Const, Var)):
-        return None, args
-    return None, (head, *args)
+    return None, args
 
 
-def _assemble(t: Term, n: Notation | None, kids: tuple,
-              texts: list) -> tuple[str, Notation | None]:
-    """The text of ``t`` laid out by ``_layout`` as ``n`` and ``kids``, from
-    the texts of ``kids``."""
-    if n is not None:
-        return _render_notation(n, kids, texts, t), n
-    if isinstance(t, Bind):
-        return (f"bind({texts[0][0]}, [{', '.join(t.context)}], "
-                f"{texts[1][0]})"), None
-    head = t if isinstance(t, Const) else t.head
-    if isinstance(head, Const):
-        # Qualified even where a notation without slots would fit the bare
-        # head: ``∅(1)`` would not read back.
-        head_text = f"{head.head.module}?{head.head.name}"
-        if isinstance(t, Const):
-            return head_text, None
-    elif isinstance(head, Var):
-        head_text = head.name
-    else:
-        head_text = f"({texts[0][0]})"
-        kids, texts = kids[1:], texts[1:]
-    args_text = ", ".join(_operand(a, r, -1, separated=True)
-                          for a, r in zip(kids, texts))
-    return f"{head_text}({args_text})", None
-
-
-def _render_notation(n: Notation, args: tuple, texts: list, t: Term) -> str:
-    """Walk ``n``'s tokens once.  Slots take ``args`` (rendered as
-    ``texts``) in index order, the sequence slot the surplus; a binder's
-    variable list takes the names that ``t`` binds."""
+def _push_notation(n: Notation, args: tuple, t: Term, todo: list) -> None:
+    """Push ``n``'s tokens, the last first.  Slots take ``args`` in index
+    order, the sequence slot the surplus; a binder's variable list takes
+    the names that ``t`` binds."""
     surplus = len(args) - n.slot_count
-    parts = []
-    for tok in n.tokens:
-        if isinstance(tok, Delim):
+    for tok in reversed(n.tokens):
+        if tok.__class__ is Delim:
             # A word-like delimiter is spaced off its operands.
-            parts.append(f" {tok.text} " if args and _wordlike(tok.text)
-                         else tok.text)
-        elif isinstance(tok, VarList):
-            parts.append(tok.separator.join(t.context))
+            text = tok.text
+            word = text[0].isalnum() or text[0] == "_"
+            todo.append(f" {text} " if args and word else text)
+        elif tok.__class__ is VarList:
+            todo.append(tok.separator.join(t.context))
         else:
             i = tok.index - (2 if n.is_binder else 1)
             if n.seq_slot is not None and n.seq_slot.index < tok.index:
                 i += surplus
-            if isinstance(tok, SeqArg):
-                j = i + surplus + 1
-                parts.append(tok.separator.join(
-                    _operand(a, r, n.operand_precedence, separated=True)
-                    for a, r in zip(args[i:j], texts[i:j])))
+            if tok.__class__ is SeqArg:
+                _push_list(args[i:i + surplus + 1], n.operand_precedence,
+                           tok.separator, todo)
             else:
-                parts.append(_operand(
-                    args[i], texts[i], n.operand_precedence,
-                    separated=n.is_closed, under_prefix=n.is_prefix))
-    return _word_boundary_glue(parts)
+                todo.append((args[i], n.operand_precedence, n.is_closed,
+                             n.is_prefix, True))
 
 
-def _operand(t: Term, rendered: tuple[str, Notation | None], prec: int,
-             separated: bool, under_prefix: bool = False) -> str:
-    """``t``, rendered as ``(text, notation)``, as an operand read at
-    ``prec``: in parentheses when its own precedence is at most ``prec``,
-    when it is a binder in a separator-delimited slot, and when it is a
-    numeral under a prefix notation."""
-    text, top = rendered
-    if ((top is not None and not top.is_closed and top.precedence <= prec)
-            or (separated and isinstance(t, Bind))
-            or (under_prefix and isinstance(t, (IntLit, FloatLit)))):
-        return f"({text})"
-    return text
+def _push_list(args: tuple, prec: int, separator: str, todo: list) -> None:
+    """Push ``args``, operands read at ``prec`` in separator-delimited slots
+    and one part, with ``separator`` between them."""
+    for a in args[:0:-1]:
+        todo += ((a, prec, True, False, False), (separator,))
+    todo.append((args[0], prec, True, False, True))

@@ -18,19 +18,19 @@ slot writes.  A ``GlobalName`` computes its hash once, when it is built.
 No walk over a term recurses along it: equality, hashing, ``term_key``,
 ``free_vars``, ``substitute`` and ``strip_marks`` keep their own stacks, so
 a term of any depth is handled whatever the interpreter's recursion limit.
-Substitution is one loop whose frames carry the mapping in force; it
-computes the free variables of a binding's scope only when a replacement
-could be captured there, so its cost is linear in the term unless names
-are renamed.  ``run`` drives the parser's generators.  The front ends refuse
-an input nested deeper than ``MAX_TERM_DEPTH`` while they build it, with
-``TermTooDeepError``.
+Substitution is one loop whose frames carry the mapping in force; it asks
+for the free variables of a binding's scope only when a replacement could
+be captured there, and one walk keeps those of the scopes inside that may
+ask next, so its cost is linear in the term unless names are renamed.
+``run`` drives the parser's generators.  The front ends refuse an input
+nested deeper than ``MAX_TERM_DEPTH`` while building it (``TermTooDeepError``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from operator import is_
 from typing import Callable, Generator, Mapping
 from urllib.parse import urlsplit, urlunsplit
@@ -329,6 +329,18 @@ _set_format = Foreign.format.__set__
 _set_content = Foreign.content.__set__
 
 
+def _refuse_write(self, name, *value):
+    """Refuse every write, as a frozen dataclass refuses one to a field; its
+    own ``__setattr__`` raises a TypeError for any other name with slots."""
+    raise FrozenInstanceError(
+        f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+for _cls in (ModuleRef, GlobalName, Term, Const, Var, IntLit, FloatLit,
+             StrLit, App, Bind, Foreign):
+    _cls.__setattr__ = _cls.__delattr__ = _refuse_write
+
+
 def app(head: Term, *args: Term) -> App:
     return App(head, args)
 
@@ -337,34 +349,27 @@ def rebuild(t: Term, leaf: Callable[[Term], Term]) -> Term:
     """``t`` with every leaf ``x`` replaced by ``leaf(x)``.  An application
     or binding is built again, unmarked, when a child changed or it is
     marked; a subtree that stays as it was is shared."""
-    # One frame per App or Bind under way: the node, its children and the
-    # results of those done so far, as in ``machine.simplify``.
-    stack: list[tuple[Term, tuple, list]] = []
-    while True:
-        if isinstance(t, App):
-            stack.append((t, (t.head, *t.args), []))
-            t = t.head
-            continue
-        if isinstance(t, Bind):
-            stack.append((t, (t.binder, t.scope), []))
-            t = t.binder
-            continue
-        t = leaf(t)
-        while True:
-            if not stack:
-                return t
-            node, kids, done = stack[-1]
-            done.append(t)
-            if len(done) < len(kids):
-                t = kids[len(done)]
-                break
-            stack.pop()
-            if not node.simplified and all(a is b for a, b in zip(done, kids)):
-                t = node
-            elif isinstance(node, App):
-                t = App(done[0], tuple(done[1:]))
-            else:
-                t = Bind(done[0], node.context, done[1])
+    done: list = []  # the results their parents have not yet taken
+    # Terms, and after a node's children: (the node, its children).
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        cls = t.__class__
+        if cls is App or cls is Bind:
+            kids = (t.head, *t.args) if cls is App else (t.binder, t.scope)
+            todo.append((t, kids))
+            todo += kids[::-1]
+        elif cls is tuple:
+            node, kids = t
+            got = done[-len(kids):]
+            del done[-len(kids):]
+            done.append(
+                node if not node.simplified and all(map(is_, got, kids))
+                else App(got[0], tuple(got[1:])) if node.__class__ is App
+                else Bind(got[0], node.context, got[1]))
+        else:
+            done.append(leaf(t))
+    return done[0]
 
 
 def strip_marks(t: Term) -> Term:
@@ -374,26 +379,38 @@ def strip_marks(t: Term) -> Term:
 
 def free_vars(t: Term) -> frozenset:
     """The variables of ``t`` occurring outside any binder that binds them."""
-    found = set()
-    bound: dict[str, int] = {}  # name -> the bindings around here of it
-    # Terms, and (step, names): a binding's names come into scope (step 1)
-    # after its binder and leave it (step -1) after its scope.
-    todo: list = [t]
-    while todo:
-        t = todo.pop()
-        if isinstance(t, Var):
-            if not bound.get(t.name):
-                found.add(t.name)
-        elif isinstance(t, App):
-            todo += t.args[::-1]
-            todo.append(t.head)
-        elif isinstance(t, Bind):
-            todo += ((-1, t.context), t.scope, (1, t.context), t.binder)
-        elif t.__class__ is tuple:
-            step, names = t
-            for x in names:
-                bound[x] = bound.get(x, 0) + step
-    return frozenset(found)
+    return _free_vars(t, {}, ())
+
+
+def _free_vars(t: Term, memo: dict, watch) -> frozenset:
+    """``free_vars(t)``, from ``memo`` if there, else found in one walk that
+    enters in ``memo``, by ``id``, ``t`` and the scope of each binding in it
+    that binds a name in ``watch``, each held beside its free variables."""
+    if id(t) not in memo:
+        found = set()  # the free variables of the scope under way
+        # Terms, and after a binding's scope: (the set around, the binding).
+        todo: list = [t]
+        while todo:
+            u = todo.pop()
+            cls = u.__class__
+            if cls is Var:
+                found.add(u.name)
+            elif cls is App:
+                todo += u.args
+                todo.append(u.head)
+            elif cls is Bind:
+                todo += (u.binder, (found, u), u.scope)
+                found = set()
+            elif cls is tuple:
+                outer, u = u
+                if watch and not watch.isdisjoint(u.context):
+                    memo[id(u.scope)] = u.scope, frozenset(found)
+                found.difference_update(u.context)
+                if len(found) < len(outer):  # merge the smaller into the other
+                    found, outer = outer, found
+                found |= outer
+        memo[id(t)] = t, frozenset(found)  # held, so that no id is reused
+    return memo[id(t)][1]
 
 
 def fresh_name(base: str, avoid) -> str:
@@ -415,6 +432,7 @@ def substitute(t: Term, bindings: Mapping[str, Term]) -> Term:
     # The mapping in force, and the free variables of its replacements,
     # computed when a binding first asks for them.
     env = [dict(bindings), None]
+    memo: dict = {}  # the free variables found so far, for _free_vars
     # One frame per App or Bind under way: the node, its children (a
     # binding's binder only), the results so far and the mapping they are
     # under.  A binding whose binder is done becomes a frame with no
@@ -465,7 +483,7 @@ def substitute(t: Term, bindings: Mapping[str, Term]) -> Term:
                          else App(done[0], tuple(done[1:])))
                     continue
                 binder = done[0]
-                ctx, envs = _scope_mappings(node, env)
+                ctx, envs = _scope_mappings(node, env, memo)
                 if not envs:
                     t = (node if binder is node.binder
                          else Bind(binder, ctx, node.scope))
@@ -476,45 +494,41 @@ def substitute(t: Term, bindings: Mapping[str, Term]) -> Term:
             break
 
 
-def _scope_mappings(node: Bind, env: list) -> tuple[tuple, list]:
+def _scope_mappings(node: Bind, env: list, memo: dict) -> tuple[tuple, list]:
     """The names ``node`` binds once renamed away from capture, and the
     mappings (with the free variables of their replacements, or ``None``
     until asked for) that its scope goes under, the last first, when its
-    binding is under ``env``."""
+    binding is under ``env``.  Free variables are found through ``memo``."""
     bnd, reach = env
     ctx = node.context
-    if any(x in bnd for x in ctx):
+    if not bnd.keys().isdisjoint(ctx):
         bnd = {k: v for k, v in bnd.items() if k not in ctx}
         if not bnd:
             return ctx, []
     if reach is None:
-        reach = env[1] = set().union(*map(free_vars, env[0].values()))
-    if not any(x in reach for x in ctx):
+        reach = env[1] = set().union(
+            *[_free_vars(v, memo, ()) for v in env[0].values()])
+    if reach.isdisjoint(ctx):
         # No replacement has a free variable that ``node`` binds: nothing
         # is captured, whichever of them occur free in the scope.
         return ctx, [[bnd, reach]]
-    scope_fvs = free_vars(node.scope)
+    # The scopes inside that bind a name in ``reach`` may ask next.
+    scope_fvs = _free_vars(node.scope, memo, reach)
     inner = {k: v for k, v in bnd.items() if k in scope_fvs}
     if not inner:
         return ctx, []
-    reach = set().union(*map(free_vars, inner.values()))
+    reach = set().union(*[_free_vars(v, memo, ()) for v in inner.values()])
     clashing = [x for x in ctx if x in reach]
     if not clashing:
         return ctx, [[inner, reach]]
     # Rename bound names that would capture a replacement's free variable.
-    avoid = set(scope_fvs) | set(ctx) | reach
+    avoid = {*scope_fvs, *ctx, *reach}
     renaming = {}
-    new_ctx = []
-    for x in ctx:
-        if x in clashing:
-            nx = fresh_name(x, avoid)
-            avoid.add(nx)
-            renaming[x] = Var(nx)
-            new_ctx.append(nx)
-        else:
-            new_ctx.append(x)
-    return tuple(new_ctx), [[inner, reach],
-                            [renaming, {v.name for v in renaming.values()}]]
+    for x in clashing:
+        avoid.add(nx := fresh_name(x, avoid))
+        renaming[x] = Var(nx)
+    return (tuple(renaming[x].name if x in renaming else x for x in ctx),
+            [[inner, reach], [renaming, {v.name for v in renaming.values()}]])
 
 
 def _leaf_key(t: Term) -> tuple:

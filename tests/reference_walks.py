@@ -22,8 +22,7 @@ from itertools import chain
 
 from umachine.notation import (_LITERALS, _NEGATION, Arg, Delim, Notation,
                                ParseScope, SeqArg, SyntaxErrorAt, VarList,
-                               _word_boundary_glue, _wordlike, escape_str,
-                               tokenize)
+                               escape_str, tokenize)
 from umachine.graph import Include
 from umachine.omdoc import _CONSTANT_TERMS
 from umachine.omxml import (_OMI_RE, XmlDecodeError, _dec_to_float,
@@ -391,6 +390,24 @@ def _render_notation(n: Notation, args: tuple, t: Term,
                     args[i], scope, n.operand_precedence,
                     separated=n.is_closed, under_prefix=n.is_prefix))
     return _word_boundary_glue(parts)
+
+
+def _wordlike(s: str) -> bool:
+    return bool(s) and (s[0].isalnum() or s[0] == "_")
+
+
+def _word_boundary_glue(parts: list[str]) -> str:
+    """``parts`` joined, with a space between two that meet in word-like
+    characters, and stripped."""
+    out = []
+    for p in parts:
+        if not p:
+            continue
+        if out and (out[-1][-1].isalnum() or out[-1][-1] == "_") \
+                and (p[0].isalnum() or p[0] == "_"):
+            out.append(" ")
+        out.append(p)
+    return "".join(out).strip()
 
 
 def _operand(t: Term, scope: ParseScope, prec: int, separated: bool,

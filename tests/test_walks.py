@@ -2,9 +2,11 @@
 references in ``reference_walks`` on generated corpora, and they handle
 terms far deeper than the interpreter's default recursion limit."""
 
+import gc
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -17,7 +19,8 @@ from termgen import (CONS, LAMBDA, NIL, SET, engine_term, g, marked,
 from umachine import notation, omxml
 from umachine.graph import Theory, _map_constants
 from umachine.machine import Rule, RuleBase, SimplifyBudget, simplify
-from umachine.notation import parse_term, render_term
+from umachine.notation import (ParseScope, parse_notation, parse_term,
+                                render_term)
 from umachine.omdoc import export_omdoc
 from umachine.omxml import decode_xml, encode_xml
 from umachine.server import Service
@@ -101,6 +104,48 @@ def test_the_codecs_agree_with_the_references():
                 'name="x"/><OMV name="x"/></OMBIND>', "<OMBVAR/>"]:
         assert _same_tree(_outcome(decode_xml, xml, "um:/d"),
                           _outcome(ref_decode_xml, xml, "um:/d")), xml
+
+
+# Notations with word-like delimiters and separators, and names that are
+# empty or begin or end with spaces (as XML may bring them), where the
+# spacing between parts and the trimming of each notation's ends matter.
+_EDGE_NOTATIONS = {
+    "and": "1 and 2 prec 10", "not": "not 1 prec 20", "fact": "1 fact prec 30",
+    "or": "1or... prec 5", "list": "[ 1;... ]", "lam": "lam V . 2 prec 3",
+    "all": "all V in 2", "pair": "< 1 , 2 >", "neg": "- 1 prec 40",
+    "wrap": "begin 1 end", "k": "kk", "e": "∅"}
+_EDGE_NAMES = ["", " ", "  ", " x", "x ", "a", "and", "_", "b1"]
+
+
+def _edge_term(rng: random.Random, depth: int):
+    consts = [*_EDGE_NOTATIONS, "bare"]
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([
+            lambda: Var(rng.choice(_EDGE_NAMES)),
+            lambda: IntLit(rng.randrange(-3, 4)), lambda: FloatLit(-0.5),
+            lambda: StrLit(rng.choice(_EDGE_NAMES)),
+            lambda: Const(g("m", rng.choice(consts)))])()
+    k = rng.choice([*consts, "var head", "term head", "binding"])
+    if k in ("lam", "all", "binding"):
+        binder = (Const(g("m", k)) if k != "binding"
+                  else _edge_term(rng, depth - 1))
+        return Bind(binder, tuple(rng.sample(_EDGE_NAMES, rng.randrange(3))),
+                    _edge_term(rng, depth - 1))
+    head = (Var(rng.choice(_EDGE_NAMES)) if k == "var head"
+            else _edge_term(rng, depth - 1) if k == "term head"
+            else Const(g("m", k)))
+    return App(head, tuple(_edge_term(rng, depth - 1)
+                           for _ in range(rng.randrange(1, 4))))
+
+
+def test_render_agrees_with_the_reference_on_edge_names():
+    scope = ParseScope([(g("m", k), parse_notation(v))
+                        for k, v in _EDGE_NOTATIONS.items()]
+                       + [(g("m", "bare"), None)])
+    rng = random.Random(19)
+    for _ in range(3000):
+        t = _edge_term(rng, rng.randrange(1, 5))
+        assert render_term(t, scope) == ref_render_term(t, scope), t
 
 
 def test_export_agrees_with_the_reference(loaded):
@@ -228,11 +273,11 @@ def test_substitute_agrees_with_the_reference():
             assert _shape(got, given) == _shape(want, given)
 
 
-def _nested_binders(n: int):
-    """``y0 ↦ … ↦ y(n−1) ↦ x``."""
+def _nested_binders(n: int, name: str | None = None):
+    """``y0 ↦ … ↦ y(n−1) ↦ x``, or with every binding binding ``name``."""
     t = Var("x")
     for i in reversed(range(n)):
-        t = Bind(LAMBDA, (f"y{i}",), t)
+        t = Bind(LAMBDA, (name or f"y{i}",), t)
     return t
 
 
@@ -253,17 +298,40 @@ def _calls(f, *args) -> int:
     return count
 
 
-@pytest.mark.parametrize("replacement", [IntLit(1), Var("z"), Var("y0")],
-                         ids=["literal", "variable", "captured"])
-def test_substitution_under_nested_binders_is_linear(replacement):
+@pytest.mark.parametrize("replacement, name", [
+    (IntLit(1), None), (Var("z"), None), (Var("y0"), None), (Var("y"), "y")],
+    ids=["literal", "variable", "captured", "capturing chain"])
+def test_substitution_under_nested_binders_is_linear(replacement, name):
     # As in a set map, whose every element goes into a body under n
     # bindings.  A substitution that found the free variables of every
-    # binding's scope would call a function per node per binding.
-    calls = {n: _calls(substitute, _nested_binders(n), {"x": replacement})
+    # binding's scope would call a function per node per binding.  In the
+    # capturing chain every binding binds the replacement's variable, so
+    # each is renamed and asks for its scope's free variables.
+    calls = {n: _calls(substitute, _nested_binders(n, name),
+                       {"x": replacement})
              for n in (1000, 2000, 4000)}
     assert calls[1000] < 60 * 1000
     assert calls[2000] < 2.2 * calls[1000]
     assert calls[4000] < 2.2 * calls[2000]
+
+
+@pytest.mark.parametrize(
+    "nest", [lambda t: t, lambda t: Bind(LAMBDA, ("z",), t)],
+    ids=["applications", "bindings"])
+def test_a_replacement_with_many_free_variables_takes_linear_memory(nest):
+    # ``cons(a0, cons(a1, … 0))`` under one binding: a set of free
+    # variables kept for every node would hold n²/2 names.
+    r = IntLit(0)
+    for i in reversed(range(4000)):
+        r = nest(app(CONS, Var(f"a{i}"), r))
+    tracemalloc.start()
+    try:
+        substitute(Bind(LAMBDA, ("y",), Var("x")), {"x": r})
+        assert len(free_vars(r)) == 4000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_a_set_map_under_4000_bindings_answers_at_once(loaded):
@@ -342,8 +410,29 @@ def test_the_parser_and_renderer_on_deep_terms(scope_all, monkeypatch):
     zeros = _cons_list(DEEP, lambda _: IntLit(0))
     assert parse_term(calls, scope_all) == zeros
     nested = "(" * DEEP + "1" + "+1)" * DEEP
-    t = parse_term(nested, scope_all)
-    assert parse_term(render_term(t, scope_all), scope_all) == t
+    for t in (parse_term(nested, scope_all), zeros):
+        assert parse_term(render_term(t, scope_all), scope_all) == t
+
+
+def test_rendering_time_is_linear_in_the_depth(scope_all):
+    # Copying text calls no function, so a renderer that copied each
+    # operand's text again at every level above it would still make a
+    # linear number of calls: the clock tells.
+    # Linear is 16× from 4 000 cells to 64 000, quadratic 256×.
+    def best(n):
+        t = _cons_list(n)
+        runs = []
+        for _ in range(3):
+            start = time.perf_counter()
+            render_term(t, scope_all)
+            runs.append(time.perf_counter() - start)
+        return min(runs)
+
+    gc.disable()
+    try:
+        assert best(64_000) < 32 * best(4_000)
+    finally:
+        gc.enable()
 
 
 def test_the_graph_and_lint_walks_on_deep_terms(loaded):
