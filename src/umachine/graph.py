@@ -286,27 +286,37 @@ class TheoryGraph:
     def flatten(self, ref: ModuleRef) -> list[tuple[GlobalName, Constant]]:
         """Depth-first include expansion; a repeated include is a no-op."""
         out: list[tuple[GlobalName, Constant]] = []
-        self._flatten(self.theory(ref), out, set(), [])
+        self._flatten(self.theory(ref), out, {})
         return out
 
-    def _flatten(self, t: Theory, out: list, seen: set, stack: list):
-        # A method, not a closure: a recursive closure is a reference cycle
-        # that would keep ``out`` alive until the cyclic garbage collector
-        # runs, and ``scope_for`` flattens on every scope it builds.
-        r = t.name
-        if r in stack:
-            cycle = " -> ".join(str(s) for s in stack + [r])
-            raise IncludeCycleError(f"include cycle: {cycle}")
-        if r in seen:
+    def _flatten(self, t: Theory, out: list, walking: dict):
+        """Append the constants of ``t`` and of its includes to ``out``, depth
+        first.  ``walking`` maps each module met to ``True`` while it is
+        under way and to ``False`` once walked; a walked one is skipped."""
+        if t.name in walking:
             return
-        seen.add(r)
-        stack.append(r)
-        for d in t.declarations:
-            if isinstance(d, Include):
-                self._flatten(self.theory(d.target), out, seen, stack)
+        walking[t.name] = True
+        # The modules under way, each with its declarations still to walk.
+        stack = [(t.name, iter(t.declarations))]
+        while stack:
+            r, decls = stack[-1]
+            for d in decls:
+                if not isinstance(d, Include):
+                    out.append((r.name(d.name), d))
+                    continue
+                u = self.theory(d.target)
+                under_way = walking.get(u.name)
+                if under_way:
+                    cycle = " -> ".join(str(s) for s, _ in stack)
+                    raise IncludeCycleError(
+                        f"include cycle: {cycle} -> {u.name}")
+                if under_way is None:
+                    walking[u.name] = True
+                    stack.append((u.name, iter(u.declarations)))
+                    break
             else:
-                out.append((r.name(d.name), d))
-        stack.pop()
+                walking[r] = False
+                stack.pop()
 
     def lookup(self, g: GlobalName) -> Constant | None:
         m = self.modules.get(g.module_ref)
@@ -329,16 +339,16 @@ class TheoryGraph:
         if isinstance(roots, (ModuleRef, Theory)):
             roots = [roots]
         out: list[tuple[GlobalName, Constant]] = []
-        seen: set[ModuleRef] = set()
+        walking: dict[ModuleRef, bool] = {}
         for root in roots:
             t = root if isinstance(root, Theory) else self.theory(root)
-            self._flatten(t, out, seen, [])
+            self._flatten(t, out, walking)
             chain = {t.name}
             meta = t.meta
             while meta is not None and meta not in chain:
                 chain.add(meta)
                 m = self.theory(meta)
-                self._flatten(m, out, seen, [])
+                self._flatten(m, out, walking)
                 meta = m.meta
         return ParseScope((g, c.notation) for g, c in out)
 

@@ -11,6 +11,11 @@ interpreter's recursion limit; nor do the helpers rules call (structural
 equality, ``term_key``, substitution), so a ``RecursionError`` comes only
 from a rule that recurses itself.
 
+The rule base is one index keyed by (constant, arity): a dict of Fixed
+rules keyed by ``(head, n)``, one of Flexible rules per head (largest
+``n`` first) and one of binder rules per head.  Selecting a redex's rule
+reads them directly; a nullary rule is the Fixed entry ``(head, 0)``.
+
 The loop dispatches on a node's class.  A frame holds an application or
 binding under way; once a child is final, the children after it that are
 final as they are (``t.simplified``: marked, or a literal, variable or
@@ -67,62 +72,44 @@ class Rule:
         return Const(self.head)
 
 
-class _HeadRules:
-    """The rules of one head constant, in the form ``simplify`` reads them:
-    Fixed rules by argument count, Flexible rules as ``(n, rule)`` with the
-    largest ``n`` first, and the binder rule."""
-
-    __slots__ = ("fixed", "flexible", "binder")
-
-    def __init__(self):
-        self.fixed: dict[int, Rule] = {}
-        self.flexible: list[tuple[int, Rule]] = []
-        self.binder: Rule | None = None
-
-    def get(self, arity: Arity) -> Rule | None:
-        if isinstance(arity, Fixed):
-            return self.fixed.get(arity.n)
-        if isinstance(arity, Flexible):
-            return next((r for n, r in self.flexible if n == arity.n), None)
-        return self.binder
-
-    def put(self, rule: Rule):
-        arity = rule.arity
-        if isinstance(arity, Fixed):
-            self.fixed[arity.n] = rule
-        elif isinstance(arity, Flexible):
-            # A new list, so that a concurrent reader never sees it half sorted.
-            self.flexible = sorted([*self.flexible, (arity.n, rule)],
-                                   key=lambda entry: -entry[0])
-        else:
-            self.binder = rule
-
-
 class RuleBase:
-    """Rules indexed by head constant; at most one rule per (head, arity)."""
+    """At most one rule per (head, arity), in the three tables the module
+    docstring names."""
 
     def __init__(self, rules=()):
-        self._heads: dict[GlobalName, _HeadRules] = {}
+        self._fixed: dict[tuple[GlobalName, int], Rule] = {}
+        self._flexible: dict[GlobalName, tuple[tuple[int, Rule], ...]] = {}
+        self._binder: dict[GlobalName, Rule] = {}
         self._rules: list[Rule] = []
         for r in rules:
             self.add(r)
 
     def add(self, rule: Rule):
-        slot = self._heads.setdefault(rule.head, _HeadRules())
-        existing = slot.get(rule.arity)
+        head, arity = rule.head, rule.arity
+        existing = self.get(head, arity)
         if existing is not None:
             if existing is rule or existing.fn is rule.fn:
                 return self  # the same realization arriving twice is a no-op
             raise DuplicateRuleError(
-                f"a rule for {rule.head} at arity {rule.arity} is already "
-                f"registered")
-        slot.put(rule)
+                f"a rule for {head} at arity {arity} is already registered")
+        if isinstance(arity, Fixed):
+            self._fixed[head, arity.n] = rule
+        elif isinstance(arity, Flexible):
+            # A new tuple: a concurrent reader never sees it half sorted.
+            self._flexible[head] = tuple(sorted(
+                [*self._flexible.get(head, ()), (arity.n, rule)],
+                key=lambda entry: -entry[0]))
+        else:
+            self._binder[head] = rule
         self._rules.append(rule)
         return self
 
     def get(self, head: GlobalName, arity: Arity) -> Rule | None:
-        slot = self._heads.get(head)
-        return None if slot is None else slot.get(arity)
+        if isinstance(arity, Fixed):
+            return self._fixed.get((head, arity.n))
+        if isinstance(arity, Flexible):
+            return dict(self._flexible.get(head, ())).get(arity.n)
+        return self._binder.get(head)
 
     def rules(self):
         return iter(self._rules)
@@ -172,25 +159,22 @@ def _select_rule(base: RuleBase, t: Term, parts: tuple | None = None):
     """
     cls = t.__class__
     if cls is Const:
-        slot = base._heads.get(t.head)
-        rule = None if slot is None else slot.fixed.get(0)
+        rule = base._fixed.get((t.head, 0))
         return None if rule is None else (rule, ())
     if parts is None:
         parts = _children(t)
     if not parts or parts[0].__class__ is not Const:
         return None
-    slot = base._heads.get(parts[0].head)
-    if slot is None:
-        return None
+    head = parts[0].head
     if cls is Bind:
-        rule = slot.binder
+        rule = base._binder.get(head)
         return None if rule is None else (rule, (t.context, parts[1]))
     args = parts[1:]
     n = len(args)
-    rule = slot.fixed.get(n)
+    rule = base._fixed.get((head, n))
     if rule is not None:
         return rule, args
-    for i, rule in slot.flexible:
+    for i, rule in base._flexible.get(head, ()):
         if i <= n:
             return rule, (*args[:i], args[i:])
     return None
@@ -266,7 +250,7 @@ def simplify(base: RuleBase, t: Term,
              budget: SimplifyBudget = SimplifyBudget()) -> SimplifyResult:
     """Exhaustively rewrite ``t``; see the module docstring for the strategy
     and for when a subterm is marked."""
-    heads = base._heads
+    fixed = base._fixed
     fuel = budget.fuel
     steps = 0
     # One frame per App or Bind under way: the node, its children (head then
@@ -287,8 +271,7 @@ def simplify(base: RuleBase, t: Term,
             t = t.binder
             continue
         elif cls is Const:
-            slot = heads.get(t.head)
-            rule = None if slot is None else slot.fixed.get(0)
+            rule = fixed.get((t.head, 0))
             if rule is not None:
                 result = _apply(rule, (), t, ())
                 if result is not None:

@@ -21,7 +21,10 @@ a term of any depth is handled whatever the interpreter's recursion limit.
 Substitution is one loop whose frames carry the mapping in force; it asks
 for the free variables of a binding's scope only when a replacement could
 be captured there, and one walk keeps those of the scopes inside that may
-ask next, so its cost is linear in the term unless names are renamed.
+ask next.  A mapping, a renaming among them, skips a scope whose free
+variables are known and hold none of its names, so bindings that each
+capture a different name cost a linear number of calls.  Its cost is
+linear in the term unless renamed names occur free deep in a scope.
 ``run`` drives the parser's generators.  The front ends refuse an input
 nested deeper than ``MAX_TERM_DEPTH`` while building it (``TermTooDeepError``).
 """
@@ -202,19 +205,12 @@ def _same_leaf(a: Term, b: Term) -> bool:
     return a.value is b.value or a.value == b.value
 
 
-class _WeakReferable:
-    """A ``__weakref__`` slot for a slotted dataclass; the dataclass option
-    ``weakref_slot`` needs Python 3.11."""
-
-    __slots__ = ("__weakref__",)
-
-
 # The variants.  A constructor writes each slot through its member
 # descriptor (the ``_set_*`` functions below): the frozen dataclass
 # ``__setattr__`` refuses every write after construction.
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
-class Const(Term, _WeakReferable):
+@dataclass(frozen=True, slots=True, weakref_slot=True, eq=False, init=False)
+class Const(Term):
     """A symbol; weakly referable so decoders can share one per name.  Not
     final by class: a rule base may hold a nullary rule for it."""
 
@@ -508,9 +504,11 @@ def _scope_mappings(node: Bind, env: list, memo: dict) -> tuple[tuple, list]:
     if reach is None:
         reach = env[1] = set().union(
             *[_free_vars(v, memo, ()) for v in env[0].values()])
-    if reach.isdisjoint(ctx):
+    if reach.isdisjoint(ctx) and id(node.scope) not in memo:
         # No replacement has a free variable that ``node`` binds: nothing
-        # is captured, whichever of them occur free in the scope.
+        # is captured, whichever of them occur free in the scope.  When the
+        # scope's free variables are known, the path below uses them to
+        # skip a scope where no key occurs free.
         return ctx, [[bnd, reach]]
     # The scopes inside that bind a name in ``reach`` may ask next.
     scope_fvs = _free_vars(node.scope, memo, reach)

@@ -1,3 +1,4 @@
+import time
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -71,8 +72,44 @@ def test_include_cycle_is_detected():
     b = Theory(ModuleRef("um:/t", "B"), meta=OPENMATH,
                declarations=[Include(a.name)])
     g.add(a, b)
-    with pytest.raises(IncludeCycleError):
+    with pytest.raises(IncludeCycleError) as e:
         g.flatten(a.name)
+    assert str(e.value) == "include cycle: um:/t?A -> um:/t?B -> um:/t?A"
+    # The cycle is named from the walk's root to the module met again.
+    c = Theory(ModuleRef("um:/t", "C"), meta=OPENMATH,
+               declarations=[Include(b.name)])
+    g.add(c)
+    with pytest.raises(IncludeCycleError) as e:
+        g.flatten(c.name)
+    assert str(e.value) == ("include cycle: um:/t?C -> um:/t?B -> um:/t?A"
+                            " -> um:/t?B")
+
+
+def _include_chain(n: int) -> TheoryGraph:
+    """A graph of ``n`` theories, each including the one before."""
+    g = TheoryGraph()
+    g.add(*[Theory(ModuleRef("um:/chain", f"t{i}"), meta=None, declarations=[
+        *([Include(ModuleRef("um:/chain", f"t{i - 1}"))] if i else []),
+        Constant("c")]) for i in range(n)])
+    return g
+
+
+def test_flatten_walks_an_include_chain_in_linear_time():
+    def seconds(n):
+        g = _include_chain(n)
+        last = ModuleRef("um:/chain", f"t{n - 1}")
+        assert len(g.flatten(last)) == n
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            g.flatten(last)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    # Far deeper than the recursion limit; 4 times longer takes about 4
+    # times as long (a walk that scanned the modules under way would take
+    # 16 times).
+    assert seconds(8000) < 8 * seconds(2000)
 
 
 # -- scopes ------------------------------------------------------------------

@@ -972,6 +972,33 @@ def test_an_include_of_a_registered_view_is_400():
     assert (r.status, r.body) == (201, "um:/d?t\n")
 
 
+def test_a_long_include_chain_is_answered():
+    # The include walk is a loop: a chain far deeper than the recursion
+    # limit builds its scope, where a recursive walk answered 500.
+    n = 3000
+    theories = "".join(
+        f'<theory name="t{i}">' + (f'<include from="?t{i - 1}"/>' if i else "")
+        + '<constant name="c"/></theory>' for i in range(n))
+    service = Service(TheoryGraph(), RuleBase())
+    r = service.ingest(f'<omdoc base="um:/chain">{theories}</omdoc>'.encode())
+    assert r.status == 201
+    r = service.simplify_request(b"c", TEXT, f"t{n - 1}", None)
+    assert (r.status, r.body) == (200, "t0?c")
+
+
+@pytest.mark.parametrize("body, message", [
+    (b"\xff<omdoc/>", "body is not UTF-8\n"),
+    (b"<omdoc", "not well-formed XML: unclosed token: line 1, column 0\n"),
+    (b'<theory name="t"/>', "expected an omdoc root, got theory\n")],
+    ids=["not UTF-8", "malformed XML", "not an omdoc root"])
+def test_an_ingest_that_is_not_an_omdoc_document_is_400(body, message):
+    service = Service(TheoryGraph(), RuleBase())
+    before = service.theories().body
+    r = service.ingest(body)
+    assert (r.status, r.body) == (400, message)
+    assert service.theories().body == before
+
+
 # -- every answer is one of the documented ones --------------------------------
 
 _CONTENT_TYPES = [TEXT, "text/plain", OMXML, f"{OMXML}; charset=utf-8",

@@ -146,6 +146,12 @@ def test_map_over_empty_set():
     assert rules.set_map(Var("f"), EMPTY) == EMPTY
 
 
+def test_map_applies_a_function_that_is_not_a_lambda():
+    f = Var("f")
+    assert rules.set_map(f, app(SET, *ints(1, 2))) \
+        == app(SET, app(f, IntLit(1)), app(f, IntLit(2)))
+
+
 # -- lists ---------------------------------------------------------------------------
 
 def test_append_nil_is_identity():

@@ -113,7 +113,8 @@ _EDGE_NOTATIONS = {
     "and": "1 and 2 prec 10", "not": "not 1 prec 20", "fact": "1 fact prec 30",
     "or": "1or... prec 5", "list": "[ 1;... ]", "lam": "lam V . 2 prec 3",
     "all": "all V in 2", "pair": "< 1 , 2 >", "neg": "- 1 prec 40",
-    "wrap": "begin 1 end", "k": "kk", "e": "∅"}
+    "wrap": "begin 1 end", "k": "kk", "e": "∅", "adj": "{{ 1 2 }}",
+    "arrow": "1×... → 2 prec 15"}
 _EDGE_NAMES = ["", " ", "  ", " x", "x ", "a", "and", "_", "b1"]
 
 
@@ -256,6 +257,22 @@ def test_simplify_agrees_with_the_reference_loop(loaded, fuel):
         assert _shape(got.term, [t]) == _shape(want.term, [t])
 
 
+def test_a_nullary_rule_with_no_fuel_left_agrees_with_the_reference():
+    # ``a`` rewrites to ``b`` and ``b`` to 3: with one unit of fuel the
+    # rule of ``b`` would fire with none left, inside an application.
+    a, b = g("m", "a"), g("m", "b")
+    base = RuleBase([Rule(a, Fixed(0), lambda: Const(b)),
+                     Rule(b, Fixed(0), lambda: IntLit(3))])
+    t = app(Var("f"), IntLit(1), Const(a), Var("y"))
+    for fuel in (1, 2):
+        got = simplify(base, t, SimplifyBudget(fuel))
+        want = ref_simplify(base, t, SimplifyBudget(fuel))
+        assert (got.steps, got.exhausted) == (want.steps, want.exhausted) \
+            == (fuel, fuel == 1)
+        assert ref_eq(got.term, want.term) and repr(got.term) == repr(want.term)
+        assert _shape(got.term, [t]) == _shape(want.term, [t])
+
+
 def test_substitute_agrees_with_the_reference():
     rng = random.Random(19)
     corpus = _corpus(19, 150) + [t.args[0].scope for t in _capturing_maps()]
@@ -313,6 +330,24 @@ def test_substitution_under_nested_binders_is_linear(replacement, name):
     assert calls[1000] < 60 * 1000
     assert calls[2000] < 2.2 * calls[1000]
     assert calls[4000] < 2.2 * calls[2000]
+
+
+def test_a_chain_of_renamings_is_linear():
+    # ``y0 ↦ … ↦ y(n−1) ↦ x`` under ``x ↦ f(y0, …, y(n−1))``: every binding
+    # captures and is renamed.  The renaming then goes down a scope whose
+    # free variables are known and hold none of its keys, so it stops
+    # there; walking it to the bottom at every level would be quadratic.
+    calls = {}
+    for n in (1000, 2000, 4000):
+        replacement = app(PLUS, *[Var(f"y{i}") for i in range(n)])
+        calls[n] = _calls(substitute, _nested_binders(n),
+                          {"x": replacement})
+    assert calls[1000] < 100 * 1000
+    assert calls[2000] < 2.2 * calls[1000]
+    assert calls[4000] < 2.2 * calls[2000]
+    t, bnd = _nested_binders(50), {"x": app(PLUS, *map(Var, ("y0", "y49")))}
+    got, want = substitute(t, bnd), ref_substitute(t, bnd)
+    assert ref_eq(got, want) and repr(got) == repr(want)
 
 
 @pytest.mark.parametrize(
