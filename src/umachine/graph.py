@@ -12,11 +12,17 @@ and registered once.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .notation import Arg, Delim, Notation, ParseScope, SeqArg
+from .notation import (AmbiguityError, Arg, Delim, Notation, ParseScope,
+                       SeqArg)
 from .terms import Bind, Const, Foreign, GlobalName, ModuleRef, Term, rebuild
+
+
+# Frames whose scopes a graph keeps (see ``TheoryGraph.scope_for``).
+FRAME_CACHE_SIZE = 64
 
 
 class GraphError(Exception):
@@ -199,6 +205,53 @@ _BUILTINS = (
 # ---------------------------------------------------------------------------
 
 
+def _pairs(flat: list) -> list:
+    """Flattened constants as ``(GlobalName, Notation | None)`` pairs."""
+    return [(g, c.notation) for g, c in flat]
+
+
+class _Run:
+    """A run of a theory's constants, iterated as ``(GlobalName, Notation |
+    None)`` pairs; the names are made each time, as a scope reads them."""
+
+    __slots__ = ("ref", "constants")
+
+    def __init__(self, ref: ModuleRef, constants: list):
+        self.ref = ref
+        self.constants = constants
+
+    def __iter__(self):
+        name = self.ref.name
+        return ((name(c.name), c.notation) for c in self.constants)
+
+
+def _frame(t: Theory) -> tuple[tuple, list[_Run], bool]:
+    """``t``'s frame, which is what its scope takes from other modules; its
+    runs of constants; and whether any of them has a notation.  The frame
+    is ``t``'s meta-theory, and its declarations with each run of includes
+    one tuple of their targets and each run of constants None."""
+    items: list = []
+    runs: list[_Run] = []
+    run = targets = None
+    noted = False
+    for d in t.declarations:
+        if d.__class__ is Include:
+            if targets is None:
+                targets = []
+                items.append(targets)
+                run = None
+            targets.append(d.target)
+            continue
+        if run is None:
+            run = []
+            runs.append(_Run(t.name, run))
+            items.append(None)
+            targets = None
+        run.append(d)
+        noted = noted or d.notation is not None
+    return (t.meta, tuple(i and tuple(i) for i in items)), runs, noted
+
+
 def _map_constants(t: Term, f) -> Term:
     """``t`` with every constant ``x`` replaced by ``f(x)``."""
     return rebuild(t, lambda x: f(x) if isinstance(x, Const) else x)
@@ -213,6 +266,11 @@ class TheoryGraph:
         self.aliases: dict[str, ModuleRef] = {}
         # Bare module name -> refs carrying it, in registration order.
         self._by_name: dict[str, tuple[ModuleRef, ...]] = {}
+        # Frame -> its scopes (see ``_frame``), kept for the theories that
+        # share it, at most ``FRAME_CACHE_SIZE`` (least recently used out
+        # first).  A module is a value, so they never go stale.
+        self._frames = functools.lru_cache(maxsize=FRAME_CACHE_SIZE)(
+            self._frame_scopes)
         self.add(*_BUILTINS)
 
     # -- registration -------------------------------------------------------
@@ -335,22 +393,99 @@ class TheoryGraph:
         graph: a module already walked in this call is skipped, so each
         constant appears once, at its first occurrence.  A meta-theory cycle
         ends the chain; an include cycle raises ``IncludeCycleError``.
+
+        The scope of one theory lays its own constants over the tables of
+        its frame (see ``_frame``), which are kept for the next theory with
+        the same frame; only when the frame fails to build is the theory
+        walked as a whole, so that it fails as that walk meets the fault.
         """
         if isinstance(roots, (ModuleRef, Theory)):
-            roots = [roots]
-        out: list[tuple[GlobalName, Constant]] = []
+            t = self.theory(roots) if isinstance(roots, ModuleRef) else roots
+            scope = self._laid_over(t)
+            if scope is not None:
+                return scope
+            roots = [t]
+        entries: list = []
         walking: dict[ModuleRef, bool] = {}
         for root in roots:
             t = root if isinstance(root, Theory) else self.theory(root)
-            self._flatten(t, out, walking)
-            chain = {t.name}
-            meta = t.meta
-            while meta is not None and meta not in chain:
-                chain.add(meta)
-                m = self.theory(meta)
-                self._flatten(m, out, walking)
-                meta = m.meta
-        return ParseScope((g, c.notation) for g, c in out)
+            walk, meta = self._walked(t, walking)
+            entries += walk
+            entries += meta
+        return ParseScope(entries)
+
+    def scope_parts(self, t: Theory) -> tuple[ParseScope, object]:
+        """``scope_for(t)`` in two: the scope of ``t``'s walk, and the part
+        of its meta chain's, so that ``ParseScope(walk, meta)`` is the
+        scope.  A theory being built lays each new constant over the walk,
+        instead of asking for its whole scope again.  The meta chain's
+        part is its scope, or its pairs if they are ambiguous, so that the
+        scope raises at the pair it meets first."""
+        walk, meta = self._walked(t, {})
+        walk = ParseScope(walk)
+        try:
+            return walk, ParseScope(meta)
+        except AmbiguityError:
+            return walk, meta
+
+    def _walked(self, t: Theory, walking: dict) -> tuple[list, list]:
+        """The ``(GlobalName, Notation | None)`` pairs of ``t``'s walk and
+        of its meta chain's, sharing ``walking`` (see ``_flatten``)."""
+        walk: list = []
+        meta: list = []
+        self._flatten(t, walk, walking)
+        self._flatten_meta(t.meta, meta, walking, {t.name})
+        return _pairs(walk), _pairs(meta)
+
+    def _flatten_meta(self, ref: ModuleRef | None, out: list, walking: dict,
+                      chain: set) -> None:
+        """``_flatten`` each theory of the meta chain from ``ref`` on, up to
+        one in ``chain``, which collects them."""
+        while ref is not None and ref not in chain:
+            chain.add(ref)
+            m = self.theory(ref)
+            self._flatten(m, out, walking)
+            ref = m.meta
+
+    def _laid_over(self, t: Theory) -> ParseScope | None:
+        """``t``'s scope: its runs of constants laid over the kept scopes of
+        its frame, or None if the frame fails to build (the walk of ``t``
+        then fails as it did).  A frame reaches ``t`` itself only through
+        an include cycle, which fails it, or through the meta chain, where
+        ``t``'s constants, met again, add nothing.  Only when ``t``'s own
+        constants bring notations are new notation tables built."""
+        frame, runs, noted = _frame(t)
+        try:
+            groups, joined = self._frames(frame)
+        except (GraphError, AmbiguityError):
+            return None
+        runs = iter(runs)
+        parts = [next(runs) if g is None else g for g in groups]
+        if noted:
+            return ParseScope(*parts)
+        return ParseScope(*parts, notations=joined)
+
+    def _frame_scopes(self, frame: tuple) -> tuple[tuple, ParseScope]:
+        """The scopes of ``frame``: one per run of includes (None for each
+        run of constants), then the meta chain's; and the scope of them
+        all.  The walk is that of a theory with the frame and no constants
+        of its own."""
+        meta, items = frame
+        walking: dict[ModuleRef, bool] = {}
+        groups = []
+        for targets in items:
+            if targets is None:
+                groups.append(None)
+                continue
+            out: list = []
+            for ref in targets:
+                self._flatten(self.theory(ref), out, walking)
+            groups.append(ParseScope(_pairs(out)))
+        out = []
+        self._flatten_meta(meta, out, walking, set())
+        groups.append(ParseScope(_pairs(out)))
+        joined = ParseScope(*(g for g in groups if g is not None))
+        return tuple(groups), joined
 
     # -- views ----------------------------------------------------------------
 

@@ -208,7 +208,7 @@ def parse_notation(src: str) -> Notation:
 # Parse scope
 
 
-_STRUCTURAL = ("(", ")", ",", "[", "]", "?")
+_STRUCTURAL = frozenset(("(", ")", ",", "[", "]", "?"))
 _LITERALS = {"int": IntLit, "float": FloatLit, "str": StrLit}
 _NEGATION = (Delim("-"), Arg(1))
 
@@ -216,13 +216,35 @@ _NEGATION = (Delim("-"), Arg(1))
 class ParseScope:
     """In-scope constants with their notations, indexed for the parser.
 
-    Built from ``(GlobalName, Notation | None)`` pairs in scope order; in
-    every table the first occurrence of a key wins, so a bare name resolves
-    to the first in-scope constant of that name.  Read-only once built, so
-    that requests can share one.
+    Built from parts in scope order: a part is a list of ``(GlobalName,
+    Notation | None)`` pairs, or a scope, whose tables are merged whole
+    instead of indexed again.  In every table the first occurrence of a key
+    wins, so a bare name resolves to the first in-scope constant of that
+    name, and a constant met again adds nothing: ``ParseScope(a, b)`` has
+    the tables, in the same order, and raises the ``AmbiguityError``, that
+    ``a``'s pairs followed by ``b``'s give.  ``notations``, if given, is a
+    scope with the notations of the parts, in order (a list part then
+    brings none), whose notation tables are shared rather than joined
+    again.
+
+    Read-only once built, so that requests can share one (and share its
+    tables); the lexer is looked up when first asked for, so a scope kept
+    only to be merged compiles none.
     """
 
-    def __init__(self, entries):
+    def __init__(self, *parts, notations: ParseScope | None = None):
+        if notations is not None:
+            # Only names to join, when first asked for (see below).
+            self._parts = parts
+            self._triggers = notations._triggers
+            self.notations = notations.notations
+            self.nud = notations.nud
+            self.led = notations.led
+            self.binder_delims = notations.binder_delims
+            self.binder_seps = notations.binder_seps
+            self.delimiters = notations.delimiters
+            self._lexed = notations._lexed
+            return
         self.by_local: dict[str, GlobalName] = {}
         self.by_qualified: dict[str, GlobalName] = {}
         self.notations: dict[GlobalName, Notation] = {}
@@ -230,9 +252,22 @@ class ParseScope:
         self.led: dict[str, tuple[GlobalName, Notation]] = {}
         self.binder_delims: dict[str, tuple[GlobalName, Notation]] = {}
         self.binder_seps: set[str] = set()
-        delims: set[str] = set(_STRUCTURAL)
-        seen_triggers: dict[tuple[str, str, int], GlobalName] = {}
-        for g, n in entries:
+        # (kind, trigger, precedence) -> the constant whose notation it is;
+        # the kind is "nud" for a binder or prefix notation, whose trigger
+        # is read where a term starts, and "led" for an infix one.
+        self._triggers: dict[tuple[str, str, int], GlobalName] = {}
+        self.delimiters = _STRUCTURAL
+        # The delimiters the lexer's regex holds.
+        self._lexed: frozenset[str] = frozenset()
+        for part in parts:
+            if isinstance(part, ParseScope):
+                self._merge(part)
+            else:
+                self._add(part)
+
+    def _add(self, pairs) -> None:
+        delims: set[str] = set()
+        for g, n in pairs:
             self.by_local.setdefault(g.name, g)
             self.by_qualified.setdefault(g.local, g)
             if n is None:
@@ -247,18 +282,88 @@ class ParseScope:
             else:
                 kind, table = "nud", self.nud
             for trig in n.triggers:
-                other = seen_triggers.setdefault((kind, trig, n.precedence), g)
-                if other != g:
-                    raise AmbiguityError(
-                        f"notations of {other.local} and {g.local} both "
-                        f"match {trig!r} at precedence {n.precedence}")
+                key = (kind, trig, n.precedence)
+                first = self._triggers.setdefault(key, g)
+                if first != g:
+                    raise _ambiguity(first, g, key)
                 table.setdefault(trig, (g, n))
-        self.delimiters = frozenset(filter(None, delims))
-        self.lexer = _lexer(frozenset(
-            d for d in self.delimiters if not _OUTSIDE_REGEX.fullmatch(d)))
+        delims -= self.delimiters
+        delims.discard("")
+        if delims:
+            self.delimiters = self.delimiters.union(delims)
+            self._lexed = self._lexed.union(
+                d for d in delims if not _OUTSIDE_REGEX.fullmatch(d))
+
+    def _merge(self, other: ParseScope) -> None:
+        """Add ``other``'s tables, as adding its pairs would; a scope is
+        unambiguous in itself, and its trigger keys are in pair order."""
+        _first_wins(self.by_local, other.by_local)
+        _first_wins(self.by_qualified, other.by_qualified)
+        if not other._triggers:
+            return
+        triggers = self._triggers
+        if triggers.keys().isdisjoint(other._triggers):
+            # Then no constant with a notation is in both.
+            triggers.update(other._triggers)
+            self.notations.update(other.notations)
+        else:
+            for key, g in other._triggers.items():
+                first = triggers.setdefault(key, g)
+                if first != g:
+                    raise _ambiguity(first, g, key)
+            _first_wins(self.notations, other.notations)
+        _first_wins(self.nud, other.nud)
+        _first_wins(self.led, other.led)
+        _first_wins(self.binder_delims, other.binder_delims)
+        self.binder_seps |= other.binder_seps
+        if not other.delimiters <= self.delimiters:
+            self.delimiters = self.delimiters.union(other.delimiters)
+            self._lexed = self._lexed.union(other._lexed)
+
+    @functools.cached_property
+    def lexer(self):
+        return _lexer(self._lexed)
+
+    # The tables of names of a scope built with ``notations``, joined when
+    # first read: many a term has no name to look up.
+
+    @functools.cached_property
+    def by_local(self) -> dict[str, GlobalName]:
+        return self._names("by_local", "name")
+
+    @functools.cached_property
+    def by_qualified(self) -> dict[str, GlobalName]:
+        return self._names("by_qualified", "local")
+
+    def _names(self, table: str, key: str) -> dict[str, GlobalName]:
+        """One table of names from ``_parts``: a scope's ``table``, a list's
+        constants by their ``key`` attribute, the first of a key winning."""
+        out: dict[str, GlobalName] = {}
+        for part in self._parts:
+            if isinstance(part, ParseScope):
+                _first_wins(out, getattr(part, table))
+            else:
+                for g, _ in part:
+                    out.setdefault(getattr(g, key), g)
+        return out
 
     def resolve_qualified(self, module: str, name: str) -> GlobalName | None:
         return self.by_qualified.get(f"{module}?{name}")
+
+
+def _first_wins(into: dict, more: dict) -> None:
+    """Add the items of ``more`` whose keys ``into`` lacks, in order."""
+    if not into or into.keys().isdisjoint(more):
+        into.update(more)
+    else:
+        for k, v in more.items():
+            into.setdefault(k, v)
+
+
+def _ambiguity(first: GlobalName, g: GlobalName, key) -> AmbiguityError:
+    _, trigger, precedence = key
+    return AmbiguityError(f"notations of {first.local} and {g.local} both "
+                          f"match {trigger!r} at precedence {precedence}")
 
 
 # ---------------------------------------------------------------------------

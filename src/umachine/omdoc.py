@@ -3,19 +3,17 @@
 Supported elements: ``omdoc`` (attribute ``base``), ``theory`` (``name``),
 ``constant`` (``name``), ``include`` (``from``), and a constant's ``type``
 and ``definition``, each wrapping an ``OMOBJ`` (possibly containing
-``OMFOREIGN``), at most one of each.  Theories get the ``OpenMath``
-meta-theory by default.  An include may name a theory registered later, but
-not a registered view.  A document registers all of its theories or, on any
-error, none.
+``OMFOREIGN``), at most one of each.  A ``DOCTYPE`` is refused.  Theories
+get the ``OpenMath`` meta-theory by default.  An include may name a theory
+registered later, but not a registered view.  A document registers all of
+its theories or, on any error, none.
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
-
 from .graph import OPENMATH, Constant, Include, Theory, TheoryGraph, View
 from .omxml import (XmlDecodeError, element, encode_xml, from_element,
-                    local_tag)
+                    local_tag, parse_xml)
 from .terms import ModuleRef, normalize_uri
 
 
@@ -40,9 +38,9 @@ def _resolve_module(ref: str, base: str) -> ModuleRef:
 def ingest_omdoc(graph: TheoryGraph, xml_text: str) -> list[Theory]:
     """Register the document's theories; returns them in document order."""
     try:
-        root = ET.fromstring(xml_text)
-    except ET.ParseError as e:
-        raise OmdocError(f"not well-formed XML: {e}") from e
+        root = parse_xml(xml_text)
+    except XmlDecodeError as e:
+        raise OmdocError(str(e)) from e
     if local_tag(root.tag) != "omdoc":
         raise OmdocError(f"expected an omdoc root, got {local_tag(root.tag)}")
     base = normalize_uri(root.get("base", ""))
@@ -64,10 +62,12 @@ def ingest_omdoc(graph: TheoryGraph, xml_text: str) -> list[Theory]:
                 if not frm:
                     raise OmdocError("include needs a from attribute")
                 target = _resolve_module(frm, base)
-                if isinstance(graph.modules.get(target), View):
+                m = graph.modules.get(target)
+                if isinstance(m, View):
                     raise OmdocError(
                         f"theory {name} includes {target}, a view")
-                decls.append(Include(target))
+                # The registered module's own ref, shared, where there is one.
+                decls.append(Include(target if m is None else m.name))
             elif ctag == "constant":
                 cname = child.get("name")
                 if not cname:

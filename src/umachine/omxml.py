@@ -7,8 +7,9 @@ ancestor element or the document default.
 
 Both directions are loops over explicit stacks, so no term is too deep for
 the interpreter; the decoder refuses an object nested deeper than
-``MAX_TERM_DEPTH`` with ``TermTooDeepError``.  The encoder writes the text
-that ``xml.etree.ElementTree`` would write for the same elements.
+``MAX_TERM_DEPTH`` with ``TermTooDeepError``, and any ``DOCTYPE`` with
+``XmlDecodeError``.  The encoder writes the text that
+``xml.etree.ElementTree`` would write for the same elements.
 """
 
 from __future__ import annotations
@@ -234,10 +235,24 @@ def _leaf(tag: str, el: ET.Element, base: str | None) -> Term:
     raise XmlDecodeError(f"unknown OpenMath element: {tag}")
 
 
-def decode_xml(text: str, default_base: str | None = None) -> Term:
-    """Parse OpenMath XML (OMOBJ-rooted or a bare object element)."""
+class _NoDoctype(ET.TreeBuilder):
+    """A tree builder that refuses a document type declaration: OpenMath
+    and OMDoc need none, and its internal entities would let a small body
+    expand into a large one."""
+
+    def doctype(self, name, pubid, system):
+        raise XmlDecodeError("a DOCTYPE is not accepted")
+
+
+def parse_xml(text: str) -> ET.Element:
+    """The element tree of ``text``; ``XmlDecodeError`` if it is not
+    well-formed or declares a document type."""
     try:
-        el = ET.fromstring(text)
+        return ET.fromstring(text, ET.XMLParser(target=_NoDoctype()))
     except ET.ParseError as e:
         raise XmlDecodeError(f"not well-formed XML: {e}") from e
-    return from_element(el, default_base)
+
+
+def decode_xml(text: str, default_base: str | None = None) -> Term:
+    """Parse OpenMath XML (OMOBJ-rooted or a bare object element)."""
+    return from_element(parse_xml(text), default_base)

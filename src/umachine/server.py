@@ -17,13 +17,14 @@ Endpoints:
       ``text/plain`` in notation syntax (scope required) or
       ``application/openmath+xml``; the response mirrors the request format
       and carries ``X-Simplify-Steps`` and ``X-Simplify-Exhausted`` headers.
-      200 success, 400 parse error or bad fuel, 404 unknown scope or one
-      whose notations are ambiguous, 413 result integer too long to render,
-      term nested too deeply or term too large, 422 fuel exhausted (partial
-      result in the body).
+      200 success, 400 parse error, bad fuel or XML with a ``DOCTYPE``,
+      404 unknown scope or one whose notations are ambiguous, 413 result
+      integer too long to render, term nested too deeply or term too large,
+      422 fuel exhausted (partial result in the body).
   POST /theories  — ingest an OMDoc document; theories become available as
-      scopes; no rules are gained.  201 ingested, 400 subset violation,
-      409 name collision (nothing registered), 413 nested too deeply.
+      scopes; no rules are gained.  201 ingested, 400 subset violation (a
+      ``DOCTYPE`` among them), 409 name collision (nothing registered), 413
+      nested too deeply.
   GET /theories   — loaded module URIs, one per line.
   GET /health     — "ok".
 
@@ -50,7 +51,14 @@ once it builds, and a ``Service`` caches the scopes it builds, at most
 ``SCOPE_CACHE_SIZE`` of them (least recently used out first): a stated
 memory budget.  The ``scope`` parameter is resolved on every request, since
 a bare name can become ambiguous as modules arrive, and a scope that fails
-to build is not cached, so it is built again on the next request.
+to build is not cached, so it is built again on the next request.  A miss
+does not walk the includes again: the graph keeps the scope tables of the
+last ``graph.FRAME_CACHE_SIZE`` frames (a frame is a theory's includes and
+meta-theory chain) and lays the theory's own constants over its frame's
+(see ``TheoryGraph.scope_for``).  A theory whose own constants bring no
+notation shares its frame's notation tables and lexer, and its tables of
+names are joined, from its frame's and its own constants, when a request
+first reads a name; so a cached scope holds little more than those names.
 
 An integer literal longer than ``sys.get_int_max_str_digits()`` digits is a
 400 on input; ``power`` and ``factorial`` decline a result that long.

@@ -31,7 +31,7 @@ import re
 
 from .graph import (CMP_LAMBDA, Assignment, Constant, Include, SourcePos,
                     Theory, TheoryGraph, View)
-from .notation import lex_string, parse_notation, parse_term
+from .notation import ParseScope, lex_string, parse_notation, parse_term
 from .terms import Bind, Const, Foreign, ModuleRef, Term
 
 
@@ -117,9 +117,8 @@ class _ModuleParser:
         self.text = text
         self.filename = filename
         self.base = _DEFAULT_BASE
-        # The open block, unregistered: each statement makes a new snapshot.
-        self.current: Theory | View | None = None
         self.added: list[ModuleRef] = []
+        self._open(None)
 
     def error(self, message: str, line: int, col: int = 0) -> SurfaceError:
         return SurfaceError(message, self.filename, line, col)
@@ -162,12 +161,26 @@ class _ModuleParser:
 
     # -- blocks ----------------------------------------------------------
 
+    def _open(self, block: Theory | View | None):
+        """Make ``block`` the open one, with nothing derived from it yet."""
+        # The open block, unregistered: each statement makes a new snapshot.
+        self.current = block
+        # An open theory's scope in two (see ``TheoryGraph.scope_parts``),
+        # with the pairs of the constants declared since it was built; an
+        # open view's declared names and codomain scope.  Built when first
+        # needed; None until then.
+        self.walked: ParseScope | None = None
+        self.meta: list = []
+        self.pending: list = []
+        self.declared: set[str] | None = None
+        self.codomain_scope: ParseScope | None = None
+
     def _close(self):
         """Register the open block, if any."""
         if self.current is not None:
             self.graph.add(self.current)
             self.added.append(self.current.name)
-            self.current = None
+            self._open(None)
 
     def _extend(self, d):
         """Snapshot the open block with ``d`` appended."""
@@ -186,8 +199,8 @@ class _ModuleParser:
         ref = ModuleRef(self.base, name)
         meta_ref = self.graph.resolve(meta, self.base) if meta else None
         self.graph.check_new(ref)
-        self.current = Theory(ref, meta=meta_ref,
-                              pos=SourcePos(self.filename, lineno))
+        self._open(Theory(ref, meta=meta_ref,
+                          pos=SourcePos(self.filename, lineno)))
 
     def _view_header(self, line: str, lineno: int):
         m = _VIEW_RE.match(line)
@@ -198,8 +211,8 @@ class _ModuleParser:
         domain = self.graph.resolve(dom, self.base)
         codomain = self.graph.resolve(cod, self.base)
         self.graph.check_new(ref)
-        self.current = View(ref, domain=domain, codomain=codomain,
-                            pos=SourcePos(self.filename, lineno))
+        self._open(View(ref, domain=domain, codomain=codomain,
+                        pos=SourcePos(self.filename, lineno)))
 
     def _alias(self, line: str, lineno: int):
         m = _ALIAS_RE.match(line)
@@ -217,6 +230,7 @@ class _ModuleParser:
             self.graph.view(ref)
         else:
             self.graph.theory(ref)
+            self.walked = None  # the walk changes: build it again
         self._extend(Include(ref, pos=SourcePos(self.filename, lineno)))
 
     # -- constants ---------------------------------------------------------
@@ -260,8 +274,18 @@ class _ModuleParser:
         else:
             raise self.error("constant outside a module", lineno)
 
+    def _theory_scope(self) -> ParseScope:
+        """The open theory's scope: its walk, built once and extended by
+        each constant declared since, then its meta chain."""
+        if self.walked is None:
+            self.walked, self.meta = self.graph.scope_parts(self.current)
+        elif self.pending:
+            self.walked = ParseScope(self.walked, self.pending)
+        self.pending = []
+        return ParseScope(self.walked, self.meta)
+
     def _theory_constant(self, name, body, lineno, seg_type, seg_def, seg_not):
-        scope = self.graph.scope_for(self.current)
+        scope = self._theory_scope()
         ctype = cdef = notation = None
         if seg_type:
             ctype = parse_term(body[seg_type[0]:seg_type[1]].strip(), scope)
@@ -277,11 +301,13 @@ class _ModuleParser:
         self._extend(Constant(name, type=ctype, definiens=cdef,
                               notation=notation,
                               pos=SourcePos(self.filename, lineno)))
+        self.pending.append((self.current.name.name(name), notation))
 
     def _view_constant(self, name, body, body_off, lineno, seg_def):
         view = self.current
-        declared = {c.name for _, c in self.graph.flatten(view.domain)}
-        if name not in declared:
+        if self.declared is None:
+            self.declared = {c.name for _, c in self.graph.flatten(view.domain)}
+        if name not in self.declared:
             raise self.error(
                 f"view {view.name.module} assigns {name!r}, which is not "
                 f"declared in {view.domain}", lineno)
@@ -312,8 +338,9 @@ class _ModuleParser:
                 target = Bind(Const(CMP_LAMBDA), tuple(params), target)
             span = (self.filename, body_off + quote_local, body_off + end_local)
         else:
-            scope = self.graph.scope_for(view.codomain)
-            target = parse_term(stripped.strip(), scope)
+            if self.codomain_scope is None:
+                self.codomain_scope = self.graph.scope_for(view.codomain)
+            target = parse_term(stripped.strip(), self.codomain_scope)
         self._extend(Assignment(name, target, snippet_span=span,
                                 pos=SourcePos(self.filename, lineno)))
 

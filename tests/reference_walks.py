@@ -14,16 +14,21 @@ generator per binding under ``run`` that computed the free variables of
 every binding's scope.  The engine loop builds its nodes and its partial
 result with helpers of its own; it shares only rule dispatch
 (``machine._select_rule``) with the code under test.
+
+The scope of a theory is built here as it was before scopes were merged
+from kept tables: one walk of the include graph and the meta chain, then
+every table indexed from the constants met, in order.
 """
 
 import math
 import xml.etree.ElementTree as ET
 from itertools import chain
 
-from umachine.notation import (_LITERALS, _NEGATION, Arg, Delim, Notation,
-                               ParseScope, SeqArg, SyntaxErrorAt, VarList,
+from umachine.notation import (_LITERALS, _NEGATION, _OUTSIDE_REGEX, Arg,
+                               AmbiguityError, Delim, Notation, ParseScope,
+                               SeqArg, SyntaxErrorAt, VarList, _lexer,
                                escape_str, tokenize)
-from umachine.graph import Include
+from umachine.graph import IncludeCycleError, Include, Theory
 from umachine.omdoc import _CONSTANT_TERMS
 from umachine.omxml import (_OMI_RE, XmlDecodeError, _dec_to_float,
                             _float_to_dec, _symbol, local_tag)
@@ -744,3 +749,97 @@ def _substituted(t: Term, bnd: dict):
                 t = node
             else:
                 t = Bind(binder, ctx, scope)
+
+
+# -- scopes: one walk, then every table indexed ------------------------------------
+
+def ref_scope_for(graph, roots) -> dict:
+    """The tables of ``graph.scope_for(roots)``, by name, each a list of its
+    items in order (a set sorted; the lexer as its pattern)."""
+    if not isinstance(roots, (list, tuple)):
+        roots = [roots]
+    out: list = []
+    walking: dict = {}
+    for root in roots:
+        t = root if isinstance(root, Theory) else graph.theory(root)
+        if t.name not in walking:
+            _ref_walk(graph, t, out, walking, [])
+        chain = {t.name}
+        meta = t.meta
+        while meta is not None and meta not in chain:
+            chain.add(meta)
+            m = graph.theory(meta)
+            if m.name not in walking:
+                _ref_walk(graph, m, out, walking, [])
+            meta = m.meta
+    return _ref_tables(out)
+
+
+def _ref_walk(graph, t, out: list, walking: dict, path: list) -> None:
+    """Append the constants of ``t`` and of its includes, depth first; a
+    module walked before adds nothing, one under way is a cycle."""
+    walking[t.name] = True
+    path = path + [t.name]
+    for d in t.declarations:
+        if not isinstance(d, Include):
+            out.append((t.name.name(d.name), d.notation))
+            continue
+        u = graph.theory(d.target)
+        state = walking.get(u.name)
+        if state:
+            cycle = " -> ".join(str(r) for r in path)
+            raise IncludeCycleError(f"include cycle: {cycle} -> {u.name}")
+        if state is None:
+            _ref_walk(graph, u, out, walking, path)
+    walking[t.name] = False
+
+
+def _ref_tables(entries) -> dict:
+    by_local, by_qualified, notations = {}, {}, {}
+    nud, led, binder_delims, binder_seps = {}, {}, {}, set()
+    delims = {"(", ")", ",", "[", "]", "?"}
+    seen_triggers = {}
+    for g, n in entries:
+        by_local.setdefault(g.name, g)
+        by_qualified.setdefault(g.local, g)
+        if n is None:
+            continue
+        notations.setdefault(g, n)
+        delims |= n.delimiters
+        if n.is_binder:
+            kind, table = "nud", binder_delims
+            binder_seps.add(n.varlist.separator)
+        elif n.is_infix:
+            kind, table = "led", led
+        else:
+            kind, table = "nud", nud
+        for trig in n.triggers:
+            other = seen_triggers.setdefault((kind, trig, n.precedence), g)
+            if other != g:
+                raise AmbiguityError(
+                    f"notations of {other.local} and {g.local} both "
+                    f"match {trig!r} at precedence {n.precedence}")
+            table.setdefault(trig, (g, n))
+    delimiters = frozenset(filter(None, delims))
+    lexer = _lexer(frozenset(d for d in delimiters
+                             if not _OUTSIDE_REGEX.fullmatch(d)))
+    return {"by_local": list(by_local.items()),
+            "by_qualified": list(by_qualified.items()),
+            "notations": list(notations.items()),
+            "nud": list(nud.items()), "led": list(led.items()),
+            "binder_delims": list(binder_delims.items()),
+            "binder_seps": sorted(binder_seps),
+            "delimiters": sorted(delimiters),
+            "lexer": lexer.__self__.pattern}
+
+
+def scope_tables(scope: ParseScope) -> dict:
+    """``scope``'s tables as ``ref_scope_for`` gives them."""
+    return {"by_local": list(scope.by_local.items()),
+            "by_qualified": list(scope.by_qualified.items()),
+            "notations": list(scope.notations.items()),
+            "nud": list(scope.nud.items()), "led": list(scope.led.items()),
+            "binder_delims": list(scope.binder_delims.items()),
+            "binder_seps": sorted(scope.binder_seps),
+            "delimiters": sorted(scope.delimiters),
+            "lexer": scope.lexer.__self__.pattern}

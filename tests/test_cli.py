@@ -49,6 +49,14 @@ def test_default_scope_spans_all_shipped_cds(capsys):
     assert capsys.readouterr().out.strip() == "27"
 
 
+def test_simplify_refuses_a_doctype(capsys):
+    code = main(["simplify", "--xml", "-e",
+                 '<!DOCTYPE OMOBJ [<!ENTITY e "1">]><OMOBJ><OMI>&e;</OMI>'
+                 "</OMOBJ>"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: a DOCTYPE is not accepted\n"
+
+
 def test_simplify_xml(capsys):
     code = main(["simplify", "--xml", "-e",
                  "<OMOBJ><OMA><OMS cdbase='http://www.openmath.org/cd' "

@@ -61,6 +61,32 @@ def test_theories_listing(server_url):
     assert "http://cds.omdoc.org/unsorted/uom.omdoc?lists" in lines
 
 
+# A document type whose entity &f; expands to 10**6 characters: a few
+# hundred bytes of body would become megabytes of term.
+_ENTITIES = "".join(
+    f'<!ENTITY {n} "{("&" + p + ";") * 10 if p else "x" * 10}">'
+    for p, n in zip(["", *"abcde"], "abcdef"))
+
+
+def test_a_doctype_is_refused_before_its_entities_expand(server_url):
+    url, _ = server_url
+    listed = requests.get(f"{url}/theories").text
+    xml = (f"<!DOCTYPE OMOBJ [{_ENTITIES}]>"
+           f"<OMOBJ><OMSTR>{'&f;' * 5}</OMSTR></OMOBJ>")
+    r = requests.post(f"{url}/simplify", data=xml.encode(),
+                      headers={"Content-Type": OMXML})
+    assert (r.status_code, r.text) == (400, "a DOCTYPE is not accepted\n")
+    doc = (f"<!DOCTYPE omdoc [{_ENTITIES}]>"
+           '<omdoc xmlns="http://omdoc.org/ns" base="um:/entity">'
+           '<theory name="T"><constant name="c"><definition><OMOBJ>'
+           "<OMSTR>&f;</OMSTR></OMOBJ></definition></constant></theory>"
+           "</omdoc>")
+    r = requests.post(f"{url}/theories", data=doc.encode(),
+                      headers={"Content-Type": "application/xml"})
+    assert (r.status_code, r.text) == (400, "a DOCTYPE is not accepted\n")
+    assert requests.get(f"{url}/theories").text == listed
+
+
 def test_simplify_text(server_url):
     url, _ = server_url
     r = requests.post(f"{url}/simplify?scope=arith1", data="1+2",
