@@ -271,6 +271,9 @@ class TheoryGraph:
         # first).  A module is a value, so they never go stale.
         self._frames = functools.lru_cache(maxsize=FRAME_CACHE_SIZE)(
             self._frame_scopes)
+        # Frames that failed to build, not tried again until a module is
+        # added: it may be the one a frame lacked.
+        self._failed: set[tuple] = set()
         self.add(*_BUILTINS)
 
     # -- registration -------------------------------------------------------
@@ -287,6 +290,7 @@ class TheoryGraph:
         """Register whole theories and views: every name is checked, against
         the graph and within the batch, before any module is registered."""
         self.check_new(*(m.name for m in modules))
+        self._failed.clear()
         for m in modules:
             self.modules[m.name] = m
             name = m.name.module
@@ -398,12 +402,15 @@ class TheoryGraph:
         its frame (see ``_frame``), which are kept for the next theory with
         the same frame; only when the frame fails to build is the theory
         walked as a whole, so that it fails as that walk meets the fault.
+        Only when ``t``'s own constants bring notations are new notation
+        tables built.
         """
         if isinstance(roots, (ModuleRef, Theory)):
             t = self.theory(roots) if isinstance(roots, ModuleRef) else roots
-            scope = self._laid_over(t)
-            if scope is not None:
-                return scope
+            laid = self._laid_over(t)
+            if laid is not None:
+                parts, joined, noted = laid
+                return ParseScope(*parts, notations=None if noted else joined)
             roots = [t]
         entries: list = []
         walking: dict[ModuleRef, bool] = {}
@@ -418,9 +425,15 @@ class TheoryGraph:
         """``scope_for(t)`` in two: the scope of ``t``'s walk, and the part
         of its meta chain's, so that ``ParseScope(walk, meta)`` is the
         scope.  A theory being built lays each new constant over the walk,
-        instead of asking for its whole scope again.  The meta chain's
+        instead of asking for its whole scope again.  Both are built from
+        the kept scopes of ``t``'s frame, as ``scope_for`` builds one; when
+        the frame fails, from the walk of ``t``, where the meta chain's
         part is its scope, or its pairs if they are ambiguous, so that the
         scope raises at the pair it meets first."""
+        laid = self._laid_over(t)
+        if laid is not None:
+            parts = laid[0]
+            return ParseScope(*parts[:-1]), parts[-1]
         walk, meta = self._walked(t, {})
         walk = ParseScope(walk)
         try:
@@ -447,23 +460,24 @@ class TheoryGraph:
             self._flatten(m, out, walking)
             ref = m.meta
 
-    def _laid_over(self, t: Theory) -> ParseScope | None:
-        """``t``'s scope: its runs of constants laid over the kept scopes of
-        its frame, or None if the frame fails to build (the walk of ``t``
-        then fails as it did).  A frame reaches ``t`` itself only through
-        an include cycle, which fails it, or through the meta chain, where
-        ``t``'s constants, met again, add nothing.  Only when ``t``'s own
-        constants bring notations are new notation tables built."""
+    def _laid_over(self, t: Theory) -> tuple[list, ParseScope, bool] | None:
+        """The kept scopes of ``t``'s frame with its runs of constants laid
+        in their places, the meta chain's scope last; the frame's joined
+        scope; and whether the runs bring notations.  None if the frame
+        fails to build (the walk of ``t`` then fails as it did).  A frame
+        reaches ``t`` itself only through an include cycle, which fails it,
+        or through the meta chain, where ``t``'s constants, met again, add
+        nothing."""
         frame, runs, noted = _frame(t)
+        if self._failed and frame in self._failed:
+            return None
         try:
             groups, joined = self._frames(frame)
         except (GraphError, AmbiguityError):
+            self._failed.add(frame)
             return None
         runs = iter(runs)
-        parts = [next(runs) if g is None else g for g in groups]
-        if noted:
-            return ParseScope(*parts)
-        return ParseScope(*parts, notations=joined)
+        return [next(runs) if g is None else g for g in groups], joined, noted
 
     def _frame_scopes(self, frame: tuple) -> tuple[tuple, ParseScope]:
         """The scopes of ``frame``: one per run of includes (None for each

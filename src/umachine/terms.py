@@ -83,39 +83,18 @@ def normalize_uri(uri: str) -> str:
                        parts.query, parts.fragment))
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
+@dataclass(frozen=True, slots=True)
 class ModuleRef:
-    """A module (theory or view) qualified by its document base.
-
-    A key of the graph's tables and of its scope caches, so the hash is
-    computed once, in the constructor."""
+    """A module (theory or view) qualified by its document base."""
 
     base: str
     module: str
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __init__(self, base: str, module: str):
-        base = normalize_uri(base)
-        _set_ref_base(self, base)
-        _set_ref_module(self, module)
-        _set_ref_hash(self, hash((base, module)))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not ModuleRef:
-            return NotImplemented
-        return (self._hash == other._hash and self.module == other.module
-                and self.base == other.base)
-
-    def __hash__(self):
-        return self._hash
+    def __post_init__(self):
+        object.__setattr__(self, "base", normalize_uri(self.base))
 
     def name(self, constant: str) -> "GlobalName":
-        # The base is normalized already.
-        g = object.__new__(GlobalName)
-        _fill_name(g, self.base, self.module, constant)
-        return g
+        return GlobalName(self.base, self.module, constant)
 
     def __str__(self) -> str:
         return f"{self.base}?{self.module}"
@@ -134,7 +113,11 @@ class GlobalName:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, base: str, module: str, name: str):
-        _fill_name(self, normalize_uri(base), module, name)
+        base = normalize_uri(base)
+        _set_base(self, base)
+        _set_module(self, module)
+        _set_name(self, name)
+        _set_hash(self, hash((base, module, name)))
 
     def __eq__(self, other):
         if self is other:
@@ -322,9 +305,6 @@ class Foreign(Term):
 
 # The setters of the slots' member descriptors, through which the
 # constructors write.
-_set_ref_base = ModuleRef.base.__set__
-_set_ref_module = ModuleRef.module.__set__
-_set_ref_hash = ModuleRef._hash.__set__
 _set_base = GlobalName.base.__set__
 _set_module = GlobalName.module.__set__
 _set_name = GlobalName.name.__set__
@@ -343,14 +323,6 @@ _set_scope = Bind.scope.__set__
 _set_bind_simplified = Bind.simplified.__set__
 _set_format = Foreign.format.__set__
 _set_content = Foreign.content.__set__
-
-
-def _fill_name(g: GlobalName, base: str, module: str, name: str) -> None:
-    """Write the slots of ``g``, whose base is normalized."""
-    _set_base(g, base)
-    _set_module(g, module)
-    _set_name(g, name)
-    _set_hash(g, hash((base, module, name)))
 
 
 def _refuse_write(self, name, *value):

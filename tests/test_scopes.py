@@ -13,7 +13,7 @@ from reference_walks import ref_scope_for, scope_tables
 from umachine.codegen import build_graph
 from umachine.graph import (FRAME_CACHE_SIZE, OPENMATH, Constant, Include,
                             Theory, TheoryGraph, View)
-from umachine.notation import ParseScope, parse_notation
+from umachine.notation import AmbiguityError, ParseScope, parse_notation
 from umachine.surface import SurfaceError, parse_modules
 from umachine.terms import Const, ModuleRef
 
@@ -164,6 +164,34 @@ def test_an_include_cycle_raises_the_same_error():
     assert isinstance(_agree(graph, _ref("Z")), dict)
 
 
+def test_a_failing_frame_is_built_again_only_after_an_add(monkeypatch):
+    graph, _, _ = build_graph()
+    e = _theory("E", _ref("X1"), _ref("X2"))
+    graph.add(_theory("X1", _c("x", "1 ⊗ 2 prec 20")),
+              _theory("X2", _c("x", "1 ⊗ 2 prec 20")), e)
+    walked = []
+    original = TheoryGraph._flatten
+
+    def counted(self, t, out, walking):
+        walked.append(t.name)
+        return original(self, t, out, walking)
+
+    monkeypatch.setattr(TheoryGraph, "_flatten", counted)
+
+    def flattened(f, *args):
+        walked.clear()
+        with pytest.raises(AmbiguityError):
+            f(*args)
+        return len(walked)
+
+    first = flattened(graph.scope_for, e.name)
+    # Later requests walk the theory once, as the full walk does.
+    one_walk = flattened(lambda: ParseScope(*graph._walked(e, {})))
+    assert flattened(graph.scope_for, e.name) == one_walk < first
+    graph.add(_theory("Other", _c("o")))
+    assert flattened(graph.scope_for, e.name) == first
+
+
 def test_a_frame_that_reaches_its_theory_gives_its_scope():
     # K includes N, and is N's meta-theory: N's walk skips N under K, and a
     # theory with the same frame reads N's constants there.
@@ -194,13 +222,14 @@ def test_the_scope_in_two_is_the_scope(stdlib):
 
 def test_theories_sharing_a_frame_share_its_notation_tables():
     graph, _, _ = build_graph()
+    kept = graph._frames.cache_info().currsize
     graph.add(*(_theory(f"I{i}", ARITH1, RELATION1,
                         *(_c(f"k{j}") for j in range(i % 4 + 1)))
                 for i in range(10)))
     scopes = [graph.scope_for(_ref(f"I{i}")) for i in range(10)]
     assert all(s.led is scopes[0].led and s.lexer is scopes[0].lexer
                for s in scopes)
-    assert graph._frames.cache_info().currsize == 1
+    assert graph._frames.cache_info().currsize == kept + 1
 
 
 def test_kept_frames_are_bounded():
