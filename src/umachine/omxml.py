@@ -235,20 +235,19 @@ def _leaf(tag: str, el: ET.Element, base: str | None) -> Term:
     raise XmlDecodeError(f"unknown OpenMath element: {tag}")
 
 
-class _NoDoctype(ET.TreeBuilder):
-    """A tree builder that refuses a document type declaration: OpenMath
-    and OMDoc need none, and its internal entities would let a small body
-    expand into a large one."""
-
-    def doctype(self, name, pubid, system):
-        raise XmlDecodeError("a DOCTYPE is not accepted")
+# All that may stand before a document type declaration: a byte order mark,
+# white space, comments and processing instructions.  One left open ends it.
+_PROLOG = re.compile(r"\ufeff?(?:[ \t\r\n]+|<!--.*?-->|<\?.*?\?>)*", re.S)
 
 
 def parse_xml(text: str) -> ET.Element:
     """The element tree of ``text``; ``XmlDecodeError`` if it is not
-    well-formed or declares a document type."""
+    well-formed or declares a document type, whose entities could expand
+    a small body into a large one (OpenMath and OMDoc need none)."""
+    if text.startswith("<!DOCTYPE", _PROLOG.match(text).end()):
+        raise XmlDecodeError("a DOCTYPE is not accepted")
     try:
-        return ET.fromstring(text, ET.XMLParser(target=_NoDoctype()))
+        return ET.fromstring(text)
     except ET.ParseError as e:
         raise XmlDecodeError(f"not well-formed XML: {e}") from e
 

@@ -21,10 +21,10 @@ a term of any depth is handled whatever the interpreter's recursion limit.
 Substitution is one loop whose frames carry the mapping in force; it asks
 for the free variables of a binding's scope only when a replacement could
 be captured there, and one walk keeps those of the scopes inside that may
-ask next.  A mapping, a renaming among them, skips a scope whose free
-variables are known and hold none of its names, so bindings that each
-capture a different name cost a linear number of calls.  Its cost is
-linear in the term unless renamed names occur free deep in a scope.
+ask next.  A name renamed away from capture joins the mapping its scope
+goes under.  A mapping skips a scope whose free variables are known and
+hold none of its names, so bindings that each capture a different name
+cost a linear number of calls.  Each renamed binding copies the mapping.
 ``run`` drives the parser's generators.  The front ends refuse an input
 nested deeper than ``MAX_TERM_DEPTH`` while building it (``TermTooDeepError``).
 """
@@ -432,8 +432,8 @@ def substitute(t: Term, bindings: Mapping[str, Term]) -> Term:
     # One frame per App or Bind under way: the node, its children (a
     # binding's binder only), the results so far and the mapping they are
     # under.  A binding whose binder is done becomes a frame with no
-    # children: the node, then its binder, its names and the mappings its
-    # scope has still to go under, in turn.
+    # children: the node, then its binder and its names, until its scope,
+    # under the one mapping that ``_scope_mappings`` gives, is done.
     stack: list[tuple] = []
     while True:
         cls = t.__class__
@@ -454,10 +454,7 @@ def substitute(t: Term, bindings: Mapping[str, Term]) -> Term:
                 return t
             node, kids, done, env = stack[-1]
             if kids is None:
-                binder, ctx, envs = done
-                if envs:  # the scope as it is goes under the next mapping
-                    env = envs.pop()
-                    break
+                binder, ctx = done
                 stack.pop()
                 t = (node if binder is node.binder and ctx is node.context
                      and t is node.scope else Bind(binder, ctx, t))
@@ -479,28 +476,30 @@ def substitute(t: Term, bindings: Mapping[str, Term]) -> Term:
                          else App(done[0], tuple(done[1:])))
                     continue
                 binder = done[0]
-                ctx, envs = _scope_mappings(node, env, memo)
-                if not envs:
+                ctx, env = _scope_mappings(node, env, memo)
+                if env is None:
                     t = (node if binder is node.binder
                          else Bind(binder, ctx, node.scope))
                     continue
-                stack.append((node, None, (binder, ctx, envs), None))
-                env = envs.pop()
+                stack.append((node, None, (binder, ctx), None))
                 t = node.scope
             break
 
 
-def _scope_mappings(node: Bind, env: list, memo: dict) -> tuple[tuple, list]:
+def _scope_mappings(node: Bind, env: list,
+                    memo: dict) -> tuple[tuple, list | None]:
     """The names ``node`` binds once renamed away from capture, and the
-    mappings (with the free variables of their replacements, or ``None``
-    until asked for) that its scope goes under, the last first, when its
-    binding is under ``env``.  Free variables are found through ``memo``."""
+    mapping (with the free variables of its replacements, or ``None`` until
+    asked for) that its scope goes under when its binding is under ``env``,
+    or ``None`` if the scope stays as it is.  A renamed ``x`` maps to an
+    ``x′`` free in neither the scope nor a replacement, so no replacement
+    mentions one.  Free variables are found through ``memo``."""
     bnd, reach = env
     ctx = node.context
     if not bnd.keys().isdisjoint(ctx):
         bnd = {k: v for k, v in bnd.items() if k not in ctx}
         if not bnd:
-            return ctx, []
+            return ctx, None
     if reach is None:
         reach = env[1] = set().union(
             *[_free_vars(v, memo, ()) for v in env[0].values()])
@@ -509,24 +508,24 @@ def _scope_mappings(node: Bind, env: list, memo: dict) -> tuple[tuple, list]:
         # is captured, whichever of them occur free in the scope.  When the
         # scope's free variables are known, the path below uses them to
         # skip a scope where no key occurs free.
-        return ctx, [[bnd, reach]]
+        return ctx, [bnd, reach]
     # The scopes inside that bind a name in ``reach`` may ask next.
     scope_fvs = _free_vars(node.scope, memo, reach)
     inner = {k: v for k, v in bnd.items() if k in scope_fvs}
     if not inner:
-        return ctx, []
+        return ctx, None
     reach = set().union(*[_free_vars(v, memo, ()) for v in inner.values()])
     clashing = [x for x in ctx if x in reach]
     if not clashing:
-        return ctx, [[inner, reach]]
+        return ctx, [inner, reach]
     # Rename bound names that would capture a replacement's free variable.
     avoid = {*scope_fvs, *ctx, *reach}
-    renaming = {}
     for x in clashing:
         avoid.add(nx := fresh_name(x, avoid))
-        renaming[x] = Var(nx)
-    return (tuple(renaming[x].name if x in renaming else x for x in ctx),
-            [[inner, reach], [renaming, {v.name for v in renaming.values()}]])
+        inner[x] = Var(nx)
+        reach.add(nx)
+    return (tuple(inner[x].name if x in inner else x for x in ctx),
+            [inner, reach])
 
 
 def _leaf_key(t: Term) -> tuple:

@@ -13,7 +13,12 @@ the redex again to compare a rule's result with it, and substitution, a
 generator per binding under ``run`` that computed the free variables of
 every binding's scope.  The engine loop builds its nodes and its partial
 result with helpers of its own; it shares only rule dispatch
-(``machine._select_rule``) with the code under test.
+(``machine._select_rule``) with the code under test.  Substitution states
+the naming rule: a binding's scope goes under one mapping, in which each
+name renamed away from capture maps to its fresh name.
+
+``ref_parse_xml`` refuses a ``DOCTYPE`` as the parser meets it, through a
+tree builder of its own, where ``omxml.parse_xml`` scans the prolog first.
 
 The scope of a theory is built here as it was before scopes were merged
 from kept tables: one walk of the include graph and the meta chain, then
@@ -554,6 +559,22 @@ def from_element(el: ET.Element, cdbase: str | None = None) -> Term:
     raise XmlDecodeError(f"unknown OpenMath element: {tag}")
 
 
+class _NoDoctype(ET.TreeBuilder):
+    """A tree builder that refuses a document type declaration when the
+    parser meets one."""
+
+    def doctype(self, name, pubid, system):
+        raise XmlDecodeError("a DOCTYPE is not accepted")
+
+
+def ref_parse_xml(text: str) -> ET.Element:
+    """``omxml.parse_xml``: the element tree, or ``XmlDecodeError``."""
+    try:
+        return ET.fromstring(text, ET.XMLParser(target=_NoDoctype()))
+    except ET.ParseError as e:
+        raise XmlDecodeError(f"not well-formed XML: {e}") from e
+
+
 def ref_decode_xml(text: str, default_base: str | None = None) -> Term:
     """Parse OpenMath XML (OMOBJ-rooted or a bare object element)."""
     try:
@@ -691,8 +712,11 @@ def ref_substitute(t: Term, bindings) -> Term:
 
 def _substituted(t: Term, bnd: dict):
     """A generator for ``run``: ``t`` under ``bnd``.  The scope of a binding
-    goes under another mapping (the names it binds left out, and perhaps
-    renamed first), each by a generator of its own."""
+    goes under one other mapping, by a generator of its own: the names it
+    binds are left out, and each that would capture a replacement's free
+    variable is mapped to a fresh name, which avoids the scope's free
+    variables, the binding's names and the replacements' free
+    variables."""
     stack: list[tuple[Term, tuple, list]] = []
     while True:
         if isinstance(t, App):
@@ -742,7 +766,7 @@ def _substituted(t: Term, bnd: dict):
                         else:
                             new_ctx.append(x)
                     ctx = tuple(new_ctx)
-                    scope = yield _substituted(scope, renaming)
+                    inner = {**inner, **renaming}
                 scope = yield _substituted(scope, inner)
             if binder is node.binder and ctx == node.context \
                     and scope is node.scope:
