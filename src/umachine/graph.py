@@ -74,12 +74,16 @@ class Include:
 
 
 def _body(module, items, kind: str, of_kind: type) -> tuple:
-    """``items`` as a tuple, checked: one name per ``of_kind``."""
+    """``items`` as a tuple, checked: one name per ``of_kind``, and no
+    ``?`` in a name, since a reference splits at a ``?``."""
     items = tuple(items)
     names = [d.name for d in items if isinstance(d, of_kind)]
     if len(set(names)) < len(names):
         dup = next(n for i, n in enumerate(names) if n in names[:i])
         raise DuplicateModuleError(f"duplicate {kind} {dup} in {module.name}")
+    for name in (module.name.module, *names):
+        if "?" in name:
+            raise ValueError(f"a name may not contain '?': {name!r}")
     return items
 
 
@@ -225,31 +229,23 @@ class _Run:
         return ((name(c.name), c.notation) for c in self.constants)
 
 
-def _frame(t: Theory) -> tuple[tuple, list[_Run], bool]:
+def _frame(t: Theory) -> tuple[tuple, _Run, bool] | None:
     """``t``'s frame, which is what its scope takes from other modules; its
-    runs of constants; and whether any of them has a notation.  The frame
-    is ``t``'s meta-theory, and its declarations with each run of includes
-    one tuple of their targets and each run of constants None."""
-    items: list = []
-    runs: list[_Run] = []
-    run = targets = None
+    constants; and whether any of them has a notation.  A frame is ``t``'s
+    meta-theory and the targets of its includes, and only a theory whose
+    includes all come before its constants has one: None for any other."""
+    targets: list = []
+    constants: list = []
     noted = False
     for d in t.declarations:
         if d.__class__ is Include:
-            if targets is None:
-                targets = []
-                items.append(targets)
-                run = None
+            if constants:
+                return None
             targets.append(d.target)
-            continue
-        if run is None:
-            run = []
-            runs.append(_Run(t.name, run))
-            items.append(None)
-            targets = None
-        run.append(d)
-        noted = noted or d.notation is not None
-    return (t.meta, tuple(i and tuple(i) for i in items)), runs, noted
+        else:
+            constants.append(d)
+            noted = noted or d.notation is not None
+    return (t.meta, tuple(targets)), _Run(t.name, constants), noted
 
 
 def _map_constants(t: Term, f) -> Term:
@@ -388,62 +384,58 @@ class TheoryGraph:
 
     # -- scopes ---------------------------------------------------------------
 
-    def scope_for(self, roots) -> ParseScope:
-        """A parse scope over one theory or several (in order): each one's
-        flattened constants, then those of its meta-theory chain.
+    def scope_for(self, root: ModuleRef | Theory) -> ParseScope:
+        """A parse scope over one theory: its flattened constants, then
+        those of its meta-theory chain.  ``root`` is a ref or a ``Theory``;
+        an unregistered theory gets the scope that registering it would
+        give.  The scope over several theories is theirs composed,
+        ``ParseScope(*map(graph.scope_for, refs))``.
 
-        A root is a ref or a ``Theory``; an unregistered theory gets the
-        scope that registering it would give.  One walk of the include
-        graph: a module already walked in this call is skipped, so each
-        constant appears once, at its first occurrence.  A meta-theory cycle
-        ends the chain; an include cycle raises ``IncludeCycleError``.
+        One walk of the include graph: a module already walked is skipped,
+        so each constant appears once, at its first occurrence.  A
+        meta-theory cycle ends the chain; an include cycle raises
+        ``IncludeCycleError``.
 
-        The scope of one theory lays its own constants over the tables of
-        its frame (see ``_frame``), which are kept for the next theory with
-        the same frame; only when the frame fails to build is the theory
-        walked as a whole, so that it fails as that walk meets the fault.
-        Only when ``t``'s own constants bring notations are new notation
-        tables built.
+        A theory whose includes all come before its constants lays those
+        constants over the kept tables of its frame (see ``_frame``), and
+        only their notations make new notation tables.  Any other theory,
+        and one whose frame fails to build, is walked whole, so that it
+        fails as that walk meets the fault.
         """
-        if isinstance(roots, (ModuleRef, Theory)):
-            t = self.theory(roots) if isinstance(roots, ModuleRef) else roots
-            laid = self._laid_over(t)
-            if laid is not None:
-                parts, joined, noted = laid
-                return ParseScope(*parts, notations=None if noted else joined)
-            roots = [t]
-        entries: list = []
-        walking: dict[ModuleRef, bool] = {}
-        for root in roots:
-            t = root if isinstance(root, Theory) else self.theory(root)
-            walk, meta = self._walked(t, walking)
-            entries += walk
-            entries += meta
-        return ParseScope(entries)
+        t = self.theory(root) if isinstance(root, ModuleRef) else root
+        framed = _frame(t)
+        if framed is None or (self._failed and framed[0] in self._failed):
+            return ParseScope(*self._walked(t))
+        frame, run, noted = framed
+        try:
+            included, meta, joined = self._frames(frame)
+        except (GraphError, AmbiguityError):
+            self._failed.add(frame)
+            return ParseScope(*self._walked(t))
+        # A frame reaches ``t`` itself only through an include cycle, which
+        # fails it, or through the meta chain, where ``t``'s constants, met
+        # again, add nothing.
+        return ParseScope(included, run, meta,
+                          notations=None if noted else joined)
 
     def scope_parts(self, t: Theory) -> tuple[ParseScope, object]:
         """``scope_for(t)`` in two: the scope of ``t``'s walk, and the part
         of its meta chain's, so that ``ParseScope(walk, meta)`` is the
         scope.  A theory being built lays each new constant over the walk,
-        instead of asking for its whole scope again.  Both are built from
-        the kept scopes of ``t``'s frame, as ``scope_for`` builds one; when
-        the frame fails, from the walk of ``t``, where the meta chain's
-        part is its scope, or its pairs if they are ambiguous, so that the
-        scope raises at the pair it meets first."""
-        laid = self._laid_over(t)
-        if laid is not None:
-            parts = laid[0]
-            return ParseScope(*parts[:-1]), parts[-1]
-        walk, meta = self._walked(t, {})
+        instead of asking for its whole scope again.  The meta chain's part
+        is its scope, or its pairs if they are ambiguous, so that the scope
+        raises at the pair it meets first."""
+        walk, meta = self._walked(t)
         walk = ParseScope(walk)
         try:
             return walk, ParseScope(meta)
         except AmbiguityError:
             return walk, meta
 
-    def _walked(self, t: Theory, walking: dict) -> tuple[list, list]:
+    def _walked(self, t: Theory) -> tuple[list, list]:
         """The ``(GlobalName, Notation | None)`` pairs of ``t``'s walk and
-        of its meta chain's, sharing ``walking`` (see ``_flatten``)."""
+        of its meta chain's, in one walk (see ``_flatten``)."""
+        walking: dict[ModuleRef, bool] = {}
         walk: list = []
         meta: list = []
         self._flatten(t, walk, walking)
@@ -460,46 +452,21 @@ class TheoryGraph:
             self._flatten(m, out, walking)
             ref = m.meta
 
-    def _laid_over(self, t: Theory) -> tuple[list, ParseScope, bool] | None:
-        """The kept scopes of ``t``'s frame with its runs of constants laid
-        in their places, the meta chain's scope last; the frame's joined
-        scope; and whether the runs bring notations.  None if the frame
-        fails to build (the walk of ``t`` then fails as it did).  A frame
-        reaches ``t`` itself only through an include cycle, which fails it,
-        or through the meta chain, where ``t``'s constants, met again, add
-        nothing."""
-        frame, runs, noted = _frame(t)
-        if self._failed and frame in self._failed:
-            return None
-        try:
-            groups, joined = self._frames(frame)
-        except (GraphError, AmbiguityError):
-            self._failed.add(frame)
-            return None
-        runs = iter(runs)
-        return [next(runs) if g is None else g for g in groups], joined, noted
-
-    def _frame_scopes(self, frame: tuple) -> tuple[tuple, ParseScope]:
-        """The scopes of ``frame``: one per run of includes (None for each
-        run of constants), then the meta chain's; and the scope of them
-        all.  The walk is that of a theory with the frame and no constants
+    def _frame_scopes(self, frame: tuple) \
+            -> tuple[ParseScope, ParseScope, ParseScope]:
+        """The scopes of ``frame``'s includes and of its meta chain, and the
+        scope of both: the walk of a theory with the frame and no constants
         of its own."""
-        meta, items = frame
+        meta_ref, targets = frame
         walking: dict[ModuleRef, bool] = {}
-        groups = []
-        for targets in items:
-            if targets is None:
-                groups.append(None)
-                continue
-            out: list = []
-            for ref in targets:
-                self._flatten(self.theory(ref), out, walking)
-            groups.append(ParseScope(_pairs(out)))
+        out: list = []
+        for ref in targets:
+            self._flatten(self.theory(ref), out, walking)
+        included = ParseScope(_pairs(out))
         out = []
-        self._flatten_meta(meta, out, walking, set())
-        groups.append(ParseScope(_pairs(out)))
-        joined = ParseScope(*(g for g in groups if g is not None))
-        return tuple(groups), joined
+        self._flatten_meta(meta_ref, out, walking, set())
+        meta = ParseScope(_pairs(out))
+        return included, meta, ParseScope(included, meta)
 
     # -- views ----------------------------------------------------------------
 

@@ -3,7 +3,8 @@
 Supported elements: ``omdoc`` (attribute ``base``), ``theory`` (``name``),
 ``constant`` (``name``), ``include`` (``from``), and a constant's ``type``
 and ``definition``, each wrapping an ``OMOBJ`` (possibly containing
-``OMFOREIGN``), at most one of each.  A ``DOCTYPE`` is refused.  Theories
+``OMFOREIGN``), at most one of each.  A ``DOCTYPE`` is refused, and so is a
+theory or constant name with a ``?``, at which a reference splits.  Theories
 get the ``OpenMath`` meta-theory by default.  An include may name a theory
 registered later, but not a registered view.  A document registers all of
 its theories or, on any error, none.
@@ -91,8 +92,11 @@ def ingest_omdoc(graph: TheoryGraph, xml_text: str) -> list[Theory]:
                 decls.append(Constant(cname, **terms))
             else:
                 raise OmdocError(f"unsupported element: {ctag}")
-        added.append(Theory(ModuleRef(base, name), meta=OPENMATH,
-                            declarations=decls))
+        try:
+            added.append(Theory(ModuleRef(base, name), meta=OPENMATH,
+                                declarations=decls))
+        except ValueError as e:  # a name with a '?'
+            raise OmdocError(str(e)) from e
     graph.add(*added)
     return added
 

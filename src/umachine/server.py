@@ -52,13 +52,15 @@ once it builds, and a ``Service`` caches the scopes it builds, at most
 memory budget.  The ``scope`` parameter is resolved on every request, since
 a bare name can become ambiguous as modules arrive, and a scope that fails
 to build is not cached, so it is built again on the next request.  A miss
-does not walk the includes again: the graph keeps the scope tables of the
-last ``graph.FRAME_CACHE_SIZE`` frames (a frame is a theory's includes and
-meta-theory chain) and lays the theory's own constants over its frame's
-(see ``TheoryGraph.scope_for``).  A theory whose own constants bring no
-notation shares its frame's notation tables and lexer, and its tables of
-names are joined, from its frame's and its own constants, when a request
-first reads a name; so a cached scope holds little more than those names.
+on a theory whose includes all come before its constants does not walk the
+includes again: such a theory has a frame (its includes and meta-theory
+chain), the graph keeps the scope tables of the last
+``graph.FRAME_CACHE_SIZE`` frames, and lays the theory's own constants over
+its frame's (see ``TheoryGraph.scope_for``, which takes one theory).  Any
+other theory is walked.  A theory whose own constants bring no notation
+shares its frame's notation tables and lexer, and its tables of names are
+joined, from its frame's and its own constants, when a request first reads
+a name; so a cached scope holds little more than those names.
 
 An integer literal longer than ``sys.get_int_max_str_digits()`` digits is a
 400 on input; ``power`` and ``factorial`` decline a result that long.

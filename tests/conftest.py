@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from umachine.codegen import build_graph, load
+from umachine.notation import ParseScope
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +23,5 @@ def loaded():
 def scope_all(loaded):
     """A parse scope spanning the theories the generators draw from."""
     g = loaded.graph
-    return g.scope_for([g.resolve("NumbersTest"), g.resolve("logic1"),
-                        g.resolve("integer1"), g.resolve("lists_ext"),
-                        g.resolve("nums1")])
+    return ParseScope(*(g.scope_for(g.resolve(name)) for name in (
+        "NumbersTest", "logic1", "integer1", "lists_ext", "nums1")))

@@ -10,7 +10,7 @@ from umachine.graph import (COMPUTATION, OPENMATH, Assignment, Constant,
                             CMP_FUNCTION, CMP_LIST, CMP_TERM, OM_MAPSTO,
                             OM_OBJECT)
 from umachine.realization import SYNTACTIC, install_bifoundations
-from umachine.notation import parse_term
+from umachine.notation import ParseScope, parse_term
 from umachine.surface import parse_modules
 from umachine.terms import Const, GlobalName, IntLit, ModuleRef, app
 
@@ -137,7 +137,8 @@ def test_scope_over_several_theories_lists_a_shared_include_once():
     g = TheoryGraph()
     a = _theory(g, "A", "a1", "a2")
     b = _theory(g, "B", Include(a.name), "b1")
-    assert list(g.scope_for([a.name, b.name]).by_qualified) == [
+    scope = ParseScope(g.scope_for(a.name), g.scope_for(b.name))
+    assert list(scope.by_qualified) == [
         "A?a1", "A?a2", *OPENMATH_NAMES, "B?b1"]
 
 
@@ -159,7 +160,7 @@ def test_scope_ends_a_meta_cycle_and_raises_on_an_include_cycle():
     c = _theory(g, "C", Include(ModuleRef("um:/t", "D")))
     _theory(g, "D", Include(c.name))
     with pytest.raises(IncludeCycleError):
-        g.scope_for([a.name, c.name])
+        ParseScope(*map(g.scope_for, [a.name, c.name]))
 
 
 def test_resolve_qualified_reference(loaded):

@@ -31,11 +31,17 @@ def _outcome(f, *args):
 
 
 def _agree(graph, roots, times=2):
-    """``scope_for(roots)`` gives the reference's tables or error, each of
-    ``times`` times."""
+    """``scope_for(roots)``, or for a list the scopes of its roots composed,
+    gives the reference's tables or error, each of ``times`` times."""
     want = _outcome(ref_scope_for, graph, roots)
+
+    def scope():
+        if isinstance(roots, list):
+            return ParseScope(*map(graph.scope_for, roots))
+        return graph.scope_for(roots)
+
     for _ in range(times):
-        got = _outcome(lambda: scope_tables(graph.scope_for(roots)))
+        got = _outcome(lambda: scope_tables(scope()))
         assert got == want, roots
     return want
 
@@ -186,7 +192,7 @@ def test_a_failing_frame_is_built_again_only_after_an_add(monkeypatch):
 
     first = flattened(graph.scope_for, e.name)
     # Later requests walk the theory once, as the full walk does.
-    one_walk = flattened(lambda: ParseScope(*graph._walked(e, {})))
+    one_walk = flattened(lambda: ParseScope(*graph._walked(e)))
     assert flattened(graph.scope_for, e.name) == one_walk < first
     graph.add(_theory("Other", _c("o")))
     assert flattened(graph.scope_for, e.name) == first
@@ -230,6 +236,34 @@ def test_theories_sharing_a_frame_share_its_notation_tables():
     assert all(s.led is scopes[0].led and s.lexer is scopes[0].lexer
                for s in scopes)
     assert graph._frames.cache_info().currsize == kept + 1
+
+
+def test_includes_first_theories_lay_over_a_kept_frame(monkeypatch):
+    graph, _, _ = build_graph()
+    # The shape of an ingested theory: two includes, then constants.
+    graph.add(_theory("Ingest", ARITH1, RELATION1, _c("k0"), _c("k1")))
+    theories = [m.name for m in graph.modules.values()
+                if isinstance(m, Theory)]
+    for ref in theories:
+        graph.scope_for(ref)
+
+    def walked(self, t):
+        raise AssertionError(f"{t.name} was walked")
+
+    monkeypatch.setattr(TheoryGraph, "_walked", walked)
+    for ref in theories:
+        hits = graph._frames.cache_info().hits
+        graph.scope_for(ref)
+        assert graph._frames.cache_info().hits == hits + 1, ref
+
+
+def test_a_theory_with_an_include_after_a_constant_has_no_frame():
+    graph, _, _ = build_graph()
+    t = _theory("CIC", _c("c0", "1 ⊞ 2 prec 30"), ARITH1, _c("c1"))
+    graph.add(t)
+    kept = graph._frames.cache_info().currsize
+    assert isinstance(_agree(graph, t.name), dict)
+    assert graph._frames.cache_info().currsize == kept
 
 
 def test_kept_frames_are_bounded():

@@ -981,6 +981,22 @@ def test_a_repeated_constant_element_is_400_and_registers_nothing(element):
     assert service.theories().body == before
 
 
+@pytest.mark.parametrize("theory, name", [
+    ('<theory name="x?y"/>', "x?y"),
+    ('<theory name="t"><constant name="a?b"/></theory>', "a?b")],
+    ids=["theory", "constant"])
+def test_a_name_with_a_question_mark_is_400_and_registers_nothing(theory,
+                                                                  name):
+    # A reference splits at a '?', so no reference could reach the name.
+    service = Service(TheoryGraph(), RuleBase())
+    before = service.theories().body
+    r = service.ingest(f'<omdoc base="um:/q"><theory name="ok"/>{theory}'
+                       f'</omdoc>'.encode())
+    assert (r.status, r.body) == (
+        400, f"a name may not contain '?': {name!r}\n")
+    assert service.theories().body == before
+
+
 def test_an_include_of_a_registered_view_is_400():
     graph, _, _ = build_graph()
     service = Service(graph, RuleBase())

@@ -252,6 +252,12 @@ def test_a_constant_parses_in_the_scope_of_its_open_block():
      "urn:um:builtin?OpenMath is a theory, not a view"),
     ("theory T : OpenMath\n  include Syntactic\n", 2,
      "urn:um:builtin?Syntactic is a view, not a theory"),
+    # A reference splits at a '?', so no reference could reach the name.
+    ("theory x?y : OpenMath\n", 1, "a name may not contain '?': 'x?y'"),
+    ("view v?w : OpenMath -> Computation\n", 1,
+     "a name may not contain '?': 'v?w'"),
+    ("theory T : OpenMath\n  constant a?b : Object\n", 2,
+     "a name may not contain '?': 'a?b'"),
 ])
 def test_statement_errors_name_their_line(src, line, message):
     g = fresh_graph()
