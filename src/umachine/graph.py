@@ -74,17 +74,23 @@ class Include:
 
 
 def _body(module, items, kind: str, of_kind: type) -> tuple:
-    """``items`` as a tuple, checked: one name per ``of_kind``, and no
-    ``?`` in a name, since a reference splits at a ``?``."""
+    """``items`` as a tuple, checked: one name per ``of_kind``, and none
+    with a ``?`` (``_check_name``)."""
     items = tuple(items)
     names = [d.name for d in items if isinstance(d, of_kind)]
     if len(set(names)) < len(names):
         dup = next(n for i, n in enumerate(names) if n in names[:i])
         raise DuplicateModuleError(f"duplicate {kind} {dup} in {module.name}")
     for name in (module.name.module, *names):
-        if "?" in name:
-            raise ValueError(f"a name may not contain '?': {name!r}")
+        _check_name(name)
     return items
+
+
+def _check_name(name: str) -> None:
+    """Refuse a name with a ``?``: a reference splits at its last ``?``, so
+    no reference could reach it."""
+    if "?" in name:
+        raise ValueError(f"a name may not contain '?': {name!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -293,6 +299,7 @@ class TheoryGraph:
             self._by_name[name] = self._by_name.get(name, ()) + (m.name,)
 
     def add_alias(self, name: str, target: ModuleRef):
+        _check_name(name)
         self.aliases[name] = target
 
     # -- resolution ----------------------------------------------------------

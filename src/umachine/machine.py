@@ -11,18 +11,23 @@ interpreter's recursion limit; nor do the helpers rules call (structural
 equality, ``term_key``, substitution), so a ``RecursionError`` comes only
 from a rule that recurses itself.
 
-The rule base is one index keyed by (constant, arity): a dict of Fixed
-rules keyed by ``(head, n)``, one of Flexible rules per head (largest
-``n`` first) and one of binder rules per head.  Selecting a redex's rule
-reads them directly; a nullary rule is the Fixed entry ``(head, 0)``.
+The rule base keeps one entry per head: ``(fixed, flexible, binder)``,
+its Fixed rules by ``n`` (a nullary rule is ``fixed[0]``), its Flexible
+rules largest ``n`` first and its binder rule.  Selecting a redex's rule
+reads the head's entry once; adding a rule stores a new entry, so a
+concurrent reader never sees one half built.
 
 The loop dispatches on a node's class.  A frame holds an application or
 binding under way; once a child is final, the children after it that are
 final as they are (``t.simplified``: marked, or a literal, variable or
 foreign object) join it in one inner loop, without a trip round the whole
-loop each.  Whether a rule's result equals its redex is tested against the
-redex's head and arguments as they are, so no node is built only to be
-compared.
+loop each.  A head (or binder) that is a constant with no nullary rule is
+final as it stands: it joins its frame as the frame is pushed, and the
+frame keeps the head's entry for the rule choice, so such a node costs one
+lookup.  Any other head goes round the loop, and its entry is read when
+the frame finishes.  Whether a rule's result equals its redex is tested
+against the redex's head and arguments as they are, so no node is built
+only to be compared.
 
 Only an application or binding is marked simplified: ``mark`` builds it,
 marked, from its final children once its head rule declines, so later calls
@@ -72,14 +77,16 @@ class Rule:
         return Const(self.head)
 
 
+# The entry of a head with no rules.  Never changed: ``add`` copies it.
+_NO_RULES: tuple = ({}, (), None)
+
+
 class RuleBase:
-    """At most one rule per (head, arity), in the three tables the module
-    docstring names."""
+    """At most one rule per (head, arity), in one entry per head, as the
+    module docstring says."""
 
     def __init__(self, rules=()):
-        self._fixed: dict[tuple[GlobalName, int], Rule] = {}
-        self._flexible: dict[GlobalName, tuple[tuple[int, Rule], ...]] = {}
-        self._binder: dict[GlobalName, Rule] = {}
+        self._entries: dict[GlobalName, tuple] = {}
         self._rules: list[Rule] = []
         for r in rules:
             self.add(r)
@@ -92,24 +99,25 @@ class RuleBase:
                 return self  # the same realization arriving twice is a no-op
             raise DuplicateRuleError(
                 f"a rule for {head} at arity {arity} is already registered")
+        fixed, flexible, binder = self._entries.get(head, _NO_RULES)
         if isinstance(arity, Fixed):
-            self._fixed[head, arity.n] = rule
+            fixed = {**fixed, arity.n: rule}
         elif isinstance(arity, Flexible):
-            # A new tuple: a concurrent reader never sees it half sorted.
-            self._flexible[head] = tuple(sorted(
-                [*self._flexible.get(head, ()), (arity.n, rule)],
-                key=lambda entry: -entry[0]))
+            flexible = tuple(sorted([*flexible, (arity.n, rule)],
+                                    key=lambda entry: -entry[0]))
         else:
-            self._binder[head] = rule
+            binder = rule
+        self._entries[head] = (fixed, flexible, binder)
         self._rules.append(rule)
         return self
 
     def get(self, head: GlobalName, arity: Arity) -> Rule | None:
+        fixed, flexible, binder = self._entries.get(head, _NO_RULES)
         if isinstance(arity, Fixed):
-            return self._fixed.get((head, arity.n))
+            return fixed.get(arity.n)
         if isinstance(arity, Flexible):
-            return dict(self._flexible.get(head, ())).get(arity.n)
-        return self._binder.get(head)
+            return dict(flexible).get(arity.n)
+        return binder
 
     def rules(self):
         return iter(self._rules)
@@ -151,30 +159,33 @@ def _children(t: Term) -> tuple:
     return ()
 
 
-def _select_rule(base: RuleBase, t: Term, parts: tuple | None = None):
+def _select_rule(base: RuleBase, t: Term, parts: tuple | None = None,
+                 entry: tuple | None = None):
     """The applicable head rule of ``t`` and its call arguments, if any;
-    ``parts`` replaces the children of ``t`` (default: its own).
+    ``parts`` replaces the children of ``t`` (default: its own), and
+    ``entry`` is its head's entry, when the caller has read it.
 
     Fixed n is preferred over Flexible i <= n; among Flexible, the largest i.
     """
     cls = t.__class__
     if cls is Const:
-        rule = base._fixed.get((t.head, 0))
+        rule = base._entries.get(t.head, _NO_RULES)[0].get(0)
         return None if rule is None else (rule, ())
     if parts is None:
         parts = _children(t)
-    if not parts or parts[0].__class__ is not Const:
-        return None
-    head = parts[0].head
+    if entry is None:
+        if not parts or parts[0].__class__ is not Const:
+            return None
+        entry = base._entries.get(parts[0].head, _NO_RULES)
+    fixed, flexible, binder = entry
     if cls is Bind:
-        rule = base._binder.get(head)
-        return None if rule is None else (rule, (t.context, parts[1]))
+        return None if binder is None else (binder, (t.context, parts[1]))
     args = parts[1:]
     n = len(args)
-    rule = base._fixed.get((head, n))
+    rule = fixed.get(n)
     if rule is not None:
         return rule, args
-    for i, rule in base._flexible.get(head, ()):
+    for i, rule in flexible:
         if i <= n:
             return rule, (*args[:i], args[i:])
     return None
@@ -232,7 +243,7 @@ def _partial(t: Term, stack: list) -> Term:
     """The result when the fuel runs out at ``t``: every subterm that was
     final keeps its mark, the rest is left as it was."""
     while stack:
-        node, kids, done = stack.pop()
+        node, kids, done, _ = stack.pop()
         t = _build(node, [*done, t, *kids[len(done) + 1:]])
     return t
 
@@ -250,28 +261,33 @@ def simplify(base: RuleBase, t: Term,
              budget: SimplifyBudget = SimplifyBudget()) -> SimplifyResult:
     """Exhaustively rewrite ``t``; see the module docstring for the strategy
     and for when a subterm is marked."""
-    fixed = base._fixed
+    entries = base._entries
     fuel = budget.fuel
     steps = 0
     # One frame per App or Bind under way: the node, its children (head then
-    # arguments, or binder then scope) and the children final so far.  A
+    # arguments, or binder then scope), the children final so far, and its
+    # head's entry if that was read as the frame was pushed (else None).  A
     # rewrite takes the place of its redex, so the stack is as deep as the
     # term, not as long as the rewrite chain.
-    stack: list[tuple[Term, tuple, list]] = []
+    stack: list[tuple[Term, tuple, list, tuple | None]] = []
     while True:
         cls = t.__class__
         if t.simplified:
             pass
-        elif cls is App:
-            stack.append((t, (t.head, *t.args), []))
-            t = t.head
-            continue
-        elif cls is Bind:
-            stack.append((t, (t.binder, t.scope), []))
-            t = t.binder
-            continue
+        elif cls is App or cls is Bind:
+            kids = (t.head, *t.args) if cls is App else (t.binder, t.scope)
+            entry = None
+            if kids[0].__class__ is Const:
+                entry = entries.get(kids[0].head, _NO_RULES)
+                if 0 in entry[0]:
+                    entry = None  # a nullary rule: round the loop
+            stack.append((t, kids, [], entry))
+            t = kids[0]
+            if entry is None:
+                continue
+            # Else the head is final as it stands: it joins its frame below.
         elif cls is Const:
-            rule = fixed.get((t.head, 0))
+            rule = entries.get(t.head, _NO_RULES)[0].get(0)
             if rule is not None:
                 result = _apply(rule, (), t, ())
                 if result is not None:
@@ -287,7 +303,7 @@ def simplify(base: RuleBase, t: Term,
         while True:
             if not stack:
                 return SimplifyResult(t, False, steps)
-            node, kids, done = stack[-1]
+            node, kids, done, entry = stack[-1]
             done.append(t)
             i = len(done)
             while i < len(kids):
@@ -299,7 +315,7 @@ def simplify(base: RuleBase, t: Term,
             else:
                 stack.pop()
                 parts = tuple(done)
-                hit = _select_rule(base, node, parts)
+                hit = _select_rule(base, node, parts, entry)
                 result = None if hit is None else _apply(*hit, node, parts)
                 if result is None:
                     t = mark(node, parts)

@@ -109,20 +109,28 @@ def encode_xml(t: Term, wrap: bool = True) -> str:
     """Serialize ``t`` as OpenMath XML, by default wrapped in ``<OMOBJ>``.
 
     The text is what ``xml.etree.ElementTree`` would write for the same
-    elements, written in one preorder walk."""
+    elements, written in one preorder walk.  Each symbol's ``<OMS …/>``
+    element is built once per call and kept in a dict of the call's own."""
     out = ["<OMOBJ>"] if wrap else []
+    symbols: dict[GlobalName, str] = {}
     # Terms to write, and strings to write as they are.
     todo: list = ["</OMOBJ>", t] if wrap else [t]
     while todo:
         t = todo.pop()
-        if isinstance(t, str):
+        cls = t.__class__
+        if cls is str:
             out.append(t)
-        elif isinstance(t, App):
+        elif cls is App:
             out.append("<OMA>")
             todo.append("</OMA>")
             todo += t.args[::-1]
             todo.append(t.head)
-        elif isinstance(t, Bind):
+        elif cls is Const:
+            oms = symbols.get(t.head)
+            if oms is None:
+                oms = symbols[t.head] = _leaf_xml(t)
+            out.append(oms)
+        elif cls is Bind:
             names = "".join(element("OMV", (("name", x),)) for x in t.context)
             out.append("<OMBIND>")
             todo += ("</OMBIND>", t.scope,

@@ -42,8 +42,11 @@ def _int(t: Term):
 
 
 def _ints(ts):
-    vals = [_int(t) for t in ts]
-    return None if any(v is None for v in vals) else vals
+    """The values of ``ts`` if all are integer literals, else None."""
+    for t in ts:
+        if t.__class__ is not IntLit:
+            return None
+    return [t.value for t in ts]
 
 
 def _bool(t: Term):
@@ -94,13 +97,16 @@ def _is_value(t: Term) -> bool:
 
 
 def _canonical_set(elems) -> Term:
+    """The set of ``elems`` sorted by ``term_key``, the first of equal ones
+    kept; each key is computed once."""
+    keys = [term_key(e) for e in elems]
     out = []
     seen = set()
-    for e in sorted(elems, key=term_key):
-        k = term_key(e)
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        k = keys[i]
         if k not in seen:
             seen.add(k)
-            out.append(e)
+            out.append(elems[i])
     if not out:
         return EMPTYSET
     return app(_SET, *out)

@@ -20,6 +20,10 @@ name renamed away from capture maps to its fresh name.
 ``ref_parse_xml`` refuses a ``DOCTYPE`` as the parser meets it, through a
 tree builder of its own, where ``omxml.parse_xml`` scans the prolog first.
 
+The set rules' ``_canonical_set`` is here as it was before it computed
+each element's ``term_key`` once: it sorts by the key and computes it
+again to drop repeats.
+
 The scope of a theory is built here as it was before scopes were merged
 from kept tables: one walk of the include graph and the meta chain, then
 every table indexed from the constants met, in order.
@@ -38,9 +42,10 @@ from umachine.omdoc import _CONSTANT_TERMS
 from umachine.omxml import (_OMI_RE, XmlDecodeError, _dec_to_float,
                             _float_to_dec, _symbol, local_tag)
 from umachine.machine import SimplifyBudget, SimplifyResult, _select_rule
+from umachine.stdlib.rules import EMPTYSET, SET
 from umachine.terms import (App, Bind, Const, FloatLit, Foreign, GlobalName,
                             IntLit, StrLit, Term, Var, fresh_name, free_vars,
-                            run)
+                            run, term_key)
 
 
 # -- structural equality and term_key --------------------------------------------
@@ -867,3 +872,18 @@ def scope_tables(scope: ParseScope) -> dict:
             "binder_seps": sorted(scope.binder_seps),
             "delimiters": sorted(scope.delimiters),
             "lexer": scope.lexer.__self__.pattern}
+
+
+def ref_canonical_set(elems) -> Term:
+    """``stdlib.rules._canonical_set``: sorted by ``term_key``, the first of
+    equal elements kept."""
+    out = []
+    seen = set()
+    for e in sorted(elems, key=term_key):
+        k = term_key(e)
+        if k not in seen:
+            seen.add(k)
+            out.append(e)
+    if not out:
+        return EMPTYSET
+    return App(Const(SET), tuple(out))

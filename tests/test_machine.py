@@ -8,6 +8,7 @@ import pytest
 
 import umachine
 from naive_engine import naive_simplify
+from reference_walks import ref_eq, ref_simplify
 from termgen import engine_term
 from umachine import machine
 from umachine.codegen import load
@@ -54,6 +55,31 @@ def test_distinct_arities_coexist():
     base.add(Rule(PLUS, Fixed(2), lambda a, b: None))
     base.add(Rule(PLUS, Flexible(0), lambda rest: None))
     assert len(base) == 2
+
+
+ARITIES = [Fixed(0), Fixed(2), Flexible(0), Flexible(1), BINDER]
+
+
+@pytest.mark.parametrize("arity", ARITIES, ids=str)
+def test_get_and_duplicates_for_every_arity_kind(arity):
+    h = GlobalName("um:/t", "m", "all")
+    by_arity = {a: Rule(h, a, lambda *args: None) for a in ARITIES}
+    base = RuleBase([by_arity[arity]])
+    assert [base.get(h, a) for a in ARITIES] \
+        == [by_arity[arity] if a == arity else None for a in ARITIES]
+    assert base.get(MINUS, arity) is None
+    with pytest.raises(DuplicateRuleError):
+        base.add(Rule(h, arity, lambda *args: IntLit(0)))
+    base.add(by_arity[arity])  # the same rule again: a no-op
+    assert len(base) == 1 and base.get(h, arity) is by_arity[arity]
+    # Every arity joins the same head's entry (the first again: a no-op).
+    for a in ARITIES:
+        base.add(by_arity[a])
+    assert len(base) == len(ARITIES)
+    assert [base.get(h, a) for a in ARITIES] == [by_arity[a] for a in ARITIES]
+    with pytest.raises(DuplicateRuleError):
+        base.add(Rule(h, arity, lambda *args: IntLit(0)))
+    assert base.get(h, arity) is by_arity[arity]
 
 
 # -- rewrite_step ------------------------------------------------------------------
@@ -307,6 +333,26 @@ def test_deep_list_recursion(loaded):
     assert sys.getrecursionlimit() == before
 
 
+def _marks(t) -> list:
+    """Which nodes of ``t`` carry the mark, in the order ``_nodes`` visits
+    them."""
+    return [x.simplified for x in _nodes(t)]
+
+
+def _agrees_with_the_reference(base, t):
+    """``simplify`` agrees with ``reference_walks.ref_simplify`` on ``t`` at
+    every fuel from 1 to its steps + 1; the result with ample fuel."""
+    full = ref_simplify(base, t)
+    assert not full.exhausted
+    for fuel in range(1, full.steps + 2):
+        got = simplify(base, t, SimplifyBudget(fuel))
+        want = ref_simplify(base, t, SimplifyBudget(fuel))
+        assert (got.steps, got.exhausted) == (want.steps, want.exhausted)
+        assert ref_eq(got.term, want.term) and repr(got.term) == repr(want.term)
+        assert _marks(got.term) == _marks(want.term)
+    return full
+
+
 def test_head_position_rewriting():
     # A nullary rule may rewrite the head of an application; the head is
     # simplified first, so the new head's rule can then fire.
@@ -319,6 +365,89 @@ def test_head_position_rewriting():
     t = app(Const(alias), IntLit(1))
     r = simplify(base, t)
     assert r.term == IntLit(99) and r.steps == 2
+    # The new head has rules of other arities, and a binder rule.
+    base.add(Rule(real, Flexible(1), lambda a, rest: app(Const(alias), *rest)))
+    base.add(Rule(real, BINDER, lambda ctx, scope: scope))
+    for t in [app(Const(alias), IntLit(1)),
+              app(Const(alias), IntLit(1), IntLit(2), IntLit(3)),
+              app(Const(alias), app(Const(alias), Var("x"), IntLit(2))),
+              Bind(Const(alias), ("x",), app(Const(alias), IntLit(1))),
+              app(Var("f"), Const(alias), app(Const(alias), IntLit(4)))]:
+        _agrees_with_the_reference(base, t)
+    assert _agrees_with_the_reference(
+        base, app(Const(alias), IntLit(1), IntLit(2), IntLit(3))).term \
+        == IntLit(99)
+
+
+def test_a_head_whose_nullary_rule_declines():
+    # The head stays where it is; its application's own rule then fires.
+    h = GlobalName("um:/t", "m", "shy")
+    asked = []
+    base = RuleBase([
+        Rule(h, Fixed(0), lambda: asked.append(1)),
+        Rule(h, Fixed(2), lambda a, b: a if b == IntLit(0) else None)])
+    for t in [app(Const(h), Var("x"), IntLit(0)),
+              app(Const(h), app(Const(h), IntLit(1), IntLit(0)), Var("y")),
+              app(Const(h), Const(h), IntLit(0)),
+              Bind(Const(h), ("x",), app(Const(h), Var("x"), IntLit(0))),
+              Const(h)]:
+        _agrees_with_the_reference(base, t)
+    asked.clear()
+    r = simplify(base, app(Const(h), app(Const(h), IntLit(1), IntLit(0)),
+                           IntLit(0)))
+    # Asked once per occurrence of the head, as each goes round the loop.
+    assert r.term == IntLit(1) and r.steps == 2 and len(asked) == 2
+
+
+def test_a_binder_head_with_a_nullary_rule():
+    # ``b`` rewrites to ``lam``, whose binder rule then fires; ``d``'s
+    # nullary rule declines, and its binder rule fires on ``d`` itself.
+    b = GlobalName("um:/t", "m", "b")
+    d = GlobalName("um:/t", "m", "d")
+    lam = GlobalName("um:/t", "m", "lam")
+    base = RuleBase([
+        Rule(b, Fixed(0), lambda: Const(lam)),
+        Rule(lam, BINDER, lambda ctx, scope: app(Const(lam), scope)
+             if len(ctx) == 1 else None),
+        Rule(d, Fixed(0), lambda: None),
+        Rule(d, BINDER, lambda ctx, scope: IntLit(len(ctx)))])
+    for t in [Bind(Const(b), ("x",), Var("x")),
+              Bind(Const(b), ("x", "y"), Bind(Const(b), ("z",), Var("x"))),
+              Bind(Const(d), ("x", "y"), Var("x")),
+              app(Const(b), Bind(Const(d), (), Bind(Const(b), ("x",),
+                                                    Const(d))))]:
+        _agrees_with_the_reference(base, t)
+    r = simplify(base, Bind(Const(b), ("x",), Bind(Const(d), ("y",), Var("y"))))
+    assert r.term == app(Const(lam), IntLit(1)) and r.steps == 3
+
+
+@pytest.mark.parametrize("nullary", [False, True],
+                         ids=["no nullary rule", "a declining nullary rule"])
+def test_one_head_with_fixed_flexible_and_binder_rules(nullary):
+    h = GlobalName("um:/t", "m", "many")
+    base = RuleBase([
+        Rule(h, Fixed(1), lambda a: app(Const(h), a, a)),
+        Rule(h, Fixed(3), lambda a, b, c: None),
+        Rule(h, Flexible(2), lambda a, b, rest: IntLit(0) if a == b else None),
+        Rule(h, Flexible(4), lambda a, b, c, d, rest: IntLit(-4 - len(rest))),
+        Rule(h, BINDER, lambda ctx, scope: app(Const(h), scope))])
+    if nullary:
+        base.add(Rule(h, Fixed(0), lambda: None))
+    x, one = Var("x"), IntLit(1)
+    # Fixed n first, else the largest Flexible i <= n, with no fallback
+    # when the chosen rule declines.
+    for t, want in [
+            (app(Const(h), x), IntLit(0)),  # Fixed 1, then Flexible 2
+            (app(Const(h), x, one), None),  # Flexible 2 declines
+            (app(Const(h), x, x, one), None),  # Fixed 3 declines
+            (app(Const(h), x, one, x, one), IntLit(-4)),  # Flexible 4
+            (app(Const(h), x, one, x, one, x), IntLit(-5)),
+            (Bind(Const(h), ("x",), x), IntLit(0)),  # the binder rule first
+            (app(Const(h), Bind(Const(h), ("y",), one), IntLit(0)), IntLit(0)),
+            (app(Var("f"), Const(h), app(Const(h), x, one)), None)]:
+        r = _agrees_with_the_reference(base, t)
+        if want is not None:
+            assert r.term == want
 
 
 def test_fuel_monotonicity(loaded):

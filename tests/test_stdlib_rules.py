@@ -2,10 +2,12 @@ import itertools
 import math
 import random
 
+from reference_walks import ref_canonical_set, ref_eq
+from termgen import engine_term, marked, surface_term
 from umachine.machine import simplify
 from umachine.stdlib import rules
 from umachine.terms import (Bind, Const, FloatLit, GlobalName, IntLit,
-                            Var, app)
+                            StrLit, Var, app)
 
 CD = "http://www.openmath.org/cd"
 
@@ -58,6 +60,15 @@ def test_float_arguments_decline():
     assert rules.minus(FloatLit(1.0), FloatLit(0.5)) is None
 
 
+def test_ints_declines_on_anything_but_integer_literals():
+    assert rules._ints(ints(3, 1, 2)) == [3, 1, 2] and rules._ints(()) == []
+    summed = marked(app(G("arith1", "plus"), IntLit(1), IntLit(2)))
+    for other in [FloatLit(1.0), Var("x"), summed]:
+        for args in [(other,), (IntLit(1), other), (other, IntLit(1))]:
+            assert rules._ints(args) is None
+            assert rules.plus(args) is None and rules.times(args) is None
+
+
 # -- logic / relations ------------------------------------------------------------
 
 def test_boolean_tables():
@@ -105,6 +116,32 @@ def test_set_canonicalization_is_order_insensitive():
     for perm in itertools.permutations([1, 2, 3, 4, 5]):
         out = rules.set_canon(ints(*perm))
         assert out == app(SET, *ints(1, 2, 3, 4, 5))
+
+
+def test_canonical_set_agrees_with_the_reference():
+    # Elements of every variant, with repeats that are equal but other
+    # objects, marked copies, and NaN floats, which all share one key.
+    rng = random.Random(24)
+    pool = [engine_term(rng, rng.randrange(3)) for _ in range(60)]
+    pool += [surface_term(rng, rng.randrange(3)) for _ in range(30)]
+    pool += [FloatLit(math.nan), FloatLit(float("nan")), FloatLit(-0.0),
+             FloatLit(0.0), StrLit(""), StrLit("1"), Var("x"), IntLit(1),
+             IntLit(1), EMPTY, NIL]
+    pool += [marked(t) for t in pool[:20]]
+    for n in range(400):
+        elems = [rng.choice(pool) for _ in range(rng.randrange(9))]
+        elems += rng.sample(elems, min(len(elems), rng.randrange(4)))
+        rng.shuffle(elems)
+        got, want = rules._canonical_set(elems), ref_canonical_set(elems)
+        assert ref_eq(got, want) and repr(got) == repr(want)
+        if want is not EMPTY:
+            # Among equal keys the first occurrence wins: the same objects.
+            assert all(map(lambda a, b: a is b, got.args, want.args))
+    nan, first = FloatLit(math.nan), IntLit(1)
+    got = rules._canonical_set(
+        [nan, first, FloatLit(math.nan), IntLit(1), FloatLit(0.5)])
+    assert len(got.args) == 3 and got.args[0] is first and got.args[2] is nan
+    assert rules._canonical_set([]) is EMPTY
 
 
 def test_set_canonicalization_idempotent():

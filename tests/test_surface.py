@@ -266,6 +266,22 @@ def test_statement_errors_name_their_line(src, line, message):
     assert str(e.value) == f"bad.mmt:{line}:0: {message}"
 
 
+def test_an_alias_with_a_query_mark_fails_at_its_line():
+    # ``resolve`` splits a reference at its last '?' before it reads the
+    # aliases, so such an alias could never be reached.
+    g = fresh_graph()
+    parse_modules(g, "document um:/q\ntheory T : OpenMath\n  constant c\n"
+                  "alias U = T\n", "ok.mmt")
+    before = dict(g.aliases)
+    with pytest.raises(SurfaceError) as e:
+        parse_modules(g, "document um:/q\nalias x?y = T\n", "bad.mmt")
+    assert str(e.value) == "bad.mmt:2:0: a name may not contain '?': 'x?y'"
+    assert g.aliases == before and g.resolve("U") == ModuleRef("um:/q", "T")
+    with pytest.raises(ValueError, match="a name may not contain"):
+        g.add_alias("x?y", ModuleRef("um:/q", "T"))
+    assert g.aliases == before
+
+
 def _open_quote_by_loop(s):
     """Reference: the character loop ``_open_quote`` must agree with."""
     in_str, i = False, 0

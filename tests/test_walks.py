@@ -99,6 +99,18 @@ def test_the_codecs_agree_with_the_references():
         for src in [xml, *_mutations(xml, rng, 6)]:
             assert _same_tree(_outcome(decode_xml, src),
                               _outcome(ref_decode_xml, src)), src
+    # Symbols whose base, module or name need escaping, each met several
+    # times in one term, so the encoder writes repeats from its symbol dict.
+    # Some share a base, module or name, and the last equals the second.
+    odd = [Const(GlobalName(*parts)) for parts in [
+        ("um:/a&b<c>\"d", 'm"q\t', "n\tt\n"), ("um:/x", "cd\n1\r", "a\rb&<>"),
+        ('um:/"q"\t', "lt<&", 'gt>"'), ("um:/a&b<c>\"d", "cd", "n\tt\n"),
+        ("um:/x", "cd\n1\r", "z"), ("um:/x", "cd\n1\r", "a\rb&<>")]]
+    t = app(odd[0], odd[1], app(odd[0], odd[2], odd[3], odd[4], odd[5]),
+            Bind(odd[2], ("x",), app(odd[1], Var("x"), odd[3], odd[0])))
+    for wrap in (False, True):
+        assert encode_xml(t, wrap) == ref_encode_xml(t, wrap)
+    assert ref_eq(decode_xml(encode_xml(t)), t)
     for xml in ['<OMOBJ><OMBIND><OMS cd="fns1" name="lambda"/><OMBVAR>'
                 '<OMV name="x"/><OMV name="x"/></OMBVAR><OMV name="x"/>'
                 '</OMBIND></OMOBJ>', "<OMA/>", "<OMOBJ/>", "<OMA><OMI>1</OMI>"
