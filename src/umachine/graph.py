@@ -21,8 +21,9 @@ from .notation import (AmbiguityError, Arg, Delim, Notation, ParseScope,
 from .terms import Bind, Const, Foreign, GlobalName, ModuleRef, Term, rebuild
 
 
-# Frames whose scopes a graph keeps (see ``TheoryGraph.scope_for``).
-FRAME_CACHE_SIZE = 64
+# Scopes a graph keeps, of theories and of frames (see
+# ``TheoryGraph.scope_for``): a stated memory budget.
+SCOPE_CACHE_SIZE = 64
 
 
 class GraphError(Exception):
@@ -268,14 +269,12 @@ class TheoryGraph:
         self.aliases: dict[str, ModuleRef] = {}
         # Bare module name -> refs carrying it, in registration order.
         self._by_name: dict[str, tuple[ModuleRef, ...]] = {}
-        # Frame -> its scopes (see ``_frame``), kept for the theories that
-        # share it, at most ``FRAME_CACHE_SIZE`` (least recently used out
-        # first).  A module is a value, so they never go stale.
-        self._frames = functools.lru_cache(maxsize=FRAME_CACHE_SIZE)(
-            self._frame_scopes)
-        # Frames that failed to build, not tried again until a module is
-        # added: it may be the one a frame lacked.
-        self._failed: set[tuple] = set()
+        # Theory ref -> its scope, and frame -> its scopes (see ``_frame``),
+        # at most ``SCOPE_CACHE_SIZE`` of them, least recently used out
+        # first.  A module is a value, so they never go stale; an error is
+        # not kept, so it is raised again.
+        self._scopes = functools.lru_cache(maxsize=SCOPE_CACHE_SIZE)(
+            self._scope)
         self.add(*_BUILTINS)
 
     # -- registration -------------------------------------------------------
@@ -292,7 +291,6 @@ class TheoryGraph:
         """Register whole theories and views: every name is checked, against
         the graph and within the batch, before any module is registered."""
         self.check_new(*(m.name for m in modules))
-        self._failed.clear()
         for m in modules:
             self.modules[m.name] = m
             name = m.name.module
@@ -309,7 +307,10 @@ class TheoryGraph:
         ref = ref.strip()
         if "?" in ref:
             base, module = ref.rsplit("?", 1)
-            mref = ModuleRef(base, module)
+            try:
+                mref = ModuleRef(base, module)
+            except ValueError:  # a base ``urlsplit`` refuses names none
+                raise UnresolvedModuleError(f"unknown module {ref}") from None
             if mref not in self.modules:
                 raise UnresolvedModuleError(f"unknown module {mref}")
             return mref
@@ -391,33 +392,39 @@ class TheoryGraph:
 
     # -- scopes ---------------------------------------------------------------
 
-    def scope_for(self, root: ModuleRef | Theory) -> ParseScope:
+    def scope_for(self, ref: ModuleRef) -> ParseScope:
         """A parse scope over one theory: its flattened constants, then
-        those of its meta-theory chain.  ``root`` is a ref or a ``Theory``;
-        an unregistered theory gets the scope that registering it would
-        give.  The scope over several theories is theirs composed,
-        ``ParseScope(*map(graph.scope_for, refs))``.
+        those of its meta-theory chain.  The scope over several theories is
+        theirs composed, ``ParseScope(*map(graph.scope_for, refs))``.
 
         One walk of the include graph: a module already walked is skipped,
         so each constant appears once, at its first occurrence.  A
         meta-theory cycle ends the chain; an include cycle raises
         ``IncludeCycleError``.
 
-        A theory whose includes all come before its constants lays those
-        constants over the kept tables of its frame (see ``_frame``), and
-        only their notations make new notation tables.  Any other theory,
-        and one whose frame fails to build, is walked whole, so that it
-        fails as that walk meets the fault.
+        Kept, with the scopes of frames, in one cache of
+        ``SCOPE_CACHE_SIZE``.  A theory whose includes all come before its
+        constants lays those constants over its frame's scope tables (see
+        ``_frame``), read through the same cache, and only their notations
+        make new notation tables.  Any other theory, and one whose frame
+        fails to build, is walked whole, so that it fails as that walk
+        meets the fault.
         """
-        t = self.theory(root) if isinstance(root, ModuleRef) else root
+        return self._scopes(ref)
+
+    def _scope(self, key: ModuleRef | tuple):
+        """What the cache keeps for ``key``: a theory's scope, or a frame's
+        scopes (``_frame_scopes``)."""
+        if key.__class__ is not ModuleRef:
+            return self._frame_scopes(key)
+        t = self.theory(key)
         framed = _frame(t)
-        if framed is None or (self._failed and framed[0] in self._failed):
+        if framed is None:
             return ParseScope(*self._walked(t))
         frame, run, noted = framed
         try:
-            included, meta, joined = self._frames(frame)
+            included, meta, joined = self._scopes(frame)
         except (GraphError, AmbiguityError):
-            self._failed.add(frame)
             return ParseScope(*self._walked(t))
         # A frame reaches ``t`` itself only through an include cycle, which
         # fails it, or through the meta chain, where ``t``'s constants, met
@@ -426,7 +433,7 @@ class TheoryGraph:
                           notations=None if noted else joined)
 
     def scope_parts(self, t: Theory) -> tuple[ParseScope, object]:
-        """``scope_for(t)`` in two: the scope of ``t``'s walk, and the part
+        """``t``'s scope in two: the scope of ``t``'s walk, and the part
         of its meta chain's, so that ``ParseScope(walk, meta)`` is the
         scope.  A theory being built lays each new constant over the walk,
         instead of asking for its whole scope again.  The meta chain's part

@@ -404,7 +404,12 @@ def _guarded(d: str) -> str:
     return re.escape(d)
 
 
-@functools.lru_cache(maxsize=128)
+# Compiled lexers kept, by delimiter set (see ``_lexer``): a stated
+# memory budget.
+LEXER_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=LEXER_CACHE_SIZE)
 def _lexer(delimiters: frozenset):
     """The ``finditer`` of the lexer regex over some delimiters.
 

@@ -4,7 +4,8 @@ Supported elements: ``omdoc`` (attribute ``base``), ``theory`` (``name``),
 ``constant`` (``name``), ``include`` (``from``), and a constant's ``type``
 and ``definition``, each wrapping an ``OMOBJ`` (possibly containing
 ``OMFOREIGN``), at most one of each.  A ``DOCTYPE`` is refused, and so is a
-theory or constant name with a ``?``, at which a reference splits.  Theories
+theory or constant name with a ``?``, at which a reference splits, and a
+base, include or ``cdbase`` that ``urlsplit`` refuses.  Theories
 get the ``OpenMath`` meta-theory by default.  An include may name a theory
 registered later, but not a registered view.  A document registers all of
 its theories or, on any error, none.
@@ -44,7 +45,10 @@ def ingest_omdoc(graph: TheoryGraph, xml_text: str) -> list[Theory]:
         raise OmdocError(str(e)) from e
     if local_tag(root.tag) != "omdoc":
         raise OmdocError(f"expected an omdoc root, got {local_tag(root.tag)}")
-    base = normalize_uri(root.get("base", ""))
+    try:
+        base = normalize_uri(root.get("base", ""))
+    except ValueError as e:  # a base ``urlsplit`` refuses
+        raise OmdocError(f"bad base {root.get('base')!r}: {e}") from None
     if not base:
         raise OmdocError("omdoc root needs a base attribute")
     added: list[Theory] = []
@@ -62,7 +66,11 @@ def ingest_omdoc(graph: TheoryGraph, xml_text: str) -> list[Theory]:
                 frm = child.get("from")
                 if not frm:
                     raise OmdocError("include needs a from attribute")
-                target = _resolve_module(frm, base)
+                try:
+                    target = _resolve_module(frm, base)
+                except ValueError as e:  # a base ``urlsplit`` refuses
+                    raise OmdocError(
+                        f"bad include from {frm!r}: {e}") from None
                 m = graph.modules.get(target)
                 if isinstance(m, View):
                     raise OmdocError(

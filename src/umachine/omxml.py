@@ -38,7 +38,10 @@ def _symbol(base: str, cd: str, name: str) -> Const:
     key = (base, cd, name)
     c = _SYMBOLS.get(key)
     if c is None:
-        c = _SYMBOLS[key] = Const(GlobalName(base, cd, name))
+        try:
+            c = _SYMBOLS[key] = Const(GlobalName(base, cd, name))
+        except ValueError as e:  # a cdbase ``urlsplit`` refuses
+            raise XmlDecodeError(f"bad cdbase {base!r}: {e}") from None
     return c
 
 

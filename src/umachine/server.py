@@ -47,20 +47,12 @@ the client closes, so that the reply is not lost to a connection reset.
 Scopes: a served graph only grows.  A registered module never changes, and
 ``POST /theories`` registers all of a document's theories or none; an
 include names a resolved module.  So a theory's parse scope never changes
-once it builds, and a ``Service`` caches the scopes it builds, at most
-``SCOPE_CACHE_SIZE`` of them (least recently used out first): a stated
-memory budget.  The ``scope`` parameter is resolved on every request, since
-a bare name can become ambiguous as modules arrive, and a scope that fails
-to build is not cached, so it is built again on the next request.  A miss
-on a theory whose includes all come before its constants does not walk the
-includes again: such a theory has a frame (its includes and meta-theory
-chain), the graph keeps the scope tables of the last
-``graph.FRAME_CACHE_SIZE`` frames, and lays the theory's own constants over
-its frame's (see ``TheoryGraph.scope_for``, which takes one theory).  Any
-other theory is walked.  A theory whose own constants bring no notation
-shares its frame's notation tables and lexer, and its tables of names are
-joined, from its frame's and its own constants, when a request first reads
-a name; so a cached scope holds little more than those names.
+once it builds, and the graph keeps the scopes it builds (see
+``TheoryGraph.scope_for``), at most ``graph.SCOPE_CACHE_SIZE`` of them: a
+stated memory budget.  The ``scope`` parameter is resolved on every
+request, since a bare name can become ambiguous as modules arrive, and a
+scope that fails to build is not kept, so it is built again on the next
+request.
 
 An integer literal longer than ``sys.get_int_max_str_digits()`` digits is a
 400 on input; ``power`` and ``factorial`` decline a result that long.
@@ -77,7 +69,6 @@ outside ``1..MAX_FUEL``.
 
 from __future__ import annotations
 
-import functools
 import signal
 import socket
 import socketserver
@@ -104,7 +95,6 @@ MAX_LINE_BYTES = 65536
 MAX_FIELD_LINES = 100
 IDLE_TIMEOUT_S = 30
 LINGER_S = 2
-SCOPE_CACHE_SIZE = 64
 
 
 @dataclass
@@ -127,10 +117,6 @@ class Service:
 
     def __post_init__(self):
         SimplifyBudget(self.default_fuel)  # ValueError outside 1..MAX_FUEL
-        # A theory's scope never changes once built (see the module
-        # docstring); an error is never cached, so it is raised again.
-        self.scope_for = functools.lru_cache(maxsize=SCOPE_CACHE_SIZE)(
-            self.graph.scope_for)
 
     def simplify_request(self, body: bytes, content_type: str,
                          scope_ref: str | None, fuel: str | None) -> Response:
@@ -147,7 +133,7 @@ class Service:
         scope = None
         if scope_ref:
             try:
-                scope = self.scope_for(self.graph.resolve(scope_ref))
+                scope = self.graph.scope_for(self.graph.resolve(scope_ref))
             except (UnresolvedModuleError, GraphError,
                     AmbiguityError) as e:
                 return Response(404, f"{e}\n")

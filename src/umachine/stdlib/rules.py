@@ -9,6 +9,7 @@ arithmetic is realized; float arguments decline.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 
 from ..graph import OPENMATH_CD_BASE, LISTS_DOC_BASE
@@ -96,10 +97,11 @@ def _is_value(t: Term) -> bool:
     return True
 
 
-def _canonical_set(elems) -> Term:
+def _canonical_set(elems, keys=None) -> Term:
     """The set of ``elems`` sorted by ``term_key``, the first of equal ones
-    kept; each key is computed once."""
-    keys = [term_key(e) for e in elems]
+    kept; each key is computed once, or given as ``keys``."""
+    if keys is None:
+        keys = [term_key(e) for e in elems]
     out = []
     seen = set()
     for i in sorted(range(len(keys)), key=keys.__getitem__):
@@ -207,9 +209,12 @@ geq = _int_cmp(lambda x, y: x >= y)
 # -- set1 ---------------------------------------------------------------------
 
 def set_canon(args):
-    # Fires only when canonicalization changes something; the engine treats
-    # an equal result as a decline anyway.
-    return _canonical_set(args)
+    # Declines a set that is already canonical, its keys strictly
+    # increasing, rather than build it again to be found equal.
+    keys = [term_key(e) for e in args]
+    if args and all(map(operator.lt, keys, keys[1:])):
+        return None
+    return _canonical_set(args, keys)
 
 
 def set_in(e, s):

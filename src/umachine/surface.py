@@ -167,13 +167,12 @@ class _ModuleParser:
         self.current = block
         # An open theory's scope in two (see ``TheoryGraph.scope_parts``),
         # with the pairs of the constants declared since it was built; an
-        # open view's declared names and codomain scope.  Built when first
-        # needed; None until then.
+        # open view's declared names.  Built when first needed; None until
+        # then.
         self.walked: ParseScope | None = None
         self.meta: list = []
         self.pending: list = []
         self.declared: set[str] | None = None
-        self.codomain_scope: ParseScope | None = None
 
     def _close(self):
         """Register the open block, if any."""
@@ -338,9 +337,8 @@ class _ModuleParser:
                 target = Bind(Const(CMP_LAMBDA), tuple(params), target)
             span = (self.filename, body_off + quote_local, body_off + end_local)
         else:
-            if self.codomain_scope is None:
-                self.codomain_scope = self.graph.scope_for(view.codomain)
-            target = parse_term(stripped.strip(), self.codomain_scope)
+            target = parse_term(stripped.strip(),
+                                self.graph.scope_for(view.codomain))
         self._extend(Assignment(name, target, snippet_span=span,
                                 pos=SourcePos(self.filename, lineno)))
 

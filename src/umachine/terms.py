@@ -70,7 +70,11 @@ def run(gen: Generator):
         gen, value = sub, None
 
 
-@functools.lru_cache(maxsize=1024)
+# Normalized URIs kept (see ``normalize_uri``): a stated memory budget.
+URI_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=URI_CACHE_SIZE)
 def normalize_uri(uri: str) -> str:
     """Normalize a document URI: lowercase scheme and host, drop trailing
     slashes.  Cached: every ``ModuleRef`` and ``GlobalName`` calls it."""

@@ -43,6 +43,13 @@ def test_simplify_expression(capsys):
     assert capsys.readouterr().out.strip() == "7"
 
 
+def test_simplify_in_a_scope_with_a_bracketed_host_exits_1(capsys):
+    code = main(["simplify", "-e", "1", "--scope", "http://[x?arith1"])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: unknown module http://[x?arith1\n"
+
+
 def test_default_scope_spans_all_shipped_cds(capsys):
     code = main(["simplify", "-e", "quotient(7,2) + factorial(4)"])
     assert code == 0

@@ -210,17 +210,22 @@ def test_a_module_is_a_value_checked_once():
 
 
 def test_an_unregistered_theory_gets_the_scope_registering_it_gives():
-    g = TheoryGraph()
-    m = _theory(g, "M", "m1")
-    i = _theory(g, "I", "i1")
-    t = Theory(ModuleRef("um:/t", "T"), meta=m.name,
-               declarations=[Constant("c1"), Include(i.name)])
-    unregistered = g.scope_for(t)
-    g.add(t)
-    assert list(unregistered.by_qualified) == ["T?c1", "I?i1", "M?m1",
-                                               *OPENMATH_NAMES]
+    # A theory registered after the scopes it reads were kept gets the
+    # scope of a graph that registers it with the rest.
+    def graph():
+        g = TheoryGraph()
+        return g, _theory(g, "M", "m1"), _theory(g, "I", "i1")
+
+    g, m, i = graph()
+    g.scope_for(m.name)
+    g.scope_for(i.name)
+    t = _theory(g, "T", "c1", Include(i.name), meta=m.name)
+    fresh, _, _ = graph()
+    fresh.add(t)
+    assert list(g.scope_for(t.name).by_qualified) == ["T?c1", "I?i1", "M?m1",
+                                                      *OPENMATH_NAMES]
     assert list(g.scope_for(t.name).by_qualified) == \
-        list(unregistered.by_qualified)
+        list(fresh.scope_for(t.name).by_qualified)
 
 
 # -- views -------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 from reference_walks import ref_scope_for, scope_tables
 from umachine.codegen import build_graph
-from umachine.graph import (FRAME_CACHE_SIZE, OPENMATH, Constant, Include,
+from umachine.graph import (OPENMATH, SCOPE_CACHE_SIZE, Constant, Include,
                             Theory, TheoryGraph, View)
 from umachine.notation import AmbiguityError, ParseScope, parse_notation
 from umachine.surface import SurfaceError, parse_modules
@@ -102,11 +102,13 @@ def test_ingested_shapes_agree():
         assert isinstance(_agree(graph, x.name), dict), x.name
     _agree(graph, [c.name, b.name, d.name])
     _agree(graph, [t.name, m.name])
-    # Unregistered theories get the scope registering them would give.
-    for x in (_theory("U", _c("u"), ARITH1, _c("plus"), _c("v", "1 ⊛ 2")),
-              _theory("U", RELATION1, _c("mapsto")),
-              _theory("U", meta=_ref("T"))):
-        assert isinstance(_agree(graph, x), dict)
+    # Theories registered after the scopes they read were kept.
+    late = (_theory("U1", _c("u"), ARITH1, _c("plus"), _c("v", "1 ⊛ 2")),
+            _theory("U2", RELATION1, _c("mapsto")),
+            _theory("U3", meta=_ref("T")))
+    graph.add(*late)
+    for x in late:
+        assert isinstance(_agree(graph, x.name), dict), x.name
 
 
 def test_a_notation_ambiguity_raises_the_same_error():
@@ -170,32 +172,18 @@ def test_an_include_cycle_raises_the_same_error():
     assert isinstance(_agree(graph, _ref("Z")), dict)
 
 
-def test_a_failing_frame_is_built_again_only_after_an_add(monkeypatch):
+def test_a_failing_frame_is_built_again_only_after_an_add():
     graph, _, _ = build_graph()
     e = _theory("E", _ref("X1"), _ref("X2"))
     graph.add(_theory("X1", _c("x", "1 ⊗ 2 prec 20")),
               _theory("X2", _c("x", "1 ⊗ 2 prec 20")), e)
-    walked = []
-    original = TheoryGraph._flatten
 
-    def counted(self, t, out, walking):
-        walked.append(t.name)
-        return original(self, t, out, walking)
-
-    monkeypatch.setattr(TheoryGraph, "_flatten", counted)
-
-    def flattened(f, *args):
-        walked.clear()
-        with pytest.raises(AmbiguityError):
-            f(*args)
-        return len(walked)
-
-    first = flattened(graph.scope_for, e.name)
-    # Later requests walk the theory once, as the full walk does.
-    one_walk = flattened(lambda: ParseScope(*graph._walked(e)))
-    assert flattened(graph.scope_for, e.name) == one_walk < first
+    # A failure is not kept: each request builds the frame again, and
+    # fails with the reference's error, before an add and after one.
+    first = _agree(graph, e.name)
+    assert first[0] is AmbiguityError
     graph.add(_theory("Other", _c("o")))
-    assert flattened(graph.scope_for, e.name) == first
+    assert _agree(graph, e.name) == first
 
 
 def test_a_frame_that_reaches_its_theory_gives_its_scope():
@@ -228,42 +216,51 @@ def test_the_scope_in_two_is_the_scope(stdlib):
 
 def test_theories_sharing_a_frame_share_its_notation_tables():
     graph, _, _ = build_graph()
-    kept = graph._frames.cache_info().currsize
+    kept = graph._scopes.cache_info().currsize
     graph.add(*(_theory(f"I{i}", ARITH1, RELATION1,
                         *(_c(f"k{j}") for j in range(i % 4 + 1)))
                 for i in range(10)))
     scopes = [graph.scope_for(_ref(f"I{i}")) for i in range(10)]
     assert all(s.led is scopes[0].led and s.lexer is scopes[0].lexer
                for s in scopes)
-    assert graph._frames.cache_info().currsize == kept + 1
+    # Ten theories' scopes and one frame's.
+    assert graph._scopes.cache_info().currsize == kept + 11
 
 
 def test_includes_first_theories_lay_over_a_kept_frame(monkeypatch):
     graph, _, _ = build_graph()
     # The shape of an ingested theory: two includes, then constants.
     graph.add(_theory("Ingest", ARITH1, RELATION1, _c("k0"), _c("k1")))
-    theories = [m.name for m in graph.modules.values()
-                if isinstance(m, Theory)]
-    for ref in theories:
-        graph.scope_for(ref)
+    theories = [m for m in graph.modules.values() if isinstance(m, Theory)]
+    for t in theories:
+        graph.scope_for(t.name)
+    # A twin of each under another base: a theory not read yet, whose frame
+    # is kept.
+    twins = [Theory(_ref(t.name.module, "um:/twin"), meta=t.meta,
+                    declarations=t.declarations) for t in theories]
+    graph.add(*twins)
 
     def walked(self, t):
         raise AssertionError(f"{t.name} was walked")
 
     monkeypatch.setattr(TheoryGraph, "_walked", walked)
-    for ref in theories:
-        hits = graph._frames.cache_info().hits
-        graph.scope_for(ref)
-        assert graph._frames.cache_info().hits == hits + 1, ref
+    for t in twins:
+        before = graph._scopes.cache_info()
+        graph.scope_for(t.name)
+        after = graph._scopes.cache_info()
+        # Its own scope is a miss; its frame's, a hit.
+        assert (after.misses, after.hits) == (
+            before.misses + 1, before.hits + 1), t.name
 
 
 def test_a_theory_with_an_include_after_a_constant_has_no_frame():
     graph, _, _ = build_graph()
     t = _theory("CIC", _c("c0", "1 ⊞ 2 prec 30"), ARITH1, _c("c1"))
     graph.add(t)
-    kept = graph._frames.cache_info().currsize
+    kept = graph._scopes.cache_info().currsize
     assert isinstance(_agree(graph, t.name), dict)
-    assert graph._frames.cache_info().currsize == kept
+    # Its own scope, and no frame's.
+    assert graph._scopes.cache_info().currsize == kept + 1
 
 
 def test_kept_frames_are_bounded():
@@ -273,11 +270,37 @@ def test_kept_frames_are_bounded():
                               _c("t"), meta=None if i % 2 else OPENMATH)
                       for i in range(6)))
     graph.add(*(_theory(f"L{i}", _ref(f"T{i % 6}"), _c(f"x{i}"))
-                for i in range(FRAME_CACHE_SIZE + 10)))
-    for i in range(FRAME_CACHE_SIZE + 10):
+                for i in range(SCOPE_CACHE_SIZE + 10)))
+    for i in range(SCOPE_CACHE_SIZE + 10):
         _agree(graph, _ref(f"L{i}"), times=1)
-    info = graph._frames.cache_info()
-    assert info.currsize <= FRAME_CACHE_SIZE
+    info = graph._scopes.cache_info()
+    assert info.currsize <= SCOPE_CACHE_SIZE
+
+
+def test_one_bounded_cache_keeps_a_shared_frame_under_churn(monkeypatch):
+    # The shape of the ingest workload: many theories, each read once,
+    # all with the includes of one frame.
+    graph = TheoryGraph()
+    cd = [_theory(name, _c(f"{name}_c"), base=CD)
+          for name in ("arith1", "relation1")]
+    n = SCOPE_CACHE_SIZE + 10
+    graph.add(*cd, *(_theory(f"I{i}", ARITH1, RELATION1, _c(f"c{i}"))
+                     for i in range(n)))
+
+    def walked(self, t):
+        raise AssertionError(f"{t.name} was walked")
+
+    monkeypatch.setattr(TheoryGraph, "_walked", walked)
+    for i in range(n):
+        before = graph._scopes.cache_info()
+        assert isinstance(_agree(graph, _ref(f"I{i}"), times=1), dict)
+        after = graph._scopes.cache_info()
+        # The theory's own scope misses; its frame is built on the first
+        # read only.
+        frame_hits = 0 if i == 0 else 1
+        assert after.hits == before.hits + frame_hits, i
+        assert after.misses == before.misses + 2 - frame_hits, i
+    assert graph._scopes.cache_info().currsize <= SCOPE_CACHE_SIZE
 
 
 # -- an open theory extends its scope one constant at a time -------------------

@@ -11,14 +11,14 @@ import requests
 from hypothesis import given, settings, strategies as st
 
 from umachine.codegen import build_graph, load
-from umachine.graph import LISTS_DOC_BASE, TheoryGraph
+from umachine.graph import LISTS_DOC_BASE, SCOPE_CACHE_SIZE, TheoryGraph
 from umachine.graph import OPENMATH_CD_BASE as CD
 from umachine.machine import Rule, RuleBase
 from umachine.omxml import decode_xml, encode_xml
 from umachine.realization import install_bifoundations
 from umachine.server import (IDLE_TIMEOUT_S, MAX_BODY_BYTES,
                              MAX_FIELD_LINES, MAX_FUEL, MAX_LINE_BYTES,
-                             MAX_TERM_DEPTH, OMXML, SCOPE_CACHE_SIZE, TEXT,
+                             MAX_TERM_DEPTH, OMXML, TEXT,
                              Response, Service, make_server)
 from umachine.stdlib import rules
 from umachine.surface import parse_modules
@@ -141,6 +141,41 @@ def test_scope_by_full_uri(server_url):
     r = requests.post(f"{url}/simplify?scope={cd}?nosuch", data="1+2",
                       headers={"Content-Type": "text/plain"})
     assert r.status_code == 404
+
+
+# A base that ``urlsplit`` refuses (an unclosed IPv6 bracket) names no
+# module: a 404 in a scope, a 400 in a document, which registers nothing.
+BRACKETED = "http://[x"
+
+
+def test_a_bracketed_host_in_a_scope_is_404(server_url):
+    url, _ = server_url
+    conn = _connection(url)
+    try:
+        conn.request("POST", f"/simplify?scope={BRACKETED}?arith1",
+                     body=b"1+2", headers={"Content-Type": TEXT})
+        r = conn.getresponse()
+        assert (r.status, r.read().decode()) == (
+            404, f"unknown module {BRACKETED}?arith1\n")
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("doc, reply", [
+    (f'<omdoc base="{BRACKETED}"/>', f"bad base '{BRACKETED}': "),
+    (f'<omdoc base="um:/b"><theory name="T">'
+     f'<include from="{BRACKETED}?arith1"/></theory></omdoc>',
+     f"bad include from '{BRACKETED}?arith1': "),
+    ('<omdoc base="um:/b"><theory name="T"><constant name="c"><type>'
+     f'<OMOBJ><OMS cdbase="{BRACKETED}" cd="a" name="b"/></OMOBJ>'
+     '</type></constant></theory></omdoc>', f"bad cdbase '{BRACKETED}': "),
+], ids=["base", "include", "cdbase"])
+def test_a_bracketed_host_in_a_document_is_400(server_url, doc, reply):
+    url, _ = server_url
+    listed = requests.get(f"{url}/theories").text
+    r = requests.post(f"{url}/theories", data=doc.encode())
+    assert r.status_code == 400 and r.text.startswith(reply), r.text
+    assert requests.get(f"{url}/theories").text == listed
 
 
 def test_view_as_scope_is_404(server_url):
@@ -833,6 +868,8 @@ def test_a_call_on_a_constant_without_slots_reads_back(loaded):
 
 
 # -- the scope cache ------------------------------------------------------------
+# The graph keeps the scopes, and every Service over it shares them: each
+# test has a graph of its own.
 
 def _theory(base, name, *includes):
     body = "".join(f'<include from="{i}"/>' for i in includes)
@@ -840,15 +877,19 @@ def _theory(base, name, *includes):
             f'</theory></omdoc>').encode()
 
 
-def test_a_repeated_scoped_request_reuses_its_scope(loaded):
-    service = Service(loaded.graph, loaded.base)
+def test_a_repeated_scoped_request_reuses_its_scope():
+    graph, _, _ = build_graph()
+    base, _ = load(graph)
+    graph._scopes.cache_clear()
+    service = Service(graph, base)
     for _ in range(3):
         r = service.simplify_request(b"1+2", TEXT, "arith1", None)
         assert (r.status, r.body) == (200, "3")
-    ref = loaded.graph.resolve("arith1")
-    assert service.scope_for(ref) is service.scope_for(ref)
-    info = service.scope_for.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
+    ref = graph.resolve("arith1")
+    assert graph.scope_for(ref) is graph.scope_for(ref)
+    info = graph._scopes.cache_info()
+    # arith1's scope and its frame's, each built once.
+    assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
 
 
 def test_a_scope_that_fails_to_build_is_not_cached():
@@ -856,6 +897,7 @@ def test_a_scope_that_fails_to_build_is_not_cached():
     assert service.ingest(_theory("um:/late", "A", "?B")).status == 201
     r = service.simplify_request(b"x", TEXT, "A", None)
     assert (r.status, r.body) == (404, "unknown module um:/late?B\n")
+    assert service.graph._scopes.cache_info().currsize == 0
     assert service.ingest(_theory("um:/late", "B")).status == 201
     r = service.simplify_request(b"x", TEXT, "A", None)
     assert (r.status, r.body) == (200, "x")
@@ -871,7 +913,7 @@ def test_a_bare_name_is_resolved_on_every_request():
         404, "ambiguous module 'T': um:/one?T, um:/two?T\n")
     r = service.simplify_request(b"x", TEXT, "um:/one?T", None)
     assert (r.status, r.body) == (200, "x")
-    assert service.scope_for.cache_info().hits == 1
+    assert service.graph._scopes.cache_info().hits == 1
 
 
 def test_the_scope_cache_is_bounded():
@@ -881,8 +923,9 @@ def test_the_scope_cache_is_bounded():
         assert service.ingest(_theory(f"um:/many/d{i}", f"t{i}")).status == 201
         r = service.simplify_request(b"x", TEXT, f"t{i}", None)
         assert (r.status, r.body) == (200, "x")
-    info = service.scope_for.cache_info()
-    assert info.misses == n
+    info = service.graph._scopes.cache_info()
+    # Each theory's scope once, and their one frame's, read on each miss.
+    assert (info.misses, info.hits) == (n + 1, n - 1)
     assert info.currsize == info.maxsize == SCOPE_CACHE_SIZE
 
 
@@ -898,6 +941,9 @@ def test_scoped_requests_beside_ingests_answer_as_a_fresh_service():
     base, _ = load(graph)
     service = Service(graph, base)
     answers, failures = [], []
+    grown = [_theory(f"um:/grow/d{i}", f"t{i}",
+                     "http://www.openmath.org/cd?arith1")
+             for i in range(2 * SCOPE_CACHE_SIZE)]
 
     def read(k):
         try:
@@ -912,9 +958,7 @@ def test_scoped_requests_beside_ingests_answer_as_a_fresh_service():
         # Each new theory is then asked for by its full name, so the cache
         # evicts the stdlib scopes while the readers use them.
         try:
-            for i in range(2 * SCOPE_CACHE_SIZE):
-                doc = _theory(f"um:/grow/d{i}", f"t{i}",
-                              "http://www.openmath.org/cd?arith1")
+            for i, doc in enumerate(grown):
                 assert service.ingest(doc).status == 201
                 ref = f"um:/grow/d{i}?t{i}"
                 r = service.simplify_request(b"1+2", TEXT, ref, None)
@@ -935,11 +979,16 @@ def test_scoped_requests_beside_ingests_answer_as_a_fresh_service():
         sys.setswitchinterval(old)
     assert failures == [] and not any(t.is_alive() for t in threads)
     assert len(answers) == 8 * 40 + 2 * SCOPE_CACHE_SIZE
-    fresh = Service(graph, base)
+    assert graph._scopes.cache_info().currsize <= SCOPE_CACHE_SIZE
+    # A graph of its own, so that no answer is checked through the cache
+    # that gave it; the ingests replayed in order.
+    fresh_graph, _, _ = build_graph()
+    fresh = Service(fresh_graph, base)
+    for doc in grown:
+        assert fresh.ingest(doc).status == 201
     for scope, body, status, reply in answers:
         r = fresh.simplify_request(body, TEXT, scope, None)
         assert (status, reply) == (r.status, r.body), (scope, body)
-    assert service.scope_for.cache_info().currsize <= SCOPE_CACHE_SIZE
 
 
 # -- ingest is all or nothing --------------------------------------------------

@@ -114,7 +114,10 @@ def test_set_canonicalization_removes_duplicates(loaded):
 
 def test_set_canonicalization_is_order_insensitive():
     for perm in itertools.permutations([1, 2, 3, 4, 5]):
-        out = rules.set_canon(ints(*perm))
+        args = ints(*perm)
+        out = rules.set_canon(args)
+        if out is None:  # declined: the set is left as it is
+            out = app(SET, *args)
         assert out == app(SET, *ints(1, 2, 3, 4, 5))
 
 
@@ -146,7 +149,28 @@ def test_canonical_set_agrees_with_the_reference():
 
 def test_set_canonicalization_idempotent():
     out = rules.set_canon(ints(2, 1, 2))
-    assert rules.set_canon(out.args) == out  # equal result = declined
+    assert rules.set_canon(out.args) is None  # already canonical: declined
+
+
+def test_set_canon_declines_exactly_the_sets_the_reference_keeps():
+    rng = random.Random(25)
+    pool = [engine_term(rng, rng.randrange(3)) for _ in range(60)]
+    pool += [surface_term(rng, rng.randrange(3)) for _ in range(30)]
+    pool += [FloatLit(math.nan), FloatLit(math.nan), IntLit(1), IntLit(1)]
+    declined = 0
+    for n in range(600):
+        elems = [rng.choice(pool) for _ in range(rng.randrange(7))]
+        want = ref_canonical_set(elems)
+        if n % 2 and want is not EMPTY:
+            elems = list(want.args)  # a canonical set, as a rule builds it
+        kept = want is not EMPTY and len(want.args) == len(elems) and all(
+            map(lambda a, b: a is b, want.args, elems))
+        got = rules.set_canon(tuple(elems))
+        assert (got is None) == kept, elems
+        declined += kept
+        if not kept:
+            assert ref_eq(got, want) and repr(got) == repr(want)
+    assert 200 < declined < 500
 
 
 def test_membership_union_intersection_size():
