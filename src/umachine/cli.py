@@ -37,15 +37,14 @@ from .sts import Diagnostic, lint_theory
 
 
 def _build(args) -> tuple[TheoryGraph, dict]:
-    roots = [Path(args.root)] if getattr(args, "root", None) else []
+    roots = [Path(args.root)] if args.root else []
     graph, projects, _ = codegen.build_graph(
         roots, with_stdlib=not args.no_stdlib)
     return graph, projects
 
 
 def _project_for(args, projects) -> codegen.Project:
-    root = Path(args.root).resolve() if getattr(args, "root", None) \
-        else stdlib.root()
+    root = Path(args.root).resolve() if args.root else stdlib.root()
     if root not in projects:
         raise ValueError("no project to operate on: give a project root or "
                          "drop --no-stdlib")
@@ -186,10 +185,9 @@ def make_parser() -> argparse.ArgumentParser:
         prog="um", description="universal machine over biform theory graphs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, root=True):
-        if root:
-            p.add_argument("root", nargs="?", default=None,
-                           help="project root (default: the stdlib project)")
+    def common(p):
+        p.add_argument("root", nargs="?", default=None,
+                       help="project root (default: the stdlib project)")
         p.add_argument("--no-stdlib", action="store_true",
                        help="do not preload the standard library")
         p.add_argument("--fuel", type=int,

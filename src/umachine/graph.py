@@ -199,11 +199,7 @@ _BUILTINS = (
             (SeqArg(1, "×"), Delim("→"), Arg(2)), precedence=15)),
         *map(Constant, ("Object", "naryObject", "binder", "FMP")))),
     Theory(COMPUTATION, declarations=(
-        Constant("type"), Constant("Any"),
-        Constant("Function", notation=Notation(
-            (Delim("("), SeqArg(1, ","), Delim(")"), Delim("=>"), Arg(2)),
-            precedence=15)),
-        Constant("Lambda"),
+        *map(Constant, ("type", "Any", "Function", "Lambda")),
         Constant("List", notation=Notation(
             (Delim("List["), Arg(1), Delim("]")))),
         Constant("list", notation=Notation(
@@ -432,19 +428,14 @@ class TheoryGraph:
         return ParseScope(included, run, meta,
                           notations=None if noted else joined)
 
-    def scope_parts(self, t: Theory) -> tuple[ParseScope, object]:
-        """``t``'s scope in two: the scope of ``t``'s walk, and the part
-        of its meta chain's, so that ``ParseScope(walk, meta)`` is the
-        scope.  A theory being built lays each new constant over the walk,
-        instead of asking for its whole scope again.  The meta chain's part
-        is its scope, or its pairs if they are ambiguous, so that the scope
-        raises at the pair it meets first."""
+    def scope_parts(self, t: Theory) -> tuple[ParseScope, list]:
+        """``t``'s scope in two: the scope of ``t``'s walk, and the pairs
+        of its meta chain (see ``_walked``), so that ``ParseScope(walk,
+        meta)`` is the scope, and raises at the ambiguous pair it meets
+        first.  A theory being built lays each new constant over the walk,
+        instead of asking for its whole scope again."""
         walk, meta = self._walked(t)
-        walk = ParseScope(walk)
-        try:
-            return walk, ParseScope(meta)
-        except AmbiguityError:
-            return walk, meta
+        return ParseScope(walk), meta
 
     def _walked(self, t: Theory) -> tuple[list, list]:
         """The ``(GlobalName, Notation | None)`` pairs of ``t``'s walk and

@@ -9,10 +9,11 @@ constants.
 A notation's shape (binder, closed, prefix or infix; its slots; the trigger
 delimiters the parser dispatches on; its operand precedence) is computed
 once, when the ``Notation`` is built; a notation without a trigger is
-rejected there, as is a negative precedence.  The operand precedence is the
-one at which the parser reads the operands: -1 in a closed notation, whose
-operands end at a separator or delimiter; the declared precedence in a
-prefix or infix one; one less in a binder, which associates right.  Every
+rejected there, as are a negative precedence and the trigger ``(`` or
+``,``, which a group or call and its arguments use.  The operand precedence
+is the one at which the parser reads the operands: -1 in a closed notation,
+whose operands end at a separator or delimiter; the declared precedence in
+a prefix or infix one; one less in a binder, which associates right.  Every
 closed, prefix and infix notation is parsed by one method from its trigger
 on; binders have their own.
 
@@ -71,7 +72,8 @@ class SyntaxErrorAt(ValueError):
 
 
 class AmbiguityError(ValueError):
-    """Two notations in one scope would match the same token identically."""
+    """Two notations in one scope are triggered by the same token at the
+    same parse position (where a term starts, or after an operand)."""
 
 
 @dataclass(frozen=True)
@@ -153,6 +155,10 @@ class Notation:
             if not triggers:
                 raise NotationError("infix notation needs a separator or "
                                     "delimiter")
+        if "(" in triggers or "," in triggers:
+            raise NotationError("a notation may not be triggered by '(', "
+                                "which opens a group or a call, or ',', "
+                                "which separates arguments")
         shape = dict(
             tokens=tokens, is_binder=bool(varlists), is_closed=is_closed,
             is_prefix=isinstance(first, Delim) and not is_closed
@@ -252,10 +258,12 @@ class ParseScope:
         self.led: dict[str, tuple[GlobalName, Notation]] = {}
         self.binder_delims: dict[str, tuple[GlobalName, Notation]] = {}
         self.binder_seps: set[str] = set()
-        # (kind, trigger, precedence) -> the constant whose notation it is;
-        # the kind is "nud" for a binder or prefix notation, whose trigger
-        # is read where a term starts, and "led" for an infix one.
-        self._triggers: dict[tuple[str, str, int], GlobalName] = {}
+        # (kind, trigger) -> the constant whose notation it is, and that
+        # notation's precedence; the kind is "nud" for a binder or prefix
+        # notation, whose trigger is read where a term starts, and "led"
+        # for an infix one.  The parser dispatches on the trigger alone, so
+        # a second notation with the key, at any precedence, is ambiguous.
+        self._triggers: dict[tuple[str, str], tuple[GlobalName, int]] = {}
         self.delimiters = _STRUCTURAL
         # The delimiters the lexer's regex holds.
         self._lexed: frozenset[str] = frozenset()
@@ -281,11 +289,11 @@ class ParseScope:
                 kind, table = "led", self.led
             else:
                 kind, table = "nud", self.nud
+            entry = (g, n.precedence)
             for trig in n.triggers:
-                key = (kind, trig, n.precedence)
-                first = self._triggers.setdefault(key, g)
-                if first != g:
-                    raise _ambiguity(first, g, key)
+                first = self._triggers.setdefault((kind, trig), entry)
+                if first[0] != g:
+                    raise _ambiguity(first, entry, trig)
                 table.setdefault(trig, (g, n))
         delims -= self.delimiters
         delims.discard("")
@@ -307,10 +315,10 @@ class ParseScope:
             triggers.update(other._triggers)
             self.notations.update(other.notations)
         else:
-            for key, g in other._triggers.items():
-                first = triggers.setdefault(key, g)
-                if first != g:
-                    raise _ambiguity(first, g, key)
+            for key, second in other._triggers.items():
+                first = triggers.setdefault(key, second)
+                if first[0] != second[0]:
+                    raise _ambiguity(first, second, key[1])
             _first_wins(self.notations, other.notations)
         _first_wins(self.nud, other.nud)
         _first_wins(self.led, other.led)
@@ -361,10 +369,12 @@ def _first_wins(into: dict, more: dict) -> None:
             into.setdefault(k, v)
 
 
-def _ambiguity(first: GlobalName, g: GlobalName, key) -> AmbiguityError:
-    _, trigger, precedence = key
-    return AmbiguityError(f"notations of {first.local} and {g.local} both "
-                          f"match {trigger!r} at precedence {precedence}")
+def _ambiguity(first: tuple, second: tuple, trigger: str) -> AmbiguityError:
+    """The error of two ``(GlobalName, precedence)`` with one trigger."""
+    (f, p), (g, q) = first, second
+    at = f"precedence {p}" if p == q else f"precedences {p} and {q}"
+    return AmbiguityError(f"notations of {f.local} and {g.local} both "
+                          f"match {trigger!r} at {at}")
 
 
 # ---------------------------------------------------------------------------

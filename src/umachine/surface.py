@@ -32,7 +32,7 @@ import re
 from .graph import (CMP_LAMBDA, Assignment, Constant, Include, SourcePos,
                     Theory, TheoryGraph, View)
 from .notation import ParseScope, lex_string, parse_notation, parse_term
-from .terms import Bind, Const, Foreign, ModuleRef, Term
+from .terms import Bind, Const, Foreign, ModuleRef
 
 
 class SurfaceError(ValueError):
@@ -46,22 +46,18 @@ _DEFAULT_BASE = "um:/local"
 _THEORY_RE = re.compile(r"^theory\s+(\S+)\s*(?::\s*(.+?)\s*)?$")
 _VIEW_RE = re.compile(r"^view\s+(\S+)\s*:\s*(.+?)\s*->\s*(.+?)\s*$")
 _ALIAS_RE = re.compile(r"^alias\s+(\S+)\s*=\s*(.+?)\s*$")
-_PARAMS_RE = re.compile(r"^\(([^()]*)\)\s*\"", re.S)
+# A view's escaped body: an optional parameter list, then the opening quote
+# at the match's end.
+_SNIPPET_RE = re.compile(r'\s*(?:\(([^()]*)\)\s*)?(?=")')
 
 
 def _logical_lines(text: str):
     """Yield (absolute_offset, line_number, content); a line with an open
     quoted literal extends over following physical lines until it closes,
     except a ``//`` comment, which ends at its newline."""
-    offsets = []
-    pos = 0
-    for ln in text.splitlines(keepends=True):
-        offsets.append(pos)
-        pos += len(ln)
     lines = text.splitlines(keepends=True)
-    i = 0
+    start = i = 0
     while i < len(lines):
-        start = offsets[i]
         lineno = i + 1
         chunk = lines[i]
         while (not chunk.lstrip().startswith("//") and _open_quote(chunk)
@@ -69,6 +65,7 @@ def _logical_lines(text: str):
             i += 1
             chunk += lines[i]
         yield start, lineno, chunk.rstrip("\n")
+        start += len(chunk)
         i += 1
 
 
@@ -81,8 +78,12 @@ def _open_quote(s: str) -> bool:
     return _CLOSED_QUOTES_RE.match(s).end() < len(s)
 
 
-def _split_markers(s: str, err) -> dict:
-    """Locate top-level ``:``, ``=`` and ``#`` outside quotes and brackets."""
+def _split_markers(s: str, err) -> tuple[str, dict]:
+    """A constant's name, and the ``(start, end)`` span in ``s`` of each of
+    its parts by marker: ``:`` the type, which runs to the next marker;
+    ``=`` the definiens, which runs to ``#`` or the end; ``#`` the
+    notation, which runs to the end.  A marker is a top-level ``:``, ``=``
+    or ``#`` outside quotes and brackets, met in that order."""
     marks = {}
     depth = 0
     i = 0
@@ -95,10 +96,10 @@ def _split_markers(s: str, err) -> dict:
             depth += 1
         elif c in ")]}":
             depth -= 1
-        elif depth == 0 and c == "#" and "#" not in marks:
+        elif depth == 0 and c == "#":
             marks["#"] = i
             break  # notation runs to end of line
-        elif depth == 0 and c == "=" and "=" not in marks and "#" not in marks:
+        elif depth == 0 and c == "=" and "=" not in marks:
             # Not part of an operator like => or == inside an expression;
             # a definiens marker is a lone '='.
             prev = s[i - 1] if i > 0 else " "
@@ -108,7 +109,10 @@ def _split_markers(s: str, err) -> dict:
         elif depth == 0 and c == ":" and not marks:
             marks[":"] = i
         i += 1
-    return marks
+    # Markers are met in order, so each part runs to the next one.
+    at = [*marks.values(), len(s)]
+    return s[:at[0]].strip(), {k: (at[n] + 1, at[n + 1])
+                               for n, k in enumerate(marks)}
 
 
 class _ModuleParser:
@@ -243,39 +247,27 @@ class _ModuleParser:
         body = rest[1]
         body_off = start + indent + (len(line) - len(body))
 
-        def err(msg, local_i):
-            return self.error(msg, lineno + raw[:local_i].count("\n"))
+        def err(msg, i):
+            return self.error(msg, lineno + body[:i].count("\n"))
 
-        marks = _split_markers(body, lambda m, i: err(m, i))
-        name_end = min(marks.values()) if marks else len(body)
-        name = body[:name_end].strip()
+        name, parts = _split_markers(body, err)
         if not name:
             raise self.error("constant needs a name", lineno)
-
-        seg_type = seg_def = seg_not = None
-        if ":" in marks:
-            end = min((v for k, v in marks.items() if k != ":"), default=len(body))
-            seg_type = (marks[":"] + 1, end)
-        if "=" in marks:
-            end = marks.get("#", len(body))
-            seg_def = (marks["="] + 1, end)
-        if "#" in marks:
-            seg_not = (marks["#"] + 1, len(body))
-
         if isinstance(self.current, Theory):
-            self._theory_constant(name, body, lineno, seg_type, seg_def,
-                                  seg_not)
+            self._theory_constant(name, body, lineno, parts)
         elif isinstance(self.current, View):
-            if seg_type or seg_not or not seg_def:
+            if parts.keys() != {"="}:
                 raise self.error("a view constant takes exactly '= <body>'",
                                  lineno)
-            self._view_constant(name, body, body_off, lineno, seg_def)
+            self._view_constant(name, body, body_off, lineno, parts["="])
         else:
             raise self.error("constant outside a module", lineno)
 
     def _theory_scope(self) -> ParseScope:
         """The open theory's scope: its walk, built once and extended by
         each constant declared since, then its meta chain."""
+        # Laid over the kept walk: building the whole scope again for each
+        # constant made an 800-constant theory parse 5 times slower.
         if self.walked is None:
             self.walked, self.meta = self.graph.scope_parts(self.current)
         elif self.pending:
@@ -283,26 +275,27 @@ class _ModuleParser:
         self.pending = []
         return ParseScope(self.walked, self.meta)
 
-    def _theory_constant(self, name, body, lineno, seg_type, seg_def, seg_not):
+    def _theory_constant(self, name, body, lineno, parts):
         scope = self._theory_scope()
+        text = {k: body[a:b].strip() for k, (a, b) in parts.items()}
         ctype = cdef = notation = None
-        if seg_type:
-            ctype = parse_term(body[seg_type[0]:seg_type[1]].strip(), scope)
-        if seg_def:
-            text = body[seg_def[0]:seg_def[1]].strip()
-            if text.startswith('"'):
-                content, _ = lex_string(text, 0, lambda m, i: self.error(m, lineno))
+        if ":" in text:
+            ctype = parse_term(text[":"], scope)
+        if "=" in text:
+            if text["="].startswith('"'):
+                content, _ = lex_string(text["="], 0,
+                                        lambda m, i: self.error(m, lineno))
                 cdef = Foreign("native", content)
             else:
-                cdef = parse_term(text, scope)
-        if seg_not:
-            notation = parse_notation(body[seg_not[0]:seg_not[1]].strip())
+                cdef = parse_term(text["="], scope)
+        if "#" in text:
+            notation = parse_notation(text["#"])
         self._extend(Constant(name, type=ctype, definiens=cdef,
                               notation=notation,
                               pos=SourcePos(self.filename, lineno)))
         self.pending.append((self.current.name.name(name), notation))
 
-    def _view_constant(self, name, body, body_off, lineno, seg_def):
+    def _view_constant(self, name, body, body_off, lineno, span):
         view = self.current
         if self.declared is None:
             self.declared = {c.name for _, c in self.graph.flatten(view.domain)}
@@ -310,36 +303,24 @@ class _ModuleParser:
             raise self.error(
                 f"view {view.name.module} assigns {name!r}, which is not "
                 f"declared in {view.domain}", lineno)
-        rhs = body[seg_def[0]:seg_def[1]]
-        stripped = rhs.lstrip()
-        lead = seg_def[0] + (len(rhs) - len(stripped))
-        params: list[str] | None = None
-        quote_local: int | None = None
-        m = _PARAMS_RE.match(stripped)
-        if m:
-            params = []
-            plist = m.group(1).strip()
-            if plist:
-                for p in plist.split(","):
-                    pname = p.split(":", 1)[0].strip()
-                    if not pname:
-                        raise self.error("bad parameter list", lineno)
-                    params.append(pname)
-            quote_local = lead + m.end() - 1
-        elif stripped.startswith('"'):
-            quote_local = lead
-        span = None
-        if quote_local is not None:
-            content, end_local = lex_string(
-                body, quote_local, lambda m_, i: self.error(m_, lineno))
-            target: Term = Foreign("native", content)
+        m = _SNIPPET_RE.match(body, *span)
+        snippet = None
+        if m is None:
+            target = parse_term(body[span[0]:span[1]].strip(),
+                                self.graph.scope_for(view.codomain))
+        else:
+            plist = (m[1] or "").strip()
+            params = [p.split(":", 1)[0].strip()
+                      for p in plist.split(",")] if plist else []
+            if not all(params):
+                raise self.error("bad parameter list", lineno)
+            content, end = lex_string(body, m.end(),
+                                      lambda m_, i: self.error(m_, lineno))
+            target = Foreign("native", content)
             if params:
                 target = Bind(Const(CMP_LAMBDA), tuple(params), target)
-            span = (self.filename, body_off + quote_local, body_off + end_local)
-        else:
-            target = parse_term(stripped.strip(),
-                                self.graph.scope_for(view.codomain))
-        self._extend(Assignment(name, target, snippet_span=span,
+            snippet = (self.filename, body_off + m.end(), body_off + end)
+        self._extend(Assignment(name, target, snippet_span=snippet,
                                 pos=SourcePos(self.filename, lineno)))
 
 

@@ -843,11 +843,13 @@ def _ref_tables(entries) -> dict:
         else:
             kind, table = "nud", nud
         for trig in n.triggers:
-            other = seen_triggers.setdefault((kind, trig, n.precedence), g)
+            other, p = seen_triggers.setdefault((kind, trig),
+                                                (g, n.precedence))
             if other != g:
-                raise AmbiguityError(
-                    f"notations of {other.local} and {g.local} both "
-                    f"match {trig!r} at precedence {n.precedence}")
+                at = (f"precedence {p}" if p == n.precedence
+                      else f"precedences {p} and {n.precedence}")
+                raise AmbiguityError(f"notations of {other.local} and "
+                                     f"{g.local} both match {trig!r} at {at}")
             table.setdefault(trig, (g, n))
     delimiters = frozenset(filter(None, delims))
     lexer = _lexer(frozenset(d for d in delimiters

@@ -3,6 +3,7 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
+from umachine.codegen import build_graph
 from umachine.graph import (COMPUTATION, OPENMATH, Assignment, Constant,
                             DuplicateModuleError, Include, IncludeCycleError,
                             MorphismError, Theory, TheoryGraph,
@@ -10,7 +11,7 @@ from umachine.graph import (COMPUTATION, OPENMATH, Assignment, Constant,
                             CMP_FUNCTION, CMP_LIST, CMP_TERM, OM_MAPSTO,
                             OM_OBJECT)
 from umachine.realization import SYNTACTIC, install_bifoundations
-from umachine.notation import ParseScope, parse_term
+from umachine.notation import ParseScope, parse_term, render_term
 from umachine.surface import parse_modules
 from umachine.terms import Const, GlobalName, IntLit, ModuleRef, app
 
@@ -309,12 +310,24 @@ def test_pushout_arith1_along_syntactic(loaded):
     out = g.pushout(SYNTACTIC, g.resolve("arith1"))
     assert out.meta == COMPUTATION
     plus = out.constant("plus")
-    # naryObject -> Object becomes (List[Term]) => Term.
+    # naryObject -> Object becomes Function(List[Term], Term).
     assert plus.type == app(Const(CMP_FUNCTION),
                             app(Const(CMP_LIST), Const(CMP_TERM)),
                             Const(CMP_TERM))
     assert [c.name for c in out.constants()] == \
         [c.name for c in g.theory(g.resolve("arith1")).constants()]
+
+
+def test_pushout_types_read_back_in_its_scope():
+    # Each type is a Computation?Function term, which renders call-style.
+    g, _, _ = build_graph()
+    out = g.pushout(SYNTACTIC, g.resolve("arith1"))
+    g.add(out)
+    scope = g.scope_for(out.name)
+    types = [c.type for c in out.constants() if c.type is not None]
+    assert types and all(t.head == Const(CMP_FUNCTION) for t in types)
+    for t in types:
+        assert parse_term(render_term(t, scope), scope) == t
 
 
 def test_pushout_of_empty_theory(loaded):

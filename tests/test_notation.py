@@ -39,7 +39,7 @@ def test_sequence_then_delimiter_then_arg():
 
 
 def test_unicode_and_ascii_ellipsis_are_synonyms():
-    assert parse_notation("1,…") == parse_notation("1,...")
+    assert parse_notation("1;…") == parse_notation("1;...")
 
 
 def test_precedence_suffix():
@@ -208,10 +208,25 @@ def test_ambiguity_is_rejected():
         ParseScope([a, b])
 
 
-def test_same_delimiter_at_distinct_precedence_is_allowed():
+def test_same_delimiter_at_distinct_precedence_is_ambiguous():
+    # The parser dispatches on the trigger alone: b's notation could never
+    # be read, and b(x, y) would render as text that reads back as a(x, y).
     a = (G("a", "f"), parse_notation("1 @ 2 prec 30"))
     b = (G("b", "g"), parse_notation("1 @ 2 prec 40"))
-    ParseScope([a, b])  # no complaint
+    message = "notations of a?f and b?g both match '@' at precedences 30 and 40"
+    with pytest.raises(AmbiguityError, match=re.escape(message)):
+        ParseScope([a, b])
+    with pytest.raises(AmbiguityError, match=re.escape(message)):
+        ParseScope(ParseScope([a]), ParseScope([b]))
+
+
+@pytest.mark.parametrize("src", ["V ( 2 )", "( 1 )", "1 ( 2 )",
+                                 "1 , 2 prec 5", "1,..."])
+def test_a_notation_triggered_by_a_paren_or_comma_is_refused(src):
+    # "(" opens a group or a call and "," separates a call's arguments, so
+    # the parser never dispatches on either.
+    with pytest.raises(NotationError, match="may not be triggered by"):
+        parse_notation(src)
 
 
 def test_the_longest_delimiter_wins():
@@ -533,7 +548,7 @@ def test_scopes_share_the_lexer_of_their_delimiters():
     graph.add(a, b)
     assert graph.scope_for(a.name).lexer is graph.scope_for(b.name).lexer
     # Delimiters that an identifier or one character spells are looked up,
-    # not compiled: the stdlib's scopes differ only in "=>", "List(" and
-    # "List[", which either all are in scope or none is.
+    # not compiled: the stdlib's scopes differ only in "List(" and "List[",
+    # which either both are in scope or neither is.
     assert len({graph.scope_for(m.name).lexer for m in graph.modules.values()
                 if isinstance(m, Theory)}) == 2

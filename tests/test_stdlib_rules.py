@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 from reference_walks import ref_canonical_set, ref_eq
 from termgen import engine_term, marked, surface_term
@@ -48,6 +49,14 @@ def test_times_and_power():
     assert rules.power(IntLit(2), IntLit(-1)) is None
 
 
+def test_power_declines_from_the_digit_limit_on():
+    # 10^(L-1) has L digits, as many as an integer may render; 10^L has one
+    # more.
+    limit = sys.get_int_max_str_digits()
+    assert rules.power(IntLit(10), IntLit(limit)) is None
+    assert rules.power(IntLit(10), IntLit(limit - 1)) == IntLit(10 ** (limit - 1))
+
+
 def test_rules_decline_on_open_terms(loaded):
     assert rules.plus((Var("x"), IntLit(1))) is None
     t = app(G("arith1", "plus"), Var("x"), IntLit(1))
@@ -81,6 +90,13 @@ def test_boolean_tables():
     assert rules.logic_and((TRUE, Var("p"))) is None
 
 
+def test_implies_declines_on_an_open_argument(loaded):
+    t = app(G("logic1", "implies"), TRUE, Var("p"))
+    assert rules.implies(TRUE, Var("p")) is None
+    r = simplify(loaded.base, t)
+    assert r.term == t and r.steps == 0
+
+
 def test_eq_on_integers():
     assert rules.eq(IntLit(2), IntLit(2)) == TRUE
     assert rules.eq(IntLit(2), IntLit(3)) == FALSE
@@ -102,6 +118,12 @@ def test_eq_on_cons_lists():
 def test_comparisons_decline_on_open_terms():
     assert rules.lt(Var("x"), IntLit(1)) is None
     assert rules.lt(IntLit(0), IntLit(1)) == TRUE
+
+
+def test_comparisons_of_equal_integers():
+    three = IntLit(3)
+    assert rules.gt(three, three) == FALSE and rules.lt(three, three) == FALSE
+    assert rules.geq(three, three) == TRUE and rules.leq(three, three) == TRUE
 
 
 # -- sets --------------------------------------------------------------------------

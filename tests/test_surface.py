@@ -137,6 +137,13 @@ def test_bad_escape_reports_its_line():
     assert str(e.value).startswith("s.mmt:7:") and "bad escape" in str(e.value)
 
 
+def test_bad_escape_on_a_later_line_of_a_literal_reports_that_line():
+    g = fresh_graph()
+    with pytest.raises(SurfaceError) as e:
+        parse_modules(g, 'theory T\n  constant f = "a\nb\\q"\n', "s.mmt")
+    assert str(e.value) == "s.mmt:3:0: bad escape in string literal"
+
+
 def test_unresolved_reference():
     g = fresh_graph()
     with pytest.raises(SurfaceError):
@@ -258,6 +265,13 @@ def test_a_constant_parses_in_the_scope_of_its_open_block():
      "a name may not contain '?': 'v?w'"),
     ("theory T : OpenMath\n  constant a?b : Object\n", 2,
      "a name may not contain '?': 'a?b'"),
+    # '(' opens a group or a call and ',' separates its arguments.
+    ("theory T : OpenMath\n  constant a\n  constant g # V ( 2 )\n", 3,
+     "a notation may not be triggered by '(', which opens a group or a "
+     "call, or ',', which separates arguments"),
+    ("theory T : OpenMath\n  constant g # 1 , 2 prec 5\n  constant a\n", 2,
+     "a notation may not be triggered by '(', which opens a group or a "
+     "call, or ',', which separates arguments"),
 ])
 def test_statement_errors_name_their_line(src, line, message):
     g = fresh_graph()
