@@ -75,16 +75,24 @@ class Include:
 
 
 def _body(module, items, kind: str, of_kind: type) -> tuple:
-    """``items`` as a tuple, checked: one name per ``of_kind``, and none
-    with a ``?`` (``_check_name``)."""
+    """``items`` as a tuple, with the module's name and each ``of_kind``
+    name checked in turn (``check_declared``)."""
     items = tuple(items)
-    names = [d.name for d in items if isinstance(d, of_kind)]
-    if len(set(names)) < len(names):
-        dup = next(n for i, n in enumerate(names) if n in names[:i])
-        raise DuplicateModuleError(f"duplicate {kind} {dup} in {module.name}")
-    for name in (module.name.module, *names):
-        _check_name(name)
+    _check_name(module.name.module)
+    seen: set[str] = set()
+    for d in items:
+        if isinstance(d, of_kind):
+            check_declared(module.name, seen, d.name, kind)
     return items
+
+
+def check_declared(module: ModuleRef, seen: set, name: str, kind: str):
+    """Refuse ``name`` as a new ``kind`` of ``module`` if it is in ``seen``
+    or has a ``?`` (``_check_name``); else add it to ``seen``."""
+    if name in seen:
+        raise DuplicateModuleError(f"duplicate {kind} {name} in {module}")
+    _check_name(name)
+    seen.add(name)
 
 
 def _check_name(name: str) -> None:
@@ -427,15 +435,6 @@ class TheoryGraph:
         # again, add nothing.
         return ParseScope(included, run, meta,
                           notations=None if noted else joined)
-
-    def scope_parts(self, t: Theory) -> tuple[ParseScope, list]:
-        """``t``'s scope in two: the scope of ``t``'s walk, and the pairs
-        of its meta chain (see ``_walked``), so that ``ParseScope(walk,
-        meta)`` is the scope, and raises at the ambiguous pair it meets
-        first.  A theory being built lays each new constant over the walk,
-        instead of asking for its whole scope again."""
-        walk, meta = self._walked(t)
-        return ParseScope(walk), meta
 
     def _walked(self, t: Theory) -> tuple[list, list]:
         """The ``(GlobalName, Notation | None)`` pairs of ``t``'s walk and

@@ -60,7 +60,9 @@ class Rule:
 
     The callable receives, per arity: Fixed n — n terms; Flexible n — n terms
     plus one tuple of terms; Binder — the context tuple and the scope term.
-    It returns a term, or ``None`` to decline.
+    It returns a term, or ``None`` to decline.  It declines on any argument
+    outside its domain, and never raises for one: ``_apply`` absorbs an
+    exception only as a safety net, not as a way to decline.
     """
 
     head: GlobalName

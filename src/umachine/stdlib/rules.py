@@ -1,9 +1,10 @@
 """Native rule implementations for the shipped content dictionaries.
 
-Every function is partial: it returns ``None`` to decline on shapes outside
-its domain (non-literal arguments, malformed lists, zero divisors), matching
-the pattern-match style of the escaped snippets in the views.  Only integer
-arithmetic is realized; float arguments decline.
+Every function is partial: it declines by returning ``None`` on any argument
+outside its domain (non-literal arguments, malformed lists, zero divisors),
+as the escaped snippets in the views pattern-match, and never raises for
+one: ``machine._apply`` absorbs an exception only as a safety net, not as a
+way to decline.  Only integer arithmetic is realized; floats decline.
 """
 
 from __future__ import annotations

@@ -17,12 +17,13 @@ with ``\\"`` and ``\\\\`` escapes and may span lines; their byte spans are
 recorded so build processes can splice edits back in place.  Lines starting
 with ``//`` are comments.
 
-A ``theory`` or ``view`` block is registered, whole, when the next
-``document``, ``theory``, ``view`` or ``alias`` line or the end of the text
-closes it.  A block that fails registers nothing (blocks closed before it
-stay registered), so the fixed text parses again.  An open theory's constant
-parses in the scope registering the block so far would give; the block
-cannot include itself.
+Each statement of a ``theory`` or ``view`` block is checked at its own line;
+the module is built once, and registered whole, when the next ``document``,
+``theory``, ``view`` or ``alias`` line or the end of the text closes it.  A
+block that fails registers nothing, so the fixed text parses again.  An open
+theory's constant parses in the scope so far (a block cannot include
+itself), and its notation may not clash with that scope; a clash among the
+includes alone surfaces only when a later constant or a request needs it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import re
 
 from .graph import (CMP_LAMBDA, Assignment, Constant, Include, SourcePos,
-                    Theory, TheoryGraph, View)
+                    Theory, TheoryGraph, View, check_declared)
 from .notation import ParseScope, lex_string, parse_notation, parse_term
 from .terms import Bind, Const, Foreign, ModuleRef
 
@@ -166,33 +167,29 @@ class _ModuleParser:
     # -- blocks ----------------------------------------------------------
 
     def _open(self, block: Theory | View | None):
-        """Make ``block`` the open one, with nothing derived from it yet."""
-        # The open block, unregistered: each statement makes a new snapshot.
+        """Make ``block``, a header with no statements, the open one."""
         self.current = block
-        # An open theory's scope in two (see ``TheoryGraph.scope_parts``),
-        # with the pairs of the constants declared since it was built; an
-        # open view's declared names.  Built when first needed; None until
-        # then.
+        # Its statements so far and their names; then, each built when first
+        # needed, an open theory's walk so far as a scope, its meta chain's
+        # pairs (``TheoryGraph._walked``) and the scope of both, built again
+        # after an include, and an open view's domain names.
+        self.statements: list = []
+        self.names: set[str] = set()
         self.walked: ParseScope | None = None
         self.meta: list = []
-        self.pending: list = []
+        self.scope: ParseScope | None = None
         self.declared: set[str] | None = None
 
     def _close(self):
-        """Register the open block, if any."""
-        if self.current is not None:
-            self.graph.add(self.current)
-            self.added.append(self.current.name)
-            self._open(None)
-
-    def _extend(self, d):
-        """Snapshot the open block with ``d`` appended."""
+        """Build and register the open block, if any."""
         b = self.current
-        if isinstance(b, Theory):
-            self.current = Theory(b.name, b.meta, b.declarations + (d,), b.pos)
-        else:
-            self.current = View(b.name, b.domain, b.codomain,
-                                b.statements + (d,), b.pos)
+        if b is not None:
+            s = tuple(self.statements)
+            self.graph.add(Theory(b.name, b.meta, s, b.pos)
+                           if isinstance(b, Theory) else
+                           View(b.name, b.domain, b.codomain, s, b.pos))
+            self.added.append(b.name)
+            self._open(None)
 
     def _theory_header(self, line: str, lineno: int):
         m = _THEORY_RE.match(line)
@@ -234,7 +231,7 @@ class _ModuleParser:
         else:
             self.graph.theory(ref)
             self.walked = None  # the walk changes: build it again
-        self._extend(Include(ref, pos=SourcePos(self.filename, lineno)))
+        self.statements.append(Include(ref, SourcePos(self.filename, lineno)))
 
     # -- constants ---------------------------------------------------------
 
@@ -263,37 +260,34 @@ class _ModuleParser:
         else:
             raise self.error("constant outside a module", lineno)
 
-    def _theory_scope(self) -> ParseScope:
-        """The open theory's scope: its walk, built once and extended by
-        each constant declared since, then its meta chain."""
-        # Laid over the kept walk: building the whole scope again for each
-        # constant made an 800-constant theory parse 5 times slower.
-        if self.walked is None:
-            self.walked, self.meta = self.graph.scope_parts(self.current)
-        elif self.pending:
-            self.walked = ParseScope(self.walked, self.pending)
-        self.pending = []
-        return ParseScope(self.walked, self.meta)
-
     def _theory_constant(self, name, body, lineno, parts):
-        scope = self._theory_scope()
+        t = self.current
+        check_declared(t.name, self.names, name, "constant")
+        if self.walked is None:
+            walk, self.meta = self.graph._walked(
+                Theory(t.name, t.meta, tuple(self.statements)))
+            self.walked = ParseScope(walk)
+            self.scope = ParseScope(self.walked, self.meta)
         text = {k: body[a:b].strip() for k, (a, b) in parts.items()}
         ctype = cdef = notation = None
         if ":" in text:
-            ctype = parse_term(text[":"], scope)
+            ctype = parse_term(text[":"], self.scope)
         if "=" in text:
             if text["="].startswith('"'):
                 content, _ = lex_string(text["="], 0,
                                         lambda m, i: self.error(m, lineno))
                 cdef = Foreign("native", content)
             else:
-                cdef = parse_term(text["="], scope)
+                cdef = parse_term(text["="], self.scope)
         if "#" in text:
             notation = parse_notation(text["#"])
-        self._extend(Constant(name, type=ctype, definiens=cdef,
-                              notation=notation,
-                              pos=SourcePos(self.filename, lineno)))
-        self.pending.append((self.current.name.name(name), notation))
+        self.statements.append(Constant(name, type=ctype, definiens=cdef,
+                                        notation=notation,
+                                        pos=SourcePos(self.filename, lineno)))
+        # Laid over the walk at once, so that a notation clashing with the
+        # scope so far fails at this line.
+        self.walked = ParseScope(self.walked, [(t.name.name(name), notation)])
+        self.scope = ParseScope(self.walked, self.meta)
 
     def _view_constant(self, name, body, body_off, lineno, span):
         view = self.current
@@ -303,6 +297,7 @@ class _ModuleParser:
             raise self.error(
                 f"view {view.name.module} assigns {name!r}, which is not "
                 f"declared in {view.domain}", lineno)
+        check_declared(view.name, self.names, name, "assignment")
         m = _SNIPPET_RE.match(body, *span)
         snippet = None
         if m is None:
@@ -320,8 +315,8 @@ class _ModuleParser:
             if params:
                 target = Bind(Const(CMP_LAMBDA), tuple(params), target)
             snippet = (self.filename, body_off + m.end(), body_off + end)
-        self._extend(Assignment(name, target, snippet_span=snippet,
-                                pos=SourcePos(self.filename, lineno)))
+        pos = SourcePos(self.filename, lineno)
+        self.statements.append(Assignment(name, target, snippet, pos))
 
 
 def parse_modules(graph: TheoryGraph, text: str, filename: str = "<input>") \

@@ -209,7 +209,7 @@ def test_a_frame_that_reaches_its_theory_gives_its_scope():
 def test_the_scope_in_two_is_the_scope(stdlib):
     for m in list(stdlib.modules.values()):
         if isinstance(m, Theory):
-            walk, meta = stdlib.scope_parts(m)
+            walk, meta = stdlib._walked(m)
             assert (scope_tables(ParseScope(walk, meta))
                     == scope_tables(stdlib.scope_for(m.name)))
 
@@ -332,15 +332,22 @@ def test_an_open_theory_reads_each_constant_in_the_scope_so_far():
     assert s.constant("after").type == Const(RELATION1.name("eq"))
 
 
-def test_an_ambiguous_constant_fails_at_the_next_constant():
+def test_an_ambiguous_constant_fails_at_its_line():
     cases = [
         ("  include http://www.openmath.org/cd?arith1\n"
          "  constant p # 1 + 2 prec 50\n  constant q\n",
-         "5:0: notations of arith1?plus and T?p both match '+' at "
+         "4:0: notations of arith1?plus and T?p both match '+' at "
          "precedence 50"),
         # Against the meta chain, after an include that comes later.
         ("  constant p # 1 → 2 prec 15\n  constant q\n"
          "  include http://www.openmath.org/cd?arith1\n",
+         "3:0: notations of T?p and OpenMath?mapsto both match '→' at "
+         "precedence 15"),
+        # The last constant of a block, against the one before.
+        ("  constant a # 1 ⊕ 2 prec 50\n  constant b # 1 ⊕ 2 prec 50\n",
+         "4:0: notations of T?a and T?b both match '⊕' at precedence 50"),
+        # The last constant of a block, against the meta chain.
+        ("  constant a\n  constant p # 1 → 2 prec 15\n",
          "4:0: notations of T?p and OpenMath?mapsto both match '→' at "
          "precedence 15"),
     ]
@@ -350,11 +357,31 @@ def test_an_ambiguous_constant_fails_at_the_next_constant():
             parse_modules(graph, f"document um:/amb\ntheory T : OpenMath\n"
                           f"{body}", "amb.mmt")
         assert str(e.value) == f"amb.mmt:{message}"
+        assert ModuleRef("um:/amb", "T") not in graph.modules
+
+
+def test_a_block_of_constants_builds_its_theory_once(monkeypatch):
+    built = []
+    original = Theory.__post_init__
+
+    def counted(self):
+        built.append(self.name)
+        original(self)
+
+    monkeypatch.setattr(Theory, "__post_init__", counted)
+    graph = TheoryGraph()
+    text = "theory Big : OpenMath\n" + "".join(
+        f"  constant c{i} : Object\n" for i in range(2000))
+    parse_modules(graph, text)
+    assert len(graph.theory(ModuleRef("um:/local", "Big")).declarations) \
+        == 2000
+    # The header, the walk its first constant reads, and the whole block.
+    assert len(built) <= 3
 
 
 def test_loading_the_stdlib_builds_each_scope_and_flattens_each_module_once(
         monkeypatch):
-    calls = {"scope_for": [], "scope_parts": [], "flatten": []}
+    calls = {"scope_for": [], "_walked": [], "flatten": []}
     for method in calls:
         original = getattr(TheoryGraph, method)
 
@@ -367,8 +394,8 @@ def test_loading_the_stdlib_builds_each_scope_and_flattens_each_module_once(
     modules = len(graph.modules)
     for method, args in calls.items():
         assert len(args) <= modules, method
-    # One scope per theory block, whatever its number of constants.
-    assert len(calls["scope_parts"]) == len(set(calls["scope_parts"]))
+    # At most one walk per theory block, whatever its number of constants.
+    assert len(calls["_walked"]) == len(set(calls["_walked"]))
     # One flattened domain per view block, whatever its assignments.
     assert len(calls["flatten"]) == len(
         [m for m in graph.modules.values() if isinstance(m, View)

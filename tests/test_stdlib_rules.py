@@ -64,6 +64,14 @@ def test_rules_decline_on_open_terms(loaded):
     assert r.term == t and r.steps == 0  # fixpoint: declined, unchanged
 
 
+def test_binary_arith_rules_decline_on_one_open_argument():
+    # Called directly: inside the engine a rule that raised would look
+    # like one that declined.
+    for rule in (rules.minus, rules.quotient, rules.remainder):
+        assert rule(Var("x"), IntLit(3)) is None, rule.__name__
+        assert rule(IntLit(3), Var("x")) is None, rule.__name__
+
+
 def test_float_arguments_decline():
     assert rules.plus((FloatLit(1.0), IntLit(1))) is None
     assert rules.minus(FloatLit(1.0), FloatLit(0.5)) is None
