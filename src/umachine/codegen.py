@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import stdlib
-from .graph import (COMPUTATION, OPENMATH, Assignment, TheoryGraph, View,
-                    snippet_body)
+from .graph import (COMPUTATION, OPENMATH, Assignment, Constant, TheoryGraph,
+                    View, snippet_body)
 from .machine import RuleBase, SimplifyBudget
 from .notation import escape_str
 from .omdoc import ingest_omdoc
@@ -94,9 +94,8 @@ def realization_views(graph: TheoryGraph, modules=None) -> list[View]:
 # extract
 
 
-def _param_list(g: GlobalName, assignment: Assignment,
-                graph: TheoryGraph) -> str:
-    arity = declared_arity(graph.lookup(g))
+def _param_list(c: Constant, assignment: Assignment) -> str:
+    arity = declared_arity(c)
     names = list(assignment.target.context) \
         if isinstance(assignment.target, Bind) else []
     if isinstance(arity, Binder):
@@ -136,7 +135,7 @@ def extract(graph: TheoryGraph, project: Project) -> list[Path]:
             if f is None:
                 continue
             marker = f"{view.name.module}?{c.name}"
-            params = _param_list(g, a, graph)
+            params = _param_list(c, a)
             if params is None:
                 lines.append(f"value {g.module}_{c.name}: Term")
             else:

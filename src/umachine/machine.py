@@ -1,21 +1,21 @@
 """The universal machine: rule base and exhaustive simplification.
 
-A rule is a native partial function keyed by (constant, arity).  Rules may
-decline (return ``None``) or raise; both are absorbed, and the redex is left
-in place, so a failing rule can never cause a livelock.  Resource errors
-(``RecursionError``, ``MemoryError``) are not declines: they propagate to
-the caller.  Simplification is innermost-leftmost (head, then arguments,
-then the head rule) and consumes one unit of fuel per successful
-application.  It is a loop over an explicit stack and never touches the
-interpreter's recursion limit; nor do the helpers rules call (structural
-equality, ``term_key``, substitution), so a ``RecursionError`` comes only
-from a rule that recurses itself.
+A rule is a native partial function for one constant, at the arity of
+the constant's type.  Rules may decline (return ``None``) or raise; both
+are absorbed, and the redex is left in place, so a failing rule can never
+cause a livelock.  Resource errors (``RecursionError``, ``MemoryError``)
+are not declines: they propagate to the caller.  Simplification is
+innermost-leftmost (head, then arguments, then the head rule) and consumes
+one unit of fuel per successful application.  It is a loop over an
+explicit stack and never touches the interpreter's recursion limit; nor do
+the helpers rules call (structural equality, ``term_key``, substitution),
+so a ``RecursionError`` comes only from a rule that recurses itself.
 
-The rule base keeps one entry per head: ``(fixed, flexible, binder)``,
-its Fixed rules by ``n`` (a nullary rule is ``fixed[0]``), its Flexible
-rules largest ``n`` first and its binder rule.  Selecting a redex's rule
-reads the head's entry once; adding a rule stores a new entry, so a
-concurrent reader never sees one half built.
+The rule base maps each head to its one rule.  The rule applies to a redex
+of its arity's shape: ``0`` to the bare constant, ``n`` to an application
+to exactly ``n`` arguments, ``n*`` to one to at least ``n`` (the rest
+passed as one tuple), ``binder`` to a binding.  Adding a rule stores one
+dict item, so a concurrent reader never sees one half built.
 
 The loop dispatches on a node's class.  A frame holds an application or
 binding under way; once a child is final, the children after it that are
@@ -23,8 +23,8 @@ final as they are (``t.simplified``: marked, or a literal, variable or
 foreign object) join it in one inner loop, without a trip round the whole
 loop each.  A head (or binder) that is a constant with no nullary rule is
 final as it stands: it joins its frame as the frame is pushed, and the
-frame keeps the head's entry for the rule choice, so such a node costs one
-lookup.  Any other head goes round the loop, and its entry is read when
+frame keeps the head's rule, so such a node costs one lookup.  Any other
+head goes round the loop; when it comes back changed, its rule is read as
 the frame finishes.  Whether a rule's result equals its redex is tested
 against the redex's head and arguments as they are, so no node is built
 only to be compared.
@@ -56,13 +56,15 @@ class DuplicateRuleError(Exception):
 
 @dataclass(frozen=True)
 class Rule:
-    """A native implementation of a constant at one arity.
+    """A native implementation of a constant, at its type's arity.
 
-    The callable receives, per arity: Fixed n — n terms; Flexible n — n terms
-    plus one tuple of terms; Binder — the context tuple and the scope term.
-    It returns a term, or ``None`` to decline.  It declines on any argument
-    outside its domain, and never raises for one: ``_apply`` absorbs an
-    exception only as a safety net, not as a way to decline.
+    The rule applies to a redex of its arity's shape, as the module
+    docstring says.  The callable receives, per arity: ``n`` — the n
+    arguments; ``n*`` — the first n arguments plus one tuple of the rest;
+    ``binder`` — the context tuple and the scope term.  It returns a term,
+    or ``None`` to decline.  It declines on any argument outside its
+    domain, and never raises for one: ``_apply`` absorbs an exception only
+    as a safety net, not as a way to decline.
     """
 
     head: GlobalName
@@ -79,50 +81,30 @@ class Rule:
         return Const(self.head)
 
 
-# The entry of a head with no rules.  Never changed: ``add`` copies it.
-_NO_RULES: tuple = ({}, (), None)
-
-
 class RuleBase:
-    """At most one rule per (head, arity), in one entry per head, as the
-    module docstring says."""
+    """One rule per head, as the module docstring says."""
 
     def __init__(self, rules=()):
-        self._entries: dict[GlobalName, tuple] = {}
-        self._rules: list[Rule] = []
+        self._rules: dict[GlobalName, Rule] = {}
         for r in rules:
             self.add(r)
 
     def add(self, rule: Rule):
-        head, arity = rule.head, rule.arity
-        existing = self.get(head, arity)
+        existing = self._rules.get(rule.head)
         if existing is not None:
-            if existing is rule or existing.fn is rule.fn:
+            if existing == rule:
                 return self  # the same realization arriving twice is a no-op
             raise DuplicateRuleError(
-                f"a rule for {head} at arity {arity} is already registered")
-        fixed, flexible, binder = self._entries.get(head, _NO_RULES)
-        if isinstance(arity, Fixed):
-            fixed = {**fixed, arity.n: rule}
-        elif isinstance(arity, Flexible):
-            flexible = tuple(sorted([*flexible, (arity.n, rule)],
-                                    key=lambda entry: -entry[0]))
-        else:
-            binder = rule
-        self._entries[head] = (fixed, flexible, binder)
-        self._rules.append(rule)
+                f"a rule for {rule.head} at arity {existing.arity} is "
+                "already registered")
+        self._rules[rule.head] = rule
         return self
 
-    def get(self, head: GlobalName, arity: Arity) -> Rule | None:
-        fixed, flexible, binder = self._entries.get(head, _NO_RULES)
-        if isinstance(arity, Fixed):
-            return fixed.get(arity.n)
-        if isinstance(arity, Flexible):
-            return dict(flexible).get(arity.n)
-        return binder
+    def get(self, head: GlobalName) -> Rule | None:
+        return self._rules.get(head)
 
     def rules(self):
-        return iter(self._rules)
+        return iter(self._rules.values())
 
     def __len__(self):
         return len(self._rules)
@@ -161,36 +143,35 @@ def _children(t: Term) -> tuple:
     return ()
 
 
-def _select_rule(base: RuleBase, t: Term, parts: tuple | None = None,
-                 entry: tuple | None = None):
-    """The applicable head rule of ``t`` and its call arguments, if any;
-    ``parts`` replaces the children of ``t`` (default: its own), and
-    ``entry`` is its head's entry, when the caller has read it.
-
-    Fixed n is preferred over Flexible i <= n; among Flexible, the largest i.
-    """
+def _call_args(rule: Rule, t: Term, parts: tuple) -> tuple | None:
+    """The arguments ``rule`` is called with on the redex ``t`` with the
+    children ``parts``; ``None`` when ``t`` has not the rule's shape."""
+    arity = rule.arity
+    kind = arity.__class__
     cls = t.__class__
     if cls is Const:
-        rule = base._entries.get(t.head, _NO_RULES)[0].get(0)
-        return None if rule is None else (rule, ())
+        return () if kind is Fixed and not arity.n else None
+    if cls is Bind:
+        return (t.context, parts[1]) if kind is Binder else None
+    if kind is Fixed:
+        return parts[1:] if len(parts) == arity.n + 1 else None
+    if kind is Flexible and len(parts) > arity.n:
+        return (*parts[1:arity.n + 1], parts[arity.n + 1:])
+    return None
+
+
+def _select_rule(base: RuleBase, t: Term, parts: tuple | None = None):
+    """The head rule of ``t`` and its call arguments, when ``t`` has the
+    rule's shape; ``parts`` replaces the children of ``t`` (default: its
+    own, none for a leaf)."""
     if parts is None:
         parts = _children(t)
-    if entry is None:
-        if not parts or parts[0].__class__ is not Const:
-            return None
-        entry = base._entries.get(parts[0].head, _NO_RULES)
-    fixed, flexible, binder = entry
-    if cls is Bind:
-        return None if binder is None else (binder, (t.context, parts[1]))
-    args = parts[1:]
-    n = len(args)
-    rule = fixed.get(n)
-    if rule is not None:
-        return rule, args
-    for i, rule in flexible:
-        if i <= n:
-            return rule, (*args[:i], args[i:])
-    return None
+    head = parts[0] if parts else t
+    if head.__class__ is not Const:
+        return None
+    rule = base._rules.get(head.head)
+    args = None if rule is None else _call_args(rule, t, parts)
+    return None if args is None else (rule, args)
 
 
 def _apply(rule: Rule, args: tuple, t: Term, parts: tuple) -> Term | None:
@@ -263,34 +244,34 @@ def simplify(base: RuleBase, t: Term,
              budget: SimplifyBudget = SimplifyBudget()) -> SimplifyResult:
     """Exhaustively rewrite ``t``; see the module docstring for the strategy
     and for when a subterm is marked."""
-    entries = base._entries
+    rules = base._rules
     fuel = budget.fuel
     steps = 0
     # One frame per App or Bind under way: the node, its children (head then
-    # arguments, or binder then scope), the children final so far, and its
-    # head's entry if that was read as the frame was pushed (else None).  A
-    # rewrite takes the place of its redex, so the stack is as deep as the
-    # term, not as long as the rewrite chain.
-    stack: list[tuple[Term, tuple, list, tuple | None]] = []
+    # arguments, or binder then scope), the children final so far, and the
+    # rule of its head as pushed (None when it is not a constant or has no
+    # rule).  A rewrite takes the place of its redex, so the stack is as
+    # deep as the term, not as long as the rewrite chain.
+    stack: list[tuple[Term, tuple, list, Rule | None]] = []
     while True:
         cls = t.__class__
         if t.simplified:
             pass
         elif cls is App or cls is Bind:
             kids = (t.head, *t.args) if cls is App else (t.binder, t.scope)
-            entry = None
-            if kids[0].__class__ is Const:
-                entry = entries.get(kids[0].head, _NO_RULES)
-                if 0 in entry[0]:
-                    entry = None  # a nullary rule: round the loop
-            stack.append((t, kids, [], entry))
-            t = kids[0]
-            if entry is None:
-                continue
+            head = kids[0]
+            rule = rules.get(head.head) if head.__class__ is Const else None
+            stack.append((t, kids, [], rule))
+            t = head
+            if head.__class__ is not Const or (
+                    rule is not None and rule.arity.__class__ is Fixed
+                    and not rule.arity.n):
+                continue  # not a constant, or one with a nullary rule
             # Else the head is final as it stands: it joins its frame below.
         elif cls is Const:
-            rule = entries.get(t.head, _NO_RULES)[0].get(0)
-            if rule is not None:
+            rule = rules.get(t.head)
+            if rule is not None and rule.arity.__class__ is Fixed \
+                    and not rule.arity.n:
                 result = _apply(rule, (), t, ())
                 if result is not None:
                     if fuel == 0:
@@ -305,7 +286,7 @@ def simplify(base: RuleBase, t: Term,
         while True:
             if not stack:
                 return SimplifyResult(t, False, steps)
-            node, kids, done, entry = stack[-1]
+            node, kids, done, rule = stack[-1]
             done.append(t)
             i = len(done)
             while i < len(kids):
@@ -317,8 +298,13 @@ def simplify(base: RuleBase, t: Term,
             else:
                 stack.pop()
                 parts = tuple(done)
-                hit = _select_rule(base, node, parts, entry)
-                result = None if hit is None else _apply(*hit, node, parts)
+                head = parts[0]
+                if head is not kids[0]:  # the head went round and changed
+                    rule = rules.get(head.head) \
+                        if head.__class__ is Const else None
+                args = None if rule is None else _call_args(rule, node, parts)
+                result = None if args is None \
+                    else _apply(rule, args, node, parts)
                 if result is None:
                     t = mark(node, parts)
                     continue

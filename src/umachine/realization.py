@@ -1,16 +1,18 @@
 """Realizations: views into the Computation target backed by native functions.
 
-The registry binds ``View?constant`` to an in-process function with an arity;
-the escaped snippet stored in the view is documentation and codegen payload,
-never executed.  A view assigns a constant by its own statements first, then
-by its included views in include order; the first hit wins, and the view
-providing it keys the registry.  A realization is syntactic (``commutes``) when the
-bifoundation embedding translates every assigned constant's type to the
-term-shaped Computation types; only those induce rules (``rules_of``).
+The registry binds ``View?constant`` to an in-process function; its rule
+takes its arity from the constant's type.  The escaped snippet stored in the
+view is documentation and codegen payload, never executed.  A view assigns a
+constant by its own statements first, then by its included views in include
+order; the first hit wins, and the view providing it keys the registry.  A
+realization is syntactic (``commutes``) when the bifoundation embedding
+translates every assigned constant's type to the term-shaped Computation
+types; only those induce rules (``rules_of``).
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -97,22 +99,16 @@ def syntactic_shape(arity: Arity) -> Term:
 # Native-function registry (populated at import/startup, frozen afterwards)
 
 
-@dataclass(frozen=True)
-class RegisteredFn:
-    arity: Arity
-    fn: Callable
+REGISTRY: dict[str, Callable] = {}
 
 
-REGISTRY: dict[str, RegisteredFn] = {}
-
-
-def register(view: str, constant: str, arity: Arity, fn: Callable):
+def register(view: str, constant: str, fn: Callable):
     """Bind a native function under ``view?constant``."""
     key = f"{view}?{constant}"
     existing = REGISTRY.get(key)
-    if existing is not None and existing.fn is not fn:
+    if existing is not None and existing is not fn:
         raise RealizationError(f"{key} is already registered")
-    REGISTRY[key] = RegisteredFn(arity, fn)
+    REGISTRY[key] = fn
     return fn
 
 
@@ -145,14 +141,29 @@ def _expects_function(c, arity: Arity | None, assignment: Assignment) -> bool:
         and isinstance(assignment.target.scope, Foreign)
 
 
+def _check_signature(g: GlobalName, fn: Callable, arity: Arity):
+    """Refuse ``fn`` when it cannot take the arguments a rule of ``arity``
+    is called with: ``n`` of them, ``n + 1`` for ``n*``, 2 for ``binder``."""
+    n = 2 if isinstance(arity, Binder) \
+        else arity.n + isinstance(arity, Flexible)
+    try:
+        inspect.signature(fn).bind(*range(n))
+    except TypeError:
+        raise ArityMismatchError(
+            f"{g}: {getattr(fn, '__qualname__', fn)} cannot take the {n} "
+            f"argument(s) of arity {arity}") from None
+
+
 def rules_of(graph: TheoryGraph, view_ref: ModuleRef,
-             registry: dict[str, RegisteredFn] | None = None,
+             registry: dict[str, Callable] | None = None,
              embed: ModuleRef = SYNTACTIC) -> RulesReport:
     """The rule base a syntactic realization induces.
 
-    One rule per registered constant; assigned constants whose snippet is a
-    stub, or whose function-shaped assignment has no registry binding, are
-    reported as unimplemented.
+    One rule per registered constant, at the arity of its type (``0`` when
+    it has none, or one that is not well formed); a function that cannot
+    take that arity's arguments is an ``ArityMismatchError``.  Assigned
+    constants whose snippet is a stub, or whose function-shaped assignment
+    has no registry binding, are reported as unimplemented.
     """
     if not commutes(graph, view_ref, embed):
         raise RealizationError(f"{view_ref} is not a syntactic realization")
@@ -164,20 +175,15 @@ def rules_of(graph: TheoryGraph, view_ref: ModuleRef,
             continue
         provider, assignment = table[g]
         declared = declared_arity(c)
-        entry = registry.get(f"{provider.module}?{c.name}")
-        if entry is None:
+        fn = registry.get(f"{provider.module}?{c.name}")
+        if fn is None:
             if snippet_is_stub(assignment.target) \
                     or _expects_function(c, declared, assignment):
                 report.unimplemented.append(g)
             continue
-        if declared is None and entry.arity != Fixed(0):
-            raise ArityMismatchError(
-                f"{g} carries a rule of arity {entry.arity} but has no type")
-        if declared is not None and entry.arity != declared:
-            raise ArityMismatchError(
-                f"{g}: registry arity {entry.arity} does not match the "
-                f"declared type's arity {declared}")
-        report.base.add(Rule(g, entry.arity, entry.fn))
+        arity = Fixed(0) if declared is None else declared
+        _check_signature(g, fn, arity)
+        report.base.add(Rule(g, arity, fn))
     return report
 
 

@@ -15,7 +15,6 @@ import sys
 
 from ..graph import OPENMATH_CD_BASE, LISTS_DOC_BASE
 from ..realization import register
-from ..sts import Fixed, Flexible
 from ..terms import (App, Bind, Const, GlobalName, IntLit, Term, app,
                      substitute, term_key)
 
@@ -328,37 +327,37 @@ def lists_append_many(args):
 
 
 def register_all():
-    register("IntegerArith", "plus", Flexible(0), plus)
-    register("IntegerArith", "minus", Fixed(2), minus)
-    register("IntegerArith", "times", Flexible(0), times)
-    register("IntegerArith", "unary_minus", Fixed(1), unary_minus)
-    register("IntegerArith", "power", Fixed(2), power)
+    register("IntegerArith", "plus", plus)
+    register("IntegerArith", "minus", minus)
+    register("IntegerArith", "times", times)
+    register("IntegerArith", "unary_minus", unary_minus)
+    register("IntegerArith", "power", power)
 
-    register("LogicOps", "and", Flexible(0), logic_and)
-    register("LogicOps", "or", Flexible(0), logic_or)
-    register("LogicOps", "not", Fixed(1), logic_not)
-    register("LogicOps", "implies", Fixed(2), implies)
+    register("LogicOps", "and", logic_and)
+    register("LogicOps", "or", logic_or)
+    register("LogicOps", "not", logic_not)
+    register("LogicOps", "implies", implies)
 
-    register("RelationOps", "eq", Fixed(2), eq)
-    register("RelationOps", "neq", Fixed(2), neq)
-    register("RelationOps", "lt", Fixed(2), lt)
-    register("RelationOps", "gt", Fixed(2), gt)
-    register("RelationOps", "leq", Fixed(2), leq)
-    register("RelationOps", "geq", Fixed(2), geq)
+    register("RelationOps", "eq", eq)
+    register("RelationOps", "neq", neq)
+    register("RelationOps", "lt", lt)
+    register("RelationOps", "gt", gt)
+    register("RelationOps", "leq", leq)
+    register("RelationOps", "geq", geq)
 
-    register("SetOps", "set", Flexible(0), set_canon)
-    register("SetOps", "in", Fixed(2), set_in)
-    register("SetOps", "union", Flexible(0), set_union)
-    register("SetOps", "intersect", Flexible(0), set_intersect)
-    register("SetOps", "size", Fixed(1), set_size)
-    register("SetOps", "map", Fixed(2), set_map)
+    register("SetOps", "set", set_canon)
+    register("SetOps", "in", set_in)
+    register("SetOps", "union", set_union)
+    register("SetOps", "intersect", set_intersect)
+    register("SetOps", "size", set_size)
+    register("SetOps", "map", set_map)
 
-    register("IntegerOps", "quotient", Fixed(2), quotient)
-    register("IntegerOps", "remainder", Fixed(2), remainder)
-    register("IntegerOps", "factorial", Fixed(1), factorial)
+    register("IntegerOps", "quotient", quotient)
+    register("IntegerOps", "remainder", remainder)
+    register("IntegerOps", "factorial", factorial)
 
-    register("ListsImpl", "append", Fixed(2), lists_append)
-    register("ListsExtImpl", "append_many", Flexible(0), lists_append_many)
+    register("ListsImpl", "append", lists_append)
+    register("ListsExtImpl", "append_many", lists_append_many)
 
 
 register_all()

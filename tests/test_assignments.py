@@ -9,9 +9,8 @@ from umachine.codegen import build_graph
 from umachine.graph import (CMP_TERM, COMPUTATION, OM_OBJECT, OPENMATH,
                             Assignment, Constant, Include, Theory, TheoryGraph,
                             UnresolvedModuleError, View)
-from umachine.realization import (SYNTACTIC, RegisteredFn, commutes,
+from umachine.realization import (SYNTACTIC, commutes,
                                   install_bifoundations, rules_of)
-from umachine.sts import Fixed
 from umachine.terms import Const, IntLit, ModuleRef, StrLit
 
 
@@ -141,7 +140,7 @@ def test_rules_of_on_a_diamond_is_linear_in_its_views(view_calls):
     def one():
         return IntLit(1)
 
-    registry = {"V0?a": RegisteredFn(Fixed(0), one)}
+    registry = {"V0?a": one}
     report = rules_of(graph, top, registry=registry)
     assert [r.head.name for r in report.base.rules()] == ["a"]
     assert len(view_calls) <= 3 * n_views

@@ -31,7 +31,7 @@ def test_add_rule_and_lookup():
     base = RuleBase()
     r = Rule(MINUS, Fixed(2), lambda a, b: None)
     base.add(r)
-    assert base.get(MINUS, Fixed(2)) is r
+    assert base.get(MINUS) is r
     assert len(base) == 1
 
 
@@ -50,11 +50,12 @@ def test_re_adding_the_same_rule_is_a_noop():
     assert len(base) == 1
 
 
-def test_distinct_arities_coexist():
+def test_a_second_rule_for_a_head_is_refused():
     base = RuleBase()
     base.add(Rule(PLUS, Fixed(2), lambda a, b: None))
-    base.add(Rule(PLUS, Flexible(0), lambda rest: None))
-    assert len(base) == 2
+    with pytest.raises(DuplicateRuleError):
+        base.add(Rule(PLUS, Flexible(0), lambda rest: None))
+    assert len(base) == 1 and base.get(PLUS).arity == Fixed(2)
 
 
 ARITIES = [Fixed(0), Fixed(2), Flexible(0), Flexible(1), BINDER]
@@ -63,23 +64,21 @@ ARITIES = [Fixed(0), Fixed(2), Flexible(0), Flexible(1), BINDER]
 @pytest.mark.parametrize("arity", ARITIES, ids=str)
 def test_get_and_duplicates_for_every_arity_kind(arity):
     h = GlobalName("um:/t", "m", "all")
-    by_arity = {a: Rule(h, a, lambda *args: None) for a in ARITIES}
-    base = RuleBase([by_arity[arity]])
-    assert [base.get(h, a) for a in ARITIES] \
-        == [by_arity[arity] if a == arity else None for a in ARITIES]
-    assert base.get(MINUS, arity) is None
-    with pytest.raises(DuplicateRuleError):
-        base.add(Rule(h, arity, lambda *args: IntLit(0)))
-    base.add(by_arity[arity])  # the same rule again: a no-op
-    assert len(base) == 1 and base.get(h, arity) is by_arity[arity]
-    # Every arity joins the same head's entry (the first again: a no-op).
+    rule = Rule(h, arity, lambda *args: None)
+    base = RuleBase([rule])
+    assert base.get(h) is rule and base.get(MINUS) is None
+    # A second rule for the head is refused at every arity, its own too,
+    # and so is the same function at another arity.
     for a in ARITIES:
-        base.add(by_arity[a])
-    assert len(base) == len(ARITIES)
-    assert [base.get(h, a) for a in ARITIES] == [by_arity[a] for a in ARITIES]
-    with pytest.raises(DuplicateRuleError):
-        base.add(Rule(h, arity, lambda *args: IntLit(0)))
-    assert base.get(h, arity) is by_arity[arity]
+        with pytest.raises(DuplicateRuleError):
+            base.add(Rule(h, a, lambda *args: IntLit(0)))
+        if a != arity:
+            with pytest.raises(DuplicateRuleError):
+                base.add(Rule(h, a, rule.fn))
+    # The same rule again, or the same realization anew: a no-op.
+    base.add(rule)
+    base.add(Rule(h, arity, rule.fn))
+    assert len(base) == 1 and base.get(h) is rule
 
 
 # -- rewrite_step ------------------------------------------------------------------
@@ -92,16 +91,38 @@ def test_rewrite_step_examples(loaded):
     assert rewrite_step(base, Var("x")) is None
 
 
-def test_fixed_preferred_over_flexible():
-    h = GlobalName("um:/t", "m", "f")
-    base = RuleBase()
-    base.add(Rule(h, Fixed(2), lambda a, b: IntLit(2)))
-    base.add(Rule(h, Flexible(0), lambda rest: IntLit(0)))
-    base.add(Rule(h, Flexible(1), lambda a, rest: IntLit(1)))
-    t = app(Const(h), Var("a"), Var("b"))
-    assert rewrite_step(base, t) == IntLit(2)
-    t3 = app(Const(h), Var("a"), Var("b"), Var("c"))
-    assert rewrite_step(base, t3) == IntLit(1)  # largest flexible prefix
+A, B, C, D = map(Var, "abcd")
+
+
+def _shapes(h: GlobalName) -> dict:
+    """A redex of each shape, with the head ``h``, by name."""
+    c = Const(h)
+    return {"bare": c, "1": app(c, A), "2": app(c, A, B),
+            "4": app(c, A, B, C, D), "binding": Bind(c, ("x",), A)}
+
+
+@pytest.mark.parametrize("arity, applies", [
+    (Fixed(0), {"bare": ()}),
+    (Fixed(2), {"2": (A, B)}),
+    (Flexible(0), {"1": ((A,),), "2": ((A, B),), "4": ((A, B, C, D),)}),
+    (Flexible(2), {"2": (A, B, ()), "4": (A, B, (C, D))}),
+    (BINDER, {"binding": (("x",), A)}),
+], ids=["0", "2", "0*", "2*", "binder"])
+def test_the_redex_shapes_each_arity_applies_to(arity, applies):
+    # ``applies`` maps each shape the rule applies to to its call arguments.
+    h = GlobalName("um:/t", "m", "shape")
+    calls = []
+    base = RuleBase([Rule(h, arity,
+                          lambda *args: calls.append(args) or IntLit(0))])
+    for shape, t in _shapes(h).items():
+        calls.clear()
+        want = applies.get(shape)
+        if want is None:
+            assert rewrite_step(base, t) is None and calls == [], shape
+        else:
+            assert rewrite_step(base, t) == IntLit(0), shape
+            assert calls == [want], shape
+        _agrees_with_the_reference(base, t)
 
 
 def test_nullary_rule_on_bare_constant():
@@ -365,86 +386,112 @@ def test_head_position_rewriting():
     t = app(Const(alias), IntLit(1))
     r = simplify(base, t)
     assert r.term == IntLit(99) and r.steps == 2
-    # The new head has rules of other arities, and a binder rule.
-    base.add(Rule(real, Flexible(1), lambda a, rest: app(Const(alias), *rest)))
-    base.add(Rule(real, BINDER, lambda ctx, scope: scope))
+    # A flexible rule and a binder rule, each behind an alias of its own.
+    many_alias = GlobalName("um:/t", "m", "many_alias")
+    many = GlobalName("um:/t", "m", "many")
+    lam_alias = GlobalName("um:/t", "m", "lam_alias")
+    lam = GlobalName("um:/t", "m", "lam")
+    base.add(Rule(many_alias, Fixed(0), lambda: Const(many)))
+    base.add(Rule(many, Flexible(1), lambda a, rest: app(
+        Const(many_alias if len(rest) > 1 else alias), *rest)))
+    base.add(Rule(lam_alias, Fixed(0), lambda: Const(lam)))
+    base.add(Rule(lam, BINDER, lambda ctx, scope: scope))
     for t in [app(Const(alias), IntLit(1)),
-              app(Const(alias), IntLit(1), IntLit(2), IntLit(3)),
-              app(Const(alias), app(Const(alias), Var("x"), IntLit(2))),
-              Bind(Const(alias), ("x",), app(Const(alias), IntLit(1))),
+              app(Const(many_alias), IntLit(1), IntLit(2), IntLit(3)),
+              app(Const(alias), app(Const(many_alias), Var("x"), IntLit(2))),
+              Bind(Const(lam_alias), ("x",), app(Const(alias), IntLit(1))),
               app(Var("f"), Const(alias), app(Const(alias), IntLit(4)))]:
         _agrees_with_the_reference(base, t)
     assert _agrees_with_the_reference(
-        base, app(Const(alias), IntLit(1), IntLit(2), IntLit(3))).term \
+        base, app(Const(many_alias), IntLit(1), IntLit(2), IntLit(3))).term \
         == IntLit(99)
 
 
 def test_a_head_whose_nullary_rule_declines():
-    # The head stays where it is; its application's own rule then fires.
+    # The head stays where it is, and its application, which no rule fits,
+    # is marked; another head's rule fires around it.
     h = GlobalName("um:/t", "m", "shy")
+    k = GlobalName("um:/t", "m", "k")
     asked = []
     base = RuleBase([
         Rule(h, Fixed(0), lambda: asked.append(1)),
-        Rule(h, Fixed(2), lambda a, b: a if b == IntLit(0) else None)])
+        Rule(k, Fixed(2), lambda a, b: a if b == IntLit(0) else None)])
     for t in [app(Const(h), Var("x"), IntLit(0)),
-              app(Const(h), app(Const(h), IntLit(1), IntLit(0)), Var("y")),
-              app(Const(h), Const(h), IntLit(0)),
-              Bind(Const(h), ("x",), app(Const(h), Var("x"), IntLit(0))),
+              app(Const(k), app(Const(h), IntLit(1), IntLit(0)), Var("y")),
+              app(Const(k), Const(h), IntLit(0)),
+              Bind(Const(h), ("x",), app(Const(k), Var("x"), IntLit(0))),
               Const(h)]:
         _agrees_with_the_reference(base, t)
     asked.clear()
-    r = simplify(base, app(Const(h), app(Const(h), IntLit(1), IntLit(0)),
-                           IntLit(0)))
+    t = app(Const(k), app(Const(h), app(Const(h), IntLit(1), IntLit(0)),
+                          IntLit(0)), IntLit(0))
+    r = simplify(base, t)
     # Asked once per occurrence of the head, as each goes round the loop.
-    assert r.term == IntLit(1) and r.steps == 2 and len(asked) == 2
+    assert r.term == t.args[0] and r.steps == 1 and len(asked) == 2
 
 
 def test_a_binder_head_with_a_nullary_rule():
     # ``b`` rewrites to ``lam``, whose binder rule then fires; ``d``'s
-    # nullary rule declines, and its binder rule fires on ``d`` itself.
+    # nullary rule declines, and its binding stays; ``e``'s binder rule
+    # fires on ``e`` itself.
     b = GlobalName("um:/t", "m", "b")
     d = GlobalName("um:/t", "m", "d")
+    e = GlobalName("um:/t", "m", "e")
     lam = GlobalName("um:/t", "m", "lam")
     base = RuleBase([
         Rule(b, Fixed(0), lambda: Const(lam)),
         Rule(lam, BINDER, lambda ctx, scope: app(Const(lam), scope)
              if len(ctx) == 1 else None),
         Rule(d, Fixed(0), lambda: None),
-        Rule(d, BINDER, lambda ctx, scope: IntLit(len(ctx)))])
+        Rule(e, BINDER, lambda ctx, scope: IntLit(len(ctx)))])
     for t in [Bind(Const(b), ("x",), Var("x")),
               Bind(Const(b), ("x", "y"), Bind(Const(b), ("z",), Var("x"))),
               Bind(Const(d), ("x", "y"), Var("x")),
+              Bind(Const(e), ("x", "y"), Var("x")),
               app(Const(b), Bind(Const(d), (), Bind(Const(b), ("x",),
+                                                    Const(d)))),
+              app(Const(b), Bind(Const(e), (), Bind(Const(b), ("x",),
                                                     Const(d))))]:
         _agrees_with_the_reference(base, t)
-    r = simplify(base, Bind(Const(b), ("x",), Bind(Const(d), ("y",), Var("y"))))
+    r = simplify(base, Bind(Const(b), ("x",), Bind(Const(e), ("y",), Var("y"))))
     assert r.term == app(Const(lam), IntLit(1)) and r.steps == 3
 
 
-@pytest.mark.parametrize("nullary", [False, True],
-                         ids=["no nullary rule", "a declining nullary rule"])
-def test_one_head_with_fixed_flexible_and_binder_rules(nullary):
-    h = GlobalName("um:/t", "m", "many")
+@pytest.mark.parametrize("aliased", [False, True],
+                         ids=["heads as written", "heads behind aliases"])
+def test_heads_with_fixed_flexible_and_binder_rules(aliased):
+    # One head per rule; behind aliases, each head is a constant whose
+    # nullary rule rewrites it to the head, so the head goes round the loop
+    # and its rule is read as its frame finishes.
+    names = ["fixed1", "fixed3", "flex2", "flex4", "bind"]
+    h = {n: GlobalName("um:/t", "m", n) for n in names}
     base = RuleBase([
-        Rule(h, Fixed(1), lambda a: app(Const(h), a, a)),
-        Rule(h, Fixed(3), lambda a, b, c: None),
-        Rule(h, Flexible(2), lambda a, b, rest: IntLit(0) if a == b else None),
-        Rule(h, Flexible(4), lambda a, b, c, d, rest: IntLit(-4 - len(rest))),
-        Rule(h, BINDER, lambda ctx, scope: app(Const(h), scope))])
-    if nullary:
-        base.add(Rule(h, Fixed(0), lambda: None))
+        Rule(h["fixed1"], Fixed(1), lambda a: app(Const(h["flex2"]), a, a)),
+        Rule(h["fixed3"], Fixed(3), lambda a, b, c: None),
+        Rule(h["flex2"], Flexible(2),
+             lambda a, b, rest: IntLit(0) if a == b else None),
+        Rule(h["flex4"], Flexible(4),
+             lambda a, b, c, d, rest: IntLit(-4 - len(rest))),
+        Rule(h["bind"], BINDER,
+             lambda ctx, scope: app(Const(h["fixed1"]), scope))])
+    written = {n: Const(h[n]) for n in names}
+    if aliased:
+        for n in names:
+            alias = GlobalName("um:/t", "m", f"{n}_alias")
+            base.add(Rule(alias, Fixed(0), lambda n=n: Const(h[n])))
+            written[n] = Const(alias)
+    f1, f3, x2, x4, bd = (written[n] for n in names)
     x, one = Var("x"), IntLit(1)
-    # Fixed n first, else the largest Flexible i <= n, with no fallback
-    # when the chosen rule declines.
+    # No fallback when a rule declines.
     for t, want in [
-            (app(Const(h), x), IntLit(0)),  # Fixed 1, then Flexible 2
-            (app(Const(h), x, one), None),  # Flexible 2 declines
-            (app(Const(h), x, x, one), None),  # Fixed 3 declines
-            (app(Const(h), x, one, x, one), IntLit(-4)),  # Flexible 4
-            (app(Const(h), x, one, x, one, x), IntLit(-5)),
-            (Bind(Const(h), ("x",), x), IntLit(0)),  # the binder rule first
-            (app(Const(h), Bind(Const(h), ("y",), one), IntLit(0)), IntLit(0)),
-            (app(Var("f"), Const(h), app(Const(h), x, one)), None)]:
+            (app(f1, x), IntLit(0)),  # fixed 1, then flexible 2
+            (app(x2, x, one), None),  # flexible 2 declines
+            (app(f3, x, x, one), None),  # fixed 3 declines
+            (app(x4, x, one, x, one), IntLit(-4)),  # flexible 4
+            (app(x4, x, one, x, one, x), IntLit(-5)),
+            (Bind(bd, ("x",), x), IntLit(0)),  # binder, fixed 1, flexible 2
+            (app(x2, Bind(bd, ("y",), one), IntLit(0)), IntLit(0)),
+            (app(Var("f"), f1, app(x2, x, one)), None)]:
         r = _agrees_with_the_reference(base, t)
         if want is not None:
             assert r.term == want
@@ -475,17 +522,35 @@ def test_a_rule_fn_replaced_after_load_is_the_one_called(loaded):
 
 
 def test_a_rule_added_after_a_first_simplify_fires():
-    h = GlobalName("um:/t", "m", "late")
-    t = app(Const(h), Var("a"), Var("b"))
     base = RuleBase()
-    assert simplify(base, t).steps == 0
-    for arity, fn, expect in [
-            (Flexible(0), lambda rest: IntLit(0), 0),
-            (Flexible(1), lambda a, rest: IntLit(1), 1),  # largest prefix
-            (Fixed(2), lambda a, b: IntLit(2), 2)]:       # Fixed first
+    for i, (arity, fn) in enumerate([
+            (Flexible(0), lambda rest: IntLit(0)),
+            (Flexible(1), lambda a, rest: IntLit(1)),
+            (Fixed(2), lambda a, b: IntLit(2))]):
+        h = GlobalName("um:/t", "m", f"late{i}")
+        t = app(Const(h), Var("a"), Var("b"))
+        assert simplify(base, t).steps == 0
         base.add(Rule(h, arity, fn))
         r = simplify(base, t)
-        assert r.term == IntLit(expect) and r.steps == 1
+        assert r.term == IntLit(i) and r.steps == 1
+
+
+def test_a_head_constants_rule_is_read_once():
+    # A head constant with no nullary rule joins its frame as it stands:
+    # its rule, or the lack of one, is read once, as the frame is pushed.
+    reads = []
+
+    class Counting(dict):
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+    h = GlobalName("um:/t", "m", "two")
+    g = GlobalName("um:/t", "m", "none")
+    base = RuleBase([Rule(h, Fixed(2), lambda a, b: None)])
+    base._rules = Counting(base._rules)
+    r = simplify(base, app(Const(h), Var("x"), app(Const(g), Var("y"))))
+    assert r.steps == 0 and reads == [h, g]
 
 
 # -- the engine does not recurse -------------------------------------------------

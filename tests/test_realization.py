@@ -1,11 +1,13 @@
+import re
+
 import pytest
 
 from umachine.codegen import build_graph
 from umachine.graph import TheoryGraph, LISTS_DOC_BASE
 from umachine.realization import (LOGIC1_TRUE, SEMANTIC, SYNTACTIC,
                                   ArityMismatchError, RealizationError,
-                                  RegisteredFn, TestCase, collect_tests,
-                                  commutes, rules_of, run_tests)
+                                  TestCase, collect_tests, commutes, rules_of,
+                                  run_tests)
 from umachine.sts import Fixed, Flexible
 from umachine.surface import parse_modules
 from umachine.terms import Const, GlobalName, IntLit
@@ -34,10 +36,10 @@ def _minus(a, b):
 def _registry(**overrides):
     from umachine.stdlib import rules
     reg = {
-        "NumberArithX?minus": RegisteredFn(Fixed(2), _minus),
-        "NumberArithX?times": RegisteredFn(Flexible(0), rules.times),
-        "NumberArithX?unary_minus": RegisteredFn(Fixed(1), rules.unary_minus),
-        "NumberArithX?power": RegisteredFn(Fixed(2), rules.power),
+        "NumberArithX?minus": _minus,
+        "NumberArithX?times": rules.times,
+        "NumberArithX?unary_minus": rules.unary_minus,
+        "NumberArithX?power": rules.power,
     }
     reg.update(overrides)
     return reg
@@ -50,7 +52,7 @@ def test_rules_of_partial_realization():
     assert commutes(graph, ref)
     report = rules_of(graph, ref, registry=_registry())
     minus = GlobalName(CD, "arith1", "minus")
-    assert report.base.get(minus, Fixed(2)) is not None
+    assert report.base.get(minus).arity == Fixed(2)
     assert [g.local for g in report.unimplemented] == ["arith1?plus"]
 
 
@@ -67,17 +69,43 @@ def test_rules_of_lists_realizations(loaded):
     report = rules_of(g, g.resolve("ListsExtImpl"))
     append = GlobalName(LISTS_DOC_BASE, "lists", "append")
     many = GlobalName(LISTS_DOC_BASE, "lists_ext", "append_many")
-    assert report.base.get(append, Fixed(2)) is not None
-    assert report.base.get(many, Flexible(0)) is not None
+    assert report.base.get(append).arity == Fixed(2)
+    assert report.base.get(many).arity == Flexible(0)
     assert report.unimplemented == []
 
 
 def test_arity_mismatch_is_an_error():
+    # ``minus`` is typed ``Object × Object → Object``, arity 2.
     graph, _, _ = build_graph()
     parse_modules(graph, NUMBER_ARITH, "na.mmt")
-    bad = _registry(**{"NumberArithX?minus": RegisteredFn(Fixed(1), _minus)})
-    with pytest.raises(ArityMismatchError):
+    bad = _registry(**{"NumberArithX?minus": lambda a: None})
+    with pytest.raises(ArityMismatchError,
+                       match=r"arith1\?minus: .*<lambda> .* arity 2"):
         rules_of(graph, graph.resolve("NumberArithX"), registry=bad)
+
+
+@pytest.mark.parametrize("constant, fn, arity", [
+    ("constant f : naryObject → Object", lambda a, b: None, "0*"),
+    ("constant f", lambda a: None, "0"),
+], ids=["a flexible constant", "an untyped constant"])
+def test_a_function_that_cannot_take_its_constants_arity_is_refused(
+        constant, fn, arity):
+    graph, _, _ = build_graph()
+    parse_modules(graph, f"""document um:/t
+
+theory T : OpenMath
+  {constant}
+
+view V : T -> Computation
+  constant f = (a: Term) "native"
+""", "t.mmt")
+    ref = graph.resolve("V")
+    with pytest.raises(ArityMismatchError,
+                       match=rf"T\?f: .* arity {re.escape(arity)}$"):
+        rules_of(graph, ref, registry={"V?f": fn})
+    # The same view loads with a function that takes the arity's arguments.
+    report = rules_of(graph, ref, registry={"V?f": lambda *args: None})
+    assert str(next(report.base.rules()).arity) == arity
 
 
 def test_non_syntactic_realizations_are_rejected():

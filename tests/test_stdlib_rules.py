@@ -298,6 +298,18 @@ def test_factorial():
     assert rules.factorial(IntLit(-1)) is None
 
 
+def test_factorial_declines_from_the_digit_limit_on():
+    # n is the smallest with lgamma(n + 1) / ln 10 >= L: 1559 at the default
+    # L of 4300.  (n - 1)! has at most L digits and renders.
+    limit = sys.get_int_max_str_digits()
+    n = next(n for n in itertools.count()
+             if math.lgamma(n + 1) / math.log(10) >= limit)
+    assert rules.factorial(IntLit(n)) is None
+    below = rules.factorial(IntLit(n - 1))
+    assert below == IntLit(math.factorial(n - 1))
+    assert len(str(below.value)) <= limit
+
+
 def test_zero_divisor_declines(loaded):
     t = app(G("integer1", "remainder"), IntLit(7), IntLit(0))
     assert simplify(loaded.base, t).term == t
