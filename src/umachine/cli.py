@@ -1,6 +1,7 @@
 """Command-line frontend.
 
-Subcommands: ``check`` (parse + lint + view totality), ``test`` (``load``
+Subcommands: ``check`` (parse, lint, view totality and snippet parameter
+lists: ``sts.lint_theory``, ``sts.lint_view``), ``test`` (``load``
 without a report file), ``simplify``, ``repl``, ``serve``, and the build
 processes ``extract``, ``integrate``, ``load``.  The standard library is
 loaded into every session unless ``--no-stdlib`` is given.  ``UM_PORT`` and
@@ -33,7 +34,7 @@ from . import codegen, stdlib
 from .graph import Theory, TheoryGraph, View
 from .machine import DEFAULT_FUEL, RuleBase, SimplifyBudget
 from .server import OMXML, TEXT, Response, Service, serve
-from .sts import Diagnostic, lint_theory
+from .sts import lint_theory, lint_view
 
 
 def _build(args) -> tuple[TheoryGraph, dict]:
@@ -60,10 +61,7 @@ def cmd_check(args) -> int:
         if isinstance(module, Theory):
             diagnostics.extend(str(d) for d in lint_theory(graph, ref))
         elif isinstance(module, View):
-            diagnostics.extend(
-                str(Diagnostic("error", module.pos, g,
-                               f"missing assignment in view {ref.module}"))
-                for g in graph.check_view(ref))
+            diagnostics.extend(str(d) for d in lint_view(graph, ref))
     for line in diagnostics:
         print(line)
     if diagnostics:
@@ -194,7 +192,7 @@ def make_parser() -> argparse.ArgumentParser:
                        default=os.environ.get("UM_FUEL", DEFAULT_FUEL),
                        help="maximum rule applications per simplification")
 
-    p = sub.add_parser("check", help="parse, lint, and check view totality")
+    p = sub.add_parser("check", help="parse, lint, and check views")
     common(p)
     p.set_defaults(fn=cmd_check)
 

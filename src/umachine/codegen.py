@@ -94,27 +94,22 @@ def realization_views(graph: TheoryGraph, modules=None) -> list[View]:
 # extract
 
 
-def _param_list(c: Constant, assignment: Assignment) -> str:
-    arity = declared_arity(c)
-    names = list(assignment.target.context) \
-        if isinstance(assignment.target, Bind) else []
+def _param_list(c: Constant, assignment: Assignment) -> str | None:
+    """A stub's parameters, one per argument of the constant's arity, named
+    as in the snippet or by default; None for a value, of arity 0."""
+    arity = declared_arity(c) or Fixed(0)
     if isinstance(arity, Binder):
-        a = names[0] if len(names) > 0 else "ctx"
-        b = names[1] if len(names) > 1 else "body"
-        return f"({a}: Context, {b}: Term)"
-    if isinstance(arity, Flexible):
-        fixed = [names[i] if i < len(names) else f"x{i + 1}"
-                 for i in range(arity.n)]
-        rest = names[arity.n] if len(names) > arity.n else "rest"
-        parts = [f"{x}: Term" for x in fixed] + [f"{rest}: List[Term]"]
-        return "(" + ", ".join(parts) + ")"
-    if isinstance(arity, Fixed) and arity.n > 0:
-        fixed = [names[i] if i < len(names) else f"x{i + 1}"
-                 for i in range(arity.n)]
-        return "(" + ", ".join(f"{x}: Term" for x in fixed) + ")"
-    if names:  # untyped but parameterized
-        return "(" + ", ".join(f"{x}: Term" for x in names) + ")"
-    return None  # a value, not a function
+        slots = [("ctx", "Context"), ("body", "Term")]
+    else:
+        slots = [(f"x{i + 1}", "Term") for i in range(arity.n)]
+        if isinstance(arity, Flexible):
+            slots.append(("rest", "List[Term]"))
+    if not slots:
+        return None
+    names = assignment.target.context \
+        if isinstance(assignment.target, Bind) else ()
+    return "(" + ", ".join(f"{names[i] if i < len(names) else name}: {kind}"
+                           for i, (name, kind) in enumerate(slots)) + ")"
 
 
 def extract(graph: TheoryGraph, project: Project) -> list[Path]:

@@ -17,6 +17,13 @@ a prefix or infix one; one less in a binder, which associates right.  Every
 closed, prefix and infix notation is parsed by one method from its trigger
 on; binders have their own.
 
+A parse scope records each trigger once, in the table of the parse
+position that reads it (Pratt's nud/led split): ``nud`` where a term
+starts, for closed, prefix and binder notations, and ``led`` after an
+operand, for infix ones.  The parser dispatches on the tables that are
+checked for ambiguity; the binder separators, the delimiters and the lexer
+are derived from them when first read.
+
 The tokenizer is one regex scan.  Its alternatives are the scope's
 delimiters longest first, a number, an identifier, a string literal and any
 other character, so the longest token wins, and a delimiter wins over an
@@ -227,46 +234,36 @@ class ParseScope:
     instead of indexed again.  In every table the first occurrence of a key
     wins, so a bare name resolves to the first in-scope constant of that
     name, and a constant met again adds nothing: ``ParseScope(a, b)`` has
-    the tables, in the same order, and raises the ``AmbiguityError``, that
-    ``a``'s pairs followed by ``b``'s give.  ``notations``, if given, is a
-    scope with the notations of the parts, in order (a list part then
-    brings none), whose notation tables are shared rather than joined
-    again.
+    the tables, in the same order, that ``a``'s pairs followed by ``b``'s
+    give, and fails where they fail, with the same ``AmbiguityError`` when
+    one trigger clashes.  ``notations``, if given, is a scope with the
+    notations of the parts, in order (a list part then brings none), whose
+    notation tables are shared rather than joined again.
 
-    Read-only once built, so that requests can share one (and share its
-    tables); the lexer is looked up when first asked for, so a scope kept
-    only to be merged compiles none.
+    Five tables are built: ``by_local``, ``by_qualified``, ``notations``,
+    and the trigger records ``nud`` and ``led``, one per parse position,
+    each trigger to its ``(GlobalName, Notation)``.  ``binder_seps``,
+    ``delimiters`` and ``lexer`` are derived when first read, so a scope
+    kept only to be merged computes none of them.  Read-only once built,
+    so that requests can share one (and share its tables).
     """
 
     def __init__(self, *parts, notations: ParseScope | None = None):
         if notations is not None:
             # Only names to join, when first asked for (see below).
             self._parts = parts
-            self._triggers = notations._triggers
             self.notations = notations.notations
             self.nud = notations.nud
             self.led = notations.led
-            self.binder_delims = notations.binder_delims
             self.binder_seps = notations.binder_seps
             self.delimiters = notations.delimiters
-            self._lexed = notations._lexed
+            self.lexer = notations.lexer
             return
         self.by_local: dict[str, GlobalName] = {}
         self.by_qualified: dict[str, GlobalName] = {}
         self.notations: dict[GlobalName, Notation] = {}
         self.nud: dict[str, tuple[GlobalName, Notation]] = {}
         self.led: dict[str, tuple[GlobalName, Notation]] = {}
-        self.binder_delims: dict[str, tuple[GlobalName, Notation]] = {}
-        self.binder_seps: set[str] = set()
-        # (kind, trigger) -> the constant whose notation it is, and that
-        # notation's precedence; the kind is "nud" for a binder or prefix
-        # notation, whose trigger is read where a term starts, and "led"
-        # for an infix one.  The parser dispatches on the trigger alone, so
-        # a second notation with the key, at any precedence, is ambiguous.
-        self._triggers: dict[tuple[str, str], tuple[GlobalName, int]] = {}
-        self.delimiters = _STRUCTURAL
-        # The delimiters the lexer's regex holds.
-        self._lexed: frozenset[str] = frozenset()
         for part in parts:
             if isinstance(part, ParseScope):
                 self._merge(part)
@@ -274,63 +271,50 @@ class ParseScope:
                 self._add(part)
 
     def _add(self, pairs) -> None:
-        delims: set[str] = set()
         for g, n in pairs:
             self.by_local.setdefault(g.name, g)
             self.by_qualified.setdefault(g.local, g)
             if n is None:
                 continue
             self.notations.setdefault(g, n)
-            delims |= n.delimiters
-            if n.is_binder:
-                kind, table = "nud", self.binder_delims
-                self.binder_seps.add(n.varlist.separator)
-            elif n.is_infix:
-                kind, table = "led", self.led
-            else:
-                kind, table = "nud", self.nud
-            entry = (g, n.precedence)
+            table = self.led if n.is_infix else self.nud
             for trig in n.triggers:
-                first = self._triggers.setdefault((kind, trig), entry)
-                if first[0] != g:
-                    raise _ambiguity(first, entry, trig)
-                table.setdefault(trig, (g, n))
-        delims -= self.delimiters
-        delims.discard("")
-        if delims:
-            self.delimiters = self.delimiters.union(delims)
-            self._lexed = self._lexed.union(
-                d for d in delims if not _OUTSIDE_REGEX.fullmatch(d))
+                _claim(table, trig, (g, n))
 
     def _merge(self, other: ParseScope) -> None:
         """Add ``other``'s tables, as adding its pairs would; a scope is
-        unambiguous in itself, and its trigger keys are in pair order."""
+        unambiguous in itself, and its triggers are in pair order."""
         _first_wins(self.by_local, other.by_local)
         _first_wins(self.by_qualified, other.by_qualified)
-        if not other._triggers:
+        if not other.notations:
             return
-        triggers = self._triggers
-        if triggers.keys().isdisjoint(other._triggers):
-            # Then no constant with a notation is in both.
-            triggers.update(other._triggers)
-            self.notations.update(other.notations)
-        else:
-            for key, second in other._triggers.items():
-                first = triggers.setdefault(key, second)
-                if first[0] != second[0]:
-                    raise _ambiguity(first, second, key[1])
-            _first_wins(self.notations, other.notations)
-        _first_wins(self.nud, other.nud)
-        _first_wins(self.led, other.led)
-        _first_wins(self.binder_delims, other.binder_delims)
-        self.binder_seps |= other.binder_seps
-        if not other.delimiters <= self.delimiters:
-            self.delimiters = self.delimiters.union(other.delimiters)
-            self._lexed = self._lexed.union(other._lexed)
+        _first_wins(self.notations, other.notations)
+        for table, more in ((self.nud, other.nud), (self.led, other.led)):
+            if table.keys().isdisjoint(more):
+                table.update(more)
+            else:
+                for trig, entry in more.items():
+                    _claim(table, trig, entry)
+
+    @functools.cached_property
+    def binder_seps(self) -> frozenset[str]:
+        return frozenset(n.varlist.separator for _, n in self.nud.values()
+                         if n.is_binder)
+
+    @functools.cached_property
+    def delimiters(self) -> frozenset[str]:
+        """The structural delimiters and those of the dispatched notations."""
+        out = set(_STRUCTURAL)
+        for _, n in chain(self.nud.values(), self.led.values()):
+            out |= n.delimiters
+        out.discard("")
+        return frozenset(out)
 
     @functools.cached_property
     def lexer(self):
-        return _lexer(self._lexed)
+        """``_lexer`` over the delimiters its regex holds, none structural."""
+        return _lexer(frozenset(d for d in self.delimiters - _STRUCTURAL
+                                if not _OUTSIDE_REGEX.fullmatch(d)))
 
     # The tables of names of a scope built with ``notations``, joined when
     # first read.  Most never are: on the seed-1 ``ingest`` stream, 4 of
@@ -369,12 +353,15 @@ def _first_wins(into: dict, more: dict) -> None:
             into.setdefault(k, v)
 
 
-def _ambiguity(first: tuple, second: tuple, trigger: str) -> AmbiguityError:
-    """The error of two ``(GlobalName, precedence)`` with one trigger."""
-    (f, p), (g, q) = first, second
-    at = f"precedence {p}" if p == q else f"precedences {p} and {q}"
-    return AmbiguityError(f"notations of {f.local} and {g.local} both "
-                          f"match {trigger!r} at {at}")
+def _claim(table: dict, trigger: str, entry: tuple) -> None:
+    """Enter ``entry``, a ``(GlobalName, Notation)``, under ``trigger``; as
+    the parser reads the trigger alone, another constant there is ambiguous."""
+    (f, m), (g, n) = table.setdefault(trigger, entry), entry
+    if f != g:
+        p, q = m.precedence, n.precedence
+        at = f"precedence {p}" if p == q else f"precedences {p} and {q}"
+        raise AmbiguityError(f"notations of {f.local} and {g.local} both "
+                             f"match {trigger!r} at {at}")
 
 
 # ---------------------------------------------------------------------------
@@ -582,31 +569,29 @@ class _Parser:
             if delim is not None:
                 return (yield from self.parse_binder(delim))
             return (yield from self.parse_name())
-        if kind == "sym" and text in self.scope.nud:
-            return (yield from self.parse_notation(*self.scope.nud[text]))
+        hit = self.scope.nud.get(text) if kind == "sym" else None
+        if hit is not None and not hit[1].is_binder:
+            return (yield from self.parse_notation(*hit))
         raise SyntaxErrorAt(f"unexpected {text or 'end of input'!r}", pos)
 
     def binder_delimiter(self) -> int | None:
         """Lookahead from an identifier: the index of the binder delimiter
         after ``ident (sep ident)*``, or None."""
-        if not self.scope.binder_delims:
-            return None
-        toks, seps = self.toks, self.scope.binder_seps
+        toks, scope = self.toks, self.scope
         j = self.i + 1
-        while (toks[j][1] in seps and toks[j][0] == "sym"
+        while (toks[j][0] == "sym" and toks[j][1] in scope.binder_seps
                and toks[j + 1][0] == "ident"):
             j += 2
         kind, text, _, _ = toks[j]
-        if kind == "sym" and text in self.scope.binder_delims:
-            return j
-        return None
+        hit = scope.nud.get(text) if kind == "sym" else None
+        return j if hit is not None and hit[1].is_binder else None
 
     def parse_binder(self, j: int):
         """A binder notation whose delimiter is at ``toks[j]``."""
         names = [t[1] for t in self.toks[self.i:j:2]]
         _, text, pos, _ = self.toks[j]
         self.i = j + 1
-        g, notation = self.scope.binder_delims[text]
+        g, notation = self.scope.nud[text]
         if len(set(names)) != len(names):
             raise SyntaxErrorAt("bound variable names must be distinct", pos)
         scope_term = yield self.parse_expr(notation.operand_precedence)

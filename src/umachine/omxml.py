@@ -108,16 +108,16 @@ def _leaf_xml(t: Term) -> str:
     raise TypeError(f"not a term: {t!r}")
 
 
-def encode_xml(t: Term, wrap: bool = True) -> str:
-    """Serialize ``t`` as OpenMath XML, by default wrapped in ``<OMOBJ>``.
+def encode_xml(t: Term) -> str:
+    """Serialize ``t`` as OpenMath XML, wrapped in ``<OMOBJ>``.
 
     The text is what ``xml.etree.ElementTree`` would write for the same
     elements, written in one preorder walk.  Each symbol's ``<OMS …/>``
     element is built once per call and kept in a dict of the call's own."""
-    out = ["<OMOBJ>"] if wrap else []
+    out = ["<OMOBJ>"]
     symbols: dict[GlobalName, str] = {}
     # Terms to write, and strings to write as they are.
-    todo: list = ["</OMOBJ>", t] if wrap else [t]
+    todo: list = ["</OMOBJ>", t]
     while todo:
         t = todo.pop()
         cls = t.__class__
@@ -263,6 +263,6 @@ def parse_xml(text: str) -> ET.Element:
         raise XmlDecodeError(f"not well-formed XML: {e}") from e
 
 
-def decode_xml(text: str, default_base: str | None = None) -> Term:
+def decode_xml(text: str) -> Term:
     """Parse OpenMath XML (OMOBJ-rooted or a bare object element)."""
-    return from_element(parse_xml(text), default_base)
+    return from_element(parse_xml(text))

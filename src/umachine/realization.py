@@ -22,7 +22,8 @@ from .graph import (BUILTIN_BASE, CMP_ANY, CMP_CONTEXT, CMP_FUNCTION,
                     View, snippet_is_stub)
 from .machine import Rule, RuleBase, SimplifyBudget, simplify
 from .notation import render_term
-from .sts import Arity, Binder, Fixed, Flexible, declared_arity
+from .sts import (Arity, Binder, Fixed, Flexible, argument_count,
+                  declared_arity)
 from .terms import (App, Bind, Const, Foreign, GlobalName, ModuleRef, Term,
                     app)
 
@@ -132,20 +133,10 @@ class RulesReport:
     unimplemented: list[GlobalName] = field(default_factory=list)
 
 
-def _expects_function(c, arity: Arity | None, assignment: Assignment) -> bool:
-    """Whether an assigned constant is supposed to have a registry binding."""
-    if arity is not None:
-        return not (isinstance(arity, Fixed) and arity.n == 0)
-    # Untyped constants are value-like unless the snippet declares parameters.
-    return isinstance(assignment.target, Bind) \
-        and isinstance(assignment.target.scope, Foreign)
-
-
 def _check_signature(g: GlobalName, fn: Callable, arity: Arity):
-    """Refuse ``fn`` when it cannot take the arguments a rule of ``arity``
-    is called with: ``n`` of them, ``n + 1`` for ``n*``, 2 for ``binder``."""
-    n = 2 if isinstance(arity, Binder) \
-        else arity.n + isinstance(arity, Flexible)
+    """Refuse ``fn`` when it cannot take the ``argument_count`` arguments
+    a rule of ``arity`` is called with."""
+    n = argument_count(arity)
     try:
         inspect.signature(fn).bind(*range(n))
     except TypeError:
@@ -162,8 +153,8 @@ def rules_of(graph: TheoryGraph, view_ref: ModuleRef,
     One rule per registered constant, at the arity of its type (``0`` when
     it has none, or one that is not well formed); a function that cannot
     take that arity's arguments is an ``ArityMismatchError``.  Assigned
-    constants whose snippet is a stub, or whose function-shaped assignment
-    has no registry binding, are reported as unimplemented.
+    constants whose snippet is a stub, or of an arity other than ``0`` (a
+    value) and without a registry binding, are reported as unimplemented.
     """
     if not commutes(graph, view_ref, embed):
         raise RealizationError(f"{view_ref} is not a syntactic realization")
@@ -174,14 +165,12 @@ def rules_of(graph: TheoryGraph, view_ref: ModuleRef,
         if g not in table:
             continue
         provider, assignment = table[g]
-        declared = declared_arity(c)
+        arity = declared_arity(c) or Fixed(0)
         fn = registry.get(f"{provider.module}?{c.name}")
         if fn is None:
-            if snippet_is_stub(assignment.target) \
-                    or _expects_function(c, declared, assignment):
+            if snippet_is_stub(assignment.target) or arity != Fixed(0):
                 report.unimplemented.append(g)
             continue
-        arity = Fixed(0) if declared is None else declared
         _check_signature(g, fn, arity)
         report.base.add(Rule(g, arity, fn))
     return report

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import (OM_BINDER, OM_FMP, OM_MAPSTO, OM_NARYOBJECT, OM_OBJECT,
-                    Constant, SourcePos, TheoryGraph)
-from .terms import App, Bind, Const, GlobalName, Term
+                    Assignment, Constant, SourcePos, TheoryGraph)
+from .terms import App, Bind, Const, Foreign, GlobalName, Term
 
 
 class Arity:
@@ -52,6 +52,13 @@ class Binder(Arity):
 
 
 BINDER = Binder()
+
+
+def argument_count(arity: Arity) -> int:
+    """The arguments a rule of ``arity`` is called with: ``n``, ``n + 1``
+    for ``n*`` (the sequence comes as one list), 2 for ``binder``."""
+    return 2 if isinstance(arity, Binder) \
+        else arity.n + isinstance(arity, Flexible)
 
 
 class IllFormedTypeError(ValueError):
@@ -120,6 +127,31 @@ def lint_theory(graph: TheoryGraph, ref) -> list[Diagnostic]:
             _check_term(graph, c.type, g, c.pos, out)
         if c.definiens is not None:
             _check_term(graph, c.definiens, g, c.pos, out)
+    return out
+
+
+def lint_view(graph: TheoryGraph, ref) -> list[Diagnostic]:
+    """A view's diagnostics: each domain constant it leaves unassigned
+    (``TheoryGraph.check_view``), then each of its own snippets with a
+    parameter list of other than its constant's ``argument_count``.  A
+    constant without a well-formed type is a value, of arity 0."""
+    view = graph.view(ref)
+    out = [Diagnostic("error", view.pos, g,
+                      f"missing assignment in view {ref.module}")
+           for g in graph.check_view(ref)]
+    own = {s.name: s for s in view.statements if isinstance(s, Assignment)}
+    for g, c in graph.flatten(view.domain):
+        a = own.get(c.name)
+        if a is None or not isinstance(a.target, Bind) \
+                or not isinstance(a.target.scope, Foreign):
+            continue
+        arity = declared_arity(c) or Fixed(0)
+        n, k = argument_count(arity), len(a.target.context)
+        if n != k:
+            out.append(Diagnostic(
+                "error", a.pos, g,
+                f"parameter list in view {ref.module} has {k} parameter(s); "
+                f"arity {arity} takes {n}"))
     return out
 
 

@@ -158,14 +158,15 @@ class _Parser:
             if delim is not None:
                 return self.parse_binder(delim)
             return self.parse_name()
-        if kind == "sym" and text in self.scope.nud:
-            return self.parse_notation(*self.scope.nud[text])
+        hit = self.scope.nud.get(text) if kind == "sym" else None
+        if hit is not None and not hit[1].is_binder:
+            return self.parse_notation(*hit)
         raise SyntaxErrorAt(f"unexpected {text or 'end of input'!r}", pos)
 
     def binder_delimiter(self) -> int | None:
         """Lookahead from an identifier: the index of the binder delimiter
         after ``ident (sep ident)*``, or None."""
-        if not self.scope.binder_delims:
+        if not self.scope.binder_seps:
             return None
         toks, seps = self.toks, self.scope.binder_seps
         j = self.i + 1
@@ -173,7 +174,8 @@ class _Parser:
                and toks[j + 1][0] == "ident"):
             j += 2
         kind, text, _, _ = toks[j]
-        if kind == "sym" and text in self.scope.binder_delims:
+        hit = self.scope.nud.get(text) if kind == "sym" else None
+        if hit is not None and hit[1].is_binder:
             return j
         return None
 
@@ -182,7 +184,7 @@ class _Parser:
         names = [t[1] for t in self.toks[self.i:j:2]]
         _, text, pos, _ = self.toks[j]
         self.i = j + 1
-        g, notation = self.scope.binder_delims[text]
+        g, notation = self.scope.nud[text]
         if len(set(names)) != len(names):
             raise SyntaxErrorAt("bound variable names must be distinct", pos)
         scope_term = self.parse_expr(notation.operand_precedence)
@@ -489,14 +491,11 @@ def to_element(t: Term) -> ET.Element:
     raise TypeError(f"not a term: {t!r}")
 
 
-def ref_encode_xml(t: Term, wrap: bool = True) -> str:
-    """Serialize ``t`` as OpenMath XML, by default wrapped in ``<OMOBJ>``."""
-    el = to_element(t)
-    if wrap:
-        root = ET.Element("OMOBJ")
-        root.append(el)
-        el = root
-    return ET.tostring(el, encoding="unicode")
+def ref_encode_xml(t: Term) -> str:
+    """Serialize ``t`` as OpenMath XML, wrapped in ``<OMOBJ>``."""
+    root = ET.Element("OMOBJ")
+    root.append(to_element(t))
+    return ET.tostring(root, encoding="unicode")
 
 
 def from_element(el: ET.Element, cdbase: str | None = None) -> Term:
@@ -825,7 +824,7 @@ def _ref_walk(graph, t, out: list, walking: dict, path: list) -> None:
 
 def _ref_tables(entries) -> dict:
     by_local, by_qualified, notations = {}, {}, {}
-    nud, led, binder_delims, binder_seps = {}, {}, {}, set()
+    nud, led, binder_seps = {}, {}, set()
     delims = {"(", ")", ",", "[", "]", "?"}
     seen_triggers = {}
     for g, n in entries:
@@ -836,7 +835,7 @@ def _ref_tables(entries) -> dict:
         notations.setdefault(g, n)
         delims |= n.delimiters
         if n.is_binder:
-            kind, table = "nud", binder_delims
+            kind, table = "nud", nud
             binder_seps.add(n.varlist.separator)
         elif n.is_infix:
             kind, table = "led", led
@@ -858,7 +857,6 @@ def _ref_tables(entries) -> dict:
             "by_qualified": list(by_qualified.items()),
             "notations": list(notations.items()),
             "nud": list(nud.items()), "led": list(led.items()),
-            "binder_delims": list(binder_delims.items()),
             "binder_seps": sorted(binder_seps),
             "delimiters": sorted(delimiters),
             "lexer": lexer.__self__.pattern}
@@ -870,7 +868,6 @@ def scope_tables(scope: ParseScope) -> dict:
             "by_qualified": list(scope.by_qualified.items()),
             "notations": list(scope.notations.items()),
             "nud": list(scope.nud.items()), "led": list(scope.led.items()),
-            "binder_delims": list(scope.binder_delims.items()),
             "binder_seps": sorted(scope.binder_seps),
             "delimiters": sorted(scope.delimiters),
             "lexer": scope.lexer.__self__.pattern}

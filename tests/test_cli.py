@@ -95,6 +95,22 @@ def test_check_prints_a_missing_assignment_as_a_diagnostic(partial_project,
         f"error {mmt}:3 arith1?plus missing assignment in view NumberArith\n")
 
 
+def test_check_refuses_a_parameter_list_no_function_can_match(tmp_path,
+                                                              capsys):
+    root = tmp_path / "p"
+    (root / "source").mkdir(parents=True)
+    mmt = root / "source" / "t.mmt"
+    mmt.write_text("document um:/t\ntheory T : OpenMath\n  constant f\n"
+                   "  constant g : Object → Object\n"
+                   "view V : T -> Computation\n"
+                   '  constant f = (a: Term) "a"\n'
+                   '  constant g = (a: Term) "a"\n', encoding="utf-8")
+    assert main(["check", str(root), "--no-stdlib"]) == 1
+    assert capsys.readouterr().out == (
+        f"error {mmt}:6 T?f parameter list in view V has 1 parameter(s); "
+        "arity 0 takes 0\n")
+
+
 @pytest.mark.parametrize("command", ["check", "test"])
 @pytest.mark.parametrize("block, include, message", [
     ("view V : arith1 -> Computation", "arith1",

@@ -54,6 +54,28 @@ view NumberArith : arith1 -> Computation
     assert "OMI(x - y)" in minus_region
 
 
+def test_extract_writes_a_constant_of_arity_0_as_a_value(tmp_path):
+    # An untyped constant is a value whatever its snippet's parameter list
+    # (which ``um check`` refuses), and so is one of type Object.
+    root = tmp_path / "t"
+    (root / "source").mkdir(parents=True)
+    (root / "source" / "t.mmt").write_text("""\
+document um:/t
+theory T : OpenMath
+  constant f
+  constant g : Object → Object
+  constant v : Object
+view V : T -> Computation
+  constant f = (a: Term) "a"
+  constant g = (a: Term) "a"
+  constant v = "v"
+""", encoding="utf-8")
+    graph, project = _project(root)
+    lines = extract(graph, project)[0].read_text().splitlines()
+    assert [l for l in lines if l.startswith(("value", "function"))] == [
+        "value T_f: Term", "function T_g(a: Term): Term", "value T_v: Term"]
+
+
 def test_extract_without_views_writes_nothing(tmp_path):
     root = tmp_path / "noviews"
     (root / "source").mkdir(parents=True)

@@ -220,6 +220,48 @@ def test_same_delimiter_at_distinct_precedence_is_ambiguous():
         ParseScope(ParseScope([a]), ParseScope([b]))
 
 
+def test_a_binder_shares_its_trigger_position_with_a_prefix_not_an_infix():
+    # A binder's trigger is read where a term starts, as a prefix one is
+    # (after the variables, which only a lookahead tells from a name); an
+    # infix one's is read after an operand.
+    lam = (G("T", "lam"), parse_notation("V ↦ 2 prec 10"))
+    pre = (G("T", "pre"), parse_notation("↦ 1 prec 20"))
+    message = ("notations of T?lam and T?pre both match '↦' at "
+               "precedences 10 and 20")
+    for make in (lambda: ParseScope([lam, pre]),
+                 lambda: ParseScope(ParseScope([lam]), ParseScope([pre]))):
+        with pytest.raises(AmbiguityError, match=f"^{re.escape(message)}$"):
+            make()
+    reverse = ("notations of T?pre and T?lam both match '↦' at "
+               "precedences 20 and 10")
+    for make in (lambda: ParseScope([pre, lam]),
+                 lambda: ParseScope(ParseScope([pre]), ParseScope([lam]))):
+        with pytest.raises(AmbiguityError, match=f"^{re.escape(reverse)}$"):
+            make()
+    inf = (G("T", "inf"), parse_notation("1 ↦ 2 prec 20"))
+    for scope in (ParseScope([lam, inf]), ParseScope([inf, lam]),
+                  ParseScope(ParseScope([inf]), ParseScope([lam]))):
+        assert parse_term("x ↦ 2", scope) == Bind(Const(lam[0]), ("x",),
+                                                 IntLit(2))
+        assert parse_term("(1) ↦ 2", scope) == app(Const(inf[0]), IntLit(1),
+                                                   IntLit(2))
+        with pytest.raises(SyntaxErrorAt,
+                           match=re.escape("unexpected '↦' (at position 0)")):
+            parse_term("↦ x", scope)
+
+
+def test_the_derived_tables_follow_the_dispatched_notations():
+    # A binder's own separator separates its variables, and an empty
+    # separator is no delimiter.
+    lam = (G("T", "lam"), Notation((VarList(";"), Delim("."), Arg(2)), 10))
+    cat = (G("T", "cat"), Notation((SeqArg(1, ""),)))
+    scope = ParseScope([lam, cat])
+    assert scope.binder_seps == {";"} and "" not in scope.delimiters
+    assert parse_term("x; y . x", scope) == Bind(Const(lam[0]), ("x", "y"),
+                                                 Var("x"))
+    assert [t[:2] for t in tokenize("ab", scope)[:-2]] == [("ident", "ab")]
+
+
 @pytest.mark.parametrize("src", ["V ( 2 )", "( 1 )", "1 ( 2 )",
                                  "1 , 2 prec 5", "1,..."])
 def test_a_notation_triggered_by_a_paren_or_comma_is_refused(src):

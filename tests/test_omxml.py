@@ -17,12 +17,12 @@ CONS = Const(GlobalName(UOM, "lists", "cons"))
 
 
 def test_int_literal_encoding():
-    assert encode_xml(IntLit(5), wrap=False) == "<OMI>5</OMI>"
-    assert encode_xml(IntLit(-12), wrap=False) == "<OMI>-12</OMI>"
+    assert encode_xml(IntLit(5)) == "<OMOBJ><OMI>5</OMI></OMOBJ>"
+    assert encode_xml(IntLit(-12)) == "<OMOBJ><OMI>-12</OMI></OMOBJ>"
 
 
 def test_symbol_encoding_carries_cdbase():
-    el = ET.fromstring(encode_xml(NIL, wrap=False))
+    (el,) = ET.fromstring(encode_xml(NIL))
     assert el.tag == "OMS"
     assert el.get("cdbase") == UOM
     assert el.get("cd") == "lists"
@@ -42,7 +42,9 @@ def test_cdbase_inherited_from_ancestor():
 
 
 def test_cdbase_from_default_argument():
-    assert decode_xml('<OMS cd="lists" name="nil"/>', default_base=UOM) == NIL
+    # As ``omdoc`` decodes a term under its document's base.
+    assert omxml.from_element(omxml.parse_xml('<OMS cd="lists" name="nil"/>'),
+                              UOM) == NIL
 
 
 def test_missing_cdbase_is_an_error():

@@ -108,6 +108,23 @@ view V : T -> Computation
     assert str(next(report.base.rules()).arity) == arity
 
 
+def test_a_constant_of_arity_0_is_a_value_whatever_its_snippet():
+    # Only a function can be unimplemented: an untyped constant takes no
+    # arguments, so a parameter list on its snippet (which ``um check``
+    # refuses) asks for nothing.
+    graph, _, _ = build_graph(with_stdlib=False)
+    parse_modules(graph, """document um:/t
+theory T : OpenMath
+  constant f
+  constant g : Object → Object
+view V : T -> Computation
+  constant f = (a: Term) "a"
+  constant g = (a: Term) "a"
+""", "t.mmt")
+    report = rules_of(graph, graph.resolve("V"), registry={})
+    assert [g.local for g in report.unimplemented] == ["T?g"]
+
+
 def test_non_syntactic_realizations_are_rejected():
     graph, _, _ = build_graph()
     parse_modules(graph, NUMBER_ARITH, "na.mmt")

@@ -222,7 +222,8 @@ def test_theories_sharing_a_frame_share_its_notation_tables():
                 for i in range(10)))
     scopes = [graph.scope_for(_ref(f"I{i}")) for i in range(10)]
     assert all(s.led is scopes[0].led and s.lexer is scopes[0].lexer
-               for s in scopes)
+               and s.delimiters is scopes[0].delimiters
+               and s.binder_seps is scopes[0].binder_seps for s in scopes)
     # Ten theories' scopes and one frame's.
     assert graph._scopes.cache_info().currsize == kept + 11
 

@@ -2,8 +2,11 @@ import pytest
 
 from umachine.graph import (OM_BINDER, OM_MAPSTO, OM_NARYOBJECT, OM_OBJECT,
                             OPENMATH, Constant, Theory, TheoryGraph)
+from umachine.codegen import build_graph
 from umachine.sts import (BINDER, Fixed, Flexible, IllFormedTypeError,
-                          arity_of, lint_theory, well_formed_type)
+                          argument_count, arity_of, lint_theory, lint_view,
+                          well_formed_type)
+from umachine.surface import parse_modules
 from umachine.terms import Bind, Const, IntLit, ModuleRef, Var, app
 
 OBJ = Const(OM_OBJECT)
@@ -134,3 +137,51 @@ def test_lint_on_generated_corpus(loaded):
     for name in ("arith1", "logic1", "relation1", "set1", "fns1", "integer1"):
         g2.modules[g.resolve(name)] = g.modules[g.resolve(name)]
     assert lint_theory(g2, scratch.name) == []
+
+
+# -- lint_view --------------------------------------------------------------
+
+def test_argument_count_of_each_arity():
+    assert [argument_count(a) for a in (Fixed(0), Fixed(2), Flexible(0),
+                                        Flexible(2), BINDER)] == [0, 2, 1, 3, 2]
+
+
+def test_lint_view_refuses_a_parameter_list_its_arity_cannot_take():
+    graph, _, _ = build_graph(with_stdlib=False)
+    parse_modules(graph, """document um:/t
+theory T : OpenMath
+  constant f
+  constant g : Object → Object
+  constant h : Object → Object
+  constant n : naryObject → Object
+  constant b : binder
+  constant c : binder
+  constant k
+  constant m : Object → Object
+  constant v : Object
+  constant w : naryObject
+  constant missing
+view V : T -> Computation
+  constant f = (a: Term) "an untyped constant is a value"
+  constant g = (a: Term) "one argument"
+  constant h = (a: Term, b: Term) "arity 1 takes one"
+  constant n = (l: List[Term]) "the sequence as one list"
+  constant b = (ctx: Context, body: Term) "context and body"
+  constant c = (body: Term) "a binder takes two"
+  constant k = "no parameter list"
+  constant m = "no parameter list"
+  constant v = (a: Term) "arity 0 takes none"
+  constant w = (a: Term) "an ill-formed type is arity 0"
+""", "t.mmt")
+    assert [str(d) for d in lint_view(graph, graph.resolve("V"))] == [
+        "error t.mmt:14 T?missing missing assignment in view V",
+        "error t.mmt:15 T?f parameter list in view V has 1 parameter(s); "
+        "arity 0 takes 0",
+        "error t.mmt:17 T?h parameter list in view V has 2 parameter(s); "
+        "arity 1 takes 1",
+        "error t.mmt:20 T?c parameter list in view V has 1 parameter(s); "
+        "arity binder takes 2",
+        "error t.mmt:23 T?v parameter list in view V has 1 parameter(s); "
+        "arity 0 takes 0",
+        "error t.mmt:24 T?w parameter list in view V has 1 parameter(s); "
+        "arity 0 takes 0"]

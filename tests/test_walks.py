@@ -93,9 +93,8 @@ def test_render_and_parse_agree_with_the_references_in_every_stdlib_scope(
 def test_the_codecs_agree_with_the_references():
     rng = random.Random(16)
     for t in _corpus(16, 150):
-        for wrap in (False, True):
-            assert encode_xml(t, wrap) == ref_encode_xml(t, wrap)
         xml = encode_xml(t)
+        assert xml == ref_encode_xml(t)
         for src in [xml, *_mutations(xml, rng, 6)]:
             assert _same_tree(_outcome(decode_xml, src),
                               _outcome(ref_decode_xml, src)), src
@@ -108,16 +107,18 @@ def test_the_codecs_agree_with_the_references():
         ("um:/x", "cd\n1\r", "z"), ("um:/x", "cd\n1\r", "a\rb&<>")]]
     t = app(odd[0], odd[1], app(odd[0], odd[2], odd[3], odd[4], odd[5]),
             Bind(odd[2], ("x",), app(odd[1], Var("x"), odd[3], odd[0])))
-    for wrap in (False, True):
-        assert encode_xml(t, wrap) == ref_encode_xml(t, wrap)
+    assert encode_xml(t) == ref_encode_xml(t)
     assert ref_eq(decode_xml(encode_xml(t)), t)
     for xml in ['<OMOBJ><OMBIND><OMS cd="fns1" name="lambda"/><OMBVAR>'
                 '<OMV name="x"/><OMV name="x"/></OMBVAR><OMV name="x"/>'
                 '</OMBIND></OMOBJ>', "<OMA/>", "<OMOBJ/>", "<OMA><OMI>1</OMI>"
                 "</OMA>", '<OMBIND cdbase="b"><OMS cd="c" name="n"/><OMV '
                 'name="x"/><OMV name="x"/></OMBIND>', "<OMBVAR/>"]:
-        assert _same_tree(_outcome(decode_xml, xml, "um:/d"),
-                          _outcome(ref_decode_xml, xml, "um:/d")), xml
+        # Under a base, as ``omdoc`` decodes a document's terms.
+        assert _same_tree(
+            _outcome(lambda x: omxml.from_element(omxml.parse_xml(x),
+                                                  "um:/d"), xml),
+            _outcome(ref_decode_xml, xml, "um:/d")), xml
 
 
 def test_the_doctype_refusal_agrees_with_the_reference():
