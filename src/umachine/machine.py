@@ -71,15 +71,6 @@ class Rule:
     arity: Arity
     fn: Callable
 
-    def make_redex(self, *parts) -> Term:
-        """The application shape this rule matches (used by tests)."""
-        if isinstance(self.arity, Binder):
-            ctx, scope = parts
-            return Bind(Const(self.head), ctx, scope)
-        if parts:
-            return App(Const(self.head), tuple(parts))
-        return Const(self.head)
-
 
 class RuleBase:
     """One rule per head, as the module docstring says."""

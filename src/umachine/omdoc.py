@@ -1,4 +1,4 @@
-"""Ingestion and re-export of the OMDoc subset.
+"""Ingestion of the OMDoc subset.
 
 Supported elements: ``omdoc`` (attribute ``base``), ``theory`` (``name``),
 ``constant`` (``name``), ``include`` (``from``), and a constant's ``type``
@@ -14,8 +14,7 @@ its theories or, on any error, none.
 from __future__ import annotations
 
 from .graph import OPENMATH, Constant, Include, Theory, TheoryGraph, View
-from .omxml import (XmlDecodeError, element, encode_xml, from_element,
-                    local_tag, parse_xml)
+from .omxml import XmlDecodeError, from_element, local_tag, parse_xml
 from .terms import ModuleRef, normalize_uri
 
 
@@ -108,24 +107,3 @@ def ingest_omdoc(graph: TheoryGraph, xml_text: str) -> list[Theory]:
     graph.add(*added)
     return added
 
-
-def export_omdoc(theories, base: str) -> str:
-    """Serialize theories back into the same OMDoc subset, as
-    ``xml.etree.ElementTree`` would write it."""
-    out = []
-    for theory in theories:
-        decls = []
-        for d in theory.declarations:
-            if isinstance(d, Include):
-                frm = (f"?{d.target.module}"
-                       if d.target.base == theory.name.base else str(d.target))
-                decls.append(element("include", (("from", frm),)))
-            else:
-                decls.append(element("constant", (("name", d.name),), "".join(
-                    element(tag, (), encode_xml(term))
-                    for tag, field in _CONSTANT_TERMS.items()
-                    if (term := getattr(d, field)) is not None)))
-        out.append(element("theory", (("name", theory.name.module),),
-                           "".join(decls)))
-    return element("omdoc", (("xmlns", "http://omdoc.org/ns"),
-                             ("base", base)), "".join(out))

@@ -1,21 +1,33 @@
 """Reference implementations: the recursive term walks that the iterative
 ones in ``umachine`` must agree with.
 
+The oracle reads only what a caller of ``umachine`` sees: public names,
+and of a parse scope only ``by_local``, ``by_qualified`` and
+``notations``.  It builds its parser's tables from a scope's notations,
+lexes with a character loop of its own, selects rules through
+``RuleBase.get`` and an arity check of its own, and writes out the
+constants of the codecs.  So a scope's layout, its lexer and rule
+dispatch are known to ``src/`` alone, and a bug there does not agree with
+itself here.
+
 They recurse along the term, one Python frame per level, so they serve only
 terms well inside the interpreter's recursion limit.  The parser, renderer,
 OpenMath codecs, structural equality and ``term_key`` are here as they were
 before the walks became loops; the tests compare the two on generated
 corpora.
 
+The lexer states the rule ``notation.tokenize`` implements with one regex:
+at each character, the longest of a delimiter, an identifier and a number
+wins; a number only when strictly longer than both, and a delimiter over an
+identifier of the same length.
+
 Two loops are here as they were before their frames were made cheaper: the
 engine's ``simplify``, which took each child round the whole loop and built
 the redex again to compare a rule's result with it, and substitution, a
 generator per binding under ``run`` that computed the free variables of
-every binding's scope.  The engine loop builds its nodes and its partial
-result with helpers of its own; it shares only rule dispatch
-(``machine._select_rule``) with the code under test.  Substitution states
-the naming rule: a binding's scope goes under one mapping, in which each
-name renamed away from capture maps to its fresh name.
+every binding's scope.  Substitution states the naming rule: a binding's
+scope goes under one mapping, in which each name renamed away from capture
+maps to its fresh name.
 
 ``ref_parse_xml`` refuses a ``DOCTYPE`` as the parser meets it, through a
 tree builder of its own, where ``omxml.parse_xml`` scans the prolog first.
@@ -26,23 +38,23 @@ again to drop repeats.
 
 The scope of a theory is built here as it was before scopes were merged
 from kept tables: one walk of the include graph and the meta chain, then
-every table indexed from the constants met, in order.
+its names and notations indexed from the constants met, in order.
 """
 
+import functools
 import math
+import re
 import xml.etree.ElementTree as ET
+from dataclasses import dataclass
 from itertools import chain
 
-from umachine.notation import (_LITERALS, _NEGATION, _OUTSIDE_REGEX, Arg,
-                               AmbiguityError, Delim, Notation, ParseScope,
-                               SeqArg, SyntaxErrorAt, VarList, _lexer,
-                               escape_str, tokenize)
+from umachine.notation import (Arg, AmbiguityError, Delim, Notation,
+                               SeqArg, SyntaxErrorAt, VarList, escape_str)
 from umachine.graph import IncludeCycleError, Include, Theory
-from umachine.omdoc import _CONSTANT_TERMS
-from umachine.omxml import (_OMI_RE, XmlDecodeError, _dec_to_float,
-                            _float_to_dec, _symbol, local_tag)
-from umachine.machine import SimplifyBudget, SimplifyResult, _select_rule
+from umachine.omxml import XmlDecodeError, local_tag
+from umachine.machine import SimplifyBudget, SimplifyResult
 from umachine.stdlib.rules import EMPTYSET, SET
+from umachine.sts import Binder, Fixed, Flexible
 from umachine.terms import (App, Bind, Const, FloatLit, Foreign, GlobalName,
                             IntLit, StrLit, Term, Var, fresh_name, free_vars,
                             run, term_key)
@@ -96,12 +108,19 @@ def ref_term_key(t: Term):
 
 # -- the recursive Pratt parser --------------------------------------------------
 
-class _Parser:
-    """Pratt parsing over ``tokenize``'s tokens; ``i`` is the next one."""
+_LITERALS = {"int": IntLit, "float": FloatLit, "str": StrLit}
+_NEGATION = (Delim("-"), Arg(1))
 
-    def __init__(self, toks: list[tuple], scope: ParseScope):
+
+class _Parser:
+    """Pratt parsing over ``ref_tokenize``'s tokens; ``i`` is the next one.
+    It dispatches on the tables ``_ref_tables`` builds from the scope's
+    notations."""
+
+    def __init__(self, toks: list[tuple], scope):
         self.toks = toks
         self.scope = scope
+        self.tables = _tables_of(scope)
         self.i = 0
 
     # The token list ends in two eofs, and the parser stops at the first
@@ -130,7 +149,7 @@ class _Parser:
         return t
 
     def parse_expr(self, min_prec: int) -> Term:
-        toks, led = self.toks, self.scope.led
+        toks, led = self.toks, self.tables["led"]
         kind, _, _, value = toks[self.i]
         literal = _LITERALS.get(kind)
         if literal is not None:
@@ -158,7 +177,7 @@ class _Parser:
             if delim is not None:
                 return self.parse_binder(delim)
             return self.parse_name()
-        hit = self.scope.nud.get(text) if kind == "sym" else None
+        hit = self.tables["nud"].get(text) if kind == "sym" else None
         if hit is not None and not hit[1].is_binder:
             return self.parse_notation(*hit)
         raise SyntaxErrorAt(f"unexpected {text or 'end of input'!r}", pos)
@@ -166,15 +185,15 @@ class _Parser:
     def binder_delimiter(self) -> int | None:
         """Lookahead from an identifier: the index of the binder delimiter
         after ``ident (sep ident)*``, or None."""
-        if not self.scope.binder_seps:
+        toks, seps = self.toks, self.tables["binder_seps"]
+        if not seps:
             return None
-        toks, seps = self.toks, self.scope.binder_seps
         j = self.i + 1
         while (toks[j][1] in seps and toks[j][0] == "sym"
                and toks[j + 1][0] == "ident"):
             j += 2
         kind, text, _, _ = toks[j]
-        hit = self.scope.nud.get(text) if kind == "sym" else None
+        hit = self.tables["nud"].get(text) if kind == "sym" else None
         if hit is not None and hit[1].is_binder:
             return j
         return None
@@ -184,7 +203,7 @@ class _Parser:
         names = [t[1] for t in self.toks[self.i:j:2]]
         _, text, pos, _ = self.toks[j]
         self.i = j + 1
-        g, notation = self.scope.nud[text]
+        g, notation = self.tables["nud"][text]
         if len(set(names)) != len(names):
             raise SyntaxErrorAt("bound variable names must be distinct", pos)
         scope_term = self.parse_expr(notation.operand_precedence)
@@ -195,7 +214,7 @@ class _Parser:
         if self.peek()[1] == "?" and self.peek(1)[0] == "ident":
             self.i += 1
             const = self.next()[1]
-            g = self.scope.resolve_qualified(name, const)
+            g = self.scope.by_qualified.get(f"{name}?{const}")
             if g is None:
                 raise SyntaxErrorAt(f"unknown constant {name}?{const}", pos)
             return self.maybe_call(Const(g))
@@ -319,14 +338,89 @@ class _Parser:
         return Const(empty)
 
 
-def ref_parse_term(src: str, scope: ParseScope) -> Term:
-    """Parse ``src`` against the notations and constants in ``scope``."""
-    return _Parser(tokenize(src, scope), scope).parse()
+def ref_parse_term(src: str, scope) -> Term:
+    """Parse ``src`` against the notations and constants in ``scope``, a
+    ``ParseScope`` or a ``RefScope``."""
+    return _Parser(ref_tokenize(src, scope), scope).parse()
+
+
+# -- the character-loop lexer ------------------------------------------------------
+
+_IDENT = re.compile(r"[^\W\d]\w*")
+_NUMBER = re.compile(r"\d+(\.\d+)?([eE][+-]?\d+)?")
+
+
+def ref_lex_string(src: str, i: int) -> tuple[str, int]:
+    """The quoted literal at ``src[i]``, with ``\\"`` and ``\\\\`` escapes:
+    its content and the index after it, or ``SyntaxErrorAt``."""
+    out, j = [], i + 1
+    while j < len(src):
+        c = src[j]
+        if c == "\\":
+            if j + 1 >= len(src) or src[j + 1] not in ('"', "\\"):
+                raise SyntaxErrorAt("bad escape in string literal", j)
+            out.append(src[j + 1])
+            j += 2
+        elif c == '"':
+            return "".join(out), j + 1
+        else:
+            out.append(c)
+            j += 1
+    raise SyntaxErrorAt("unterminated string literal", i)
+
+
+def ref_tokenize(src: str, scope) -> list[tuple]:
+    """``src`` as ``(kind, text, pos, value)`` tokens over the delimiters
+    of ``scope``'s notations, two ``eof`` tokens at the end.  At each
+    character it tries the delimiters starting with it, longest first, an
+    identifier and a number; the longest wins, a number only when strictly
+    longer, a delimiter over an identifier as long."""
+    by_first = {}
+    for d in sorted(_tables_of(scope)["delimiters"], key=len, reverse=True):
+        by_first.setdefault(d[0], []).append(d)
+    toks = []
+    i, n = 0, len(src)
+    while i < n:
+        c = src[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c == '"':
+            value, j = ref_lex_string(src, i)
+            toks.append(("str", src[i:j], i, value))
+            i = j
+            continue
+        best_delim = ""
+        for d in by_first.get(c, ()):
+            if src.startswith(d, i):
+                best_delim = d
+                break
+        m = _IDENT.match(src, i)
+        ident = m.group(0) if m else ""
+        m = _NUMBER.match(src, i)
+        number = m.group(0) if m else ""
+        longest = max(len(best_delim), len(ident), len(number))
+        if longest == 0:
+            raise SyntaxErrorAt(f"stray character {c!r}", i)
+        if len(number) == longest and len(number) > max(len(best_delim),
+                                                        len(ident)):
+            if number.isdigit():
+                toks.append(("int", number, i, int(number)))
+            elif math.isfinite(value := float(number)):
+                toks.append(("float", number, i, value))
+            else:
+                raise SyntaxErrorAt("float literal out of range", i)
+        elif len(best_delim) == longest:
+            toks.append(("sym", best_delim, i, None))
+        else:
+            toks.append(("ident", ident, i, None))
+        i += longest
+    return toks + [("eof", "", n, None)] * 2
 
 
 # -- the recursive renderer --------------------------------------------------------
 
-def ref_render_term(t: Term, scope: ParseScope) -> str:
+def ref_render_term(t: Term, scope) -> str:
     """Render ``t`` so that it re-parses to an equal term in the same scope.
 
     Constants without a notation fall back to qualified prefix form.
@@ -334,7 +428,7 @@ def ref_render_term(t: Term, scope: ParseScope) -> str:
     return _render(t, scope)[0]
 
 
-def _render(t: Term, scope: ParseScope) -> tuple[str, Notation | None]:
+def _render(t: Term, scope) -> tuple[str, Notation | None]:
     """The text of ``t`` and the notation at its top (None for an atom or a
     fallback form)."""
     if isinstance(t, IntLit):
@@ -381,7 +475,7 @@ def _render(t: Term, scope: ParseScope) -> tuple[str, Notation | None]:
 
 
 def _render_notation(n: Notation, args: tuple, t: Term,
-                     scope: ParseScope) -> str:
+                     scope) -> str:
     """Walk ``n``'s tokens once.  Slots take ``args`` in index order, the
     sequence slot the surplus; a binder's variable list takes the names
     that ``t`` binds."""
@@ -427,7 +521,7 @@ def _word_boundary_glue(parts: list[str]) -> str:
     return "".join(out).strip()
 
 
-def _operand(t: Term, scope: ParseScope, prec: int, separated: bool,
+def _operand(t: Term, scope, prec: int, separated: bool,
              under_prefix: bool = False) -> str:
     """``t`` as an operand read at ``prec``, in parentheses when its own
     precedence is at most ``prec``, when it is a binder in a
@@ -442,6 +536,35 @@ def _operand(t: Term, scope: ParseScope, prec: int, separated: bool,
 
 
 # -- the recursive OpenMath codecs -------------------------------------------------
+
+def _float_to_dec(v: float) -> str:
+    if math.isnan(v):
+        return "NaN"
+    if math.isinf(v):
+        return "INF" if v > 0 else "-INF"
+    return repr(v)
+
+
+def _dec_to_float(s: str) -> float:
+    s = s.strip()
+    if s == "INF":
+        return math.inf
+    if s == "-INF":
+        return -math.inf
+    if s == "NaN":
+        return math.nan
+    try:
+        return float(s)
+    except ValueError as e:
+        raise XmlDecodeError(f"bad OMF dec value: {s!r}") from e
+
+
+def _symbol(base: str, cd: str, name: str) -> Const:
+    try:
+        return Const(GlobalName(base, cd, name))
+    except ValueError as e:  # a cdbase ``urlsplit`` refuses
+        raise XmlDecodeError(f"bad cdbase {base!r}: {e}") from None
+
 
 def to_element(t: Term) -> ET.Element:
     """Encode ``t`` as an OpenMath element (without the OMOBJ wrapper)."""
@@ -521,7 +644,7 @@ def from_element(el: ET.Element, cdbase: str | None = None) -> Term:
         return Var(name)
     if tag == "OMI":
         text = (el.text or "").strip()
-        if not _OMI_RE.match(text):
+        if not re.fullmatch(r"-?[0-9]+", text):
             raise XmlDecodeError(f"malformed OMI digits: {text!r}")
         try:
             return IntLit(int(text))
@@ -588,32 +711,6 @@ def ref_decode_xml(text: str, default_base: str | None = None) -> Term:
     return from_element(el, default_base)
 
 
-def ref_export_omdoc(theories, base: str) -> str:
-    """``omdoc.export_omdoc`` through ``xml.etree.ElementTree``."""
-    root = ET.Element("omdoc")
-    root.set("xmlns", "http://omdoc.org/ns")
-    root.set("base", base)
-    for theory in theories:
-        tel = ET.SubElement(root, "theory")
-        tel.set("name", theory.name.module)
-        for d in theory.declarations:
-            if isinstance(d, Include):
-                iel = ET.SubElement(tel, "include")
-                if d.target.base == theory.name.base:
-                    iel.set("from", f"?{d.target.module}")
-                else:
-                    iel.set("from", str(d.target))
-            else:
-                cel = ET.SubElement(tel, "constant")
-                cel.set("name", d.name)
-                for tag, field in _CONSTANT_TERMS.items():
-                    term = getattr(d, field)
-                    if term is not None:
-                        obj = ET.SubElement(ET.SubElement(cel, tag), "OMOBJ")
-                        obj.append(to_element(term))
-    return ET.tostring(root, encoding="unicode")
-
-
 # -- the engine loop and substitution before their frames were made cheaper -------
 
 def _ref_children(t: Term) -> tuple:
@@ -641,6 +738,30 @@ def _ref_partial(t: Term, stack: list) -> Term:
         node, kids, done = stack.pop()
         t = _ref_build(node, (*done, t, *kids[len(done) + 1:]))
     return t
+
+
+def _ref_select(base, t: Term, parts: tuple):
+    """The rule of the redex ``t`` with children ``parts`` (none for a
+    constant) and the arguments it is called with, or None when the head
+    is no constant with a rule, or ``t`` is not of the rule's arity's
+    shape: ``0`` the bare constant, ``n`` exactly n arguments, ``n*`` at
+    least n (the rest as one tuple), ``binder`` a binding."""
+    head = parts[0] if parts else t
+    rule = base.get(head.head) if isinstance(head, Const) else None
+    if rule is None:
+        return None
+    a = rule.arity
+    if isinstance(t, Const):
+        args = () if isinstance(a, Fixed) and a.n == 0 else None
+    elif isinstance(t, Bind):
+        args = (t.context, parts[1]) if isinstance(a, Binder) else None
+    elif isinstance(a, Fixed) and len(parts) - 1 == a.n:
+        args = parts[1:]
+    elif isinstance(a, Flexible) and len(parts) - 1 >= a.n:
+        args = (*parts[1:a.n + 1], parts[a.n + 1:])
+    else:
+        args = None
+    return None if args is None else (rule, args)
 
 
 def _ref_apply(rule, args: tuple, t: Term, parts: tuple):
@@ -674,7 +795,7 @@ def ref_simplify(base, t: Term,
             t = kids[0]
             continue
         if isinstance(t, Const):
-            hit = _select_rule(base, t, ())
+            hit = _ref_select(base, t, ())
             result = None if hit is None else _ref_apply(*hit, t, ())
             if result is not None:
                 if fuel == 0:
@@ -693,7 +814,7 @@ def ref_simplify(base, t: Term,
                 break
             stack.pop()
             parts = tuple(done)
-            hit = _select_rule(base, node, parts)
+            hit = _ref_select(base, node, parts)
             result = None if hit is None else _ref_apply(*hit, node, parts)
             if result is None:
                 t = _ref_build(node, parts, simplified=True)
@@ -779,11 +900,22 @@ def _substituted(t: Term, bnd: dict):
                 t = Bind(binder, ctx, scope)
 
 
-# -- scopes: one walk, then every table indexed ------------------------------------
+# -- scopes: one walk, then names and notations indexed ----------------------------
 
-def ref_scope_for(graph, roots) -> dict:
-    """The tables of ``graph.scope_for(roots)``, by name, each a list of its
-    items in order (a set sorted; the lexer as its pattern)."""
+@dataclass(eq=False)
+class RefScope:
+    """A scope as callers read it: each bare name and each ``module?name``
+    to its constant, and each constant to its notation, the first
+    occurrence winning."""
+
+    by_local: dict
+    by_qualified: dict
+    notations: dict
+
+
+def ref_scope_for(graph, roots) -> RefScope:
+    """``graph.scope_for(roots)``, or for a list the scopes of its roots
+    composed; an ``AmbiguityError`` where two of its notations clash."""
     if not isinstance(roots, (list, tuple)):
         roots = [roots]
     out: list = []
@@ -800,7 +932,14 @@ def ref_scope_for(graph, roots) -> dict:
             if m.name not in walking:
                 _ref_walk(graph, m, out, walking, [])
             meta = m.meta
-    return _ref_tables(out)
+    _ref_tables(out)  # raises on an ambiguity
+    by_local, by_qualified, notations = {}, {}, {}
+    for g, n in out:
+        by_local.setdefault(g.name, g)
+        by_qualified.setdefault(g.local, g)
+        if n is not None:
+            notations.setdefault(g, n)
+    return RefScope(by_local, by_qualified, notations)
 
 
 def _ref_walk(graph, t, out: list, walking: dict, path: list) -> None:
@@ -822,55 +961,47 @@ def _ref_walk(graph, t, out: list, walking: dict, path: list) -> None:
     walking[t.name] = False
 
 
-def _ref_tables(entries) -> dict:
-    by_local, by_qualified, notations = {}, {}, {}
+_STRUCTURAL = ("(", ")", ",", "[", "]", "?")
+
+
+def _ref_tables(pairs) -> dict:
+    """The parser's tables from ``(GlobalName, Notation | None)`` pairs in
+    scope order: ``nud`` maps the trigger of each closed, prefix and binder
+    notation to its pair, ``led`` that of each infix one; ``binder_seps``
+    holds the binders' variable separators, ``delimiters`` the structural
+    texts and every other text of a notation's tokens, but ``""``.  Another
+    constant claiming a trigger at the same parse position is an
+    ``AmbiguityError``."""
     nud, led, binder_seps = {}, {}, set()
-    delims = {"(", ")", ",", "[", "]", "?"}
-    seen_triggers = {}
-    for g, n in entries:
-        by_local.setdefault(g.name, g)
-        by_qualified.setdefault(g.local, g)
+    delimiters = set(_STRUCTURAL)
+    for g, n in pairs:
         if n is None:
             continue
-        notations.setdefault(g, n)
-        delims |= n.delimiters
         if n.is_binder:
-            kind, table = "nud", nud
             binder_seps.add(n.varlist.separator)
-        elif n.is_infix:
-            kind, table = "led", led
-        else:
-            kind, table = "nud", nud
+        for tok in n.tokens:
+            if not isinstance(tok, Arg):
+                delimiters.add(tok.text if isinstance(tok, Delim)
+                               else tok.separator)
+        table = led if n.is_infix else nud
         for trig in n.triggers:
-            other, p = seen_triggers.setdefault((kind, trig),
-                                                (g, n.precedence))
-            if other != g:
-                at = (f"precedence {p}" if p == n.precedence
-                      else f"precedences {p} and {n.precedence}")
-                raise AmbiguityError(f"notations of {other.local} and "
-                                     f"{g.local} both match {trig!r} at {at}")
-            table.setdefault(trig, (g, n))
-    delimiters = frozenset(filter(None, delims))
-    lexer = _lexer(frozenset(d for d in delimiters
-                             if not _OUTSIDE_REGEX.fullmatch(d)))
-    return {"by_local": list(by_local.items()),
-            "by_qualified": list(by_qualified.items()),
-            "notations": list(notations.items()),
-            "nud": list(nud.items()), "led": list(led.items()),
-            "binder_seps": sorted(binder_seps),
-            "delimiters": sorted(delimiters),
-            "lexer": lexer.__self__.pattern}
+            f, m = table.setdefault(trig, (g, n))
+            if f != g:
+                p, q = m.precedence, n.precedence
+                at = (f"precedence {p}" if p == q
+                      else f"precedences {p} and {q}")
+                raise AmbiguityError(f"notations of {f.local} and {g.local} "
+                                     f"both match {trig!r} at {at}")
+    delimiters.discard("")
+    return {"nud": nud, "led": led, "binder_seps": binder_seps,
+            "delimiters": delimiters}
 
 
-def scope_tables(scope: ParseScope) -> dict:
-    """``scope``'s tables as ``ref_scope_for`` gives them."""
-    return {"by_local": list(scope.by_local.items()),
-            "by_qualified": list(scope.by_qualified.items()),
-            "notations": list(scope.notations.items()),
-            "nud": list(scope.nud.items()), "led": list(scope.led.items()),
-            "binder_seps": sorted(scope.binder_seps),
-            "delimiters": sorted(scope.delimiters),
-            "lexer": scope.lexer.__self__.pattern}
+@functools.lru_cache(maxsize=64)
+def _tables_of(scope) -> dict:
+    """``_ref_tables`` over the notations of ``scope``, a ``ParseScope`` or
+    a ``RefScope``, kept for the scopes read last."""
+    return _ref_tables(scope.notations.items())
 
 
 def ref_canonical_set(elems) -> Term:

@@ -303,6 +303,22 @@ def test_apply_morphism_unassigned_constant_is_an_error(loaded):
         g.apply_morphism(SYNTACTIC, stray)
 
 
+def test_a_definiens_that_names_itself_does_not_expand_forever():
+    g = TheoryGraph()
+    install_bifoundations(g)
+    t = Theory(ModuleRef("um:/p", "T"), declarations=[
+        Constant("o"),
+        Constant("d", definiens=app(Const(GlobalName("um:/p", "T", "d")),
+                                    Const(GlobalName("um:/p", "T", "o"))))])
+    v = View(ModuleRef("um:/p", "V"), domain=t.name, codomain=COMPUTATION,
+             statements=[Assignment("o", Const(CMP_TERM))])
+    g.add(t, v)
+    assert g.apply_morphism(v.name, Const(t.name.name("o"))) == Const(CMP_TERM)
+    with pytest.raises(MorphismError,
+                       match="^definiens expansion does not terminate$"):
+        g.apply_morphism(v.name, Const(t.name.name("d")))
+
+
 # -- pushout ---------------------------------------------------------------------
 
 def test_pushout_arith1_along_syntactic(loaded):

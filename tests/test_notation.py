@@ -1,9 +1,9 @@
-import math
 import random
 import re
 
 import pytest
 
+from reference_walks import ref_lex_string, ref_tokenize
 from termgen import surface_term
 from umachine.codegen import build_graph
 from umachine.graph import (OM_MAPSTO, OM_OBJECT, OPENMATH, Constant, Include,
@@ -423,22 +423,11 @@ def test_generated_round_trip(scope):
 
 # -- string literals -------------------------------------------------------------
 
-def _lex_string_by_loop(src, i):
-    """Reference: the character loop ``lex_string`` must agree with."""
-    out, j = [], i + 1
-    while j < len(src):
-        c = src[j]
-        if c == "\\":
-            if j + 1 >= len(src) or src[j + 1] not in ('"', "\\"):
-                return ("bad escape in string literal", j)
-            out.append(src[j + 1])
-            j += 2
-        elif c == '"':
-            return "".join(out), j + 1
-        else:
-            out.append(c)
-            j += 1
-    return ("unterminated string literal", i)
+def _tokens_or_error(lex, src, *args):
+    try:
+        return lex(src, *args)
+    except SyntaxErrorAt as e:
+        return str(e), e.pos
 
 
 def test_lex_string_agrees_with_the_character_loop():
@@ -447,75 +436,13 @@ def test_lex_string_agrees_with_the_character_loop():
         lead = "x" * rng.randrange(3)
         src = lead + '"' + "".join(rng.choice('ab"\\\n ')
                                    for _ in range(rng.randrange(12)))
-        try:
-            got = lex_string(src, len(lead))
-        except SyntaxErrorAt as e:
-            got = (str(e).rsplit(" (at", 1)[0], e.pos)
-        assert got == _lex_string_by_loop(src, len(lead)), src
+        assert (_tokens_or_error(lex_string, src, len(lead))
+                == _tokens_or_error(ref_lex_string, src, len(lead))), src
     assert escape_str('a"b\\c') == '"a\\"b\\\\c"'
     assert lex_string(escape_str('a"b\\c'), 0) == ('a"b\\c', 9)
 
 
 # -- the lexer ---------------------------------------------------------------------
-
-_IDENT = re.compile(r"[^\W\d]\w*")
-_NUMBER = re.compile(r"\d+(\.\d+)?([eE][+-]?\d+)?")
-
-
-def _tokenize_by_loop(src, delimiters):
-    """Reference: the character loop ``tokenize`` must agree with.  At each
-    character it tries the delimiters starting with it, longest first, an
-    identifier and a number; the longest wins, a number only when strictly
-    longer, a delimiter over an identifier as long."""
-    by_first = {}
-    for d in sorted(delimiters, key=len, reverse=True):
-        by_first.setdefault(d[0], []).append(d)
-    toks = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == '"':
-            value, j = lex_string(src, i)
-            toks.append(("str", src[i:j], i, value))
-            i = j
-            continue
-        best_delim = ""
-        for d in by_first.get(c, ()):
-            if src.startswith(d, i):
-                best_delim = d
-                break
-        m = _IDENT.match(src, i)
-        ident = m.group(0) if m else ""
-        m = _NUMBER.match(src, i)
-        number = m.group(0) if m else ""
-        longest = max(len(best_delim), len(ident), len(number))
-        if longest == 0:
-            raise SyntaxErrorAt(f"stray character {c!r}", i)
-        if len(number) == longest and len(number) > max(len(best_delim),
-                                                        len(ident)):
-            if number.isdigit():
-                toks.append(("int", number, i, int(number)))
-            elif math.isfinite(value := float(number)):
-                toks.append(("float", number, i, value))
-            else:
-                raise SyntaxErrorAt("float literal out of range", i)
-        elif len(best_delim) == longest:
-            toks.append(("sym", best_delim, i, None))
-        else:
-            toks.append(("ident", ident, i, None))
-        i += longest
-    return toks + [("eof", "", n, None)] * 2
-
-
-def _tokens_or_error(lex, src, *args):
-    try:
-        return lex(src, *args)
-    except SyntaxErrorAt as e:
-        return str(e), e.pos
-
 
 # Characters the lexer's classes split on: identifier and digit characters,
 # a Unicode digit (a digit), a superscript two (a letter to ``\w``, not a
@@ -535,8 +462,7 @@ def _agree(scope, rng, count, delimiters):
                                  if r < 0.9 else _RARE)
                       for r in (rng.random() for _ in range(rng.randrange(12))))
         assert (_tokens_or_error(tokenize, src, scope)
-                == _tokens_or_error(_tokenize_by_loop, src,
-                                    scope.delimiters)), repr(src)
+                == _tokens_or_error(ref_tokenize, src, scope)), repr(src)
 
 
 def test_the_lexer_agrees_with_the_character_loop_in_every_stdlib_scope(

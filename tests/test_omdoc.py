@@ -4,9 +4,10 @@ import pytest
 
 import umachine.stdlib as stdlib
 from umachine.graph import (OM_MAPSTO, OM_NARYOBJECT, OM_OBJECT, OPENMATH,
-                            Constant, DuplicateModuleError, LISTS_DOC_BASE,
-                            Theory, TheoryGraph, UnresolvedModuleError)
-from umachine.omdoc import OmdocError, export_omdoc, ingest_omdoc
+                            Constant, DuplicateModuleError, Include,
+                            LISTS_DOC_BASE, Theory, TheoryGraph,
+                            UnresolvedModuleError)
+from umachine.omdoc import OmdocError, ingest_omdoc
 from umachine.terms import Const, Foreign, ModuleRef, app
 
 
@@ -101,27 +102,33 @@ def test_bare_names_of_ingested_theories():
         g.resolve("t50")
 
 
-# -- export round trip ---------------------------------------------------------
+# -- what ingestion reads --------------------------------------------------------
 
 
-def _normalize(el):
-    tag = el.tag.rsplit("}", 1)[-1]
-    attrs = {k.rsplit("}", 1)[-1]: v for k, v in el.attrib.items()
-             if not k.startswith("xmlns")}
-    if tag == "OMFOREIGN":
-        text = el.text or ""  # foreign payload stays verbatim
-    else:
-        text = (el.text or "").strip()
-    return (tag, attrs, text, [_normalize(c) for c in el])
-
-
-def test_lists_document_round_trips_up_to_whitespace():
+def test_the_lists_document_ingests_to_its_theories():
+    # Every element read: the theories in order, a constant without
+    # children, a type, a definition whose foreign payload stays verbatim,
+    # and an include relative to the document's base.
     g = TheoryGraph()
     added = ingest_omdoc(g, lists_doc_text())
-    out = export_omdoc(added, LISTS_DOC_BASE)
-    a = _normalize(ET.fromstring(lists_doc_text()))
-    b = _normalize(ET.fromstring(out))
-    assert a == b
+    payloads = [el.text for el in ET.fromstring(lists_doc_text()).iter()
+                if el.tag.endswith("}OMFOREIGN")]
+    obj, lists = Const(OM_OBJECT), ModuleRef(LISTS_DOC_BASE, "lists")
+    assert added == [
+        Theory(lists, meta=OPENMATH, declarations=[
+            Constant("elem"), Constant("list"), Constant("nil"),
+            Constant("cons"),
+            Constant("append", type=app(Const(OM_MAPSTO), obj, obj, obj),
+                     definiens=Foreign("", payloads[0]))]),
+        Theory(ModuleRef(LISTS_DOC_BASE, "lists_ext"), meta=OPENMATH,
+               declarations=[
+                   Include(lists),
+                   Constant("append_many",
+                            type=app(Const(OM_MAPSTO), Const(OM_NARYOBJECT),
+                                     obj),
+                            definiens=Foreign("", payloads[1]))])]
+    assert "def append_many(" in payloads[1]
+    assert [g.theory(t.name) for t in added] == added
 
 
 def test_the_lists_document_types_its_rule_bearing_constants():
@@ -134,13 +141,19 @@ def test_the_lists_document_types_its_rule_bearing_constants():
         Const(OM_MAPSTO), Const(OM_NARYOBJECT), obj)
 
 
-def test_a_type_survives_export_and_ingest():
-    typed = Constant("c", type=app(Const(OM_MAPSTO), Const(OM_OBJECT),
-                                   Const(OM_OBJECT)),
-                     definiens=Foreign("native", "c"))
-    t = Theory(ModuleRef("um:/t", "T"), meta=OPENMATH, declarations=[typed])
-    again, = ingest_omdoc(TheoryGraph(), export_omdoc([t], "um:/t"))
-    assert again.declarations == (typed,)
+def test_a_typed_constant_with_a_foreign_definition_ingests():
+    doc = ('<omdoc base="um:/t"><theory name="T"><constant name="c">'
+           '<type><OMOBJ><OMA><OMS cdbase="urn:um:builtin" cd="OpenMath" '
+           'name="mapsto"/><OMS cdbase="urn:um:builtin" cd="OpenMath" '
+           'name="Object"/><OMS cdbase="urn:um:builtin" cd="OpenMath" '
+           'name="Object"/></OMA></OMOBJ></type><definition><OMOBJ>'
+           '<OMFOREIGN format="native">c</OMFOREIGN></OMOBJ></definition>'
+           "</constant></theory></omdoc>")
+    t, = ingest_omdoc(TheoryGraph(), doc)
+    assert t == Theory(ModuleRef("um:/t", "T"), meta=OPENMATH, declarations=[
+        Constant("c", type=app(Const(OM_MAPSTO), Const(OM_OBJECT),
+                               Const(OM_OBJECT)),
+                 definiens=Foreign("native", "c"))])
 
 
 def test_a_document_registers_all_its_theories_or_none():

@@ -158,18 +158,16 @@ def test_rule_heads_are_declared(loaded):
 def test_minimal_redexes_select_the_rule(loaded):
     from umachine.machine import _select_rule
     from umachine.sts import Binder, Fixed, Flexible
-    from umachine.terms import Var
+    from umachine.terms import App, Bind, Const, Var
     for rule in loaded.base.rules():
+        head = Const(rule.head)
         if isinstance(rule.arity, Binder):
-            redex = rule.make_redex(("x",), Var("x"))
-        elif isinstance(rule.arity, Flexible):
-            redex = rule.make_redex(*[Var(f"a{i}")
-                                      for i in range(rule.arity.n + 1)])
-        elif rule.arity.n == 0:
-            redex = rule.make_redex()
+            redex = Bind(head, ("x",), Var("x"))
+        elif isinstance(rule.arity, Fixed) and rule.arity.n == 0:
+            redex = head
         else:
-            redex = rule.make_redex(*[Var(f"a{i}")
-                                      for i in range(rule.arity.n)])
+            n = rule.arity.n + isinstance(rule.arity, Flexible)
+            redex = App(head, tuple(Var(f"a{i}") for i in range(n)))
         hit = _select_rule(loaded.base, redex)
         assert hit is not None and hit[0] is rule
 

@@ -1,19 +1,23 @@
 """Scopes merged from kept tables agree with one walk and one index.
 
 ``reference_walks.ref_scope_for`` builds a scope as the graph did before it
-kept tables: one walk of the include graph and the meta chain, then every
-table indexed from the constants met.  ``TheoryGraph.scope_for`` must give
-the same tables, in the same order, and fail with the same error, on the
-first call and on later ones, which reuse what the first one kept.
+kept tables: one walk of the include graph and the meta chain, then its
+names and notations indexed from the constants met.  ``TheoryGraph.scope_for``
+must agree with it on the first call and on later ones, which reuse what
+the first one kept.  Agreement is what a caller sees: the same mappings
+``by_local``, ``by_qualified`` and ``notations`` (as mappings, not in
+order), the same error, and the same parse of a fixed corpus of texts, read
+by ``parse_term`` in the scope and by ``ref_parse_term`` in the reference's.
 """
 
 import pytest
 
-from reference_walks import ref_scope_for, scope_tables
+from reference_walks import ref_parse_term, ref_scope_for
 from umachine.codegen import build_graph
 from umachine.graph import (OPENMATH, SCOPE_CACHE_SIZE, Constant, Include,
                             Theory, TheoryGraph, View)
-from umachine.notation import AmbiguityError, ParseScope, parse_notation
+from umachine.notation import (AmbiguityError, Arg, Delim, ParseScope,
+                               parse_notation, parse_term)
 from umachine.surface import SurfaceError, parse_modules
 from umachine.terms import Const, ModuleRef
 
@@ -30,20 +34,63 @@ def _outcome(f, *args):
         return type(e), str(e)
 
 
+# Texts every scope reads: literals, operators of the stdlib, a binder,
+# groups and calls, and errors.
+_FIXED = ["1 + 2 * 3", "x ↦ x = 2", "{1, 2} map (x ↦ x)", "-5", "- x",
+          "[1]", "f(1, 2)", "(x)", "x ?", "bind(x, [y], y)",
+          'foreign("f", "c")', "1 +", ")", "x y"]
+
+
+def _spelled(n) -> str:
+    """A text of notation ``n``: its delimiters, a variable in each slot,
+    two in a sequence or variable list."""
+    words = []
+    for t in n.tokens:
+        if isinstance(t, Delim):
+            words.append(t.text)
+        elif isinstance(t, Arg):
+            words.append("x")
+        else:
+            words.append(f"x {t.separator} y")
+    return " ".join(words)
+
+
+def _corpus(scope) -> list[str]:
+    """The fixed texts, each name of ``scope`` bare and qualified, alone
+    and called, and each of its notations spelled."""
+    return [*_FIXED, *scope.by_local,
+            *(f"{q}(x)" for q in scope.by_qualified),
+            *map(_spelled, scope.notations.values())]
+
+
+def _seen(scope, parse, corpus):
+    """What callers see of ``scope``: its mappings, and how ``parse`` reads
+    each text of ``corpus`` in it."""
+    return ({k: dict(getattr(scope, k))
+             for k in ("by_local", "by_qualified", "notations")},
+            [_outcome(parse, src, scope) for src in corpus])
+
+
 def _agree(graph, roots, times=2):
     """``scope_for(roots)``, or for a list the scopes of its roots composed,
-    gives the reference's tables or error, each of ``times`` times."""
+    gives the reference's mappings, parses or error, each of ``times``
+    times; returns the reference's mappings, or its error."""
     want = _outcome(ref_scope_for, graph, roots)
+    corpus = []
+    if not isinstance(want, tuple):  # not an error
+        corpus = _corpus(want)
+        want = _seen(want, ref_parse_term, corpus)
 
-    def scope():
+    def seen():
         if isinstance(roots, list):
-            return ParseScope(*map(graph.scope_for, roots))
-        return graph.scope_for(roots)
+            scope = ParseScope(*map(graph.scope_for, roots))
+        else:
+            scope = graph.scope_for(roots)
+        return _seen(scope, parse_term, corpus)
 
     for _ in range(times):
-        got = _outcome(lambda: scope_tables(scope()))
-        assert got == want, roots
-    return want
+        assert _outcome(seen) == want, roots
+    return want[0] if isinstance(want[0], dict) else want
 
 
 def _ref(name, base="um:/ref"):
@@ -210,8 +257,10 @@ def test_the_scope_in_two_is_the_scope(stdlib):
     for m in list(stdlib.modules.values()):
         if isinstance(m, Theory):
             walk, meta = stdlib._walked(m)
-            assert (scope_tables(ParseScope(walk, meta))
-                    == scope_tables(stdlib.scope_for(m.name)))
+            scope = stdlib.scope_for(m.name)
+            corpus = _corpus(scope)
+            assert (_seen(ParseScope(walk, meta), parse_term, corpus)
+                    == _seen(scope, parse_term, corpus))
 
 
 def test_theories_sharing_a_frame_share_its_notation_tables():

@@ -1030,6 +1030,31 @@ def test_a_repeated_constant_element_is_400_and_registers_nothing(element):
     assert service.theories().body == before
 
 
+@pytest.mark.parametrize("theory, reply", [
+    ('<theory name="t"><include/></theory>',
+     "include needs a from attribute"),
+    ('<theory name="t"><constant name="c"><axiom/></constant></theory>',
+     "unsupported element: axiom"),
+    ('<theory name="t"><constant name="c"><type/></constant></theory>',
+     "type needs one OMOBJ child"),
+    ('<theory name="t"><constant name="c"><definition>'
+     "<OMOBJ><OMI>1</OMI></OMOBJ><OMOBJ><OMI>2</OMI></OMOBJ>"
+     "</definition></constant></theory>",
+     "definition needs one OMOBJ child"),
+    ('<theory name="t"><constant name="c"><definition><OMI>1</OMI>'
+     "</definition></constant></theory>",
+     "definition needs one OMOBJ child")],
+    ids=["include", "element", "type", "two", "bare"])
+def test_a_malformed_theory_element_is_400_and_registers_nothing(theory,
+                                                                 reply):
+    service = Service(TheoryGraph(), RuleBase())
+    before = service.theories().body
+    r = service.ingest(f'<omdoc base="um:/d"><theory name="ok"/>{theory}'
+                       "</omdoc>".encode())
+    assert (r.status, r.body) == (400, f"{reply}\n")
+    assert service.theories().body == before
+
+
 @pytest.mark.parametrize("theory, name", [
     ('<theory name="x?y"/>', "x?y"),
     ('<theory name="t"><constant name="a?b"/></theory>', "a?b")],

@@ -7,8 +7,9 @@ from reference_walks import ref_canonical_set, ref_eq
 from termgen import engine_term, marked, surface_term
 from umachine.machine import simplify
 from umachine.stdlib import rules
+from umachine.sts import Fixed, Flexible
 from umachine.terms import (Bind, Const, FloatLit, GlobalName, IntLit,
-                            StrLit, Var, app)
+                            StrLit, Term, Var, app)
 
 CD = "http://www.openmath.org/cd"
 
@@ -322,6 +323,58 @@ def test_rule_arities_match_declared_types(loaded):
     for rule in loaded.base.rules():
         declared = declared_arity(loaded.graph.lookup(rule.head))
         assert declared == rule.arity, rule.head
+
+
+# Arguments of every kind a rule may be called with: integers (0, ±1, one
+# past every digit limit), floats (NaN too), strings and variables, truth
+# values, cons lists well formed and not, sets canonical and not, and λs
+# of one and two variables.
+_X, _Y, _LAMBDA = Var("x"), Var("y"), Const(rules.LAMBDA)
+_POOL = [
+    IntLit(0), IntLit(1), IntLit(-1), IntLit(7), IntLit(-12),
+    IntLit(10 ** 5000), FloatLit(0.5), FloatLit(-2.0), FloatLit(math.nan),
+    FloatLit(math.inf), StrLit(""), StrLit("a"), _X, _Y, TRUE, FALSE, NIL,
+    clist(1, 2), app(CONS, IntLit(1)), app(CONS, IntLit(1), IntLit(2)),
+    app(CONS, IntLit(1), NIL, NIL), EMPTY, app(SET, IntLit(1), IntLit(2)),
+    app(SET, IntLit(2), IntLit(1), IntLit(2)), app(SET, _X),
+    Bind(_LAMBDA, ("x",), app(G("arith1", "plus"), _X, IntLit(1))),
+    Bind(_LAMBDA, ("x",), _Y), Bind(_LAMBDA, ("x", "y"), _X)]
+_CONTEXTS = [(), ("x",), ("x", "y")]
+
+
+def _call_shapes(arity):
+    """The argument counts the engine calls a rule of ``arity`` with:
+    ``(n, rest)`` for ``n*`` (no empty rest for ``0*``: an application
+    has an argument), ``(n, None)`` for ``n``, and ``None`` for a
+    binder."""
+    if isinstance(arity, Flexible):
+        return [(arity.n, k) for k in range(0 if arity.n else 1, 4)]
+    if isinstance(arity, Fixed):
+        return [(arity.n, None)]
+    return [None]
+
+
+def test_every_rule_declines_or_answers_a_term_and_never_raises(loaded):
+    rng = random.Random(7)
+    wrong = []
+    for rule in loaded.base.rules():
+        for shape in _call_shapes(rule.arity):
+            for _ in range(400):
+                if shape is None:
+                    args = (rng.choice(_CONTEXTS), rng.choice(_POOL))
+                else:
+                    n, rest = shape
+                    args = tuple(rng.choice(_POOL) for _ in range(n))
+                    if rest is not None:
+                        args += (tuple(rng.choice(_POOL)
+                                       for _ in range(rest)),)
+                try:
+                    result = rule.fn(*args)
+                except Exception as e:  # noqa: BLE001 (reported below)
+                    result = e
+                if result is not None and not isinstance(result, Term):
+                    wrong.append((rule.head.local, args, result))
+    assert wrong == []
 
 
 def test_rules_never_invent_free_variables(loaded):

@@ -100,6 +100,23 @@ def test_lint_flags_non_binder_in_binding_position():
     assert len(diags) == 1 and "binder" in str(diags[0])
 
 
+def test_lint_flags_too_few_sequence_arguments_and_an_applied_binder():
+    ref = ModuleRef("um:/lint", "T3")
+    t = Theory(ref, meta=OPENMATH, declarations=[
+        Constant("fold", type=mapsto(OBJ, OBJ, NARY, OBJ)),
+        Constant("lam", type=Const(OM_BINDER)),
+        Constant("few", definiens=app(Const(ref.name("fold")), IntLit(1))),
+        Constant("enough", definiens=app(Const(ref.name("fold")),
+                                         IntLit(1), IntLit(2))),
+        Constant("applied", definiens=app(Const(ref.name("lam")),
+                                          IntLit(1)))])
+    g = TheoryGraph()
+    g.add(t)
+    assert [str(d) for d in lint_theory(g, ref)] == [
+        "error -:0 T3?few T3?fold expects at least 2 argument(s), got 1",
+        "error -:0 T3?applied T3?lam is a binder, not an operator"]
+
+
 def test_stdlib_theories_lint_clean(loaded):
     g = loaded.graph
     for name in ("arith1", "logic1", "relation1", "set1", "fns1", "integer1",

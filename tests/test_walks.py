@@ -2,20 +2,22 @@
 references in ``reference_walks`` on generated corpora, and they handle
 terms far deeper than the interpreter's default recursion limit."""
 
+import ast
 import gc
 import itertools
+import math
 import random
 import sys
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from reference_walks import (ref_decode_xml, ref_encode_xml, ref_eq,
-                             ref_export_omdoc, ref_parse_term, ref_parse_xml,
-                             ref_render_term, ref_simplify, ref_substitute,
-                             ref_term_key)
+                             ref_parse_term, ref_parse_xml, ref_render_term,
+                             ref_simplify, ref_substitute, ref_term_key)
 from termgen import (CONS, LAMBDA, NIL, SET, engine_term, g, marked,
                      surface_term)
 from umachine import notation, omxml
@@ -23,7 +25,6 @@ from umachine.graph import Theory, _map_constants
 from umachine.machine import Rule, RuleBase, SimplifyBudget, simplify
 from umachine.notation import (ParseScope, parse_notation, parse_term,
                                 render_term)
-from umachine.omdoc import export_omdoc
 from umachine.omxml import decode_xml, encode_xml
 from umachine.server import Service
 from umachine.stdlib import rules
@@ -75,6 +76,55 @@ def _theories(loaded):
     return [m for m in loaded.graph.modules.values() if isinstance(m, Theory)]
 
 
+# -- the references read only what callers see ----------------------------------
+
+# A scope's parser tables and lexer, which only ``src/`` may know.
+_SCOPE_INSIDES = {"nud", "led", "binder_seps", "delimiters", "lexer"}
+
+
+def _inside_reads(source: str) -> list[str]:
+    """Where ``source`` imports ``umachine`` whole, imports a private name
+    or ``tokenize`` from it, reads a private attribute of a name it
+    imported from it, or reads a scope's tables or lexer (an attribute of
+    anything but ``self``)."""
+    tree = ast.parse(source)
+    imported, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) \
+                and (node.module or "").split(".")[0] == "umachine":
+            for a in node.names:
+                imported.add(a.asname or a.name)
+                if a.name.startswith("_") or a.name in ("tokenize", "*"):
+                    found.append(f"{node.lineno}: import {a.name}")
+        elif isinstance(node, ast.Import):
+            found += [f"{node.lineno}: import {a.name}" for a in node.names
+                      if a.name.split(".")[0] == "umachine"]
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        owner = node.value.id if isinstance(node.value, ast.Name) else None
+        if node.attr in _SCOPE_INSIDES and owner != "self" or (
+                owner in imported and node.attr.startswith("_")):
+            found.append(f"{node.lineno}: .{node.attr}")
+    return found
+
+
+def test_the_reference_walks_read_only_what_callers_see():
+    source = Path(__file__).with_name("reference_walks.py").read_text("utf-8")
+    assert _inside_reads(source) == []
+    # Each kind of read is found.
+    assert sorted(_inside_reads(
+        "from umachine.notation import _lexer, tokenize, ParseScope\n"
+        "from umachine.machine import _select_rule\n"
+        "from umachine import omxml\n"
+        "import umachine.terms\n"
+        "omxml._OMI_RE, self.scope.nud, s.led, s.binder_seps,\n"
+        "s.delimiters, ParseScope(x).lexer, self.nud, s.notations\n")) == [
+        "1: import _lexer", "1: import tokenize", "2: import _select_rule",
+        "4: import umachine.terms", "5: ._OMI_RE", "5: .binder_seps",
+        "5: .led", "5: .nud", "6: .delimiters", "6: .lexer"]
+
+
 def test_render_and_parse_agree_with_the_references_in_every_stdlib_scope(
         loaded):
     rng = random.Random(15)
@@ -119,6 +169,14 @@ def test_the_codecs_agree_with_the_references():
             _outcome(lambda x: omxml.from_element(omxml.parse_xml(x),
                                                   "um:/d"), xml),
             _outcome(ref_decode_xml, xml, "um:/d")), xml
+    # Literals at the edges of the OMI and OMF grammars.
+    for xml in ['<OMF dec="INF"/>', '<OMF dec="-INF"/>', '<OMF dec=" 1e3 "/>',
+                '<OMF dec="1e999"/>', '<OMF dec="x"/>', "<OMI>+1</OMI>",
+                "<OMI> -0 </OMI>", "<OMI>1.0</OMI>", "<OMI>٣</OMI>"]:
+        assert _same_tree(_outcome(decode_xml, xml),
+                          _outcome(ref_decode_xml, xml)), xml
+    for t in (FloatLit(math.inf), FloatLit(-math.inf), FloatLit(1e300)):
+        assert encode_xml(t) == ref_encode_xml(t)
 
 
 def test_the_doctype_refusal_agrees_with_the_reference():
@@ -190,13 +248,6 @@ def test_render_agrees_with_the_reference_on_edge_names():
     for _ in range(3000):
         t = _edge_term(rng, rng.randrange(1, 5))
         assert render_term(t, scope) == ref_render_term(t, scope), t
-
-
-def test_export_agrees_with_the_reference(loaded):
-    for theory in _theories(loaded):
-        assert (export_omdoc([theory], theory.name.base)
-                == ref_export_omdoc([theory], theory.name.base))
-    assert export_omdoc([], "a&b") == ref_export_omdoc([], "a&b")
 
 
 def test_equality_and_term_key_agree_with_the_references():
