@@ -5,7 +5,15 @@ any number of requests over one connection, each answered in turn.  A
 connection that sends nothing for ``IDLE_TIMEOUT_S`` seconds is closed.
 HTTP/1.1 stays open unless the client sends ``Connection: close``, HTTP/1.0
 only if it sends ``Connection: keep-alive``.  ``Expect: 100-continue`` is
-answered with ``100 Continue`` once the body's framing is accepted.
+answered with ``100 Continue`` once the body's framing is accepted, if the
+body has not all arrived yet.
+
+One thread serves every connection: the one that calls ``serve_forever``,
+over non-blocking sockets and one selector.  A request is answered once its
+head and its body have all arrived; a client that stops in the middle of one
+holds up no other.  Requests are answered one at a time, in the order they
+are complete, so a long computation delays the replies to every other
+connection for its whole length.
 
 The request head is read by the server's own loop (RFC 9112): the request
 line, then field lines into a dict by lower-cased name, then the body by
@@ -69,9 +77,10 @@ outside ``1..MAX_FUEL``.
 
 from __future__ import annotations
 
+import selectors
 import signal
 import socket
-import socketserver
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -254,59 +263,109 @@ def _keep_alive(fields: dict, http11: bool) -> bool:
     return "close" not in options and (http11 or "keep-alive" in options)
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    """One connection: its requests are read and answered in turn until a
-    reply closes it, the client does, or it idles for ``timeout`` seconds."""
+class _Connection:
+    """One client: the bytes it sent that are not yet read as requests, the
+    reply it has not yet taken, and the time past which it is closed.
 
-    service: Service  # set on the subclass by make_server
-    timeout = IDLE_TIMEOUT_S
-    # Each reply is one write, so sending it at once costs no extra segment.
-    disable_nagle_algorithm = True
+    ``steps`` reads its requests and answers each in turn, until a reply
+    closes the connection or the client does.  It is a generator, which
+    yields wherever it waits for the client: to send more of a request, or
+    to take more of a reply.  Each wait for input ends at EOF, so after EOF
+    it yields only while a reply is unsent."""
 
-    def handle(self):
+    def __init__(self, sock: socket.socket, service: Service,
+                 idle_timeout: float):
+        self.sock = sock
+        self.service = service
+        self.idle_timeout = idle_timeout
+        self.inbuf = bytearray()
+        self.pos = 0  # where the next line starts in ``inbuf``
+        self.eof = False
+        self.out = memoryview(b"")  # what the socket has not yet taken
+        self.lingering = False
+        self.deadline = time.monotonic() + idle_timeout
+        self.steps = self._exchanges()
+
+    def receive(self):
+        """Read what the client sent; nothing on EOF, and nothing is kept
+        once the connection lingers."""
         try:
-            while self._exchange():
-                pass
-        except OSError:  # the idle timeout, or the client went away
-            pass
+            data = self.sock.recv(65536)
+        except BlockingIOError:
+            return
+        if not data:
+            self.eof = True
+        elif not self.lingering:
+            self.inbuf += data
+            self.deadline = time.monotonic() + self.idle_timeout
 
-    def _exchange(self) -> bool:
-        """Read one request and answer it; whether the connection stays
-        open for the next."""
-        line = self.rfile.readline(MAX_LINE_BYTES + 1)
-        if line in _EMPTY_LINES:  # RFC 9112 §2.2: one may precede a request
-            line = self.rfile.readline(MAX_LINE_BYTES + 1)
-        if not line:  # the client closed the connection
-            return False
+    def flush(self):
+        """Send what the socket takes of the unsent reply."""
         try:
-            if len(line) > MAX_LINE_BYTES:
-                raise _Refusal(414, "request line too long")
-            method, target, http11 = _request_line(line)
-            fields = self._read_fields()
-            keep_alive = _keep_alive(fields, http11)
-            # The body is read whatever the path, so that none of it is
-            # left on a kept-alive connection to be read as the next request.
-            body = self._read_body(fields, http11)
-        except _Refusal as e:
-            return self._send(e.response, close=True)
-        if body is None:  # the client closed the connection mid-body
-            return False
-        try:
-            r = self._route(method, target, fields, body)
-        except Exception as e:  # keep the connection answered
-            return self._send(Response(500, f"internal error: {e}\n"),
-                              close=True)
-        return self._send(r, close=not keep_alive)
+            sent = self.sock.send(self.out)
+        except BlockingIOError:
+            return
+        self.out = self.out[sent:]
+        self.deadline = time.monotonic() + self.idle_timeout
 
-    def _read_fields(self) -> dict[str, list[str]]:
+    def _exchanges(self):
+        while True:
+            del self.inbuf[:self.pos]
+            self.pos = 0
+            line = yield from self._line()
+            if line in _EMPTY_LINES:  # RFC 9112 §2.2: one may precede it
+                line = yield from self._line()
+            if not line:  # the client closed the connection
+                return
+            try:
+                if len(line) > MAX_LINE_BYTES:
+                    raise _Refusal(414, "request line too long")
+                method, target, http11 = _request_line(line)
+                fields = yield from self._read_fields()
+                keep_alive = _keep_alive(fields, http11)
+                # The body is read whatever the path, so that none of it is
+                # left on a kept-alive connection to be read as the next
+                # request.
+                body = yield from self._read_body(fields, http11)
+            except _Refusal as e:
+                yield from self._send(e.response, close=True)
+                return
+            if body is None:  # the client closed the connection mid-body
+                return
+            try:
+                r = self._route(method, target, fields, body)
+            except Exception as e:  # keep the connection answered
+                r, keep_alive = Response(500, f"internal error: {e}\n"), False
+            yield from self._send(r, close=not keep_alive)
+            if not keep_alive:
+                return
+
+    def _line(self):
+        """The next line, cut as ``readline(MAX_LINE_BYTES + 1)`` cuts it:
+        through its newline, or the first ``MAX_LINE_BYTES + 1`` bytes of a
+        line that is longer, or what is left at EOF."""
+        start = checked = self.pos
+        limit = start + MAX_LINE_BYTES + 1
+        while not (end := self.inbuf.find(b"\n", checked, limit) + 1):
+            if len(self.inbuf) >= limit:
+                end = limit
+                break
+            if self.eof:
+                end = len(self.inbuf)
+                break
+            checked = len(self.inbuf)
+            yield
+        self.pos = end
+        return bytes(self.inbuf[start:end])
+
+    def _read_fields(self):
         """The field lines up to the empty line, by lower-cased name; a
         field line that is malformed (RFC 9112 §5.1–§5.2: no colon,
         whitespace in the name or before it, which is an obsolete line
         fold) or past a budget is refused."""
         fields: dict[str, list[str]] = {}
-        readline = self.rfile.readline
         for _ in range(MAX_FIELD_LINES + 1):
-            line = readline(MAX_LINE_BYTES + 1)
+            line = yield from self._line()
             if line in _EMPTY_LINES:
                 return fields
             if len(line) > MAX_LINE_BYTES:
@@ -319,7 +378,7 @@ class _Handler(socketserver.StreamRequestHandler):
             fields.setdefault(name.lower(), []).append(value.strip(" \t\r\n"))
         raise _Refusal(431, f"more than {MAX_FIELD_LINES} field lines")
 
-    def _read_body(self, fields: dict, http11: bool) -> bytes | None:
+    def _read_body(self, fields: dict, http11: bool):
         """The request body; ``None`` if the client closed the connection
         before sending all of it."""
         if "transfer-encoding" in fields:
@@ -331,11 +390,18 @@ class _Handler(socketserver.StreamRequestHandler):
         n = int(length)
         if n > MAX_BODY_BYTES:
             raise _Refusal(413, f"body over {MAX_BODY_BYTES} bytes")
-        if n and http11 and any(v.lower() == "100-continue"
-                                for v in fields.get("expect", ())):
-            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        body = self.rfile.read(n)
-        return body if len(body) == n else None
+        end = self.pos + n
+        if (len(self.inbuf) < end and http11
+                and any(v.lower() == "100-continue"
+                        for v in fields.get("expect", ()))):
+            yield from self._write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        while len(self.inbuf) < end:
+            if self.eof:
+                return None
+            yield
+        body = bytes(self.inbuf[self.pos:end])
+        self.pos = end
+        return body
 
     def _route(self, method: bytes, target: str, fields: dict,
                body: bytes) -> Response:
@@ -355,8 +421,8 @@ class _Handler(socketserver.StreamRequestHandler):
             return self.service.ingest(body)
         return Response(404, "not found\n")
 
-    def _send(self, r: Response, close: bool) -> bool:
-        """Write the reply; whether the connection stays open."""
+    def _send(self, r: Response, close: bool):
+        """Write the reply, and after a closing one, linger."""
         body = r.body.encode("utf-8")
         head = [f"HTTP/1.1 {r.status} {_REASONS.get(r.status, '')}",
                 f"Date: {_http_date()}",
@@ -365,38 +431,139 @@ class _Handler(socketserver.StreamRequestHandler):
         head += [f"{k}: {v}" for k, v in r.headers.items()]
         if close:
             head.append("Connection: close")
-        # One write: a body sent as a second small segment would wait for
+        # One send: a body sent as a second small segment would wait for
         # the client's delayed ACK if Nagle's algorithm were on.
-        self.wfile.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n"
-                         + body)
+        yield from self._write("\r\n".join(head).encode("latin-1")
+                               + b"\r\n\r\n" + body)
         if close:
-            self._linger()
-        return not close
+            yield from self._linger()
+
+    def _write(self, data: bytes):
+        """Send ``data``: at once what the socket takes, the rest as the
+        client reads it."""
+        self.out = memoryview(data)
+        self.flush()
+        while self.out:
+            yield
 
     def _linger(self):
-        """Half-close, then read and drop what the client still sends for
-        up to ``LINGER_S`` seconds: a socket closed with unread input resets
-        the connection, and a reset can discard the reply before the client
+        """Half-close, then drop what the client still sends for up to
+        ``LINGER_S`` seconds: a socket closed with unread input resets the
+        connection, and a reset can discard the reply before the client
         reads it."""
-        sock = self.request
-        sock.shutdown(socket.SHUT_WR)
-        deadline = time.monotonic() + LINGER_S
-        while (left := deadline - time.monotonic()) > 0:
-            sock.settimeout(left)
-            if not sock.recv(65536):
+        self.sock.shutdown(socket.SHUT_WR)
+        self.lingering = True
+        self.inbuf.clear()
+        self.deadline = time.monotonic() + LINGER_S
+        while not self.eof:
+            yield
+
+
+class _Server:
+    """Every connection, served by the thread that calls ``serve_forever``.
+
+    It waits on one selector for the listening socket, each connection and
+    a socket that ``shutdown`` writes to, with a timeout that ends at the
+    nearest connection's deadline.  A connection is read while it waits
+    for a request and written to while it has an unsent reply, never both,
+    so that it holds at most one request, one read past it and one reply."""
+
+    def __init__(self, service: Service, address: tuple[str, int]):
+        self.service = service
+        self.idle_timeout = IDLE_TIMEOUT_S
+        self._listener = socket.create_server(address)
+        self._listener.setblocking(False)
+        self.server_address = self._listener.getsockname()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._selector.register(self._wake_r, selectors.EVENT_READ)
+        self._connections: set[_Connection] = set()
+        self._stopping = False
+        self._stopped = threading.Event()
+
+    def serve_forever(self):
+        try:
+            while not self._stopping:
+                for key, _ in self._selector.select(self._expire()):
+                    if key.data is not None:
+                        self._step(key.data, key.events)
+                    elif key.fileobj is self._listener:
+                        self._accept()
+                    else:
+                        self._wake_r.recv(64)
+        finally:
+            self._stopped.set()
+
+    def shutdown(self):
+        """Stop ``serve_forever`` from another thread, and wait until it
+        has."""
+        self._stopping = True
+        self._wake_w.send(b"\0")
+        self._stopped.wait()
+
+    def server_close(self):
+        for conn in self._connections:
+            conn.sock.close()
+        self._connections.clear()
+        self._selector.close()
+        self._listener.close()
+        self._wake_r.close()
+        self._wake_w.close()
+
+    def _expire(self) -> float | None:
+        """Close each connection past its deadline; the seconds until the
+        nearest deadline left, or ``None`` if there is none."""
+        now = time.monotonic()
+        for conn in [c for c in self._connections if c.deadline <= now]:
+            self._close(conn)
+        if not self._connections:
+            return None
+        return min(c.deadline for c in self._connections) - now
+
+    def _accept(self):
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:  # none is waiting, or no descriptor is left
                 return
+            sock.setblocking(False)
+            # Each reply is one send, so sending it at once costs no extra
+            # segment.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
+            conn = _Connection(sock, self.service, self.idle_timeout)
+            self._selector.register(sock, selectors.EVENT_READ, conn)
+            self._connections.add(conn)
 
+    def _step(self, conn: _Connection, events: int):
+        """Write to or read from ``conn``, whichever it waits for (its
+        registered ``events``), then let it go on to its next wait."""
+        try:
+            if events == selectors.EVENT_WRITE:
+                conn.flush()
+                if conn.out:
+                    return
+            else:
+                conn.receive()
+            next(conn.steps)
+        except (StopIteration, OSError):  # done, or the client went away
+            return self._close(conn)
+        except Exception:  # a fault of the server's own: this client only
+            sys.excepthook(*sys.exc_info())
+            return self._close(conn)
+        wait = selectors.EVENT_WRITE if conn.out else selectors.EVENT_READ
+        if wait != events:
+            self._selector.modify(conn.sock, wait, conn)
 
-class _Server(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    # A kept-alive connection does not hold the process open at exit.
-    daemon_threads = True
+    def _close(self, conn: _Connection):
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
+        self._connections.discard(conn)
 
 
 def make_server(service: Service, port: int = 8080,
                 host: str = "127.0.0.1") -> _Server:
-    handler = type("BoundHandler", (_Handler,), {"service": service})
-    return _Server((host, port), handler)
+    return _Server(service, (host, port))
 
 
 def serve(service: Service, port: int = 8080, host: str = "0.0.0.0"):

@@ -236,7 +236,8 @@ def set_union(args):
 
 
 def set_intersect(args):
-    if not all(_is_set(a) for a in args):
+    # The intersection of no sets is not a set: decline.
+    if not args or not all(_is_set(a) for a in args):
         return None
     if not all(_is_value(e) for a in args for e in _set_elements(a)):
         return None

@@ -541,6 +541,27 @@ def test_expect_100_continue_is_answered_before_the_body(server_url):
     assert (status, body) == (200, b"3") and "connection" not in fields
 
 
+def test_expect_100_continue_is_sent_once_for_a_body_still_to_come(server_url):
+    url, _ = server_url
+    host, port = url.removeprefix("http://").split(":")
+    head = (b"POST /simplify?scope=arith1 HTTP/1.1\r\nContent-Length: 3\r\n"
+            b"Expect: 100-continue\r\nConnection: close\r\n\r\n")
+    # The body came with the head: nothing is left to ask for.
+    _, reply = _exchange(url, head + b"1+2")
+    assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+    with socket.create_connection((host, int(port)), timeout=10) as s:
+        s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
+        for part in (head, b"1", b"+2"):
+            s.sendall(part)
+            time.sleep(0.05)
+        reply = b""
+        while chunk := s.recv(65536):
+            reply += chunk
+    interim = b"HTTP/1.1 100 Continue\r\n\r\n"
+    assert reply.startswith(interim) and reply.count(b" 100 ") == 1
+    [(status, _, body)] = _replies(reply.removeprefix(interim))
+    assert (status, body) == (200, b"3")
+
 def test_expect_100_continue_is_not_sent_for_a_body_refused(server_url):
     url, _ = server_url
     _, reply = _exchange(url, b"POST /simplify?scope=arith1 HTTP/1.1\r\n"
@@ -628,8 +649,8 @@ def test_pipelined_requests_are_answered_in_order(server_url, kept, closing,
 
 def test_idle_connection_is_closed(loaded):
     httpd = make_server(Service(loaded.graph, loaded.base), port=0)
-    assert httpd.RequestHandlerClass.timeout == IDLE_TIMEOUT_S
-    httpd.RequestHandlerClass.timeout = 0.2  # this server's handler only
+    assert httpd.idle_timeout == IDLE_TIMEOUT_S
+    httpd.idle_timeout = 0.2  # this server's connections only
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     try:
@@ -641,6 +662,139 @@ def test_idle_connection_is_closed(loaded):
         httpd.shutdown()
         httpd.server_close()
 
+
+# -- one thread serves every connection ----------------------------------------
+
+
+def test_a_stalled_peer_holds_up_no_one(server_url):
+    url, _ = server_url
+    host, port = url.removeprefix("http://").split(":")
+    address = (host, int(port))
+    threads = threading.active_count()
+    with socket.create_connection(address, timeout=10) as half_head, \
+            socket.create_connection(address, timeout=10) as half_body, \
+            socket.create_connection(address, timeout=10) as silent:
+        half_head.sendall(b"GET /health HTTP/1.1\r\nHo")
+        half_body.sendall(b"POST /simplify?scope=arith1 HTTP/1.1\r\n"
+                          b"Content-Type: text/plain\r\n"
+                          b"Content-Length: 10\r\n\r\n1+2")
+        conn = _connection(url)
+        try:
+            for method, target, body, want in [
+                    ("GET", "/health", None, b"ok"),
+                    ("POST", "/simplify?scope=arith1", "1+2", b"3")]:
+                start = time.monotonic()
+                conn.request(method, target, body=body,
+                             headers={"Content-Type": "text/plain"})
+                r = conn.getresponse()
+                assert (r.status, r.read()) == (200, want)
+                assert time.monotonic() - start < 1
+            assert threading.active_count() == threads
+        finally:
+            conn.close()
+        half_head.sendall(b"st: x\r\n\r\n")
+        half_body.sendall(b"*3+4000")
+        for s, want in [(half_head, b"ok"), (half_body, b"4007")]:
+            with s.makefile("rb") as f:
+                status, fields, reply = _read_reply(f)
+            assert (status, reply) == (200, want)
+            assert "connection" not in fields
+        # Connected all along, it is neither answered nor closed.
+        silent.setblocking(False)
+        with pytest.raises(BlockingIOError):
+            silent.recv(1)
+
+
+def test_a_reply_larger_than_the_socket_buffers_is_sent_whole(loaded):
+    httpd = make_server(Service(loaded.graph, loaded.base), port=0)
+    # Accepted sockets take the listener's send buffer, so that one send
+    # takes a small part of the reply; loopback's own can hold all of it.
+    httpd._listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 65536)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    cells = 4000
+    body = (f'<OMOBJ><OMA><OMS cdbase="{LISTS_DOC_BASE}" cd="lists" '
+            f'name="append"/>{_xml_list(cells)}{_xml_list(cells)}</OMA>'
+            "</OMOBJ>").encode()
+    assert len(body) < MAX_BODY_BYTES
+    try:
+        with socket.socket() as s:
+            # A small receive window, so that the reply waits in the server.
+            s.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            s.settimeout(10)
+            s.connect(httpd.server_address)
+            s.sendall(b"POST /simplify HTTP/1.1\r\nContent-Type: %s\r\n"
+                      b"Content-Length: %d\r\n\r\n"
+                      % (OMXML.encode(), len(body)) + body)
+            # The reply has begun, and waits unread a while longer.
+            assert s.recv(1, socket.MSG_PEEK) == b"H"
+            time.sleep(0.5)
+            conn = _connection(f"http://127.0.0.1:{httpd.server_address[1]}")
+            try:
+                start = time.monotonic()
+                conn.request("GET", "/health")
+                r = conn.getresponse()
+                assert (r.status, r.read()) == (200, b"ok")
+                assert time.monotonic() - start < 1
+            finally:
+                conn.close()
+            with s.makefile("rb") as f:
+                status, _, reply = _read_reply(f)
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+    assert status == 200 and len(reply) > 500_000
+    assert decode_xml(reply.decode()) == clist(*[1] * (2 * cells))
+
+
+class _UnsendableHealth:
+    """A service whose ``/health`` reply cannot be encoded: a fault past
+    the routing, where no 500 can answer it."""
+
+    def health(self):
+        return Response(200, "\ud800")
+
+    def theories(self):
+        return Response(200, "")
+
+
+def test_a_fault_in_one_reply_closes_that_connection_only(capsys):
+    httpd = make_server(_UnsendableHealth(), port=0)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with socket.create_connection(httpd.server_address, timeout=10) as s:
+            s.sendall(b"GET /health HTTP/1.1\r\n\r\n")
+            assert s.recv(65536) == b""
+        with socket.create_connection(httpd.server_address, timeout=10) as s:
+            s.sendall(b"GET /theories HTTP/1.1\r\n\r\n")
+            with s.makefile("rb") as f:
+                assert _read_reply(f)[::2] == (200, b"")
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+    assert "UnicodeEncodeError" in capsys.readouterr().err
+
+
+def test_a_connection_that_sends_slowly_is_not_idle(loaded):
+    httpd = make_server(Service(loaded.graph, loaded.base), port=0)
+    httpd.idle_timeout = 0.3
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    raw = (b"POST /simplify?scope=arith1 HTTP/1.1\r\nContent-Length: 3\r\n"
+           b"Connection: close\r\n\r\n1+2")
+    try:
+        with socket.create_connection(httpd.server_address, timeout=10) as s:
+            s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
+            # Each part well within the timeout, all of them well past it.
+            for i in range(0, len(raw), 12):
+                s.sendall(raw[i:i + 12])
+                time.sleep(0.1)
+            with s.makefile("rb") as f:
+                assert _read_reply(f)[::2] == (200, b"3")
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
 
 def test_theories_listing_beside_ingests():
     graph, _, _ = build_graph()

@@ -343,12 +343,12 @@ _CONTEXTS = [(), ("x",), ("x", "y")]
 
 
 def _call_shapes(arity):
-    """The argument counts the engine calls a rule of ``arity`` with:
-    ``(n, rest)`` for ``n*`` (no empty rest for ``0*``: an application
-    has an argument), ``(n, None)`` for ``n``, and ``None`` for a
-    binder."""
+    """The argument counts to call a rule of ``arity`` with: ``(n, rest)``
+    for ``n*``, ``(n, None)`` for ``n``, and ``None`` for a binder.  The
+    empty rest of a ``0*`` rule is a call the engine never makes (an
+    application has an argument), but a direct caller may."""
     if isinstance(arity, Flexible):
-        return [(arity.n, k) for k in range(0 if arity.n else 1, 4)]
+        return [(arity.n, k) for k in range(4)]
     if isinstance(arity, Fixed):
         return [(arity.n, None)]
     return [None]
